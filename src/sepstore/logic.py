@@ -1,11 +1,11 @@
 """Proof-script checker for the assertion logic.
 
 A proof is a tree of nodes, each naming a rule, an instantiation, premise
-subtrees and a stated conclusion (hypotheses + goal).  Checking validates
-every node against its rule schema — conclusions are never trusted.  The
-kernel consists of the separation/heap rules, the invariant-distribution
-axioms, the recursion rules and an intuitionistic natural-deduction layer;
-derived rules are macro-expanded into kernel derivations and re-checked.
+subtrees and a stated conclusion (hypotheses + goal).  Each rule is one
+function building the conclusion it licenses, which checking compares with
+the stated one: conclusions are never trusted.  The kernel has separation/
+heap rules, invariant-distribution axioms, recursion rules and a natural-
+deduction layer; derived rules are built from kernel rule applications.
 A small decidable entailment engine (entail_basic) discharges the obvious
 implication premises, and a negative registry rejects known-unsound rule
 names with an explanation.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .grammar import parse, pretty
 from .interp import EMPTY_ENV, IntVal, TypeFault, UnboundVariable, eval_expr
@@ -65,9 +66,6 @@ class ProofNode:
     premises: tuple = ()      # of ProofNode
     conclusion: Judgement = Judgement()
 
-    def param_values(self, key):
-        return tuple(v for k, v in self.params if k == key)
-
 
 @dataclass
 class CheckReport:
@@ -88,15 +86,21 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def make_node(rule, premises=(), conclude=None, hyps=(), **params) -> ProofNode:
-    """Programmatic node builder; `conclude` is the goal assertion."""
+def _param_items(params) -> tuple:
+    """(key, value) pairs of a parameter dict; a tuple or list value gives
+    one pair per element, and None gives none."""
     items = []
     for k, v in params.items():
         if isinstance(v, (tuple, list)):
             items.extend((k, x) for x in v)
         elif v is not None:
             items.append((k, v))
-    return ProofNode(rule, tuple(items), tuple(premises),
+    return tuple(items)
+
+
+def make_node(rule, premises=(), conclude=None, hyps=(), **params) -> ProofNode:
+    """Programmatic node builder; `conclude` is the goal assertion."""
+    return ProofNode(rule, _param_items(params), tuple(premises),
                      Judgement(hyps=tuple(hyps), goal=conclude))
 
 
@@ -141,17 +145,8 @@ REJECTED = {
 }
 
 
-def rejected_rule_info(name: str):
-    """Explanation for a known-unsound rule name, or None."""
-    return REJECTED.get(name)
-
-
 # ---------------------------------------------------------------------------
 # small assertion utilities
-
-
-def eq_ac(a, b) -> bool:
-    return equal_mod_ac(a, b)
 
 
 def iff(a, b):
@@ -165,23 +160,15 @@ def match_iff(goal):
     l, r = goal.left, goal.right
     if type(l) is not Implies or type(r) is not Implies:
         return None
-    if eq_ac(l.left, r.right) and eq_ac(l.right, r.left):
+    if equal_mod_ac(l.left, r.right) and equal_mod_ac(l.right, r.left):
         return l.left, l.right
     return None
 
 
 def and_parts(P) -> list:
-    out = []
-
-    def go(a):
-        if type(a) is And:
-            go(a.left)
-            go(a.right)
-        else:
-            out.append(a)
-
-    go(P)
-    return out
+    if type(P) is And:
+        return and_parts(P.left) + and_parts(P.right)
+    return [P]
 
 
 def parts_remove(parts, target):
@@ -197,21 +184,18 @@ def _conj_remove(parts, phi):
     """Remove phi from a flattened conjunction, part by part when phi is
     itself a conjunction; None if absent."""
     rest = parts_remove(parts, phi)
-    if rest is not None:
-        return rest
-    if type(phi) is And:
-        return parts_diff(parts, and_parts(phi))
-    return None
+    if rest is None and type(phi) is And:
+        rest = parts_diff(parts, and_parts(phi))
+    return rest
 
 
 def parts_diff(parts, to_remove):
     """Multiset difference; None if some element of to_remove is absent."""
     rest = list(parts)
     for t in to_remove:
-        rest2 = parts_remove(rest, t)
-        if rest2 is None:
+        rest = parts_remove(rest, t)
+        if rest is None:
             return None
-        rest = rest2
     return rest
 
 
@@ -235,9 +219,6 @@ def part_addr(part):
     """Canonical address key of a part that pins down one heap cell."""
     if type(part) is PointsTo:
         return canon_key(part.addr)
-    e = is_pt_wild(part)
-    if e is not None:
-        return canon_key(e)
     if type(part) is Exists:
         for a in and_parts(part.body):
             if type(a) is PointsTo and part.var not in free_vars(a.addr)[0]:
@@ -250,9 +231,10 @@ def part_addr(part):
     return None
 
 
-def foralls(xs, body):
+def _quantify(quant, xs, body):
+    """quant x1. ... quant xn. body"""
     for x in reversed(tuple(xs)):
-        body = Forall(x, body)
+        body = quant(x, body)
     return body
 
 
@@ -300,30 +282,33 @@ def dist_step(L, R):
     return None  # Mu, RelVar, Diamond: stuck until unfolded
 
 
+def _map_parts(P, f):
+    """P with f applied to each immediate sub-assertion."""
+    t = type(P)
+    if t in _BIN_TYPES or t is Tensor:
+        return t(f(P.left), f(P.right))
+    if t in (Forall, Exists):
+        return t(P.var, f(P.body))
+    if t is Triple:
+        return Triple(f(P.pre), P.code, f(P.post))
+    if t is Mu:
+        return Mu(P.relvar, P.params, f(P.body), P.args)
+    if t is Diamond:
+        return Diamond(f(P.body))
+    return P
+
+
 def normalize_otimes(P):
     """Push every invariant extension inward as far as the distribution
     axioms allow; extensions over recursive assertions, relation variables
     and the rank modality are left in place."""
-    t = type(P)
-    if t is Tensor:
-        left = normalize_otimes(P.left)
-        right = normalize_otimes(P.right)
-        step = dist_step(left, right)
-        if step is None:
-            return Tensor(left, right)
-        return normalize_otimes(step)
-    if t in (Forall, Exists):
-        return t(P.var, normalize_otimes(P.body))
-    if t in _BIN_TYPES:
-        return t(normalize_otimes(P.left), normalize_otimes(P.right))
-    if t is Triple:
-        return Triple(normalize_otimes(P.pre), P.code,
-                      normalize_otimes(P.post))
-    if t is Mu:
-        return Mu(P.relvar, P.params, normalize_otimes(P.body), P.args)
-    if t is Diamond:
-        return Diamond(normalize_otimes(P.body))
-    return P
+    if type(P) is not Tensor:
+        return _map_parts(P, normalize_otimes)
+    left, right = normalize_otimes(P.left), normalize_otimes(P.right)
+    step = dist_step(left, right)
+    if step is None:
+        return Tensor(left, right)
+    return normalize_otimes(step)
 
 
 def circ_n(P, R):
@@ -353,27 +338,16 @@ def ground_truth(A):
         if isinstance(a, IntVal) and isinstance(b, IntVal):
             return a.n <= b.n
         return None
-    if t is And:
+    if t in (And, Or, Implies):
+        # three-valued: a side that is undecided leaves the result open
+        # unless the other side decides it alone
         l, r = ground_truth(A.left), ground_truth(A.right)
-        if l is False or r is False:
-            return False
-        if l is True and r is True:
-            return True
-        return None
-    if t is Or:
-        l, r = ground_truth(A.left), ground_truth(A.right)
-        if l is True or r is True:
-            return True
-        if l is False and r is False:
-            return False
-        return None
-    if t is Implies:
-        l, r = ground_truth(A.left), ground_truth(A.right)
-        if l is False or r is True:
-            return True
-        if l is True and r is False:
-            return False
-        return None
+        if t is Implies and l is not None:      # a => b is (not a) \/ b
+            l = not l
+        decisive = t is not And
+        if decisive in (l, r):
+            return decisive
+        return l if l is r else None
     return None
 
 
@@ -404,10 +378,7 @@ def prenex(P):
 
         left = strip(left, right)
         right = strip(right, left)
-        core = t(left, right)
-        for x in reversed(binders):
-            core = Exists(x, core)
-        return core
+        return _quantify(Exists, binders, t(left, right))
     if t is Exists:
         return Exists(P.var, prenex(P.body))
     return P
@@ -430,12 +401,9 @@ def _collect_exprs(ast, out, seen):
         return
     for name in fields:
         child = getattr(ast, name)
-        if hasattr(type(child), "__dataclass_fields__"):
-            _collect_exprs(child, out, seen)
-        elif isinstance(child, tuple):
-            for c in child:
-                if hasattr(type(c), "__dataclass_fields__"):
-                    _collect_exprs(c, out, seen)
+        for c in child if isinstance(child, tuple) else (child,):
+            if hasattr(type(c), "__dataclass_fields__"):
+                _collect_exprs(c, out, seen)
 
 
 def lhs_absurd(P) -> bool:
@@ -473,32 +441,12 @@ def _unfold_first_mu(P):
 def _strip_units(a):
     """Remove emp units under * everywhere; keeps the memo key of an
     entailment problem in step with its structure."""
-    t = type(a)
-    if t is Star:
-        left, right = _strip_units(a.left), _strip_units(a.right)
-        if type(left) is Emp:
-            return right
-        if type(right) is Emp:
-            return left
-        return Star(left, right)
-    if t is And:
-        return And(_strip_units(a.left), _strip_units(a.right))
-    if t is Or:
-        return Or(_strip_units(a.left), _strip_units(a.right))
-    if t is Implies:
-        return Implies(_strip_units(a.left), _strip_units(a.right))
-    if t is Tensor:
-        return Tensor(_strip_units(a.left), _strip_units(a.right))
-    if t is Forall:
-        return Forall(a.var, _strip_units(a.body))
-    if t is Exists:
-        return Exists(a.var, _strip_units(a.body))
-    if t is Triple:
-        return Triple(_strip_units(a.pre), a.code, _strip_units(a.post))
-    if t is Mu:
-        return Mu(a.relvar, a.params, _strip_units(a.body), a.args)
-    if t is Diamond:
-        return Diamond(_strip_units(a.body))
+    a = _map_parts(a, _strip_units)
+    if type(a) is Star:
+        if type(a.left) is Emp:
+            return a.right
+        if type(a.right) is Emp:
+            return a.left
     return a
 
 
@@ -528,7 +476,7 @@ class _Entailer:
         return result
 
     def _ent(self, P, Q, mu, d) -> bool:
-        if eq_ac(P, Q):
+        if equal_mod_ac(P, Q):
             return True
         if type(Q) is TrueA or type(P) is FalseA:
             return True
@@ -576,14 +524,9 @@ class _Entailer:
                 if self.ent(substitute(P.body, {P.var: Var(z)}),
                             substitute(Q.body, {Q.var: Var(z)}), mu, d):
                     return True
-            out, seen = [], set()
-            _collect_exprs(P, out, seen)
-            _collect_exprs(Q.body, out, seen)
-            for w in out[:self.MAX_WITNESSES]:
-                if Q.var in free_vars(w)[0]:
-                    continue
-                if self.ent(P, substitute(Q.body, {Q.var: w}), mu, d):
-                    return True
+            if any(self.ent(P, body, mu, d)
+                   for body in self._instances(Q, P)):
+                return True
         if type(P) is Exists:
             z = fresh_name(P.var, free_vars(P)[0] | free_vars(Q)[0]
                            | {P.var})
@@ -594,14 +537,9 @@ class _Entailer:
                            | {Q.var})
             return self.ent(P, substitute(Q.body, {Q.var: Var(z)}), mu, d)
         if type(P) is Forall:
-            out, seen = [], set()
-            _collect_exprs(Q, out, seen)
-            _collect_exprs(P.body, out, seen)
-            for w in out[:self.MAX_WITNESSES]:
-                if P.var in free_vars(w)[0]:
-                    continue
-                if self.ent(substitute(P.body, {P.var: w}), Q, mu, d):
-                    return True
+            if any(self.ent(body, Q, mu, d)
+                   for body in self._instances(P, Q)):
+                return True
 
         if type(P) is Diamond:
             if self.ent(P.body, Q, mu, d):
@@ -639,6 +577,16 @@ class _Entailer:
         if type(P) is Star or type(Q) is Star:
             return self._ent_star(P, Q, mu, d)
         return False
+
+    def _instances(self, quant, other):
+        """The body of `quant` at each candidate witness: sub-expressions
+        of `other` and of the body."""
+        out, seen = [], set()
+        _collect_exprs(other, out, seen)
+        _collect_exprs(quant.body, out, seen)
+        for w in out[:self.MAX_WITNESSES]:
+            if quant.var not in free_vars(w)[0]:
+                yield substitute(quant.body, {quant.var: w})
 
     def _ent_star(self, P, Q, mu, d) -> bool:
         lp = [p for p in star_parts(P) if type(p) is not Emp]
@@ -686,14 +634,14 @@ def entail_basic(P, Q, budget: int = 3) -> bool:
 
 
 def equiv_basic(P, Q, budget: int = 2) -> bool:
-    if eq_ac(P, Q):
+    if equal_mod_ac(P, Q):
         return True
     e = _Entailer(budget)
     return e.run(P, Q) and e.run(Q, P)
 
 
 # ---------------------------------------------------------------------------
-# parameter access
+# parameters
 
 _ASSERTION_KEYS = {"P", "Q", "R", "S", "A", "B", "P0", "phi", "psi",
                    "template", "inv"}
@@ -720,29 +668,57 @@ def _parse_param(key, value):
 
 
 class _Params:
-    def __init__(self, node: ProofNode):
-        self.node = node
+    """The parameters of one rule application.  A parameter the node
+    omits is inferred from the stated goal by `infer`, when there is a
+    stated goal."""
 
-    def get(self, key, default=None):
-        vals = self.node.param_values(key)
-        if not vals:
-            return default
-        return _parse_param(key, vals[-1])
+    def __init__(self, rule, items, stated):
+        self.rule = rule
+        self.items = items
+        self.stated = stated
 
-    def require(self, key):
-        v = self.get(key)
+    def given(self, *keys):
+        return any(k in keys for k, _ in self.items)
+
+    def get_all(self, key, infer=None):
+        vals = tuple(_parse_param(key, v) for k, v in self.items if k == key)
+        if not vals and infer is not None and self.stated is not None:
+            return tuple(infer(self.stated.goal))
+        return vals
+
+    def get(self, key, infer=None, default=None):
+        vals = self.get_all(key, infer and (lambda g: (infer(g),)))
+        return vals[-1] if vals else default
+
+    def need(self, key, infer=None):
+        v = self.get(key, infer)
         if v is None:
-            raise SchemaMismatch(f"rule {self.node.rule} needs parameter "
-                                 f"{key!r}")
+            raise SchemaMismatch(f"rule {self.rule} needs parameter {key!r}")
         return v
-
-    def get_all(self, key):
-        return tuple(_parse_param(key, v)
-                     for v in self.node.param_values(key))
 
 
 # ---------------------------------------------------------------------------
-# checker helpers
+# rule helpers
+
+RULES = {}      # kernel rules
+_MACROS = {}    # derived rules, built from kernel rule applications
+_UNSOUND = {}   # debug-only rules, checked only when explicitly allowed
+
+
+def _rule(name, arity, table=RULES):
+    """Register `fn(params, *premises, stated)` as rule `name`: it returns
+    the judgement the rule concludes; `stated` is the stated judgement when
+    checking, None when building.  It raises SchemaMismatch on a premise or
+    stated goal of the wrong shape, SideConditionViolation when a side
+    condition fails."""
+    def register(fn):
+        def apply(ps, prems, stated):
+            need(len(prems) == arity,
+                 f"rule {name} takes {arity} premise(s), got {len(prems)}")
+            return fn(ps, *prems, stated)
+        table[name] = apply
+        return fn
+    return register
 
 
 def need(cond, msg):
@@ -755,40 +731,30 @@ def need_side(cond, msg):
         raise SideConditionViolation(msg)
 
 
-def _goal(node):
-    return node.conclusion.goal
+_KIND = {Implies: "an implication", And: "a conjunction",
+         Or: "a disjunction", Forall: "a universal", Exists: "an existential",
+         Eq: "an equation", FalseA: "false", Triple: "a triple",
+         Tensor: "an invariant extension P (*) R", Diamond: "<> P"}
 
 
-def _hyps(node):
-    return node.conclusion.hyps
+def _shape(a, cls, what):
+    if type(a) is not cls:
+        raise SchemaMismatch(f"{what} must be {_KIND[cls]}, got: {pretty(a)}")
+    return a
 
 
-def _prem(node, i) -> Judgement:
-    need(len(node.premises) > i,
-         f"rule {node.rule} needs at least {i + 1} premise(s)")
-    return node.premises[i].conclusion
+def _code_triple(goal, what):
+    t = _shape(goal, Triple, what)
+    need(type(t.code) is Quote, f"{what} must be about a quoted command")
+    return t
 
 
-def _need_premises(node, n):
-    need(len(node.premises) == n,
-         f"rule {node.rule} takes {n} premise(s), got {len(node.premises)}")
-
-
-def _hyp_subset(sub, sup, extra=()):
-    allowed = {canon_key(h) for h in sup} | {canon_key(h) for h in extra}
-    return all(canon_key(h) in allowed for h in sub)
-
-
-def _need_triple(goal, what):
-    need(type(goal) is Triple, f"{what} must be a triple, got: "
-         f"{pretty(goal)}")
-    return goal
-
-
-def _quoted(goal, cmdtype, what):
-    need(type(goal.code) is Quote and type(goal.code.body) is cmdtype,
-         f"{what}: the quoted command has the wrong shape")
-    return goal.code.body
+def _command(goal, cmdtype, rule):
+    """The quoted command of a conclusion triple."""
+    t = _shape(goal, Triple, f"{rule} conclusion")
+    need(type(t.code) is Quote and type(t.code.body) is cmdtype,
+         f"{rule}: the quoted command has the wrong shape")
+    return t.code.body
 
 
 def _need_iff(goal, rulename):
@@ -803,445 +769,485 @@ def _fv(ast):
     return free_vars(ast)[0]
 
 
+def _fresh(x, asts, msg):
+    need_side(all(x not in _fv(a) for a in asts), msg)
+
+
+def _hyp_subset(sub, sup):
+    allowed = {canon_key(h) for h in sup}
+    return all(canon_key(h) in allowed for h in sub)
+
+
+def _without(hyps, a):
+    key = canon_key(a)
+    return tuple(h for h in hyps if canon_key(h) != key)
+
+
+def _concl(goal, *prems):
+    """A conclusion under the hypotheses of its premises."""
+    return Judgement(hyps=tuple(h for p in prems for h in p.hyps), goal=goal)
+
+
+def _mismatch(rule, built, stated):
+    """Why the rule's conclusion `built` does not license the stated one,
+    or None: the goals must agree up to AC and alpha, and the stated
+    hypotheses must include the rule's."""
+    if not equal_mod_ac(built.goal, stated.goal):
+        return f"{rule}: the rule concludes {pretty(built.goal)}"
+    if not _hyp_subset(built.hyps, stated.hyps):
+        return f"{rule}: a premise has hypotheses the conclusion lacks"
+    return None
+
+
+def _pick(rule, stated, items, build, msg):
+    """For a rule that licenses several instances: the first
+    `(build(item), item)` that licenses the stated conclusion (the first
+    one when there is none); `build` returns None for an item that is no
+    instance.  Raises with `msg` when there is no instance at all."""
+    first = None
+    for item in items:
+        j = build(item)
+        if j is not None and (stated is None
+                              or _mismatch(rule, j, stated) is None):
+            return j, item
+        first = first or j
+    need(first is not None, msg)
+    raise SchemaMismatch(_mismatch(rule, first, stated))
+
+
 # ---------------------------------------------------------------------------
 # first-order layer
 
 
-def _r_Hyp(node):
-    _need_premises(node, 0)
-    g = canon_key(_goal(node))
-    need(any(canon_key(h) == g for h in _hyps(node)),
-         "Hyp: the goal is not among the hypotheses")
+@_rule("Hyp", 0)
+def _r_Hyp(ps, stated):
+    A = ps.need("A", lambda g: g)
+    return Judgement(hyps=(A,), goal=A)
 
 
-def _r_ImpI(node):
-    _need_premises(node, 1)
-    g = _goal(node)
-    need(type(g) is Implies, "ImpI concludes an implication")
-    p = _prem(node, 0)
-    need(eq_ac(p.goal, g.right), "ImpI: premise goal differs from the "
-         "consequent")
-    need(_hyp_subset(p.hyps, _hyps(node), (g.left,)),
-         "ImpI: premise hypotheses exceed conclusion hypotheses plus the "
-         "antecedent")
+@_rule("ImpI", 1)
+def _r_ImpI(ps, p, stated):
+    A = ps.need("A", lambda g: _shape(g, Implies, "ImpI conclusion").left)
+    return Judgement(hyps=_without(p.hyps, A), goal=Implies(A, p.goal))
 
 
-def _r_ImpE(node):
-    _need_premises(node, 2)
-    p0, p1 = _prem(node, 0), _prem(node, 1)
-    need(type(p0.goal) is Implies, "ImpE: first premise must be an "
-         "implication")
-    need(eq_ac(p1.goal, p0.goal.left),
+@_rule("ImpE", 2)
+def _r_ImpE(ps, p0, p1, stated):
+    imp = _shape(p0.goal, Implies, "ImpE first premise")
+    need(equal_mod_ac(p1.goal, imp.left),
          "ImpE: second premise differs from the antecedent")
-    need(eq_ac(_goal(node), p0.goal.right),
-         "ImpE: conclusion differs from the consequent")
+    return _concl(imp.right, p0, p1)
 
 
-def _r_AndI(node):
-    _need_premises(node, 2)
-    g = _goal(node)
-    need(type(g) is And, "AndI concludes a conjunction")
-    need(eq_ac(_prem(node, 0).goal, g.left)
-         and eq_ac(_prem(node, 1).goal, g.right),
-         "AndI: premises do not match the conjuncts")
+@_rule("AndI", 2)
+def _r_AndI(ps, p0, p1, stated):
+    if stated is not None:
+        # the premises come in the order of the conjuncts they prove
+        g = _shape(stated.goal, And, "AndI conclusion")
+        need(equal_mod_ac(p0.goal, g.left)
+             and equal_mod_ac(p1.goal, g.right),
+             "AndI: premises do not match the conjuncts")
+    return _concl(And(p0.goal, p1.goal), p0, p1)
 
 
-def _r_AndE1(node):
-    _need_premises(node, 1)
-    p = _prem(node, 0)
-    need(type(p.goal) is And, "AndE1: premise must be a conjunction")
-    need(eq_ac(_goal(node), p.goal.left), "AndE1: conclusion is not the "
-         "left conjunct")
+def _and_elim(name, side):
+    @_rule(name, 1)
+    def check(ps, p, stated):
+        return _concl(getattr(_shape(p.goal, And, f"{name} premise"), side),
+                      p)
 
 
-def _r_AndE2(node):
-    _need_premises(node, 1)
-    p = _prem(node, 0)
-    need(type(p.goal) is And, "AndE2: premise must be a conjunction")
-    need(eq_ac(_goal(node), p.goal.right), "AndE2: conclusion is not the "
-         "right conjunct")
+_and_elim("AndE1", "left")
+_and_elim("AndE2", "right")
 
 
-def _r_OrI1(node):
-    _need_premises(node, 1)
-    g = _goal(node)
-    need(type(g) is Or, "OrI1 concludes a disjunction")
-    need(eq_ac(_prem(node, 0).goal, g.left), "OrI1: premise is not the "
-         "left disjunct")
+@_rule("OrI1", 1)
+def _r_OrI1(ps, p, stated):
+    B = ps.need("B", lambda g: _shape(g, Or, "OrI1 conclusion").right)
+    return _concl(Or(p.goal, B), p)
 
 
-def _r_OrI2(node):
-    _need_premises(node, 1)
-    g = _goal(node)
-    need(type(g) is Or, "OrI2 concludes a disjunction")
-    need(eq_ac(_prem(node, 0).goal, g.right), "OrI2: premise is not the "
-         "right disjunct")
+@_rule("OrI2", 1)
+def _r_OrI2(ps, p, stated):
+    A = ps.need("A", lambda g: _shape(g, Or, "OrI2 conclusion").left)
+    return _concl(Or(A, p.goal), p)
 
 
-def _r_OrE(node):
-    _need_premises(node, 3)
-    p0, p1, p2 = (_prem(node, i) for i in range(3))
-    need(type(p0.goal) is Or, "OrE: first premise must be a disjunction")
-    g = _goal(node)
-    need(eq_ac(p1.goal, g) and eq_ac(p2.goal, g),
-         "OrE: branch premises must conclude the goal")
-    need(_hyp_subset(p1.hyps, _hyps(node), (p0.goal.left,)),
-         "OrE: left branch hypotheses are wrong")
-    need(_hyp_subset(p2.hyps, _hyps(node), (p0.goal.right,)),
-         "OrE: right branch hypotheses are wrong")
+@_rule("OrE", 3)
+def _r_OrE(ps, p0, p1, p2, stated):
+    d = _shape(p0.goal, Or, "OrE first premise")
+    need(equal_mod_ac(p1.goal, p2.goal),
+         "OrE: branch premises must conclude the same goal")
+    return Judgement(hyps=p0.hyps + _without(p1.hyps, d.left)
+                     + _without(p2.hyps, d.right), goal=p1.goal)
 
 
-def _r_ForallI(node):
-    _need_premises(node, 1)
-    g = _goal(node)
-    need(type(g) is Forall, "ForallI concludes a universal")
-    p = _prem(node, 0)
-    need(eq_ac(Forall(g.var, p.goal), g),
-         "ForallI: premise goal does not generalise to the conclusion")
-    for h in _hyps(node):
-        need_side(g.var not in _fv(h),
-                  f"ForallI: {g.var} occurs free in a hypothesis")
+@_rule("ForallI", 1)
+def _r_ForallI(ps, p, stated):
+    x = ps.need("x", lambda g: _shape(g, Forall, "ForallI conclusion").var)
+    _fresh(x, (stated or p).hyps,
+           f"ForallI: {x} occurs free in a hypothesis")
+    return _concl(Forall(x, p.goal), p)
 
 
-def _r_ForallE(node):
-    _need_premises(node, 1)
-    p = _prem(node, 0)
-    need(type(p.goal) is Forall, "ForallE: premise must be a universal")
-    w = _Params(node).get("witness", Var(p.goal.var))
-    need(eq_ac(_goal(node), substitute(p.goal.body, {p.goal.var: w})),
-         "ForallE: conclusion is not the instantiated body")
+@_rule("ForallE", 1)
+def _r_ForallE(ps, p, stated):
+    u = _shape(p.goal, Forall, "ForallE premise")
+    w = ps.get("witness", default=Var(u.var))
+    return _concl(substitute(u.body, {u.var: w}), p)
 
 
-def _r_ExistsI(node):
-    _need_premises(node, 1)
-    g = _goal(node)
-    need(type(g) is Exists, "ExistsI concludes an existential")
-    w = _Params(node).require("witness")
-    need(eq_ac(_prem(node, 0).goal, substitute(g.body, {g.var: w})),
+@_rule("ExistsI", 1)
+def _r_ExistsI(ps, p, stated):
+    A = ps.need("template",
+                lambda g: _shape(g, Exists, "ExistsI conclusion").body)
+    x = ps.need("x", lambda g: _shape(g, Exists, "ExistsI conclusion").var)
+    w = ps.need("witness")
+    need(equal_mod_ac(p.goal, substitute(A, {x: w})),
          "ExistsI: premise is not the body at the witness")
+    return _concl(Exists(x, A), p)
 
 
-def _r_ExistsE(node):
-    _need_premises(node, 2)
-    p0, p1 = _prem(node, 0), _prem(node, 1)
-    need(type(p0.goal) is Exists, "ExistsE: first premise must be an "
-         "existential")
-    g = _goal(node)
-    need(eq_ac(p1.goal, g), "ExistsE: second premise must conclude the goal")
-    x = p0.goal.var
-    need(_hyp_subset(p1.hyps, _hyps(node), (p0.goal.body,)),
-         "ExistsE: branch hypotheses are wrong")
-    need_side(x not in _fv(g), f"ExistsE: {x} occurs free in the goal")
-    for h in _hyps(node):
-        need_side(x not in _fv(h),
-                  f"ExistsE: {x} occurs free in a hypothesis")
+@_rule("ExistsE", 2)
+def _r_ExistsE(ps, p0, p1, stated):
+    ex = _shape(p0.goal, Exists, "ExistsE first premise")
+    built = Judgement(hyps=p0.hyps + _without(p1.hyps, ex.body),
+                      goal=p1.goal)
+    concl = stated or built
+    _fresh(ex.var, (concl.goal, *concl.hyps),
+           f"ExistsE: {ex.var} occurs free in the goal or a hypothesis")
+    return built
 
 
-def _r_TrueI(node):
-    _need_premises(node, 0)
-    need(type(_goal(node)) is TrueA, "TrueI concludes true")
+@_rule("TrueI", 0)
+def _r_TrueI(ps, stated):
+    return Judgement(goal=TrueA())
 
 
-def _r_FalseE(node):
-    _need_premises(node, 1)
-    need(type(_prem(node, 0).goal) is FalseA,
-         "FalseE: premise must be false")
+@_rule("FalseE", 1)
+def _r_FalseE(ps, p, stated):
+    _shape(p.goal, FalseA, "FalseE premise")
+    return _concl(ps.need("P", lambda g: g), p)
 
 
-def _r_EqRefl(node):
-    _need_premises(node, 0)
-    g = _goal(node)
-    need(type(g) is Eq and canon_key(g.left) == canon_key(g.right),
-         "EqRefl concludes e = e")
+@_rule("EqRefl", 0)
+def _r_EqRefl(ps, stated):
+    e = ps.need("e", lambda g: _shape(g, Eq, "EqRefl conclusion").left)
+    return Judgement(goal=Eq(e, e))
 
 
-def _r_EqSubst(node):
-    _need_premises(node, 2)
-    ps = _Params(node)
-    A = ps.require("template")
-    x = ps.require("x")
-    p0, p1 = _prem(node, 0), _prem(node, 1)
-    need(type(p0.goal) is Eq, "EqSubst: first premise must be an equation")
-    e1, e2 = p0.goal.left, p0.goal.right
-    need(eq_ac(p1.goal, substitute(A, {x: e1})),
+@_rule("EqSubst", 2)
+def _r_EqSubst(ps, p0, p1, stated):
+    A, x = ps.need("template"), ps.need("x")
+    eq = _shape(p0.goal, Eq, "EqSubst first premise")
+    need(equal_mod_ac(p1.goal, substitute(A, {x: eq.left})),
          "EqSubst: second premise is not the template at the left side")
-    need(eq_ac(_goal(node), substitute(A, {x: e2})),
-         "EqSubst: conclusion is not the template at the right side")
+    return _concl(substitute(A, {x: eq.right}), p0, p1)
 
 
-def _r_ArithFact(node):
-    _need_premises(node, 0)
-    need(ground_truth(_goal(node)) is True,
+@_rule("ArithFact", 0)
+def _r_ArithFact(ps, stated):
+    P = ps.need("P", lambda g: g)
+    need(ground_truth(P) is True,
          "ArithFact: goal is not a true closed arithmetic fact")
+    return Judgement(goal=P)
 
 
-def _r_Entail(node):
-    _need_premises(node, 0)
-    g = _goal(node)
-    budget = _Params(node).get("budget", 3)
-    pair = match_iff(g)
-    if pair is not None:
-        a, b = pair
+@_rule("Entail", 0)
+def _r_Entail(ps, stated):
+    budget = ps.get("budget", default=3)
+    if stated is not None and not ps.given("P", "Q") \
+            and match_iff(stated.goal) is not None:
+        a, b = match_iff(stated.goal)
         need(entail_basic(a, b, budget) and entail_basic(b, a, budget),
              "Entail: the equivalence is not derivable by the basic "
              "entailment engine")
-        return
-    need(type(g) is Implies, "Entail concludes an implication")
-    need(entail_basic(g.left, g.right, budget),
+        return Judgement(goal=iff(a, b))
+    P = ps.need("P", lambda g: _shape(g, Implies, "Entail conclusion").left)
+    Q = ps.need("Q", lambda g: _shape(g, Implies, "Entail conclusion").right)
+    need(entail_basic(P, Q, budget),
          "Entail: not derivable by the basic entailment engine")
+    return Judgement(goal=Implies(P, Q))
 
 
 # ---------------------------------------------------------------------------
-# star laws
+# equivalence axioms: star laws, recursion, distribution
 
 
-def _r_star_ac(node):
-    _need_premises(node, 0)
-    a, b = _need_iff(_goal(node), node.rule)
-    need(eq_ac(a, b), f"{node.rule}: the two sides differ beyond "
-         "associativity/commutativity/unit")
+def _star_law(name, keys, sides):
+    """StarAssoc/StarComm/StarUnit: an equivalence whose sides are equal
+    up to associativity, commutativity and unit -- from the parameters or,
+    when they are omitted, as stated."""
+    @_rule(name, 0)
+    def check(ps, stated):
+        if stated is None or ps.given(*keys):
+            a, b = sides(*(ps.need(k) for k in keys))
+        else:
+            a, b = _need_iff(stated.goal, name)
+        need(equal_mod_ac(a, b), f"{name}: the two sides differ beyond "
+             "associativity/commutativity/unit")
+        return Judgement(goal=iff(a, b))
 
 
-def _r_StarZero(node):
-    _need_premises(node, 0)
-    a, b = _need_iff(_goal(node), "StarZero")
-    for l, r in ((a, b), (b, a)):
-        if type(r) is FalseA and any(type(p) is FalseA
-                                     for p in star_parts(l)):
-            return
-    raise SchemaMismatch("StarZero matches P * false <=> false")
+_star_law("StarAssoc", ("P", "Q", "R"), lambda P, Q, R: (
+    Star(P, Star(Q, R)), Star(Star(P, Q), R)))
+_star_law("StarComm", ("P", "Q"), lambda P, Q: (Star(P, Q), Star(Q, P)))
+_star_law("StarUnit", ("P",), lambda P: (Star(P, Emp()), P))
 
 
-def _r_StarOverlap(node):
-    _need_premises(node, 0)
-    a, b = _need_iff(_goal(node), "StarOverlap")
-    for l, r in ((a, b), (b, a)):
-        if type(r) is not FalseA:
-            continue
-        addrs = [canon_key(p.addr) for p in star_parts(l)
-                 if type(p) is PointsTo]
-        if len(addrs) != len(set(addrs)):
-            return
-    raise SchemaMismatch("StarOverlap matches "
-                         "(e |-> e1 * e |-> e2) <=> false")
+def _axiom(name, keys, lhs, rhs, msg):
+    """An axiom L <=> rhs(L).  L is built from the parameters by `lhs`
+    or, when they are omitted, is either side of the stated equivalence;
+    rhs(L) is None when L is no instance."""
+    @_rule(name, 0)
+    def check(ps, stated):
+        if stated is None or ps.given(*keys):
+            lefts = (lhs(*(ps.need(k) for k in keys)),)
+        else:
+            lefts = _need_iff(stated.goal, name)
+
+        def instance(left):
+            right = rhs(left)
+            return None if right is None else Judgement(goal=iff(left, right))
+
+        return _pick(name, stated, lefts, instance, msg)[0]
 
 
-def _r_StarMono(node):
-    _need_premises(node, 2)
-    p0, p1 = _prem(node, 0), _prem(node, 1)
-    need(type(p0.goal) is Implies and type(p1.goal) is Implies,
-         "StarMono: premises must be implications")
-    g = _goal(node)
-    need(type(g) is Implies, "StarMono concludes an implication")
-    need(eq_ac(g.left, Star(p0.goal.left, p1.goal.left)),
-         "StarMono: antecedent is not the starred premise antecedents")
-    need(eq_ac(g.right, Star(p0.goal.right, p1.goal.right)),
-         "StarMono: consequent is not the starred premise consequents")
+def _zero_rhs(L):
+    zero = any(type(p) is FalseA for p in star_parts(L))
+    return FalseA() if zero else None
+
+
+def _overlap_rhs(L):
+    addrs = [canon_key(p.addr) for p in star_parts(L) if type(p) is PointsTo]
+    return FalseA() if len(addrs) != len(set(addrs)) else None
+
+
+def _unfold_rhs(L):
+    if type(L) is not Mu:
+        return None
+    need_side(contractive_in(L.body, L.relvar),
+              "MuUnfold: body must be contractive in the bound relation "
+              "variable")
+    return unfold_mu(L)
+
+
+_axiom("StarZero", ("P",), lambda P: Star(P, FalseA()), _zero_rhs,
+       "StarZero matches P * false <=> false")
+_axiom("StarOverlap", ("e", "e1", "e2"),
+       lambda e, e1, e2: Star(PointsTo(e, e1), PointsTo(e, e2)),
+       _overlap_rhs, "StarOverlap matches (e |-> e1 * e |-> e2) <=> false")
+_axiom("MuUnfold", ("P",), lambda P: P, _unfold_rhs,
+       "MuUnfold matches mu X. P <=> P[X := mu X. P]")
+
+
+def _dist_axiom(name, want):
+    def rhs(L):
+        if type(L) is Tensor and want(L.left):
+            return dist_step(L.left, L.right)
+        return None
+    _axiom(name, ("P", "R"), Tensor, rhs,
+           f"{name}: conclusion does not match the distribution axiom")
+
+
+_dist_axiom("DistTriple", lambda L: type(L) is Triple)
+_dist_axiom("DistTensorTensor", lambda L: type(L) is Tensor)
+_dist_axiom("DistQuant", lambda L: type(L) in (Forall, Exists))
+_dist_axiom("DistBinOp", lambda L: type(L) in _BIN_TYPES)
+_dist_axiom("DistAtom", lambda L: type(L) in _ATOM_TYPES)
+
+
+@_rule("StarMono", 2)
+def _r_StarMono(ps, p0, p1, stated):
+    a = _shape(p0.goal, Implies, "StarMono first premise")
+    b = _shape(p1.goal, Implies, "StarMono second premise")
+    return _concl(Implies(Star(a.left, b.left), Star(a.right, b.right)),
+                  p0, p1)
+
+
+@_rule("RUnique", 2)
+def _r_RUnique(ps, p0, p1, stated):
+    P, X = ps.need("P"), ps.need("X")
+    need_side(contractive_in(P, X),
+              "RUnique: the template must be contractive in the relation "
+              "variable")
+
+    def fixed_points(p, which):
+        a, b = _need_iff(p.goal, f"RUnique ({which} premise)")
+        return [l for l, r in ((a, b), (b, a))
+                if equal_mod_ac(r, substitute(P, rel_map={X: ((), l)}))]
+
+    pairs = [(l0, l1) for l0 in fixed_points(p0, "first")
+             for l1 in fixed_points(p1, "second")]
+    return _pick("RUnique", stated, pairs,
+                 lambda pair: _concl(iff(*pair), p0, p1),
+                 "RUnique: premises must show both sides are fixed points "
+                 "of the template")[0]
 
 
 # ---------------------------------------------------------------------------
 # command rules
 
 
-def _r_Skip(node):
-    _need_premises(node, 0)
-    g = _need_triple(_goal(node), "Skip conclusion")
-    _quoted(g, Skip, "Skip")
-    need(eq_ac(g.pre, g.post), "Skip: pre- and postcondition must agree")
+def _frames(ps, e):
+    """The frame P of {e |-> _ * P}: the parameter; else, beside each
+    e |-> _ of the stated precondition, the rest of it; else emp."""
+    P = ps.get("P")
+    if P is not None:
+        return [P]
+    if ps.stated is None:
+        return [Emp()]
+    pre = _shape(ps.stated.goal, Triple, f"{ps.rule} conclusion").pre
+    parts, ek = star_parts(pre), canon_key(e)
+    return [star(*parts[:i], *parts[i + 1:]) for i, p in enumerate(parts)
+            if is_pt_wild(p) is not None and canon_key(is_pt_wild(p)) == ek]
 
 
-def _r_Update(node):
-    _need_premises(node, 0)
-    g = _need_triple(_goal(node), "Update conclusion")
-    cmd = _quoted(g, Assign, "Update")
-    e, e0 = cmd.target, cmd.source
-    pre_parts = star_parts(g.pre)
-    post_parts = star_parts(g.post)
-    ek = canon_key(e)
-    for i, p in enumerate(pre_parts):
-        w = is_pt_wild(p)
-        if w is None or canon_key(w) != ek:
-            continue
-        rest_pre = pre_parts[:i] + pre_parts[i + 1:]
-        rest_post = parts_remove(post_parts, PointsTo(e, e0))
-        if rest_post is not None \
-                and eq_ac(star(*rest_pre), star(*rest_post)):
-            return
-    raise SchemaMismatch("Update matches {e |-> _ * P}'[e] := e0'"
-                         "{e |-> e0 * P}")
+@_rule("Skip", 0)
+def _r_Skip(ps, stated):
+    P = ps.need("P", lambda g: _shape(g, Triple, "Skip conclusion").pre)
+    return Judgement(goal=Triple(P, Quote(Skip()), P))
+
+
+@_rule("Update", 0)
+def _r_Update(ps, stated):
+    e = ps.need("e", lambda g: _command(g, Assign, "Update").target)
+    e0 = ps.need("e0", lambda g: _command(g, Assign, "Update").source)
+    return _pick("Update", stated, _frames(ps, e), lambda P: Judgement(
+        goal=Triple(Star(pt_wild(e), P), Quote(Assign(e, e0)),
+                    Star(PointsTo(e, e0), P))),
+        "Update matches {e |-> _ * P}'[e] := e0'{e |-> e0 * P}")[0]
 
 
 def _int_valued(e) -> bool:
-    """True when e can only evaluate to an integer (or fault)."""
-    t = type(e)
-    if t is IntLit:
-        return True
-    if t is BinOp:
-        # arithmetic faults on code operands, so the result is an integer
-        return True
-    if t is ValueLit:
+    """True when e can only evaluate to an integer (or fault); arithmetic
+    faults on code operands, so a BinOp is integer-valued."""
+    if type(e) is ValueLit:
         return isinstance(e.value, IntVal)
-    return False
+    return type(e) in (IntLit, BinOp)
 
 
-def _r_UpdateInv(node):
-    _need_premises(node, 0)
-    g = _need_triple(_goal(node), "UpdateInv conclusion")
-    cmd = _quoted(g, Assign, "UpdateInv")
-    e, e0 = cmd.target, cmd.source
-    pre_parts = star_parts(g.pre)
-    post_parts = star_parts(g.post)
-    need(len(pre_parts) == 2 and len(post_parts) == 2,
+def _inv_cells(goal, e, e0):
+    """(e1, conjuncts of phi) for each reading of the stated postcondition
+    as (e |-> e0 /\\ phi) * (e1 |-> e0 /\\ phi)."""
+    goal = _shape(goal, Triple, "UpdateInv conclusion")
+    pre, post = star_parts(goal.pre), star_parts(goal.post)
+    need(len(pre) == 2 and len(post) == 2,
          "UpdateInv: pre and post each have exactly two star components")
     ek, e0k = canon_key(e), canon_key(e0)
-
-    def split_cell(part, addr_key):
-        # And-parts: one points-to at addr_key with value e0, rest = phi
-        aps = and_parts(part)
-        for i, a in enumerate(aps):
-            if type(a) is PointsTo and canon_key(a.addr) == addr_key \
-                    and canon_key(a.value) == e0k:
-                phi = conj(*(aps[:i] + aps[i + 1:]))
-                return a.addr, phi
-        return None
-
-    for pre_wild, pre_inv in (pre_parts, pre_parts[::-1]):
-        w = is_pt_wild(pre_wild)
-        if w is None or canon_key(w) != ek:
+    for upd, inv in (post, post[::-1]):
+        aps = and_parts(upd)
+        at = [i for i, a in enumerate(aps) if type(a) is PointsTo
+              and canon_key(a.addr) == ek and canon_key(a.value) == e0k]
+        if not at:
             continue
-        for post_upd, post_inv in (post_parts, post_parts[::-1]):
-            upd = split_cell(post_upd, ek)
-            if upd is None:
-                continue
-            _, phi1 = upd
-            inv = split_cell(post_inv, None) \
-                if False else None
-            aps = and_parts(post_inv)
-            for i, a in enumerate(aps):
-                if type(a) is not PointsTo \
-                        or canon_key(a.value) != e0k:
-                    continue
-                phi2 = conj(*(aps[:i] + aps[i + 1:]))
-                if canon_key(phi1) != canon_key(phi2):
-                    continue
-                if not eq_ac(pre_inv, post_inv):
-                    continue
-                need_side(classify(phi1) in (PURE, PSEUDO_PURE),
-                          "UpdateInv: the invariant conjunct must be "
-                          "pseudo-pure")
-                # a rank-sensitive conjunct survives the write only if the
-                # assigned expression cannot store code: the freshly
-                # written cell would otherwise outrank the cell the
-                # conjunct was established for
-                need_side(classify(phi1) == PURE or _int_valued(e0),
-                          "UpdateInv: a pseudo-pure (rank-sensitive) "
-                          "conjunct needs an integer-valued source "
-                          "expression")
-                return
-    raise SchemaMismatch(
+        phis = tuple(aps[:at[0]] + aps[at[0] + 1:])
+        for a in and_parts(inv):
+            if type(a) is PointsTo and canon_key(a.value) == e0k:
+                yield a.addr, phis
+
+
+@_rule("UpdateInv", 0)
+def _r_UpdateInv(ps, stated):
+    e = ps.need("e", lambda g: _command(g, Assign, "UpdateInv").target)
+    e0 = ps.need("e0", lambda g: _command(g, Assign, "UpdateInv").source)
+    if stated is None or ps.given("e1", "phi"):
+        cells = [(ps.need("e1"), (ps.need("phi"),))]
+    else:
+        cells = _inv_cells(stated.goal, e, e0)
+
+    def instance(cell):
+        e1, phis = cell
+        inv = conj(PointsTo(e1, e0), *phis)
+        return Judgement(goal=Triple(Star(pt_wild(e), inv),
+                                     Quote(Assign(e, e0)),
+                                     Star(conj(PointsTo(e, e0), *phis), inv)))
+
+    j, (_, phis) = _pick(
+        "UpdateInv", stated, cells, instance,
         "UpdateInv matches {e |-> _ * (e1 |-> e0 /\\ phi)}'[e] := e0'"
         "{(e |-> e0 /\\ phi) * (e1 |-> e0 /\\ phi)}")
+    phi = conj(*phis)
+    need_side(classify(phi) in (PURE, PSEUDO_PURE),
+              "UpdateInv: the invariant conjunct must be pseudo-pure")
+    # a rank-sensitive conjunct survives the write only if the assigned
+    # expression cannot store code: the freshly written cell would
+    # otherwise outrank the cell the conjunct was established for
+    need_side(classify(phi) == PURE or _int_valued(e0),
+              "UpdateInv: a pseudo-pure (rank-sensitive) conjunct needs an "
+              "integer-valued source expression")
+    return j
 
 
-def _r_Free(node):
-    _need_premises(node, 0)
-    g = _need_triple(_goal(node), "Free conclusion")
-    cmd = _quoted(g, Free, "Free")
-    e = cmd.addr
-    ek = canon_key(e)
-    for i, p in enumerate(star_parts(g.pre)):
-        w = is_pt_wild(p)
-        if w is not None and canon_key(w) == ek:
-            rest = star_parts(g.pre)[:i] + star_parts(g.pre)[i + 1:]
-            if eq_ac(star(*rest), g.post):
-                return
-    raise SchemaMismatch("Free matches {e |-> _ * P}'free(e)'{P}")
+@_rule("Free", 0)
+def _r_Free(ps, stated):
+    e = ps.need("e", lambda g: _command(g, Free, "Free").addr)
+    return _pick("Free", stated, _frames(ps, e), lambda P: Judgement(
+        goal=Triple(Star(pt_wild(e), P), Quote(Free(e)), P)),
+        "Free matches {e |-> _ * P}'free(e)'{P}")[0]
 
 
-def _r_Seq(node):
-    _need_premises(node, 2)
-    g = _need_triple(_goal(node), "Seq conclusion")
-    cmd = _quoted(g, Seq, "Seq")
-    t0 = _need_triple(_prem(node, 0).goal, "Seq first premise")
-    t1 = _need_triple(_prem(node, 1).goal, "Seq second premise")
-    need(type(t0.code) is Quote and type(t1.code) is Quote,
-         "Seq: premises must quote the two commands")
-    need(canon_key(t0.code.body) == canon_key(cmd.first)
-         and canon_key(t1.code.body) == canon_key(cmd.second),
-         "Seq: premise commands do not compose to the conclusion command")
-    need(eq_ac(t0.pre, g.pre), "Seq: precondition mismatch")
-    need(eq_ac(t0.post, t1.pre), "Seq: intermediate assertion mismatch")
-    need(eq_ac(t1.post, g.post), "Seq: postcondition mismatch")
+@_rule("Seq", 2)
+def _r_Seq(ps, p0, p1, stated):
+    t0 = _code_triple(p0.goal, "Seq first premise")
+    t1 = _code_triple(p1.goal, "Seq second premise")
+    need(equal_mod_ac(t0.post, t1.pre),
+         "Seq: intermediate assertion mismatch")
+    return _concl(Triple(t0.pre, Quote(Seq(t0.code.body, t1.code.body)),
+                         t1.post), p0, p1)
 
 
-def _r_If(node):
-    _need_premises(node, 2)
-    g = _need_triple(_goal(node), "If conclusion")
-    cmd = _quoted(g, If, "If")
-    cond = Eq(cmd.lhs, cmd.rhs)
-    t0 = _need_triple(_prem(node, 0).goal, "If then-premise")
-    t1 = _need_triple(_prem(node, 1).goal, "If else-premise")
-    need(type(t0.code) is Quote
-         and canon_key(t0.code.body) == canon_key(cmd.then),
-         "If: first premise must be about the then-branch")
-    need(type(t1.code) is Quote
-         and canon_key(t1.code.body) == canon_key(cmd.els),
-         "If: second premise must be about the else-branch")
-    need(eq_ac(t0.pre, And(g.pre, cond)),
+@_rule("If", 2)
+def _r_If(ps, p0, p1, stated):
+    t0 = _code_triple(p0.goal, "If then-premise")
+    t1 = _code_triple(p1.goal, "If else-premise")
+    # the precondition and the guard: as stated, else from the then-branch
+    if stated is not None:
+        cmd = _command(stated.goal, If, "If")
+        P, cond = stated.goal.pre, Eq(cmd.lhs, cmd.rhs)
+    else:
+        need(type(t0.pre) is And and type(t0.pre.right) is Eq,
+             "If: then-premise precondition must add the guard")
+        P, cond = t0.pre.left, t0.pre.right
+    need(equal_mod_ac(t0.pre, And(P, cond)),
          "If: then-premise precondition must add the guard")
-    need(eq_ac(t1.pre, And(g.pre, Implies(cond, FalseA()))),
+    need(equal_mod_ac(t1.pre, And(P, Implies(cond, FalseA()))),
          "If: else-premise precondition must add the negated guard")
-    need(eq_ac(t0.post, g.post) and eq_ac(t1.post, g.post),
-         "If: postcondition mismatch")
+    need(equal_mod_ac(t0.post, t1.post), "If: postcondition mismatch")
+    cmd = If(cond.left, cond.right, t0.code.body, t1.code.body)
+    return _concl(Triple(P, Quote(cmd), t0.post), p0, p1)
 
 
-def _r_Deref(node):
-    _need_premises(node, 1)
-    g = _need_triple(_goal(node), "Deref conclusion")
-    cmd = _quoted(g, LetDeref, "Deref")
-    x, e = cmd.var, cmd.addr
-    t = _need_triple(_prem(node, 0).goal, "Deref premise")
-    need(type(t.code) is Quote
-         and canon_key(t.code.body) == canon_key(cmd.body),
-         "Deref: premise must be about the let-body")
-    need(eq_ac(t.post, g.post), "Deref: postcondition mismatch")
-    need(type(g.pre) is Exists, "Deref: precondition must be existential")
-    body = substitute(g.pre.body, {g.pre.var: Var(x)})
-    need(eq_ac(body, t.pre),
-         "Deref: premise precondition is not the opened conclusion "
-         "precondition")
-    need(any(type(p) is PointsTo and canon_key(p.addr) == canon_key(e)
-             and type(p.value) is Var and p.value.name == x
-             for p in star_parts(t.pre)),
+@_rule("Deref", 1)
+def _r_Deref(ps, p, stated):
+    t = _code_triple(p.goal, "Deref premise")
+    x = ps.need("x", lambda g: _command(g, LetDeref, "Deref").var)
+    e = ps.need("e", lambda g: _command(g, LetDeref, "Deref").addr)
+    need(any(type(q) is PointsTo and canon_key(q.addr) == canon_key(e)
+             and type(q.value) is Var and q.value.name == x
+             for q in star_parts(t.pre)),
          "Deref: premise precondition lacks the component e |-> x")
-    need_side(x not in _fv(e), f"Deref: {x} occurs free in the address")
-    need_side(x not in _fv(g.post),
-              f"Deref: {x} occurs free in the postcondition")
+    _fresh(x, (e, t.post),
+           f"Deref: {x} occurs free in the address or the postcondition")
+    return _concl(Triple(Exists(x, t.pre),
+                         Quote(LetDeref(x, e, t.code.body)), t.post), p)
 
 
-def _r_New(node):
-    _need_premises(node, 1)
-    g = _need_triple(_goal(node), "New conclusion")
-    cmd = _quoted(g, LetNew, "New")
-    x = cmd.var
-    t = _need_triple(_prem(node, 0).goal, "New premise")
-    need(type(t.code) is Quote
-         and canon_key(t.code.body) == canon_key(cmd.body),
-         "New: premise must be about the let-body")
-    need(eq_ac(t.post, g.post), "New: postcondition mismatch")
-    block = []
-    for i, init in enumerate(cmd.inits):
-        addr = Var(x) if i == 0 else BinOp("+", Var(x), IntLit(i))
-        block.append(PointsTo(addr, init))
+@_rule("New", 1)
+def _r_New(ps, p, stated):
+    t = _code_triple(p.goal, "New premise")
+    x = ps.need("x", lambda g: _command(g, LetNew, "New").var)
+    inits = ps.get_all("init", lambda g: _command(g, LetNew, "New").inits)
+    need(inits, "rule New needs parameter 'init'")
+    block = [PointsTo(Var(x) if i == 0 else BinOp("+", Var(x), IntLit(i)),
+                      init) for i, init in enumerate(inits)]
     rest = parts_diff(star_parts(t.pre), block)
     need(rest is not None,
          "New: premise precondition lacks the freshly initialised block")
-    need(eq_ac(star(*rest), g.pre),
-         "New: conclusion precondition differs from the premise minus the "
-         "block")
-    for part in (g.pre, g.post, *cmd.inits):
-        need_side(x not in _fv(part),
-                  f"New: {x} occurs free where it must not")
+    pre = star(*rest)
+    _fresh(x, (pre, t.post, *inits), f"New: {x} occurs free where it must not")
+    return _concl(Triple(pre, Quote(LetNew(x, inits, t.code.body)), t.post),
+                  p)
 
 
 def _find_stored_spec(pre, e, k):
@@ -1265,297 +1271,191 @@ def _find_stored_spec(pre, e, k):
                     yield substitute(rest, {k2: Var(k)})
 
 
-def _r_Eval(node):
-    _need_premises(node, 1)
-    g = _need_triple(_goal(node), "Eval conclusion")
-    cmd = _quoted(g, EvalAt, "Eval")
-    e = cmd.addr
-    pg = _prem(node, 0).goal
-    need(type(pg) is Implies, "Eval: premise must be an implication")
-    t = _need_triple(pg.right, "Eval premise consequent")
+@_rule("Eval", 1)
+def _r_Eval(ps, p, stated):
+    imp = _shape(p.goal, Implies, "Eval premise")
+    t = _shape(imp.right, Triple, "Eval premise consequent")
     need(type(t.code) is Var, "Eval: the premise triple runs a code "
          "variable")
     k = t.code.name
-    need_side(k not in _fv(g),
-              f"Eval: {k} must be fresh for the conclusion")
-    for h in _hyps(node):
-        need_side(k not in _fv(h),
-                  f"Eval: {k} occurs free in a hypothesis")
-    need(equiv_basic(t.pre, g.pre),
+    e = ps.need("e", lambda g: _command(g, EvalAt, "Eval").addr)
+    # pre- and postcondition need only be equivalent to the premise's
+    pre, post = t.pre, t.post
+    if stated is not None:
+        g = _shape(stated.goal, Triple, "Eval conclusion")
+        pre, post = g.pre, g.post
+    goal = Triple(pre, Quote(EvalAt(e)), post)
+    _fresh(k, (goal, *(stated or p).hyps),
+           f"Eval: {k} must be fresh for the conclusion and hypotheses")
+    need(equiv_basic(t.pre, pre),
          "Eval: premise precondition differs from the conclusion "
          "precondition")
-    need(equiv_basic(t.post, g.post),
+    need(equiv_basic(t.post, post),
          "Eval: premise postcondition differs from the conclusion "
          "postcondition")
-    for Rk in _find_stored_spec(g.pre, e, k):
-        if equiv_basic(Rk, pg.left):
-            return
-    raise SchemaMismatch(
-        "Eval: the precondition has no component e |-> R[_] whose "
-        "specification matches the premise antecedent")
+    need(any(equiv_basic(Rk, imp.left)
+             for Rk in _find_stored_spec(pre, e, k)),
+         "Eval: the precondition has no component e |-> R[_] whose "
+         "specification matches the premise antecedent")
+    return _concl(goal, p)
 
 
 # ---------------------------------------------------------------------------
 # structural rules on triples
 
 
-def _r_Conseq(node):
-    _need_premises(node, 2)
-    g = _goal(node)
-    need(type(g) is Implies, "Conseq concludes an implication between "
-         "triples")
-    t1 = _need_triple(g.left, "Conseq antecedent")
-    t2 = _need_triple(g.right, "Conseq consequent")
+def _antecedent(ps, rule):
+    """The triple P of a conclusion P => ...: the parameter, else the
+    stated antecedent."""
+    return _shape(ps.need("P", lambda g: _shape(
+        g, Implies, f"{rule} conclusion").left), Triple, f"{rule} antecedent")
+
+
+@_rule("Conseq", 2)
+def _r_Conseq(ps, p0, p1, stated):
+    def code(g):
+        return _shape(_shape(g, Implies, "Conseq conclusion").left, Triple,
+                      "Conseq antecedent").code
+
+    e = ps.need("e", code)
+    s = _shape(p0.goal, Implies, "Conseq first premise (P' => P)")
+    w = _shape(p1.goal, Implies, "Conseq second premise (Q => Q')")
+    return _concl(Implies(Triple(s.right, e, w.left),
+                          Triple(s.left, e, w.right)), p0, p1)
+
+
+@_rule("Disj", 0)
+def _r_Disj(ps, stated):
+    def both(g):
+        return _shape(_shape(g, Implies, "Disj conclusion").left, And,
+                      "Disj antecedent")
+
+    t1 = _shape(ps.need("P", lambda g: both(g).left), Triple,
+                "Disj first triple")
+    t2 = _shape(ps.need("Q", lambda g: both(g).right), Triple,
+                "Disj second triple")
     need(canon_key(t1.code) == canon_key(t2.code),
-         "Conseq: both triples must run the same code")
-    p0, p1 = _prem(node, 0).goal, _prem(node, 1).goal
-    need(type(p0) is Implies
-         and eq_ac(p0.left, t2.pre) and eq_ac(p0.right, t1.pre),
-         "Conseq: first premise must be P' => P (strengthening the "
-         "precondition)")
-    need(type(p1) is Implies
-         and eq_ac(p1.left, t1.post) and eq_ac(p1.right, t2.post),
-         "Conseq: second premise must be Q => Q' (weakening the "
-         "postcondition)")
-
-
-def _r_Disj(node):
-    _need_premises(node, 0)
-    g = _goal(node)
-    need(type(g) is Implies and type(g.left) is And,
-         "Disj concludes (T1 /\\ T2) => T3")
-    t1 = _need_triple(g.left.left, "Disj first triple")
-    t2 = _need_triple(g.left.right, "Disj second triple")
-    t3 = _need_triple(g.right, "Disj conclusion triple")
-    need(canon_key(t1.code) == canon_key(t2.code) == canon_key(t3.code),
          "Disj: all triples must run the same code")
-    need(eq_ac(t3.pre, Or(t1.pre, t2.pre))
-         and eq_ac(t3.post, Or(t1.post, t2.post)),
-         "Disj: conclusion must disjoin the pre- and postconditions")
+    return Judgement(goal=Implies(And(t1, t2), Triple(
+        Or(t1.pre, t2.pre), t1.code, Or(t1.post, t2.post))))
 
 
-def _r_ExistAux(node):
-    _need_premises(node, 0)
-    g = _goal(node)
-    need(type(g) is Implies and type(g.left) is Forall,
-         "ExistAux concludes (forall x. T) => T'")
-    x = g.left.var
-    t = _need_triple(g.left.body, "ExistAux quantified triple")
-    expected = Triple(Exists(x, t.pre), t.code, Exists(x, t.post))
-    need(eq_ac(g.right, expected),
-         "ExistAux: consequent must existentially close pre and post")
-    need_side(x not in _fv(t.code),
-              f"ExistAux: {x} occurs free in the code expression")
+@_rule("ExistAux", 0)
+def _r_ExistAux(ps, stated):
+    def quantified(g):
+        return _shape(_shape(g, Implies, "ExistAux conclusion").left, Forall,
+                      "ExistAux antecedent")
+
+    t = _shape(ps.need("P", lambda g: quantified(g).body), Triple,
+               "ExistAux quantified triple")
+    x = ps.need("x", lambda g: quantified(g).var)
+    _fresh(x, (t.code,), f"ExistAux: {x} occurs free in the code expression")
+    return Judgement(goal=Implies(Forall(x, t), Triple(
+        Exists(x, t.pre), t.code, Exists(x, t.post))))
 
 
-def _r_Invariance(node):
-    _need_premises(node, 0)
-    g = _goal(node)
-    need(type(g) is Implies, "Invariance concludes an implication between "
-         "triples")
-    t1 = _need_triple(g.left, "Invariance antecedent")
-    t2 = _need_triple(g.right, "Invariance consequent")
-    need(canon_key(t1.code) == canon_key(t2.code),
-         "Invariance: both triples must run the same code")
-    psi = _Params(node).get("psi")
-    candidates = [psi] if psi is not None else and_parts(t2.pre)
-    for cand in candidates:
-        if cand is None:
-            continue
-        if not eq_ac(t2.pre, And(t1.pre, cand)):
-            continue
-        if not eq_ac(t2.post, And(t1.post, cand)):
-            continue
-        need_side(classify(cand) == PURE,
-                  "Invariance: the invariant conjunct must be pure")
-        return
-    raise SchemaMismatch("Invariance matches {P}e{Q} => "
-                         "{P /\\ psi}e{Q /\\ psi}")
+@_rule("Invariance", 0)
+def _r_Invariance(ps, stated):
+    t = _antecedent(ps, "Invariance")
+    if stated is None or ps.given("psi"):
+        psis = [ps.need("psi")]
+    else:
+        t2 = _shape(_shape(stated.goal, Implies, "Invariance conclusion")
+                    .right, Triple, "Invariance consequent")
+        psis = and_parts(t2.pre)
+    j, psi = _pick("Invariance", stated, psis, lambda c: Judgement(
+        goal=Implies(t, Triple(And(t.pre, c), t.code, And(t.post, c)))),
+        "Invariance matches {P}e{Q} => {P /\\ psi}e{Q /\\ psi}")
+    need_side(classify(psi) == PURE,
+              "Invariance: the invariant conjunct must be pure")
+    return j
 
 
-def _r_TensorFrame(node):
-    _need_premises(node, 1)
-    g = _goal(node)
-    need(type(g) is Tensor, "TensorFrame concludes P (*) R")
-    need(eq_ac(g.left, _prem(node, 0).goal),
-         "TensorFrame: left operand differs from the premise")
-    need(not _hyps(node) and not _prem(node, 0).hyps,
+@_rule("TensorFrame", 1)
+def _r_TensorFrame(ps, p, stated):
+    R = ps.need("R", lambda g: _shape(g, Tensor,
+                                      "TensorFrame conclusion").right)
+    need(not p.hyps and not (stated and stated.hyps),
          "TensorFrame applies to theorems only (no open hypotheses)")
+    return Judgement(goal=Tensor(p.goal, R))
 
 
-def _r_StarFrame(node):
-    _need_premises(node, 0)
-    g = _goal(node)
-    need(type(g) is Implies, "StarFrame concludes an implication between "
-         "triples")
-    t1 = _need_triple(g.left, "StarFrame antecedent")
-    t2 = _need_triple(g.right, "StarFrame consequent")
-    need(canon_key(t1.code) == canon_key(t2.code),
-         "StarFrame: both triples must run the same code")
-    R = _Params(node).get("R")
-    if R is None:
-        rest = parts_diff(star_parts(t2.pre), star_parts(t1.pre))
-        need(rest is not None,
-             "StarFrame: consequent precondition must extend the "
-             "antecedent's by a frame")
-        R = star(*rest)
-    need(eq_ac(t2.pre, Star(t1.pre, R))
-         and eq_ac(t2.post, Star(t1.post, R)),
-         "StarFrame: the same frame must extend pre and post")
+@_rule("StarFrame", 0)
+def _r_StarFrame(ps, stated):
+    def frame(g):
+        t2 = _shape(_shape(g, Implies, "StarFrame conclusion").right, Triple,
+                    "StarFrame consequent")
+        rest = parts_diff(star_parts(t2.pre), star_parts(t.pre))
+        need(rest is not None, "StarFrame: consequent precondition must "
+             "extend the antecedent's by a frame")
+        return star(*rest)
+
+    t = _antecedent(ps, "StarFrame")
+    R = ps.need("R", frame)
+    return Judgement(goal=Implies(t, Triple(Star(t.pre, R), t.code,
+                                            Star(t.post, R))))
 
 
-def _r_Out(node):
-    _need_premises(node, 1)
-    g = _goal(node)
-    need(type(g) is Implies, "Out concludes phi => {P}e{Q}")
-    t2 = _need_triple(g.right, "Out consequent")
-    phi = g.left
-    t1 = _need_triple(_prem(node, 0).goal, "Out premise")
-    need(canon_key(t1.code) == canon_key(t2.code),
-         "Out: premise and conclusion must run the same code")
-    need(eq_ac(t1.pre, And(phi, t2.pre)),
-         "Out: premise precondition must be phi /\\ P")
-    need(eq_ac(t1.post, t2.post), "Out: postcondition mismatch")
-    need_side(classify(phi) in (PURE, PSEUDO_PURE),
-              "Out: the extracted hypothesis must be pseudo-pure")
+def _out_rule(name, wrap):
+    """Out/DiamondOut: from {phi /\\ P}e{Q} conclude phi => wrap({P}e{Q})
+    for a pseudo-pure phi."""
+    @_rule(name, 1)
+    def check(ps, p, stated):
+        t = _shape(p.goal, Triple, f"{name} premise")
+        phi = ps.need("phi", lambda g: _shape(g, Implies,
+                                              f"{name} conclusion").left)
+        rest = _conj_remove(and_parts(t.pre), phi)
+        need(rest, f"{name}: premise precondition must be phi /\\ P")
+        need_side(classify(phi) in (PURE, PSEUDO_PURE),
+                  f"{name}: the extracted hypothesis must be pseudo-pure")
+        return _concl(Implies(phi, wrap(Triple(conj(*rest), t.code,
+                                               t.post))), p)
 
 
-def _r_DiamondOut(node):
-    _need_premises(node, 1)
-    g = _goal(node)
-    need(type(g) is Implies and type(g.right) is Diamond,
-         "DiamondOut concludes phi => <> {P}e{Q}")
-    t2 = _need_triple(g.right.body, "DiamondOut consequent")
-    phi = g.left
-    t1 = _need_triple(_prem(node, 0).goal, "DiamondOut premise")
-    need(canon_key(t1.code) == canon_key(t2.code),
-         "DiamondOut: premise and conclusion must run the same code")
-    need(eq_ac(t1.pre, And(phi, t2.pre)),
-         "DiamondOut: premise precondition must be phi /\\ P")
-    need(eq_ac(t1.post, t2.post), "DiamondOut: postcondition mismatch")
-    need_side(classify(phi) in (PURE, PSEUDO_PURE),
-              "DiamondOut: the extracted hypothesis must be pseudo-pure")
+_out_rule("Out", lambda t: t)
+_out_rule("DiamondOut", Diamond)
 
 
-def _r_DiamondE(node):
-    _need_premises(node, 0)
-    g = _goal(node)
-    need(type(g) is Implies and type(g.left) is Diamond
-         and eq_ac(g.left.body, g.right),
-         "DiamondE concludes <> P => P")
+@_rule("DiamondE", 0)
+def _r_DiamondE(ps, stated):
+    def body(g):
+        return _shape(_shape(g, Implies, "DiamondE conclusion").left,
+                      Diamond, "DiamondE antecedent").body
+
+    P = ps.need("P", body)
+    return Judgement(goal=Implies(Diamond(P), P))
 
 
 # ---------------------------------------------------------------------------
-# recursion and distribution
+# derived rules: built from kernel rule applications
 
 
-def _r_MuUnfold(node):
-    _need_premises(node, 0)
-    a, b = _need_iff(_goal(node), "MuUnfold")
-    for m, other in ((a, b), (b, a)):
-        if type(m) is Mu:
-            need_side(contractive_in(m.body, m.relvar),
-                      "MuUnfold: body must be contractive in the bound "
-                      "relation variable")
-            if eq_ac(other, unfold_mu(m)):
-                return
-    raise SchemaMismatch("MuUnfold matches mu X. P <=> P[X := mu X. P]")
+def _step(macro, rule, premises, **params):
+    """One kernel rule application inside a derived rule."""
+    try:
+        return _conclude(rule, _param_items(params), tuple(premises))
+    except ProofError as exc:
+        raise SchemaMismatch(f"{macro}: internal derivation failed at "
+                             f"{rule}: {exc}") from None
 
 
-def _r_RUnique(node):
-    _need_premises(node, 2)
-    ps = _Params(node)
-    P = ps.require("P")
-    X = ps.require("X")
-    need_side(contractive_in(P, X),
-              "RUnique: the template must be contractive in the relation "
-              "variable")
-    pair0 = _need_iff(_prem(node, 0).goal, "RUnique (first premise)")
-    pair1 = _need_iff(_prem(node, 1).goal, "RUnique (second premise)")
-    goal_pair = _need_iff(_goal(node), "RUnique")
-    R, S = goal_pair
+@_rule("TensorMono", 1, _MACROS)
+def _m_TensorMono(ps, p, stated):
+    imp = _shape(p.goal, Implies, "TensorMono premise")
 
-    def fixes(pair, fixed):
-        a, b = pair
-        for lhs, rhs in ((a, b), (b, a)):
-            if eq_ac(lhs, fixed) \
-                    and eq_ac(rhs, substitute(P, rel_map={X: ((), fixed)})):
-                return True
-        return False
+    def extension(g):
+        need(type(g) is Implies and type(g.left) is Tensor
+             and type(g.right) is Tensor,
+             "TensorMono concludes P (*) R => P' (*) R")
+        need(equal_mod_ac(g.left.right, g.right.right),
+             "TensorMono: the extensions must agree")
+        return g.left.right
 
-    need(fixes(pair0, R) and fixes(pair1, S)
-         or fixes(pair0, S) and fixes(pair1, R),
-         "RUnique: premises must show both sides are fixed points of the "
-         "template")
-
-
-def _dist_rule(node, want):
-    _need_premises(node, 0)
-    a, b = _need_iff(_goal(node), node.rule)
-    for l, r in ((a, b), (b, a)):
-        if type(l) is not Tensor:
-            continue
-        if not want(l.left):
-            continue
-        step = dist_step(l.left, l.right)
-        if step is not None and eq_ac(r, step):
-            return
-    raise SchemaMismatch(f"{node.rule}: conclusion does not match the "
-                         "distribution axiom")
-
-
-def _r_DistTriple(node):
-    _dist_rule(node, lambda L: type(L) is Triple)
-
-
-def _r_DistTensorTensor(node):
-    _dist_rule(node, lambda L: type(L) is Tensor)
-
-
-def _r_DistQuant(node):
-    _dist_rule(node, lambda L: type(L) in (Forall, Exists))
-
-
-def _r_DistBinOp(node):
-    _dist_rule(node, lambda L: type(L) in _BIN_TYPES)
-
-
-def _r_DistAtom(node):
-    _dist_rule(node, lambda L: type(L) in _ATOM_TYPES)
-
-
-# ---------------------------------------------------------------------------
-# derived rules: macro-expanded and re-checked
-
-
-def _assumed(j: Judgement) -> ProofNode:
-    return ProofNode("_assumed", (), (), j)
-
-
-def _r_assumed(node):
-    raise UnknownRule("_assumed")  # never valid in a user script
-
-
-def _expand_TensorMono(node):
-    p = _prem(node, 0)
-    g = _goal(node)
-    need(type(g) is Implies and type(g.left) is Tensor
-         and type(g.right) is Tensor,
-         "TensorMono concludes P (*) R => P' (*) R")
-    need(eq_ac(g.left.right, g.right.right),
-         "TensorMono: the extensions must agree")
-    R = g.left.right
-    need(type(p.goal) is Implies, "TensorMono: premise must be an "
-         "implication")
-    imp = p.goal
-    n1 = _assumed(p)
-    n2 = make_node("TensorFrame", [n1], Tensor(imp, R))
-    dist = iff(Tensor(imp, R),
-               Implies(Tensor(imp.left, R), Tensor(imp.right, R)))
-    n3 = make_node("DistBinOp", [], dist)
-    n4 = make_node("AndE1", [n3], dist.left)
-    n5 = make_node("ImpE", [n4, n2], dist.left.right)
-    return n5
+    R = ps.need("R", extension)
+    step = partial(_step, "TensorMono")
+    framed = step("TensorFrame", [p], R=R)
+    dist = step("AndE1", [step("DistBinOp", [], P=imp, R=R)])
+    return step("ImpE", [dist, framed])
 
 
 def _spec_cell(e, k, spec):
@@ -1563,216 +1463,123 @@ def _spec_cell(e, k, spec):
     return Exists(k, And(PointsTo(e, Var(k)), spec))
 
 
-def _expand_EvalNonRec1(node):
-    ps = _Params(node)
-    e, P, Q = ps.require("e"), ps.require("P"), ps.require("Q")
-    ys = ps.get_all("ys")
-    avoid = _fv(P) | _fv(Q) | _fv(e) | set(ys)
-    k = fresh_name("k", avoid)
-    Rk = foralls(ys, Triple(P, Var(k), Q))
-    spec = _spec_cell(e, k, Rk)
-    pre, post = Star(P, spec), Star(Q, spec)
-    hyp = (Rk,)
-    cur = make_node("Hyp", [], Rk, hyps=hyp)
-    goal = Rk
+def _eval_params(ps, *extra):
+    """e, P, Q, ys and a code variable k fresh for them and `extra`."""
+    e, P, Q, ys = ps.need("e"), ps.need("P"), ps.need("Q"), ps.get_all("ys")
+    avoid = set(ys).union(_fv(P), _fv(Q), *map(_fv, extra), _fv(e))
+    return e, P, Q, ys, fresh_name("k", avoid)
+
+
+def _instantiated(step, spec, ys):
+    """spec |- spec with its leading quantifiers over ys instantiated."""
+    j = step("Hyp", [], A=spec)
     for y in ys:
-        goal = substitute(goal.body, {goal.var: Var(y)})
-        cur = make_node("ForallE", [cur], goal, hyps=hyp, witness=Var(y))
-    sf = make_node("StarFrame", [],
-                   Implies(Triple(P, Var(k), Q),
-                           Triple(pre, Var(k), post)), R=spec)
-    ie = make_node("ImpE", [sf, cur], Triple(pre, Var(k), post), hyps=hyp)
-    ii = make_node("ImpI", [ie], Implies(Rk, Triple(pre, Var(k), post)))
-    return make_node("Eval", [ii], Triple(pre, Quote(EvalAt(e)), post))
+        j = step("ForallE", [j], witness=Var(y))
+    return j
 
 
-def _expand_EvalNonRecUpd(node):
-    ps = _Params(node)
-    e, P, Q = ps.require("e"), ps.require("P"), ps.require("Q")
-    ys = ps.get_all("ys")
-    avoid = _fv(P) | _fv(Q) | _fv(e) | set(ys)
-    k = fresh_name("k", avoid)
-    inner_pre = Star(P, pt_wild(e))
-    Rk = foralls(ys, Triple(inner_pre, Var(k), Q))
-    spec = _spec_cell(e, k, Rk)
-    pre = Star(P, spec)
-    hyp = (Rk,)
-    cur = make_node("Hyp", [], Rk, hyps=hyp)
-    goal = Rk
-    for y in ys:
-        goal = substitute(goal.body, {goal.var: Var(y)})
-        cur = make_node("ForallE", [cur], goal, hyps=hyp, witness=Var(y))
-    ent1 = make_node("Entail", [], Implies(pre, inner_pre))
-    ent2 = make_node("Entail", [], Implies(Q, Q))
-    cq = make_node("Conseq", [ent1, ent2],
-                   Implies(Triple(inner_pre, Var(k), Q),
-                           Triple(pre, Var(k), Q)))
-    ie = make_node("ImpE", [cq, cur], Triple(pre, Var(k), Q), hyps=hyp)
-    ii = make_node("ImpI", [ie], Implies(Rk, Triple(pre, Var(k), Q)))
-    return make_node("Eval", [ii], Triple(pre, Quote(EvalAt(e)), Q))
+def _eval_nonrec(name, update):
+    """EvalNonRec1 (update=False): from {P} k {Q} for the stored k,
+    {P * e |-> R[_]} eval e {Q * e |-> R[_]}.  EvalNonRecUpd: the stored
+    command may overwrite its own cell, {P * e |-> _} k {Q}."""
+    @_rule(name, 0, _MACROS)
+    def check(ps, stated):
+        step = partial(_step, name)
+        e, P, Q, ys, k = _eval_params(ps)
+        inner_pre = Star(P, pt_wild(e)) if update else P
+        Rk = _quantify(Forall, ys, Triple(inner_pre, Var(k), Q))
+        spec = _spec_cell(e, k, Rk)
+        if update:
+            adapt = step("Conseq", [
+                step("Entail", [], P=Star(P, spec), Q=inner_pre),
+                step("Entail", [], P=Q, Q=Q)], e=Var(k))
+        else:
+            adapt = step("StarFrame", [], P=Triple(P, Var(k), Q), R=spec)
+        body = step("ImpE", [adapt, _instantiated(step, Rk, ys)])
+        return step("Eval", [step("ImpI", [body], A=Rk)], e=e)
 
 
-def _expand_EvalRec(node):
-    ps = _Params(node)
-    e, P, Q = ps.require("e"), ps.require("P"), ps.require("Q")
-    P0 = ps.get("P0", Emp())
-    ys = ps.get_all("ys")
-    avoid = _fv(P) | _fv(Q) | _fv(P0) | _fv(e) | set(ys)
-    k = fresh_name("k", avoid)
+_eval_nonrec("EvalNonRec1", False)
+_eval_nonrec("EvalNonRecUpd", True)
+
+
+@_rule("EvalRec", 0, _MACROS)
+def _m_EvalRec(ps, stated):
+    step = partial(_step, "EvalRec")
+    P0 = ps.get("P0", default=Emp())
+    e, P, Q, ys, k = _eval_params(ps, P0)
     X = fresh_name("X", free_vars(P)[1] | free_vars(Q)[1]
                    | free_vars(P0)[1])
-    spec0 = _spec_cell(e, k, foralls(ys, Triple(P, Var(k), Q)))
+    spec0 = _spec_cell(e, k, _quantify(Forall, ys, Triple(P, Var(k), Q)))
     R = Mu(X, (), Tensor(Star(spec0, P0), RelVar(X)), ())
     preR, postR = circ_n(P, R), circ_n(Q, R)
-    Sk = foralls(ys, Triple(preR, Var(k), postR))
-    specS = _spec_cell(e, k, Sk)
-    pre_eval = star(normalize_otimes(Tensor(P, R)), specS,
+    Sk = _quantify(Forall, ys, Triple(preR, Var(k), postR))
+    pre_eval = star(normalize_otimes(Tensor(P, R)), _spec_cell(e, k, Sk),
                     normalize_otimes(Tensor(P0, R)))
-    hyp = (Sk,)
-    # S[k] => {P o R} k {Q o R}
-    cur = make_node("Hyp", [], Sk, hyps=hyp)
-    goal = Sk
-    for y in ys:
-        goal = substitute(goal.body, {goal.var: Var(y)})
-        cur = make_node("ForallE", [cur], goal, hyps=hyp, witness=Var(y))
-    n1 = make_node("ImpI", [cur],
-                   Implies(Sk, Triple(preR, Var(k), postR)))
-    # {P o R} k {Q o R} => {pre_eval} k {Q o R}
-    entA = make_node("Entail", [], Implies(pre_eval, preR))
-    entB = make_node("Entail", [], Implies(postR, postR))
-    n2 = make_node("Conseq", [entA, entB],
-                   Implies(Triple(preR, Var(k), postR),
-                           Triple(pre_eval, Var(k), postR)))
-    th = make_node("Hyp", [], Sk, hyps=hyp)
-    t1 = make_node("ImpE", [n1, th], Triple(preR, Var(k), postR), hyps=hyp)
-    t2 = make_node("ImpE", [n2, t1], Triple(pre_eval, Var(k), postR),
-                   hyps=hyp)
-    t3 = make_node("ImpI", [t2],
-                   Implies(Sk, Triple(pre_eval, Var(k), postR)))
-    n4 = make_node("Eval", [t3],
-                   Triple(pre_eval, Quote(EvalAt(e)), postR))
-    entC = make_node("Entail", [], Implies(preR, pre_eval))
-    entD = make_node("Entail", [], Implies(postR, postR))
-    c2 = make_node("Conseq", [entC, entD],
-                   Implies(Triple(pre_eval, Quote(EvalAt(e)), postR),
-                           Triple(preR, Quote(EvalAt(e)), postR)))
-    return make_node("ImpE", [c2, n4],
-                     Triple(preR, Quote(EvalAt(e)), postR))
-
-
-_MACROS = {
-    "TensorMono": _expand_TensorMono,
-    "EvalNonRec1": _expand_EvalNonRec1,
-    "EvalNonRecUpd": _expand_EvalNonRecUpd,
-    "EvalRec": _expand_EvalRec,
-}
-
-_MACRO_PREMISES = {"TensorMono": 1, "EvalNonRec1": 0,
-                   "EvalNonRecUpd": 0, "EvalRec": 0}
-
-
-def _check_macro(node, allow):
-    want = _MACRO_PREMISES[node.rule]
-    _need_premises(node, want)
-    expansion = _MACROS[node.rule](node)
-    failures = []
-    _check_tree(expansion, allow, "expansion", failures, Counter(),
-                assumed_ok=True)
-    if failures:
-        path, msg = failures[0]
-        raise SchemaMismatch(
-            f"{node.rule}: internal derivation failed at {path}: {msg}")
-    need(eq_ac(_goal(node), expansion.conclusion.goal),
-         f"{node.rule}: stated conclusion differs from the expanded "
-         "derivation's")
-    need(_hyp_subset(expansion.conclusion.hyps, _hyps(node)),
-         f"{node.rule}: expansion hypotheses exceed the stated ones")
+    # S[k] |- {P o R} k {Q o R}, weakened to the precondition Eval reads
+    opened = step("ImpE", [step("ImpI", [_instantiated(step, Sk, ys)], A=Sk),
+                           step("Hyp", [], A=Sk)])
+    weaken = step("Conseq", [step("Entail", [], P=pre_eval, Q=preR),
+                             step("Entail", [], P=postR, Q=postR)],
+                  e=Var(k))
+    body = step("ImpE", [weaken, opened])
+    ev = step("Eval", [step("ImpI", [body], A=Sk)], e=e)
+    # {pre_eval} eval e {Q o R}, strengthened back to {P o R}
+    back = step("Conseq", [step("Entail", [], P=preR, Q=pre_eval),
+                           step("Entail", [], P=postR, Q=postR)],
+                e=Quote(EvalAt(e)))
+    return step("ImpE", [back, ev])
 
 
 # ---------------------------------------------------------------------------
 # debug-only unsound rule (used by the counterexample demonstration)
 
 
-def _r_In_unsound(node):
-    _need_premises(node, 1)
-    g = _need_triple(_goal(node), "In conclusion")
-    pg = _prem(node, 0).goal
-    need(type(pg) is Implies, "In: premise must be phi => {P}e{Q}")
-    t = _need_triple(pg.right, "In premise consequent")
-    need(canon_key(t.code) == canon_key(g.code),
-         "In: premise and conclusion must run the same code")
-    need(eq_ac(g.pre, And(pg.left, t.pre)),
-         "In: conclusion precondition must be phi /\\ P")
-    need(eq_ac(g.post, t.post), "In: postcondition mismatch")
-    need_side(classify(pg.left) in (PURE, PSEUDO_PURE),
+@_rule("In", 1, _UNSOUND)
+def _r_In(ps, p, stated):
+    imp = _shape(p.goal, Implies, "In premise (phi => {P}e{Q})")
+    t = _shape(imp.right, Triple, "In premise consequent")
+    need_side(classify(imp.left) in (PURE, PSEUDO_PURE),
               "In: the folded hypothesis must be pseudo-pure")
+    return _concl(Triple(And(imp.left, t.pre), t.code, t.post), p)
 
 
 # ---------------------------------------------------------------------------
-# dispatch
-
-RULES = {
-    # first-order layer
-    "Hyp": _r_Hyp, "ImpI": _r_ImpI, "ImpE": _r_ImpE,
-    "AndI": _r_AndI, "AndE1": _r_AndE1, "AndE2": _r_AndE2,
-    "OrI1": _r_OrI1, "OrI2": _r_OrI2, "OrE": _r_OrE,
-    "ForallI": _r_ForallI, "ForallE": _r_ForallE,
-    "ExistsI": _r_ExistsI, "ExistsE": _r_ExistsE,
-    "TrueI": _r_TrueI, "FalseE": _r_FalseE,
-    "EqRefl": _r_EqRefl, "EqSubst": _r_EqSubst, "ArithFact": _r_ArithFact,
-    "Entail": _r_Entail,
-    # star laws
-    "StarAssoc": _r_star_ac, "StarComm": _r_star_ac, "StarUnit": _r_star_ac,
-    "StarZero": _r_StarZero, "StarOverlap": _r_StarOverlap,
-    "StarMono": _r_StarMono,
-    # command rules
-    "Skip": _r_Skip, "Update": _r_Update, "UpdateInv": _r_UpdateInv,
-    "Free": _r_Free, "Seq": _r_Seq, "If": _r_If, "Deref": _r_Deref,
-    "New": _r_New, "Eval": _r_Eval,
-    # structural rules
-    "Conseq": _r_Conseq, "Disj": _r_Disj, "ExistAux": _r_ExistAux,
-    "Invariance": _r_Invariance, "TensorFrame": _r_TensorFrame,
-    "StarFrame": _r_StarFrame,
-    "Out": _r_Out, "DiamondOut": _r_DiamondOut, "DiamondE": _r_DiamondE,
-    # recursion and distribution
-    "MuUnfold": _r_MuUnfold, "RUnique": _r_RUnique,
-    "DistTriple": _r_DistTriple, "DistTensorTensor": _r_DistTensorTensor,
-    "DistQuant": _r_DistQuant, "DistBinOp": _r_DistBinOp,
-    "DistAtom": _r_DistAtom,
-}
+# checking and building
 
 RULE_IDS = tuple(sorted(RULES)) + tuple(sorted(_MACROS))
 
-_NO_HYP_DISCIPLINE = {"ImpI", "OrE", "ExistsE", "TensorFrame"}
+
+def _conclude(rule, params, premises, stated=None, allow=()):
+    """The judgement `rule` concludes from its parameters and premise
+    judgements; with a stated judgement, the rule must license it."""
+    fn = RULES.get(rule) or _MACROS.get(rule) \
+        or (_UNSOUND.get(rule) if rule in allow else None)
+    if fn is None:
+        raise UnknownRule(rule, REJECTED.get(rule))
+    built = fn(_Params(rule, params, stated), premises, stated)
+    if stated is not None:
+        msg = _mismatch(rule, built, stated)
+        need(msg is None, msg)
+    return built
 
 
-def _check_tree(node, allow, path, failures, stats, assumed_ok=False):
+def check_node(node: ProofNode, allow_unsound=()) -> Judgement:
+    """Check one node against its rule, taking the stated conclusions of
+    its premises as proven; raises ProofError when the node is wrong."""
+    return _conclude(node.rule, node.params,
+                     tuple(p.conclusion for p in node.premises),
+                     node.conclusion, allow_unsound)
+
+
+def _check_tree(node, allow, path, failures, stats):
     stats[node.rule] += 1
     try:
-        if node.rule == "_assumed":
-            if not assumed_ok:
-                raise UnknownRule("_assumed")
-        elif node.rule in _MACROS:
-            _check_macro(node, allow)
-        elif node.rule in RULES:
-            RULES[node.rule](node)
-            if node.rule not in _NO_HYP_DISCIPLINE:
-                for p in node.premises:
-                    if not _hyp_subset(p.conclusion.hyps,
-                                       node.conclusion.hyps):
-                        raise SchemaMismatch(
-                            f"{node.rule}: a premise has hypotheses the "
-                            "conclusion lacks")
-        elif node.rule == "In" and "In" in allow:
-            _r_In_unsound(node)
-        elif node.rule in REJECTED:
-            raise UnknownRule(node.rule, REJECTED[node.rule])
-        else:
-            raise UnknownRule(node.rule)
+        check_node(node, allow)
     except ProofError as exc:
         failures.append((path, str(exc)))
     for i, p in enumerate(node.premises):
-        _check_tree(p, allow, f"{path}.{i}", failures, stats, assumed_ok)
+        _check_tree(p, allow, f"{path}.{i}", failures, stats)
 
 
 def check_proof(root: ProofNode, allow_unsound=()) -> CheckReport:
@@ -1785,243 +1592,8 @@ def check_proof(root: ProofNode, allow_unsound=()) -> CheckReport:
 
 def apply_rule(rule: str, params: dict, premises) -> Judgement:
     """Instantiate a rule: premises are judgements taken as proven; the
-    result is the validated conclusion."""
-    conclusion = _build_conclusion(rule, params, tuple(premises))
-    node = make_node(rule, [_assumed(j) for j in premises],
-                     conclusion.goal, hyps=conclusion.hyps, **params)
-    failures: list = []
-    _check_tree(node, (), "0", failures, Counter(), assumed_ok=True)
-    if failures:
-        raise SchemaMismatch(f"apply_rule({rule}): {failures[0][1]}")
-    return conclusion
-
-
-def _build_conclusion(rule, params, premises) -> Judgement:
-    def pa(key, default=None):
-        v = params.get(key, default)
-        if v is None:
-            raise SchemaMismatch(f"apply_rule({rule}) needs parameter "
-                                 f"{key!r}")
-        return _parse_param(key, v) if isinstance(v, str) else v
-
-    def goal(g, hyps=()):
-        return Judgement(hyps=tuple(hyps), goal=g)
-
-    def prem(i):
-        if len(premises) <= i:
-            raise SchemaMismatch(f"apply_rule({rule}) needs premise {i}")
-        return premises[i]
-
-    if rule == "Skip":
-        P = pa("P")
-        return goal(Triple(P, Quote(Skip()), P))
-    if rule == "Update":
-        e, e0, P = pa("e"), pa("e0"), pa("P", Emp())
-        return goal(Triple(Star(pt_wild(e), P), Quote(Assign(e, e0)),
-                           Star(PointsTo(e, e0), P)))
-    if rule == "UpdateInv":
-        e, e0, e1, phi = pa("e"), pa("e0"), pa("e1"), pa("phi")
-        cell = And(PointsTo(e1, e0), phi)
-        return goal(Triple(Star(pt_wild(e), cell), Quote(Assign(e, e0)),
-                           Star(And(PointsTo(e, e0), phi), cell)))
-    if rule == "Free":
-        e, P = pa("e"), pa("P", Emp())
-        return goal(Triple(Star(pt_wild(e), P), Quote(Free(e)), P))
-    if rule == "Seq":
-        t0, t1 = prem(0).goal, prem(1).goal
-        return goal(Triple(t0.pre,
-                           Quote(Seq(t0.code.body, t1.code.body)), t1.post))
-    if rule == "If":
-        t0, t1 = prem(0).goal, prem(1).goal
-        cond = t0.pre.right  # And(P, e0 = e1)
-        return goal(Triple(t0.pre.left,
-                           Quote(If(cond.left, cond.right,
-                                    t0.code.body, t1.code.body)), t0.post))
-    if rule == "Deref":
-        t = prem(0).goal
-        x, e = pa("x"), pa("e")
-        return goal(Triple(Exists(x, t.pre),
-                           Quote(LetDeref(x, e, t.code.body)), t.post))
-    if rule == "New":
-        t = prem(0).goal
-        x = pa("x")
-        inits = tuple(_parse_param("init", v) if isinstance(v, str) else v
-                      for v in params.get("init", ()))
-        if not inits:
-            raise SchemaMismatch("apply_rule(New) needs init parameters")
-        block = [PointsTo(Var(x) if i == 0
-                          else BinOp("+", Var(x), IntLit(i)), init)
-                 for i, init in enumerate(inits)]
-        rest = parts_diff(star_parts(t.pre), block)
-        if rest is None:
-            raise SchemaMismatch("apply_rule(New): premise lacks the block")
-        return goal(Triple(star(*rest),
-                           Quote(LetNew(x, inits, t.code.body)), t.post))
-    if rule == "Eval":
-        e = pa("e")
-        t = prem(0).goal.right
-        return goal(Triple(t.pre, Quote(EvalAt(e)), t.post))
-    if rule == "Conseq":
-        p0, p1 = prem(0).goal, prem(1).goal
-        e = pa("e")
-        return goal(Implies(Triple(p0.right, e, p1.left),
-                            Triple(p0.left, e, p1.right)))
-    if rule == "Disj":
-        t1, t2 = pa("P"), pa("Q")  # the two triples, as assertions
-        return goal(Implies(And(t1, t2),
-                            Triple(Or(t1.pre, t2.pre), t1.code,
-                                   Or(t1.post, t2.post))))
-    if rule == "ExistAux":
-        t, x = pa("P"), pa("x")
-        return goal(Implies(Forall(x, t),
-                            Triple(Exists(x, t.pre), t.code,
-                                   Exists(x, t.post))))
-    if rule == "Invariance":
-        t, psi = pa("P"), pa("psi")
-        return goal(Implies(t, Triple(And(t.pre, psi), t.code,
-                                      And(t.post, psi))))
-    if rule == "TensorFrame":
-        R = pa("R")
-        return goal(Tensor(prem(0).goal, R))
-    if rule == "StarFrame":
-        t, R = pa("P"), pa("R")
-        return goal(Implies(t, Triple(Star(t.pre, R), t.code,
-                                      Star(t.post, R))))
-    if rule == "StarAssoc":
-        P, Q, R = pa("P"), pa("Q"), pa("R")
-        return goal(iff(Star(P, Star(Q, R)), Star(Star(P, Q), R)))
-    if rule == "StarComm":
-        P, Q = pa("P"), pa("Q")
-        return goal(iff(Star(P, Q), Star(Q, P)))
-    if rule == "StarUnit":
-        P = pa("P")
-        return goal(iff(Star(P, Emp()), P))
-    if rule == "StarZero":
-        P = pa("P")
-        return goal(iff(Star(P, FalseA()), FalseA()))
-    if rule == "StarOverlap":
-        e, e1, e2 = pa("e"), pa("e1"), pa("e2")
-        return goal(iff(Star(PointsTo(e, e1), PointsTo(e, e2)), FalseA()))
-    if rule == "StarMono":
-        p0, p1 = prem(0).goal, prem(1).goal
-        return goal(Implies(Star(p0.left, p1.left),
-                            Star(p0.right, p1.right)))
-    if rule == "TensorMono":
-        p = prem(0).goal
-        R = pa("R")
-        return goal(Implies(Tensor(p.left, R), Tensor(p.right, R)))
-    if rule == "MuUnfold":
-        m = pa("P")
-        return goal(iff(m, unfold_mu(m)))
-    if rule == "RUnique":
-        pair0 = match_iff(prem(0).goal)
-        pair1 = match_iff(prem(1).goal)
-        if pair0 is None or pair1 is None:
-            raise SchemaMismatch("apply_rule(RUnique): premises must be "
-                                 "equivalences")
-        return goal(iff(pair0[0], pair1[0]))
-    if rule in ("DistTriple", "DistTensorTensor", "DistQuant",
-                "DistBinOp", "DistAtom"):
-        P, R = pa("P"), pa("R")
-        step = dist_step(P, R)
-        if step is None:
-            raise SchemaMismatch(f"apply_rule({rule}): no distribution "
-                                 "step applies")
-        return goal(iff(Tensor(P, R), step))
-    if rule == "Out":
-        t = prem(0).goal
-        phi = pa("phi")
-        rest = _conj_remove(and_parts(t.pre), phi)
-        if rest is None:
-            raise SchemaMismatch("apply_rule(Out): phi is not a conjunct "
-                                 "of the premise precondition")
-        return goal(Implies(phi, Triple(conj(*rest), t.code, t.post)))
-    if rule == "DiamondOut":
-        t = prem(0).goal
-        phi = pa("phi")
-        rest = _conj_remove(and_parts(t.pre), phi)
-        if rest is None:
-            raise SchemaMismatch("apply_rule(DiamondOut): phi is not a "
-                                 "conjunct of the premise precondition")
-        return goal(Implies(phi, Diamond(Triple(conj(*rest), t.code,
-                                                t.post))))
-    if rule == "DiamondE":
-        P = pa("P")
-        return goal(Implies(Diamond(P), P))
-    if rule == "EvalNonRec1":
-        node = make_node(rule, [], TrueA(), **params)
-        return goal(_goal(_expand_EvalNonRec1(node)))
-    if rule == "EvalNonRecUpd":
-        node = make_node(rule, [], TrueA(), **params)
-        return goal(_goal(_expand_EvalNonRecUpd(node)))
-    if rule == "EvalRec":
-        node = make_node(rule, [], TrueA(), **params)
-        return goal(_goal(_expand_EvalRec(node)))
-    # first-order layer
-    if rule == "Hyp":
-        A = pa("A")
-        return Judgement(hyps=(A,), goal=A)
-    if rule == "ImpI":
-        A = pa("A")
-        p = prem(0)
-        hyps = tuple(h for h in p.hyps
-                     if canon_key(h) != canon_key(A))
-        return Judgement(hyps=hyps, goal=Implies(A, p.goal))
-    if rule == "ImpE":
-        return goal(prem(0).goal.right,
-                    prem(0).hyps + prem(1).hyps)
-    if rule == "AndI":
-        return goal(And(prem(0).goal, prem(1).goal),
-                    prem(0).hyps + prem(1).hyps)
-    if rule == "AndE1":
-        return goal(prem(0).goal.left, prem(0).hyps)
-    if rule == "AndE2":
-        return goal(prem(0).goal.right, prem(0).hyps)
-    if rule == "OrI1":
-        return goal(Or(prem(0).goal, pa("B")), prem(0).hyps)
-    if rule == "OrI2":
-        return goal(Or(pa("A"), prem(0).goal), prem(0).hyps)
-    if rule == "ForallE":
-        p = prem(0)
-        w = pa("witness", Var(p.goal.var))
-        return goal(substitute(p.goal.body, {p.goal.var: w}), p.hyps)
-    if rule == "ExistsI":
-        A, x, w = pa("template"), pa("x"), pa("witness")
-        return goal(Exists(x, A), prem(0).hyps)
-    if rule == "TrueI":
-        return goal(TrueA())
-    if rule == "EqRefl":
-        e = pa("e")
-        return goal(Eq(e, e))
-    if rule == "ArithFact":
-        return goal(pa("P"))
-    if rule == "Entail":
-        return goal(Implies(pa("P"), pa("Q")))
-    if rule == "OrE":
-        p0, p1, p2 = prem(0), prem(1), prem(2)
-        lk, rk = canon_key(p0.goal.left), canon_key(p0.goal.right)
-        hyps = p0.hyps \
-            + tuple(h for h in p1.hyps if canon_key(h) != lk) \
-            + tuple(h for h in p2.hyps if canon_key(h) != rk)
-        return goal(p1.goal, hyps)
-    if rule == "ForallI":
-        x = pa("x")
-        p = prem(0)
-        return goal(Forall(x, p.goal), p.hyps)
-    if rule == "ExistsE":
-        p0, p1 = prem(0), prem(1)
-        bk = canon_key(p0.goal.body)
-        hyps = p0.hyps + tuple(h for h in p1.hyps
-                               if canon_key(h) != bk)
-        return goal(p1.goal, hyps)
-    if rule == "FalseE":
-        return goal(pa("P"), prem(0).hyps)
-    if rule == "EqSubst":
-        A, x = pa("template"), pa("x")
-        p0 = prem(0)
-        hyps = p0.hyps + prem(1).hyps
-        return goal(substitute(A, {x: p0.goal.right}), hyps)
-    raise UnknownRule(rule, REJECTED.get(rule))
+    result is the conclusion the rule licenses."""
+    return _conclude(rule, _param_items(params), tuple(premises))
 
 
 # ---------------------------------------------------------------------------

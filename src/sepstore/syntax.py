@@ -329,10 +329,6 @@ def _collect_free(ast, bound, rbound, fv, frv):
     raise TypeError(f"unexpected AST node {ast!r}")
 
 
-def free_prog_vars(ast: Ast) -> frozenset:
-    return free_vars(ast)[0]
-
-
 # ---------------------------------------------------------------------------
 # fresh names and substitution
 
@@ -686,16 +682,6 @@ def canon_key(ast: Ast) -> str:
 def equal_mod_ac(P: Ast, Q: Ast) -> bool:
     """Equality up to alpha, AC of * /\\ \\/, and the unit law P*emp <=> P."""
     return P == Q or canon_key(P) == canon_key(Q)
-
-
-def judgement_equal(a: Judgement, b: Judgement) -> bool:
-    if set(a.relvars) != set(b.relvars) or set(a.vars) != set(b.vars):
-        return False
-    if len(a.hyps) != len(b.hyps):
-        return False
-    ka = sorted(canon_key(h) for h in a.hyps)
-    kb = sorted(canon_key(h) for h in b.hyps)
-    return ka == kb and equal_mod_ac(a.goal, b.goal)
 
 
 # convenient n-ary builders

@@ -111,6 +111,25 @@ def test_cli_check_rejected(runner, tmp_path):
     assert r.exit_code == 1
 
 
+# {emp} 'skip' {false} from no hypotheses: the disjunction is only assumed
+OR_E_LEAK = r"""(rule OrE
+  (premise (rule Hyp (hyp "false \\/ false") (conclude "false \\/ false")))
+  (premise (rule FalseE (hyp "false")
+    (premise (rule Hyp (hyp "false") (conclude "false")))
+    (conclude "{emp} 'skip' {false}")))
+  (premise (rule FalseE (hyp "false")
+    (premise (rule Hyp (hyp "false") (conclude "false")))
+    (conclude "{emp} 'skip' {false}")))
+  (conclude "{emp} 'skip' {false}"))"""
+
+
+def test_cli_check_rejects_hypothesis_leak(runner, tmp_path):
+    path = write(tmp_path, "leak.proof", OR_E_LEAK)
+    r = invoke(runner, "check", path)
+    assert r.exit_code == 1
+    assert "OrE" in r.output
+
+
 def test_cli_check_script_error(runner, tmp_path):
     path = write(tmp_path, "broken.proof", "(rule Skip")
     r = invoke(runner, "check", path)
