@@ -4,12 +4,15 @@ Subcommands: parse, run, check, test, counterexamples, normalize.
 
 Exit codes: 0 success / verified / all-as-registered; 1 fault / rejected /
 refuted / unsoundness demonstrated; 2 out of fuel / inconclusive above the
-threshold; 3 parse, usage, or config errors.
+threshold; 3 parse, usage, or config errors, and internal errors (an
+uncaught exception is reported as `internal error: ...`, never as a
+verdict).
 """
 
 import json
 import sys
 import time
+import traceback
 
 import click
 
@@ -67,7 +70,21 @@ def _usage_error(msg):
     return 3
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}",
+                       err=True)
+            click.echo("".join(traceback.format_exception(exc, limit=-3)),
+                       err=True, nl=False)
+            ctx.exit(3)
+
+
+@click.group(cls=_Main)
 def main():
     """Verifier toolkit for a separation logic with higher-order store."""
 

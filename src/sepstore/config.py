@@ -15,6 +15,8 @@ contain `;` and `,`.
     env_cap = 256
 """
 
+from dataclasses import replace
+
 from .grammar import ParseError, parse
 from .semantics import TestConfig, World
 
@@ -94,11 +96,7 @@ def load_config(text: str) -> TestConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
         fields[field] = parsed
-    base = default_config()
-    merged = {f: fields.get(f, getattr(base, f)) for f in
-              ("addr_pool", "int_pool", "code_pool", "tag_max", "level_k",
-               "world_pool", "frame_pool", "fuel", "env_cap")}
-    return TestConfig(**merged)
+    return replace(default_config(), **fields)
 
 
 def load_config_file(path) -> TestConfig:

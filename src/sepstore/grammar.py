@@ -18,12 +18,15 @@ Sugar expanded at parse time:
 from __future__ import annotations
 
 import re
+from dataclasses import replace
+from functools import partial
 
 from .syntax import (
-    And, Assign, BinOp, Command, ContractivenessError, Diamond, Emp, EvalAt,
-    Exists, Eq, FalseA, Forall, Free, If, Implies, IntLit, LetDeref, LetNew,
-    Leq, Mu, Or, PointsTo, Quote, RelVar, Seq, Skip, Star, Tensor, Triple,
-    TrueA, ValueLit, Var, contractive_in, free_vars, fresh_name,
+    And, Assign, BinOp, ContractivenessError, Diamond, Emp, EvalAt, Exists,
+    Eq, FalseA, Forall, Free, If, Implies, IntLit, LetDeref, LetNew, Leq, Mu,
+    Or, PointsTo, Quote, RelVar, Seq, Skip, Star, Tensor, Triple, TrueA,
+    ValueLit, Var, binders, children, contractive_in, free_vars, fresh_name,
+    map_children, substitute,
 )
 
 KEYWORDS = {
@@ -37,6 +40,13 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>\(\*\)|\|->|:=|<=|=>|<>|/\\|\\/|[;=()\[\]{},.'+\-*])
 """, re.VERBOSE)
+
+
+# binary connectives: binding level (loosest first) and symbol, read by
+# both the parser and the printer
+_BIN_PREC = {Implies: (1, "=>"), Or: (2, "\\/"), And: (3, "/\\"),
+             Star: (4, "*"), Tensor: (5, "(*)")}
+_BY_PREC = {p: (cls, sym) for cls, (p, sym) in _BIN_PREC.items()}
 
 
 class ParseError(Exception):
@@ -82,9 +92,6 @@ class Parser:
     def at(self, *texts):
         return self.peek()[1] in texts and self.peek()[0] != "eof"
 
-    def at_kind(self, kind):
-        return self.peek()[0] == kind
-
     def advance(self):
         tok = self.tokens[self.pos]
         if tok[0] != "eof":
@@ -102,6 +109,13 @@ class Parser:
         if tok[0] != "ident" or tok[1] in KEYWORDS or tok[1] == "_":
             raise ParseError(tok[2], "an identifier", tok[1] or "end of input")
         return self.advance()[1]
+
+    def comma_list(self, item):
+        items = [item()]
+        while self.at(","):
+            self.advance()
+            items.append(item())
+        return tuple(items)
 
     def fresh(self):
         while True:
@@ -184,12 +198,9 @@ class Parser:
                 self.expect("in")
                 return LetDeref(var, addr, self.parse_cmd())
             self.expect("new")
-            inits = [self.parse_expr()]
-            while self.at(","):
-                self.advance()
-                inits.append(self.parse_expr())
+            inits = self.comma_list(self.parse_expr)
             self.expect("in")
-            return LetNew(var, tuple(inits), self.parse_cmd())
+            return LetNew(var, inits, self.parse_cmd())
         if tok[1] == "eval":
             self.advance()
             self.expect("[")
@@ -223,39 +234,16 @@ class Parser:
 
     # --- assertions
 
-    def parse_asn(self):
-        left = self.parse_or()
-        while self.at("=>"):
+    def parse_asn(self, prec=1):
+        """The binary connectives of `_BIN_PREC` binding at level `prec`
+        or tighter, each associating to the left."""
+        cls, sym = _BY_PREC[prec]
+        operand = self.parse_prefix if prec == len(_BIN_PREC) \
+            else partial(self.parse_asn, prec + 1)
+        left = operand()
+        while self.at(sym):
             self.advance()
-            left = Implies(left, self.parse_or())
-        return left
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at("\\/"):
-            self.advance()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self):
-        left = self.parse_star()
-        while self.at("/\\"):
-            self.advance()
-            left = And(left, self.parse_star())
-        return left
-
-    def parse_star(self):
-        left = self.parse_tensor()
-        while self.at("*"):
-            self.advance()
-            left = Star(left, self.parse_tensor())
-        return left
-
-    def parse_tensor(self):
-        left = self.parse_prefix()
-        while self.at("(*)"):
-            self.advance()
-            left = Tensor(left, self.parse_prefix())
+            left = cls(left, operand())
         return left
 
     def parse_prefix(self):
@@ -284,18 +272,14 @@ class Parser:
         if tok[1] == "mu":
             self.advance()
             relvar = self.expect_ident()
-            params = []
+            params = ()
             if self.at("("):
                 self.advance()
-                params.append(self.expect_ident())
-                while self.at(","):
-                    self.advance()
-                    params.append(self.expect_ident())
+                params = self.comma_list(self.expect_ident)
                 self.expect(")")
             self.expect(".")
             body = self.parse_asn()
-            args = tuple(Var(p) for p in params)
-            return Mu(relvar, tuple(params), body, args)
+            return Mu(relvar, params, body, tuple(Var(p) for p in params))
         if tok[1] == "{":
             self.advance()
             pre = self.parse_asn()
@@ -310,12 +294,9 @@ class Parser:
             # relation variable applied to arguments
             name = self.advance()[1]
             self.advance()
-            args = [self.parse_expr()]
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_expr())
+            args = self.comma_list(self.parse_expr)
             self.expect(")")
-            return RelVar(name, tuple(args))
+            return RelVar(name, args)
         if tok[1] == "(":
             saved = self.pos
             try:
@@ -329,17 +310,14 @@ class Parser:
                         and asn.args == tuple(Var(p) for p in asn.params) \
                         and self.at("("):
                     self.advance()
-                    args = [self.parse_expr()]
-                    while self.at(","):
-                        self.advance()
-                        args.append(self.parse_expr())
+                    args = self.comma_list(self.parse_expr)
                     self.expect(")")
                     if len(args) != len(asn.params):
                         raise ParseError(
                             tok[2],
                             f"{len(asn.params)} arguments for mu "
                             f"{asn.relvar}", f"{len(args)} arguments")
-                    return Mu(asn.relvar, asn.params, asn.body, tuple(args))
+                    return replace(asn, args=args)
                 if not self._continues_expr():
                     return asn
                 self.pos = saved
@@ -383,78 +361,43 @@ class Parser:
         return PointsTo(addr, self.parse_expr(allow_mul=False))
 
 
-def _check_contractive(ast, path=""):
-    t = type(ast)
-    if t is Mu:
-        if not contractive_in(ast.body, ast.relvar):
-            raise ContractivenessError(ast.relvar, ast.body)
-    for name in getattr(t, "__dataclass_fields__", {}):
-        child = getattr(ast, name)
-        if hasattr(type(child), "__dataclass_fields__"):
-            _check_contractive(child)
-        elif isinstance(child, tuple):
-            for c in child:
-                if hasattr(type(c), "__dataclass_fields__"):
-                    _check_contractive(c)
+def _check_contractive(ast):
+    if type(ast) is Mu and not contractive_in(ast.body, ast.relvar):
+        raise ContractivenessError(ast.relvar, ast.body)
+    for c in children(ast):
+        _check_contractive(c)
 
 
 def _rename_apart(ast, seen, rseen):
     """Rename any binder that shadows an enclosing binder of the same name."""
-    t = type(ast)
-    if t in (LetDeref, LetNew, Forall, Exists):
-        var = ast.var
-        body = ast.body
-        if var in seen:
-            fv = free_vars(body)[0]
-            new = fresh_name(var, seen | fv | {var})
-            from .syntax import substitute
-            body = substitute(body, {var: Var(new)})
-            var = new
-        body = _rename_apart(body, seen | {var}, rseen)
-        if t is LetDeref:
-            return LetDeref(var, _rename_apart(ast.addr, seen, rseen), body)
-        if t is LetNew:
-            inits = tuple(_rename_apart(e, seen, rseen) for e in ast.inits)
-            return LetNew(var, inits, body)
-        return t(var, body)
-    if t is Mu:
-        from .syntax import substitute
-        relvar, params, body = ast.relvar, list(ast.params), ast.body
-        if relvar in rseen:
-            new = fresh_name(relvar, rseen | free_vars(body)[1] | {relvar})
-            body = substitute(body, rel_map={
-                relvar: (tuple(params), RelVar(new, tuple(Var(p) for p in params)))})
-            relvar = new
-        for i, p in enumerate(params):
-            if p in seen:
-                fv = free_vars(body)[0]
-                new = fresh_name(p, seen | fv | set(params) | {p})
-                body = substitute(body, {p: Var(new)})
-                params[i] = new
-        body = _rename_apart(body, seen | set(params), rseen | {relvar})
-        args = tuple(_rename_apart(e, seen, rseen) for e in ast.args)
-        return Mu(relvar, tuple(params), body, args)
-    fields = getattr(t, "__dataclass_fields__", None)
-    if not fields:
+    ast = _unshadow(ast, seen, rseen)
+    names, rnames = binders(ast)
+    inner = (seen.union(names), rseen.union(rnames)) if names or rnames \
+        else None
+    return map_children(ast, _rename_apart, seen, rseen, scoped=inner)
+
+
+def _unshadow(ast, seen, rseen):
+    """ast with the names it binds renamed away from `seen`/`rseen`."""
+    names, rnames = binders(ast)
+    if not (seen.intersection(names) or rseen.intersection(rnames)):
         return ast
-    changed = {}
-    for name in fields:
-        child = getattr(ast, name)
-        if hasattr(type(child), "__dataclass_fields__"):
-            new = _rename_apart(child, seen, rseen)
-            if new is not child:
-                changed[name] = new
-        elif isinstance(child, tuple):
-            new = tuple(
-                _rename_apart(c, seen, rseen)
-                if hasattr(type(c), "__dataclass_fields__") else c
-                for c in child)
-            if new != child:
-                changed[name] = new
-    if changed:
-        from dataclasses import replace
-        return replace(ast, **changed)
-    return ast
+    body = ast.body
+    if type(ast) is Mu and ast.relvar in rseen:
+        relvar = fresh_name(ast.relvar,
+                            rseen | free_vars(body)[1] | {ast.relvar})
+        body = substitute(body, rel_map={ast.relvar: (
+            ast.params, RelVar(relvar, tuple(Var(p) for p in ast.params)))})
+        ast = replace(ast, relvar=relvar)
+    names = list(names)
+    for i, p in enumerate(names):
+        if p in seen:
+            fv = free_vars(body)[0]
+            names[i] = fresh_name(p, seen | fv | set(names) | {p})
+            body = substitute(body, {p: Var(names[i])})
+    if type(ast) is Mu:
+        return replace(ast, params=tuple(names), body=body)
+    return replace(ast, var=names[0], body=body)
 
 
 def parse(text: str, kind: str):
@@ -532,10 +475,6 @@ def pretty_cmd(c) -> str:
                f"then {_cmd_atom(c.then, wrap_right_open=True)} " \
                f"else {_cmd_atom(c.els)}"
     raise TypeError(f"not a command: {c!r}")
-
-
-_BIN_PREC = {Implies: (1, "=>"), Or: (2, "\\/"), And: (3, "/\\"),
-             Star: (4, "*"), Tensor: (5, "(*)")}
 
 
 def pretty_asn(a, prec=0) -> str:

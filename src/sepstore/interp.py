@@ -60,9 +60,6 @@ class Env:
     def restrict(self, names) -> "Env":
         return Env(tuple((k, v) for k, v in self.items if k in names))
 
-    def to_dict(self):
-        return dict(self.items)
-
 
 EMPTY_ENV = Env()
 

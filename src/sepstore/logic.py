@@ -17,15 +17,17 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from typing import get_args
 
 from .grammar import parse, pretty
 from .interp import EMPTY_ENV, IntVal, TypeFault, UnboundVariable, eval_expr
 from .syntax import (
-    And, Assign, BinOp, Diamond, Emp, Eq, EvalAt, Exists, FalseA, Forall,
-    Free, If, Implies, IntLit, Judgement, LetDeref, LetNew, Leq, Mu, Or,
-    PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Seq, Skip, Star, Tensor,
-    Triple, TrueA, ValueLit, Var, canon_key, classify, conj, contractive_in,
-    equal_mod_ac, free_vars, fresh_name, star, star_parts, substitute,
+    And, Assertion, Assign, BinOp, Diamond, Emp, Eq, EvalAt, Exists, FalseA,
+    Forall, Free, If, Implies, IntLit, Judgement, LetDeref, LetNew, Leq, Mu,
+    Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Seq, Skip, Star, Tensor,
+    Triple, TrueA, ValueLit, Var, canon_key, children, classify, conj,
+    contractive_in, equal_mod_ac, free_vars, fresh_name, map_children, star,
+    star_parts, substitute,
 )
 
 
@@ -72,18 +74,6 @@ class CheckReport:
     ok: bool
     failures: list = field(default_factory=list)   # of (path, message)
     stats: Counter = field(default_factory=Counter)
-
-    def render(self) -> str:
-        lines = []
-        if self.ok:
-            lines.append("OK")
-        else:
-            lines.append("REJECTED")
-            for path, msg in self.failures:
-                lines.append(f"  at {path}: {msg}")
-        used = ", ".join(f"{r}={n}" for r, n in sorted(self.stats.items()))
-        lines.append(f"rules used: {used or 'none'}")
-        return "\n".join(lines)
 
 
 def _param_items(params) -> tuple:
@@ -253,6 +243,9 @@ def unfold_mu(m: Mu):
 # distribution of invariant extension
 
 _ATOM_TYPES = (TrueA, FalseA, Emp, Eq, Leq, PointsTo)
+# the assertion classes with sub-assertions
+_CONNECTIVES = frozenset(get_args(Assertion)).difference(_ATOM_TYPES,
+                                                         (RelVar,))
 _BIN_TYPES = (Implies, And, Or, Star)
 
 
@@ -282,28 +275,13 @@ def dist_step(L, R):
     return None  # Mu, RelVar, Diamond: stuck until unfolded
 
 
-def _map_parts(P, f):
-    """P with f applied to each immediate sub-assertion."""
-    t = type(P)
-    if t in _BIN_TYPES or t is Tensor:
-        return t(f(P.left), f(P.right))
-    if t in (Forall, Exists):
-        return t(P.var, f(P.body))
-    if t is Triple:
-        return Triple(f(P.pre), P.code, f(P.post))
-    if t is Mu:
-        return Mu(P.relvar, P.params, f(P.body), P.args)
-    if t is Diamond:
-        return Diamond(f(P.body))
-    return P
-
-
 def normalize_otimes(P):
     """Push every invariant extension inward as far as the distribution
     axioms allow; extensions over recursive assertions, relation variables
     and the rank modality are left in place."""
     if type(P) is not Tensor:
-        return _map_parts(P, normalize_otimes)
+        return map_children(P, normalize_otimes) \
+            if type(P) in _CONNECTIVES else P
     left, right = normalize_otimes(P.left), normalize_otimes(P.right)
     step = dist_step(left, right)
     if step is None:
@@ -392,18 +370,10 @@ def _collect_exprs(ast, out, seen):
         if k not in seen:
             seen.add(k)
             out.append(ast)
-        if t is BinOp:
-            _collect_exprs(ast.left, out, seen)
-            _collect_exprs(ast.right, out, seen)
-        return
-    fields = getattr(t, "__dataclass_fields__", None)
-    if not fields:
-        return
-    for name in fields:
-        child = getattr(ast, name)
-        for c in child if isinstance(child, tuple) else (child,):
-            if hasattr(type(c), "__dataclass_fields__"):
-                _collect_exprs(c, out, seen)
+        if t is not BinOp:
+            return
+    for c in children(ast):
+        _collect_exprs(c, out, seen)
 
 
 def lhs_absurd(P) -> bool:
@@ -441,7 +411,9 @@ def _unfold_first_mu(P):
 def _strip_units(a):
     """Remove emp units under * everywhere; keeps the memo key of an
     entailment problem in step with its structure."""
-    a = _map_parts(a, _strip_units)
+    if type(a) not in _CONNECTIVES:
+        return a
+    a = map_children(a, _strip_units)
     if type(a) is Star:
         if type(a.left) is Emp:
             return a.right
@@ -670,17 +642,24 @@ def _parse_param(key, value):
 class _Params:
     """The parameters of one rule application.  A parameter the node
     omits is inferred from the stated goal by `infer`, when there is a
-    stated goal."""
+    stated goal; one the rule never reads is an error (`check_unread`)."""
 
     def __init__(self, rule, items, stated):
         self.rule = rule
         self.items = items
         self.stated = stated
+        self.read = set()
 
     def given(self, *keys):
         return any(k in keys for k, _ in self.items)
 
+    def check_unread(self):
+        for k, _ in self.items:
+            need(k in self.read,
+                 f"rule {self.rule} does not take parameter {k!r}")
+
     def get_all(self, key, infer=None):
+        self.read.add(key)
         vals = tuple(_parse_param(key, v) for k, v in self.items if k == key)
         if not vals and infer is not None and self.stated is not None:
             return tuple(infer(self.stated.goal))
@@ -1131,7 +1110,8 @@ def _inv_cells(goal, e, e0):
     """(e1, conjuncts of phi) for each reading of the stated postcondition
     as (e |-> e0 /\\ phi) * (e1 |-> e0 /\\ phi)."""
     goal = _shape(goal, Triple, "UpdateInv conclusion")
-    pre, post = star_parts(goal.pre), star_parts(goal.post)
+    pre, post = ([p for p in star_parts(a) if type(p) is not Emp]
+                 for a in (goal.pre, goal.post))
     need(len(pre) == 2 and len(post) == 2,
          "UpdateInv: pre and post each have exactly two star components")
     ek, e0k = canon_key(e), canon_key(e0)
@@ -1557,7 +1537,9 @@ def _conclude(rule, params, premises, stated=None, allow=()):
         or (_UNSOUND.get(rule) if rule in allow else None)
     if fn is None:
         raise UnknownRule(rule, REJECTED.get(rule))
-    built = fn(_Params(rule, params, stated), premises, stated)
+    ps = _Params(rule, params, stated)
+    built = fn(ps, premises, stated)
+    ps.check_unread()
     if stated is not None:
         msg = _mismatch(rule, built, stated)
         need(msg is None, msg)

@@ -13,15 +13,14 @@ counterexample exists in the configured universe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .grammar import parse, pretty
+from .grammar import pretty
 from .interp import (
-    BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Done, Env, Fault, Heap,
-    HeapValue, IntVal, OutOfFuel, TypeFault, UnboundVariable, eval_expr,
-    format_heap, format_value, heap_join, heap_leq, rank, run_codeval,
-    tag_raises, truncate,
+    BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Env, Fault, Heap, HeapValue,
+    IntVal, OutOfFuel, TypeFault, UnboundVariable, eval_expr, format_heap,
+    format_value, heap_leq, rank, run_codeval, tag_raises, truncate,
 )
 from .syntax import (
     And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, Leq, Mu, Or,
@@ -32,6 +31,33 @@ from .syntax import (
 
 class UniverseOverflow(Exception):
     pass
+
+
+class CacheReentry(Exception):
+    """A cached evaluation asked for its own result while computing it."""
+
+
+_IN_PROGRESS = object()
+
+
+def _memo(cache, key, compute, *args):
+    """cache[key], computed by compute(*args) on a miss.  While it is being
+    computed the entry is a sentinel, and a nested request for the same
+    key raises CacheReentry instead of answering from a guess."""
+    hit = cache.get(key)
+    if hit is not None:
+        if hit is _IN_PROGRESS:
+            raise CacheReentry(f"{compute.__name__} asked for the result "
+                               "it is computing")
+        return hit
+    cache[key] = _IN_PROGRESS
+    try:
+        result = compute(*args)
+    except BaseException:
+        del cache[key]
+        raise
+    cache[key] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -187,16 +213,9 @@ class Tester:
     # --- membership
 
     def member(self, P, env: Env, rho: PredEnv, w: World, h: Heap) -> bool:
-        key = (P, env, rho, w, h)
-        hit = self._member_cache.get(key)
-        if hit is not None:
-            return hit
-        # pre-seed to cut cycles defensively; contractiveness should make
-        # genuine cycles impossible
-        self._member_cache[key] = False
-        result = self._member(P, env, rho, w, h)
-        self._member_cache[key] = result
-        return result
+        # contractiveness makes a genuine cycle impossible
+        return _memo(self._member_cache, (P, env, rho, w, h), self._member,
+                     P, env, rho, w, h)
 
     def _member(self, P, env, rho, w, h) -> bool:
         t = type(P)
@@ -379,17 +398,8 @@ class Tester:
     def sem_triple_at(self, k: int, w: World, pre, code: HeapValue, post,
                       env: Env = EMPTY_ENV,
                       rho: PredEnv = EMPTY_PREDENV) -> Verdict:
-        key = ("triple", k, w, pre, post, code, env, rho)
-        hit = self._triple_cache.get(key)
-        if hit is not None:
-            return hit
-        # while a triple instance is being computed, treat recursive
-        # occurrences at the same level as passing (they are re-examined
-        # at strictly smaller rank by contractiveness)
-        self._triple_cache[key] = Pass()
-        verdict = self._sem_triple_at(k, w, pre, code, post, env, rho)
-        self._triple_cache[key] = verdict
-        return verdict
+        return _memo(self._triple_cache, (k, w, pre, post, code, env, rho),
+                     self._sem_triple_at, k, w, pre, code, post, env, rho)
 
     def _sem_triple_at(self, k, w, pre, code, post, env, rho) -> Verdict:
         if not isinstance(code, CodeVal):

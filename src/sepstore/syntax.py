@@ -1,6 +1,7 @@
 """Abstract syntax for the heap language and its assertion logic.
 
-Expressions, commands, assertions and judgements are immutable dataclasses.
+Expressions, commands, assertions and judgements are immutable dataclasses
+whose sub-terms and binder scopes SCHEMA lists for every traversal.
 Operations on them (free variables, substitution, contractiveness, purity
 classification, equality modulo associativity/commutativity) live here;
 the concrete grammar lives in grammar.py.
@@ -8,8 +9,9 @@ the concrete grammar lives in grammar.py.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -238,6 +240,80 @@ class ArityError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# node schema: the one description of each class's sub-terms
+
+# The fields of each AST class that hold sub-terms, in declaration order.
+# `*f` holds a tuple of sub-terms; `^f` lies in the scope of the node's
+# binder, which is `var`, or for Mu the parameters `params` together with
+# the relation variable `relvar`.  Every structural traversal reads this
+# table; what a class means (printing, evaluation, canonical keys) stays
+# in per-class code.
+SCHEMA = {
+    IntLit: (), Var: (), ValueLit: (),
+    BinOp: ("left", "right"), Quote: ("body",),
+    Assign: ("target", "source"), LetDeref: ("addr", "^body"),
+    EvalAt: ("addr",), LetNew: ("*inits", "^body"), Free: ("addr",),
+    Skip: (), Seq: ("first", "second"), If: ("lhs", "rhs", "then", "els"),
+    FalseA: (), TrueA: (), Emp: (),
+    Or: ("left", "right"), And: ("left", "right"),
+    Implies: ("left", "right"), Star: ("left", "right"),
+    Tensor: ("left", "right"), Forall: ("^body",), Exists: ("^body",),
+    Eq: ("left", "right"), Leq: ("left", "right"),
+    PointsTo: ("addr", "value"), Triple: ("pre", "code", "post"),
+    RelVar: ("*args",), Mu: ("^body", "*args"), Diamond: ("body",),
+}
+
+# class -> ((field, holds a tuple, under the binder), ...)
+_FIELDS = {cls: tuple((f.lstrip("*^"), "*" in f, "^" in f) for f in spec)
+           for cls, spec in SCHEMA.items()}
+_BINDERS = frozenset(cls for cls, spec in SCHEMA.items()
+                     if any(f.startswith("^") for f in spec))
+
+
+def binders(node):
+    """(variables, relation variables) that node binds in its `^` fields."""
+    t = type(node)
+    if t is Mu:
+        return tuple(node.params), (node.relvar,)
+    if t in _BINDERS:
+        return (node.var,), ()
+    return (), ()
+
+
+def children(node):
+    """The sub-terms of node, in declaration order."""
+    for name, many, _ in _FIELDS[type(node)]:
+        value = getattr(node, name)
+        yield from value if many else (value,)
+
+
+def map_children(node, f, *args, scoped=None):
+    """node with each sub-term c replaced by f(c, *args), or by
+    f(c, *scoped) under the node's binder when `scoped` is given; node
+    itself when no sub-term changed."""
+    t = type(node)
+    changed = None
+    for name, many, under in _FIELDS[t]:
+        a = scoped if under and scoped is not None else args
+        old = getattr(node, name)
+        if many:
+            new = tuple([f(c, *a) for c in old])
+            if all(map(operator.is_, new, old)):
+                continue
+        else:
+            new = f(old, *a)
+            if new is old:
+                continue
+        if changed is None:
+            changed = {}
+        changed[name] = new
+    if changed is None:
+        return node
+    return t(**{n: changed[n] if n in changed else getattr(node, n)
+                for n in t.__dataclass_fields__})
+
+
+# ---------------------------------------------------------------------------
 # free variables
 
 
@@ -251,82 +327,20 @@ def free_vars(ast: Ast):
 
 def _collect_free(ast, bound, rbound, fv, frv):
     t = type(ast)
-    if t is IntLit or t is Skip or t is FalseA or t is TrueA or t is Emp \
-            or t is ValueLit:
-        return
     if t is Var:
         if ast.name not in bound:
             fv.add(ast.name)
         return
-    if t is BinOp:
-        _collect_free(ast.left, bound, rbound, fv, frv)
-        _collect_free(ast.right, bound, rbound, fv, frv)
-        return
-    if t is Quote:
-        _collect_free(ast.body, bound, rbound, fv, frv)
-        return
-    if t is Assign:
-        _collect_free(ast.target, bound, rbound, fv, frv)
-        _collect_free(ast.source, bound, rbound, fv, frv)
-        return
-    if t is LetDeref:
-        _collect_free(ast.addr, bound, rbound, fv, frv)
-        _collect_free(ast.body, bound + (ast.var,), rbound, fv, frv)
-        return
-    if t is EvalAt or t is Free:
-        _collect_free(ast.addr, bound, rbound, fv, frv)
-        return
-    if t is LetNew:
-        for e in ast.inits:
-            _collect_free(e, bound, rbound, fv, frv)
-        _collect_free(ast.body, bound + (ast.var,), rbound, fv, frv)
-        return
-    if t is Seq:
-        _collect_free(ast.first, bound, rbound, fv, frv)
-        _collect_free(ast.second, bound, rbound, fv, frv)
-        return
-    if t is If:
-        _collect_free(ast.lhs, bound, rbound, fv, frv)
-        _collect_free(ast.rhs, bound, rbound, fv, frv)
-        _collect_free(ast.then, bound, rbound, fv, frv)
-        _collect_free(ast.els, bound, rbound, fv, frv)
-        return
-    if t is Or or t is And or t is Implies or t is Star or t is Tensor:
-        _collect_free(ast.left, bound, rbound, fv, frv)
-        _collect_free(ast.right, bound, rbound, fv, frv)
-        return
-    if t is Forall or t is Exists:
-        _collect_free(ast.body, bound + (ast.var,), rbound, fv, frv)
-        return
-    if t is Eq or t is Leq:
-        _collect_free(ast.left, bound, rbound, fv, frv)
-        _collect_free(ast.right, bound, rbound, fv, frv)
-        return
-    if t is PointsTo:
-        _collect_free(ast.addr, bound, rbound, fv, frv)
-        _collect_free(ast.value, bound, rbound, fv, frv)
-        return
-    if t is Triple:
-        _collect_free(ast.pre, bound, rbound, fv, frv)
-        _collect_free(ast.code, bound, rbound, fv, frv)
-        _collect_free(ast.post, bound, rbound, fv, frv)
-        return
-    if t is RelVar:
-        if ast.name not in rbound:
-            frv.add(ast.name)
-        for e in ast.args:
-            _collect_free(e, bound, rbound, fv, frv)
-        return
-    if t is Mu:
-        _collect_free(ast.body, bound + tuple(ast.params),
-                      rbound + (ast.relvar,), fv, frv)
-        for e in ast.args:
-            _collect_free(e, bound, rbound, fv, frv)
-        return
-    if t is Diamond:
-        _collect_free(ast.body, bound, rbound, fv, frv)
-        return
-    raise TypeError(f"unexpected AST node {ast!r}")
+    if t is RelVar and ast.name not in rbound:
+        frv.add(ast.name)
+    for name, many, under in _FIELDS[t]:
+        inner, rinner = bound, rbound
+        if under:
+            names, rnames = binders(ast)
+            inner, rinner = bound + names, rbound + rnames
+        value = getattr(ast, name)
+        for c in value if many else (value,):
+            _collect_free(c, inner, rinner, fv, frv)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +396,7 @@ def substitute(ast: Ast, var_map=None, rel_map=None) -> Ast:
     return _subst(ast, Subst(var_map, rel_map))
 
 
-def _rename_binder(var, body_parts, sub):
+def _rename_binder(var, body, sub):
     """Pick a replacement binder avoiding capture; returns (var', sub')."""
     sub = sub.without(names=(var,))
     if sub.is_empty():
@@ -391,9 +405,7 @@ def _rename_binder(var, body_parts, sub):
     if var not in clash:
         return var, sub
     used = set(clash)
-    used |= set(sub.var_map) | set(sub.rel_map)
-    for part in body_parts:
-        used |= free_vars(part)[0]
+    used |= set(sub.var_map) | set(sub.rel_map) | free_vars(body)[0]
     new = fresh_name(var, used | {var})
     sub2 = Subst(sub.var_map, sub.rel_map)
     sub2.var_map[var] = Var(new)
@@ -404,79 +416,45 @@ def _subst(ast, sub: Subst):
     if sub.is_empty():
         return ast
     t = type(ast)
-    if t is IntLit or t is Skip or t is FalseA or t is TrueA or t is Emp \
-            or t is ValueLit:
-        return ast
     if t is Var:
         return sub.var_map.get(ast.name, ast)
-    if t is BinOp:
-        return BinOp(ast.op, _subst(ast.left, sub), _subst(ast.right, sub))
-    if t is Quote:
-        return Quote(_subst(ast.body, sub))
-    if t is Assign:
-        return Assign(_subst(ast.target, sub), _subst(ast.source, sub))
-    if t is LetDeref:
-        addr = _subst(ast.addr, sub)
-        var, inner = _rename_binder(ast.var, (ast.body,), sub)
-        return LetDeref(var, addr, _subst(ast.body, inner))
-    if t is EvalAt:
-        return EvalAt(_subst(ast.addr, sub))
-    if t is LetNew:
-        inits = tuple(_subst(e, sub) for e in ast.inits)
-        var, inner = _rename_binder(ast.var, (ast.body,), sub)
-        return LetNew(var, inits, _subst(ast.body, inner))
-    if t is Free:
-        return Free(_subst(ast.addr, sub))
-    if t is Seq:
-        return Seq(_subst(ast.first, sub), _subst(ast.second, sub))
-    if t is If:
-        return If(_subst(ast.lhs, sub), _subst(ast.rhs, sub),
-                  _subst(ast.then, sub), _subst(ast.els, sub))
-    if t is Or or t is And or t is Implies or t is Star or t is Tensor:
-        return t(_subst(ast.left, sub), _subst(ast.right, sub))
-    if t is Forall or t is Exists:
-        var, inner = _rename_binder(ast.var, (ast.body,), sub)
-        return t(var, _subst(ast.body, inner))
-    if t is Eq or t is Leq:
-        return t(_subst(ast.left, sub), _subst(ast.right, sub))
-    if t is PointsTo:
-        return PointsTo(_subst(ast.addr, sub), _subst(ast.value, sub))
-    if t is Triple:
-        return Triple(_subst(ast.pre, sub), _subst(ast.code, sub),
-                      _subst(ast.post, sub))
-    if t is RelVar:
+    if t is RelVar and ast.name in sub.rel_map:
         args = tuple(_subst(e, sub) for e in ast.args)
-        if ast.name in sub.rel_map:
-            params, body = sub.rel_map[ast.name]
-            if len(params) != len(args):
-                raise ArityError(
-                    f"relation variable {ast.name} applied to {len(args)} "
-                    f"arguments, expected {len(params)}")
-            return _subst(body, Subst(dict(zip(params, args)), {}))
-        return RelVar(ast.name, args)
+        params, body = sub.rel_map[ast.name]
+        if len(params) != len(args):
+            raise ArityError(
+                f"relation variable {ast.name} applied to {len(args)} "
+                f"arguments, expected {len(params)}")
+        return _subst(body, Subst(dict(zip(params, args)), {}))
     if t is Mu:
-        args = tuple(_subst(e, sub) for e in ast.args)
-        inner = sub.without(relnames=(ast.relvar,))
-        # rename params (and the bound relvar stays fixed: relvar names do
-        # not occur free in substitution values' expressions)
-        params = []
-        for p in ast.params:
-            inner = inner.without(names=(p,))
-        clash = inner.value_free_vars()
-        body_sub = Subst(inner.var_map, inner.rel_map)
-        used = set(clash) | set(body_sub.var_map) | free_vars(ast.body)[0]
-        for p in ast.params:
-            if p in clash:
-                q = fresh_name(p, used | set(params) | {p})
-                body_sub.var_map[p] = Var(q)
-                used.add(q)
-                params.append(q)
-            else:
-                params.append(p)
-        return Mu(ast.relvar, tuple(params), _subst(ast.body, body_sub), args)
-    if t is Diamond:
-        return Diamond(_subst(ast.body, sub))
-    raise TypeError(f"unexpected AST node {ast!r}")
+        return _subst_mu(ast, sub)
+    if t in _BINDERS:
+        var, inner = _rename_binder(ast.var, ast.body, sub)
+        node = map_children(ast, _subst, sub, scoped=(inner,))
+        return node if var == ast.var else replace(node, var=var)
+    return map_children(ast, _subst, sub)
+
+
+def _subst_mu(ast, sub):
+    """Substitute into a mu: the bound relation variable is not replaced
+    and parameters that would capture are renamed (relation variable names
+    do not occur free in the substitution's expressions)."""
+    inner = sub.without(names=ast.params, relnames=(ast.relvar,))
+    clash = inner.value_free_vars()
+    body_sub = Subst(inner.var_map, inner.rel_map)
+    used = set(clash) | set(body_sub.var_map) | free_vars(ast.body)[0]
+    params = []
+    for p in ast.params:
+        if p in clash:
+            q = fresh_name(p, used | set(params) | {p})
+            body_sub.var_map[p] = Var(q)
+            used.add(q)
+            params.append(q)
+        else:
+            params.append(p)
+    node = map_children(ast, _subst, sub, scoped=(body_sub,))
+    params = tuple(params)
+    return node if params == ast.params else replace(node, params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,15 @@ def test_cli_run_out_of_fuel(runner, tmp_path):
     assert r.exit_code == 2 and "OUT-OF-FUEL" in r.output
 
 
+def test_cli_internal_error_exits_3(runner, tmp_path):
+    # printing a 500-statement sequence overflows the recursion limit; a
+    # crash is reported as an internal error, never as the fault code 1
+    p = write(tmp_path, "long.prog", " ; ".join(["skip"] * 500))
+    r = invoke(runner, "run", p)
+    assert r.exit_code == 3
+    assert r.stderr.startswith("internal error: RecursionError")
+
+
 def test_cli_run_json(runner, tmp_path):
     p = write(tmp_path, "p.prog", "skip")
     r = invoke(runner, "run", p, "--json")
@@ -128,6 +137,15 @@ def test_cli_check_rejects_hypothesis_leak(runner, tmp_path):
     r = invoke(runner, "check", path)
     assert r.exit_code == 1
     assert "OrE" in r.output
+
+
+def test_cli_check_rejects_unread_parameter(runner, tmp_path):
+    path = write(tmp_path, "unread.proof",
+                 '(rule Skip (param Q "false") '
+                 '(conclude "{emp} \'skip\' {emp}"))')
+    r = invoke(runner, "check", path)
+    assert r.exit_code == 1
+    assert "parameter 'Q'" in r.output
 
 
 def test_cli_check_script_error(runner, tmp_path):

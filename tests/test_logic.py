@@ -250,6 +250,19 @@ def test_update_inv_side_conditions():
                                  "e1": IntLit(2), "phi": A("3 |-> 0")}, [])
 
 
+def test_update_inv_ignores_emp_star_parts():
+    check_node(make_node("UpdateInv", [], A(
+        "{1 |-> _ * (2 |-> 0 /\\ 1 = 1) * emp} '[1] := 0' "
+        "{(1 |-> 0 /\\ 1 = 1) * (2 |-> 0 /\\ 1 = 1)}")))
+
+
+def test_unread_parameter_is_rejected():
+    goal = A("{emp} 'skip' {emp}")
+    check_node(make_node("Skip", [], goal))
+    with pytest.raises(SchemaMismatch, match="parameter 'Q'"):
+        check_node(make_node("Skip", [], goal, Q="false"))
+
+
 def test_invariance_requires_pure_conjunct():
     t = Triple(Emp(), SKIP, Emp())
     j = apply_rule("Invariance", {"P": t, "psi": A("x = 1")}, [])

@@ -11,7 +11,7 @@ from sepstore.interp import (BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Env,
                              Heap, IntVal, rank, truncate)
 from sepstore.logic import dist_step
 from sepstore.semantics import (
-    EMP_WORLD, EMPTY_PREDENV, Fail, Pass, Tester, World, close_assertion,
+    EMP_WORLD, EMPTY_PREDENV, CacheReentry, Fail, Pass, Tester, World, close_assertion,
     demote_heap, world_circ,
 )
 from sepstore.syntax import (
@@ -217,6 +217,29 @@ def test_triple_level_zero_is_vacuous():
 def test_triple_rejects_non_code(lean_tester):
     v = lean_tester.test_triple(A("emp"), E("3"), A("emp"))
     assert isinstance(v, Fail)
+
+
+def test_cache_reentry_raises():
+    """A computation that asks for its own cached result is an error, for
+    membership and for triples alike; the aborted entry is not cached."""
+    t = Tester(fuzz_config())
+    args = (TrueA(), EMPTY_ENV, EMPTY_PREDENV, EMP_WORLD, EMPTY_HEAP)
+    t._member = lambda *a: t.member(*a)
+    with pytest.raises(CacheReentry):
+        t.member(*args)
+    assert t._member_cache == {}
+    del t._member
+    assert t.member(*args) is True
+
+    code = CodeVal(Skip(), EMPTY_ENV, INF)
+    triple = (1, EMP_WORLD, A("emp"), code, A("emp"))
+    t._sem_triple_at = lambda k, w, pre, c, post, env, rho: \
+        t.sem_triple_at(k, w, pre, c, post, env, rho)
+    with pytest.raises(CacheReentry):
+        t.sem_triple_at(*triple)
+    assert t._triple_cache == {}
+    del t._sem_triple_at
+    assert isinstance(t.sem_triple_at(*triple), Pass)
 
 
 def test_entailment(lean_tester):

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import Names, rand_asn
 from sepstore.syntax import (
     And, BinOp, Emp, Eq, Exists, FalseA, Forall, GENERAL, Implies, IntLit,
-    Leq, Mu, Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Skip, Star,
-    Tensor, Triple, TrueA, Var, canon_key, classify, conj, contractive_in,
-    equal_mod_ac, free_vars, fresh_name, star, star_parts, substitute,
+    LetNew, Leq, Mu, Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Skip,
+    Star, Tensor, Triple, TrueA, Var, canon_key, classify, conj,
+    contractive_in, equal_mod_ac, free_vars, fresh_name, map_children, star,
+    star_parts, substitute,
 )
 
 SKIP = Quote(Skip())
@@ -117,6 +118,20 @@ def test_substitute_relvar():
     out = substitute(body, rel_map={"X": (("p",),
                                           PointsTo(Var("p"), IntLit(0)))})
     assert out == Star(PointsTo(IntLit(1), IntLit(0)), Emp())
+
+
+def test_traversals_keep_unchanged_subterms():
+    """map_children returns the node itself when no sub-term changed, so
+    substitution shares every sub-term it leaves alone."""
+    code = Quote(LetNew("b", (Var("y"), IntLit(0)), Skip()))
+    a = Star(Exists("b", PointsTo(Var("x"), Var("b"))),
+             Mu("X", ("p",), Triple(RelVar("X", (Var("p"),)), code, Emp()),
+                (Var("z"),)))
+    assert map_children(a, lambda c: c) is a
+    assert substitute(a, {"w": IntLit(1)}) is a
+    b = substitute(a, {"z": IntLit(1)})
+    assert b.left is a.left and b.right.body is a.right.body
+    assert b.right.args == (IntLit(1),)
 
 
 @settings(max_examples=60)

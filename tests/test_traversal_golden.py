@@ -114,23 +114,15 @@ def terms():
         yield kind, parse(text, kind)
 
 
-def _attempt(fn):
-    try:
-        return repr(fn())
-    except Exception as exc:  # recorded: the error is part of the behaviour
-        return f"{type(exc).__name__}: {exc}"
-
-
 def record(kind, t):
     fv, frv = free_vars(t)
     var_map, rel_map = renaming_maps(t)
     return {
         "term": repr(t),
         "free_vars": [sorted(fv), sorted(frv)],
-        "subst": _attempt(lambda: substitute(t, var_map, rel_map)),
-        "unfold": [_attempt(lambda m=m: unfold_mu(m))
-                   for m in _walk(t) if type(m) is Mu],
-        "roundtrip": _attempt(lambda: parse(pretty(t), kind)),
+        "subst": repr(substitute(t, var_map, rel_map)),
+        "unfold": [repr(unfold_mu(m)) for m in _walk(t) if type(m) is Mu],
+        "roundtrip": repr(parse(pretty(t), kind)),
     }
 
 
