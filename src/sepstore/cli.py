@@ -22,7 +22,7 @@ from .interp import (EMPTY_ENV, Done, Fault, OutOfFuel, exec_cmd,
                      format_heap, parse_heap_text)
 from .logic import (check_proof, make_node, normalize_otimes, parse_script,
                     ScriptError)
-from .semantics import Fail, Pass, Tester
+from .semantics import Fail, Pass, Tester, UniverseTooLarge
 from .syntax import (And, Emp, FalseA, Implies, Quote, TrueA, Triple)
 
 INCONCLUSIVE_THRESHOLD = 0.2
@@ -76,6 +76,8 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except UniverseTooLarge as exc:
+            ctx.exit(_usage_error(f"config: {exc}"))
         except Exception as exc:
             click.echo(f"internal error: {type(exc).__name__}: {exc}",
                        err=True)

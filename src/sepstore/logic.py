@@ -410,16 +410,29 @@ def _unfold_first_mu(P):
 
 def _strip_units(a):
     """Remove emp units under * everywhere; keeps the memo key of an
-    entailment problem in step with its structure."""
+    entailment problem in step with its structure.  Cached on the node
+    (syntax.Node), with None for "a itself" so no node refers to itself."""
     if type(a) not in _CONNECTIVES:
         return a
-    a = map_children(a, _strip_units)
-    if type(a) is Star:
-        if type(a.left) is Emp:
-            return a.right
-        if type(a.right) is Emp:
-            return a.left
-    return a
+    try:
+        out = a._stripped
+    except AttributeError:
+        pass
+    else:
+        return a if out is None else out
+    out = _strip_walk(a)
+    object.__setattr__(a, "_stripped", None if out is a else out)
+    return out
+
+
+def _strip_walk(a):
+    b = map_children(a, _strip_units)
+    if type(b) is Star:
+        if type(b.left) is Emp:
+            return b.right
+        if type(b.right) is Emp:
+            return b.left
+    return b
 
 
 class _Entailer:

@@ -33,6 +33,17 @@ class UniverseOverflow(Exception):
     pass
 
 
+class UniverseTooLarge(Exception):
+    """The configured heap universe has more than MAX_UNIVERSE_HEAPS heaps."""
+
+
+# The most heaps Tester.universe() enumerates.  The default CLI universe
+# has 2,198 heaps and the fuzz universe 37; six addresses over the default
+# values give ~4.8M, on which `sepstore test` ran for over a minute without
+# a verdict, so a config that large is refused before any work is done.
+MAX_UNIVERSE_HEAPS = 100_000
+
+
 class CacheReentry(Exception):
     """A cached evaluation asked for its own result while computing it."""
 
@@ -196,6 +207,12 @@ class Tester:
     def universe(self) -> list:
         if self._universe is None:
             vals = self.cfg.value_pool()
+            # BOT, then every partial map from addr_pool into vals
+            count = 1 + (1 + len(vals)) ** len(self.cfg.addr_pool)
+            if count > MAX_UNIVERSE_HEAPS:
+                raise UniverseTooLarge(
+                    f"the heap universe has {count:,} heaps, more than "
+                    f"{MAX_UNIVERSE_HEAPS:,}; use fewer addresses or values")
             heaps = [BOT, EMPTY_HEAP]
             addrs = sorted(self.cfg.addr_pool)
             for size in range(1, len(addrs) + 1):

@@ -5,44 +5,60 @@ whose sub-terms and binder scopes SCHEMA lists for every traversal.
 Operations on them (free variables, substitution, contractiveness, purity
 classification, equality modulo associativity/commutativity) live here;
 the concrete grammar lives in grammar.py.
+
+Every AST class derives from Node, whose slots cache facts about the node:
+its closed canonical key, its free (relation) variables and its
+unit-stripped form (logic._strip_units).  Invariant: a cached fact depends
+only on the node's own fields, never on where the node occurs, so a node
+shared between terms, or under different binders, may carry it.  Each fact
+is computed once, on first use, and written with object.__setattr__; the
+slots take no part in ==, hash, repr, copying or pickling.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Union
 
 
+class Node:
+    """Base of the AST classes; the slots hold the cached facts (module
+    docstring) and stay unset until first computed."""
+
+    __slots__ = ("_key", "_fv", "_stripped")
+
+
 # ---------------------------------------------------------------------------
 # expressions
 
 
-@dataclass(frozen=True)
-class IntLit:
+@dataclass(frozen=True, slots=True)
+class IntLit(Node):
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, slots=True)
+class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, slots=True)
+class BinOp(Node):
     op: str  # one of + - *
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Quote:
+@dataclass(frozen=True, slots=True)
+class Quote(Node):
     body: "Command"
 
 
-@dataclass(frozen=True)
-class ValueLit:
+@dataclass(frozen=True, slots=True)
+class ValueLit(Node):
     """A runtime value embedded as an expression.
 
     Not part of the concrete grammar.  The semantic tester uses it to close
@@ -60,49 +76,49 @@ Expr = Union[IntLit, Var, BinOp, Quote, ValueLit]
 # commands
 
 
-@dataclass(frozen=True)
-class Assign:
+@dataclass(frozen=True, slots=True)
+class Assign(Node):
     target: Expr
     source: Expr
 
 
-@dataclass(frozen=True)
-class LetDeref:
+@dataclass(frozen=True, slots=True)
+class LetDeref(Node):
     var: str
     addr: Expr
     body: "Command"
 
 
-@dataclass(frozen=True)
-class EvalAt:
+@dataclass(frozen=True, slots=True)
+class EvalAt(Node):
     addr: Expr
 
 
-@dataclass(frozen=True)
-class LetNew:
+@dataclass(frozen=True, slots=True)
+class LetNew(Node):
     var: str
     inits: tuple
     body: "Command"
 
 
-@dataclass(frozen=True)
-class Free:
+@dataclass(frozen=True, slots=True)
+class Free(Node):
     addr: Expr
 
 
-@dataclass(frozen=True)
-class Skip:
+@dataclass(frozen=True, slots=True)
+class Skip(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, slots=True)
+class Seq(Node):
     first: "Command"
     second: "Command"
 
 
-@dataclass(frozen=True)
-class If:
+@dataclass(frozen=True, slots=True)
+class If(Node):
     lhs: Expr
     rhs: Expr
     then: "Command"
@@ -116,104 +132,104 @@ Command = Union[Assign, LetDeref, EvalAt, LetNew, Free, Skip, Seq, If]
 # assertions
 
 
-@dataclass(frozen=True)
-class FalseA:
+@dataclass(frozen=True, slots=True)
+class FalseA(Node):
     pass
 
 
-@dataclass(frozen=True)
-class TrueA:
+@dataclass(frozen=True, slots=True)
+class TrueA(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, slots=True)
+class Or(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, slots=True)
+class And(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, slots=True)
+class Implies(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True)
-class Forall:
+@dataclass(frozen=True, slots=True)
+class Forall(Node):
     var: str
     body: "Assertion"
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, slots=True)
+class Exists(Node):
     var: str
     body: "Assertion"
 
 
-@dataclass(frozen=True)
-class Eq:
+@dataclass(frozen=True, slots=True)
+class Eq(Node):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Leq:
+@dataclass(frozen=True, slots=True)
+class Leq(Node):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class PointsTo:
+@dataclass(frozen=True, slots=True)
+class PointsTo(Node):
     addr: Expr
     value: Expr
 
 
-@dataclass(frozen=True)
-class Emp:
+@dataclass(frozen=True, slots=True)
+class Emp(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Star:
+@dataclass(frozen=True, slots=True)
+class Star(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True)
-class Triple:
+@dataclass(frozen=True, slots=True)
+class Triple(Node):
     pre: "Assertion"
     code: Expr
     post: "Assertion"
 
 
-@dataclass(frozen=True)
-class Tensor:
+@dataclass(frozen=True, slots=True)
+class Tensor(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True)
-class RelVar:
+@dataclass(frozen=True, slots=True)
+class RelVar(Node):
     name: str
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class Mu:
+@dataclass(frozen=True, slots=True)
+class Mu(Node):
     relvar: str
     params: tuple
     body: "Assertion"
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class Diamond:
+@dataclass(frozen=True, slots=True)
+class Diamond(Node):
     body: "Assertion"
 
 
@@ -319,28 +335,64 @@ def map_children(node, f, *args, scoped=None):
 
 def free_vars(ast: Ast):
     """Free program/logic variables and free relation variables of an AST."""
-    fv: set = set()
-    frv: set = set()
-    _collect_free(ast, (), (), fv, frv)
-    return frozenset(fv), frozenset(frv)
+    return _free(ast)
 
 
-def _collect_free(ast, bound, rbound, fv, frv):
+def _free(ast):
+    try:
+        return ast._fv
+    except AttributeError:
+        pass
+    pair = _free_walk(ast)
+    object.__setattr__(ast, "_fv", pair)
+    return pair
+
+
+# Nodes share their pairs: the empty pair, one pair per name, and a
+# child's pair whenever the union adds nothing to it.  A fresh pair of
+# frozensets per node would cost several hundred bytes each.
+_NO_FREE = (frozenset(), frozenset())
+
+
+@functools.cache
+def _single(name, rel):
+    one = frozenset((name,))
+    return (frozenset(), one) if rel else (one, frozenset())
+
+
+def _pair(fv, frv):
+    if not frv:
+        if not fv:
+            return _NO_FREE
+        if len(fv) == 1:
+            return _single(next(iter(fv)), False)
+    elif not fv and len(frv) == 1:
+        return _single(next(iter(frv)), True)
+    return fv, frv
+
+
+def _free_walk(ast):
+    """The free pair of ast from the cached pairs of its children."""
     t = type(ast)
     if t is Var:
-        if ast.name not in bound:
-            fv.add(ast.name)
-        return
-    if t is RelVar and ast.name not in rbound:
-        frv.add(ast.name)
+        return _single(ast.name, False)
+    out = _single(ast.name, True) if t is RelVar else _NO_FREE
     for name, many, under in _FIELDS[t]:
-        inner, rinner = bound, rbound
-        if under:
-            names, rnames = binders(ast)
-            inner, rinner = bound + names, rbound + rnames
         value = getattr(ast, name)
         for c in value if many else (value,):
-            _collect_free(c, inner, rinner, fv, frv)
+            fv, frv = pair = _free(c)
+            if under:
+                names, rnames = binders(ast)
+                if not (fv.isdisjoint(names) and frv.isdisjoint(rnames)):
+                    fv, frv = fv.difference(names), frv.difference(rnames)
+                    pair = _pair(fv, frv)
+            if fv <= out[0] and frv <= out[1]:
+                continue
+            if out[0] <= fv and out[1] <= frv:
+                out = pair
+            else:
+                out = _pair(out[0] | fv, out[1] | frv)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +603,25 @@ _AC_HEADS = {Star: "*", And: "/\\", Or: "\\/"}
 
 
 def _canon(ast, venv, renv) -> str:
-    """Canonical string; bound names become de Bruijn indices so that
-    alpha-variants agree and AC-sorting is stable."""
+    """Canonical string of ast under the enclosing binders venv/renv; bound
+    names become de Bruijn indices so that alpha-variants agree and
+    AC-sorting is stable.  When no enclosing binder captures a free name of
+    ast its key is the closed one, cached on the node."""
+    if venv or renv:
+        fv, frv = _free(ast)
+        if not (fv.isdisjoint(venv) and frv.isdisjoint(renv)):
+            return _canon_walk(ast, venv, renv)
+    try:
+        return ast._key
+    except AttributeError:
+        pass
+    key = _canon_walk(ast, (), ())
+    object.__setattr__(ast, "_key", key)
+    return key
+
+
+def _canon_walk(ast, venv, renv) -> str:
+    """The canonical string of each class, from its children's."""
     t = type(ast)
     if t is IntLit:
         return f"i{ast.value}"
@@ -659,7 +728,7 @@ def canon_key(ast: Ast) -> str:
 
 def equal_mod_ac(P: Ast, Q: Ast) -> bool:
     """Equality up to alpha, AC of * /\\ \\/, and the unit law P*emp <=> P."""
-    return P == Q or canon_key(P) == canon_key(Q)
+    return P is Q or canon_key(P) == canon_key(Q)
 
 
 # convenient n-ary builders

@@ -1,6 +1,7 @@
 """Command-line interface tests via click's test runner."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -190,6 +191,16 @@ def test_cli_test_entailment(runner, tmp_path):
 def test_cli_test_rejects_other_goals(runner, tmp_path):
     g = write(tmp_path, "g.asn", "emp")
     assert invoke(runner, "test", g).exit_code == 3
+
+
+def test_cli_test_refuses_oversized_universe(runner, tmp_path):
+    c = write(tmp_path, "cfg", "addrs = 1, 2, 3, 4, 5, 6\n")
+    g = write(tmp_path, "g.asn", "{emp} 'skip' {emp}")
+    t0 = time.monotonic()
+    r = invoke(runner, "test", g, "--config", c)
+    assert r.exit_code == 3
+    assert time.monotonic() - t0 < 1.0
+    assert "4,826,810 heaps" in r.output
 
 
 def test_cli_bad_config(runner, tmp_path):

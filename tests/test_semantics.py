@@ -1,9 +1,11 @@
 """Semantic-model tests: membership, triples, entailment, world laws."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from sepstore.config import default_config
 from sepstore.fuzz import assertion as rand_fuzz_asn
 from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse
@@ -11,8 +13,8 @@ from sepstore.interp import (BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Env,
                              Heap, IntVal, rank, truncate)
 from sepstore.logic import dist_step
 from sepstore.semantics import (
-    EMP_WORLD, EMPTY_PREDENV, CacheReentry, Fail, Pass, Tester, World, close_assertion,
-    demote_heap, world_circ,
+    EMP_WORLD, EMPTY_PREDENV, MAX_UNIVERSE_HEAPS, CacheReentry, Fail, Pass,
+    Tester, UniverseTooLarge, World, close_assertion, demote_heap, world_circ,
 )
 from sepstore.syntax import (
     And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, IntLit, Mu,
@@ -217,6 +219,17 @@ def test_triple_level_zero_is_vacuous():
 def test_triple_rejects_non_code(lean_tester):
     v = lean_tester.test_triple(A("emp"), E("3"), A("emp"))
     assert isinstance(v, Fail)
+
+
+def test_universe_size_is_checked_before_enumerating():
+    three_ints = replace(default_config(), int_pool=(0, 1, 2))
+    for cfg, heaps in ((default_config(), 2198), (three_ints, 1729),
+                       (fuzz_config(), 37)):
+        assert len(Tester(cfg).universe()) == heaps <= MAX_UNIVERSE_HEAPS
+    big = Tester(replace(default_config(), addr_pool=tuple(range(1, 7))))
+    with pytest.raises(UniverseTooLarge, match="4,826,810 heaps"):
+        big.universe()
+    assert big._universe is None
 
 
 def test_cache_reentry_raises():
