@@ -172,8 +172,7 @@ def rank(h: Heap) -> Union[int, float]:
             if v.tag == INF:
                 return INF
             top = max(top, v.tag)
-    return max(1, 1 + top) if any(isinstance(v, CodeVal)
-                                  for _, v in h.cells) else 1
+    return 1 + top
 
 
 def heap_join(h1: Heap, h2: Heap) -> Heap:
@@ -215,11 +214,6 @@ def value_raises(v: HeapValue, tag_max: int):
     """All values above v obtained by raising tags, bounded by tag_max."""
     if isinstance(v, IntVal):
         return [v]
-    if v.tag == INF:
-        env_opts = [value_raises(x, tag_max) for _, x in v.captured.items]
-        names = [k for k, _ in v.captured.items]
-        return [CodeVal(v.body, Env(tuple(zip(names, combo))), INF)
-                for combo in product(*env_opts)] if names else [v]
     tags = range(int(v.tag), tag_max + 1) if v.tag <= tag_max else [v.tag]
     env_opts = [value_raises(x, tag_max) for _, x in v.captured.items]
     names = [k for k, _ in v.captured.items]

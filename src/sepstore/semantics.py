@@ -174,16 +174,6 @@ def close_assertion(P, env: Env, rho: PredEnv):
     return substitute(P, var_map, rel_map)
 
 
-def demote_heap(h: Heap, tag_max: int) -> Heap:
-    """Cap untagged closures so that the heap has finite rank."""
-    if h.is_bot or rank(h) != INF:
-        return h
-    import warnings
-
-    warnings.warn("heap contains untagged code; tags demoted to tag_max")
-    return truncate(tag_max + 1, h)
-
-
 class Tester:
     """Bounded membership evaluator and triple/entailment tester."""
 
@@ -206,7 +196,7 @@ class Tester:
 
     def universe(self) -> list:
         if self._universe is None:
-            vals = self.cfg.value_pool()
+            vals = self.values()
             # BOT, then every partial map from addr_pool into vals
             count = 1 + (1 + len(vals)) ** len(self.cfg.addr_pool)
             if count > MAX_UNIVERSE_HEAPS:
@@ -430,26 +420,36 @@ class Tester:
         for frame in self.cfg.frame_pool:
             for n in range(k + 1):
                 for g in self.universe_up_to_rank(n):
-                    if not self._member3(pre_c, w, frame, g):
+                    outcome = self._sample(code, g, n, w, frame, pre_c, post_c)
+                    if outcome is None:
                         continue
                     samples += 1
                     self.samples += 1
-                    out = run_codeval(code, g, self.cfg.fuel)
-                    if isinstance(out, Fault):
-                        return Fail(Witness(
-                            "triple", w, frame, g, "fault", out.reason,
-                            env, n))
-                    if isinstance(out, OutOfFuel):
+                    if outcome[0] == "out-of-fuel":
                         inconclusive += 1
                         self.inconclusive += 1
-                        continue
-                    h2 = truncate(n, out.heap)
-                    if not self._dcl_member3(post_c, w, frame, h2):
-                        return Fail(Witness(
-                            "triple", w, frame, g, "post-violation",
-                            f"result heap [{format_heap(h2)}] is outside "
-                            f"the postcondition", env, n))
+                    elif outcome[0] != "ok":
+                        return Fail(Witness("triple", w, frame, g, *outcome,
+                                            env, n))
         return Pass(samples, inconclusive)
+
+    def _sample(self, code: CodeVal, g: Heap, n: int, w: World, frame,
+                pre_c, post_c):
+        """Run the code on one sample heap g at level n.  None when g lies
+        outside the precondition; otherwise (outcome, reason), the outcome
+        being "fault", "out-of-fuel", "post-violation" or "ok"."""
+        if not self._member3(pre_c, w, frame, g):
+            return None
+        out = run_codeval(code, g, self.cfg.fuel)
+        if isinstance(out, Fault):
+            return "fault", out.reason
+        if isinstance(out, OutOfFuel):
+            return "out-of-fuel", None
+        h2 = truncate(n, out.heap)
+        if self._dcl_member3(post_c, w, frame, h2):
+            return "ok", None
+        return "post-violation", \
+            f"result heap [{format_heap(h2)}] is outside the postcondition"
 
     # --- entry points
 
@@ -512,18 +512,12 @@ class Tester:
             return True
         pre_c = close_assertion(pre, witness.env, EMPTY_PREDENV)
         post_c = close_assertion(post, witness.env, EMPTY_PREDENV)
-        g = witness.heap
         frame = witness.frame if witness.frame is not None else Emp()
         n = witness.level if witness.level is not None else self.cfg.level_k
-        if not self._member3(pre_c, witness.world, frame, g):
-            return False
-        out = run_codeval(code, g, self.cfg.fuel)
-        if isinstance(out, Fault):
-            return True
-        if isinstance(out, OutOfFuel):
-            return False
-        return not self._dcl_member3(post_c, witness.world, frame,
-                                     truncate(n, out.heap))
+        outcome = self._sample(code, witness.heap, n, witness.world, frame,
+                               pre_c, post_c)
+        return outcome is not None \
+            and outcome[0] in ("fault", "post-violation")
 
 
 def mu_approximation(mu: Mu, depth: int):

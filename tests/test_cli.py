@@ -83,6 +83,15 @@ def test_cli_run_out_of_fuel(runner, tmp_path):
     assert r.exit_code == 2 and "OUT-OF-FUEL" in r.output
 
 
+def test_cli_run_bad_heap_is_usage(runner, tmp_path):
+    p = write(tmp_path, "p.prog", "skip")
+    h = write(tmp_path, "h.heap", "1 = x")
+    for args in ((p, h), (p, str(tmp_path / "missing.heap"))):
+        r = invoke(runner, "run", *args)
+        assert r.exit_code == 3
+        assert r.stderr.startswith("error: ")
+
+
 def test_cli_internal_error_exits_3(runner, tmp_path):
     # printing a 500-statement sequence overflows the recursion limit; a
     # crash is reported as an internal error, never as the fault code 1
@@ -153,6 +162,16 @@ def test_cli_check_script_error(runner, tmp_path):
     path = write(tmp_path, "broken.proof", "(rule Skip")
     r = invoke(runner, "check", path)
     assert r.exit_code == 3
+
+
+def test_cli_check_bad_parameter_is_usage(runner, tmp_path):
+    # the parameter text is parsed while checking, not with the script
+    path = write(tmp_path, "param.proof",
+                 '(rule Update (param e "1 +") '
+                 '(conclude "{emp} \'skip\' {emp}"))')
+    r = invoke(runner, "check", path)
+    assert r.exit_code == 3
+    assert r.stderr.startswith("error: at offset 3")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +245,14 @@ def test_cli_counterexamples(runner, tmp_path):
     assert "in-rule/script-rejected" in names
     assert "invariance/entailment-refuted" in names
     assert "update-inv/code-copy-refuted" in names
+    assert [l["goal"] for l in lines] == [
+        "deep-frame/program-faults", "deep-frame/axiom-rejected",
+        "true-skip-false/refuted", "in-rule/emp-implies-R",
+        "in-rule/emp-skip-false-refuted", "in-rule/script-rejected",
+        "invariance/entailment-refuted", "update-inv/code-copy-refuted"]
+    for l in lines:
+        if l["goal"].endswith("refuted"):
+            assert "witness" in l and l["detail"] == "witness replays"
 
 
 def test_cli_counterexamples_unsound_demo(runner, tmp_path):

@@ -14,7 +14,7 @@ from sepstore.interp import (BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Env,
 from sepstore.logic import dist_step
 from sepstore.semantics import (
     EMP_WORLD, EMPTY_PREDENV, MAX_UNIVERSE_HEAPS, CacheReentry, Fail, Pass,
-    Tester, UniverseTooLarge, World, close_assertion, demote_heap, world_circ,
+    Tester, UniverseTooLarge, World, close_assertion, world_circ,
 )
 from sepstore.syntax import (
     And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, IntLit, Mu,
@@ -173,14 +173,6 @@ def test_close_assertion():
     closed = close_assertion(P, env, EMPTY_PREDENV)
     assert closed == PointsTo(IntLit(1), ValueLit(IntVal(2)))
     assert close_assertion(P, EMPTY_ENV, EMPTY_PREDENV) is P
-
-
-def test_demote_heap_warns_and_caps():
-    h = Heap((skip_cell(1, INF),))
-    with pytest.warns(UserWarning):
-        out = demote_heap(h, 2)
-    assert rank(out) == 3
-    assert demote_heap(EMPTY_HEAP, 2) == EMPTY_HEAP
 
 
 # ---------------------------------------------------------------------------
