@@ -51,6 +51,13 @@ def _ints(text, key):
                           f"list, got {text!r}") from exc
 
 
+def _nat(text, key):
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"{key}: expected a non-negative integer, got {n}")
+    return n
+
+
 def _parsed_list(text, kind, key):
     out = []
     for chunk in text.split(";;"):
@@ -70,14 +77,14 @@ def load_config(text: str) -> TestConfig:
         "addrs": lambda v: ("addr_pool", _ints(v, "addrs")),
         "ints": lambda v: ("int_pool", _ints(v, "ints")),
         "code": lambda v: ("code_pool", _parsed_list(v, "program", "code")),
-        "tag_max": lambda v: ("tag_max", int(v)),
-        "k": lambda v: ("level_k", int(v)),
+        "tag_max": lambda v: ("tag_max", _nat(v, "tag_max")),
+        "k": lambda v: ("level_k", _nat(v, "k")),
         "worlds": lambda v: ("world_pool", tuple(
             World(a) for a in _parsed_list(v, "assertion", "worlds"))),
         "frames": lambda v: ("frame_pool",
                              _parsed_list(v, "assertion", "frames")),
-        "fuel": lambda v: ("fuel", int(v)),
-        "env_cap": lambda v: ("env_cap", int(v)),
+        "fuel": lambda v: ("fuel", _nat(v, "fuel")),
+        "env_cap": lambda v: ("env_cap", _nat(v, "env_cap")),
     }
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -13,7 +13,7 @@ from .semantics import TestConfig, Tester, Fail, Pass, World
 from .syntax import (And, BinOp, Diamond, Emp, Eq, Exists, FalseA, Forall,
                      Implies, IntLit, Judgement, Leq, Mu, Or, PointsTo,
                      Quote, RelVar, Star, Tensor, Triple, TrueA, Var,
-                     conj, star)
+                     conj, star, substitute)
 from .syntax import Assign, EvalAt, Free as FreeCmd, Skip as SkipCmd
 from .logic import ProofError, apply_rule, iff, unfold_mu
 from .grammar import parse
@@ -248,12 +248,7 @@ def gen_StarComm(rng):
     return {"P": assertion(rng, 1), "Q": assertion(rng, 1)}, []
 
 
-def gen_StarUnit(rng):
-    return {"P": assertion(rng)}, []
-
-
-def gen_StarZero(rng):
-    return {"P": assertion(rng)}, []
+gen_StarUnit = gen_StarZero = gen_Skip
 
 
 def gen_StarOverlap(rng):
@@ -332,8 +327,7 @@ def gen_DiamondOut(rng):
     return {"phi": phi}, [J(Triple(And(phi, P), SKIP, post))]
 
 
-def gen_DiamondE(rng):
-    return {"P": assertion(rng)}, []
+gen_DiamondE = gen_Skip
 
 
 def gen_EvalNonRec1(rng):
@@ -341,9 +335,7 @@ def gen_EvalNonRec1(rng):
             "e": addr(rng)}, []
 
 
-def gen_EvalNonRecUpd(rng):
-    return {"P": assertion(rng, 1), "Q": assertion(rng, 1),
-            "e": addr(rng)}, []
+gen_EvalNonRecUpd = gen_EvalNonRec1
 
 
 def gen_EvalRec(rng):
@@ -415,7 +407,6 @@ def gen_ExistsI(rng):
     w = value(rng)
     A = And(TrueA(), Eq(Var("x"), w)) if type(w) is IntLit \
         else Or(Eq(Var("x"), Var("x")), assertion(rng, 1))
-    from .syntax import substitute
     return {"template": A, "x": "x", "witness": w}, \
         [J(substitute(A, {"x": w}))]
 
@@ -444,7 +435,6 @@ def gen_EqSubst(rng):
     e1, e2 = IntLit(n), BinOp("+", IntLit(n), IntLit(0))
     a = addr(rng)
     A = Implies(PointsTo(a, Var("x")), PointsTo(a, Var("x")))
-    from .syntax import substitute
     return {"template": A, "x": "x"}, \
         [J(Eq(e1, e2)), J(substitute(A, {"x": e1}))]
 

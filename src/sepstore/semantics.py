@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from .grammar import pretty
 from .interp import (
@@ -85,11 +85,6 @@ def world_circ(w1: World, w2: World) -> World:
     """Invariant combination: the inner world is extended by the outer
     invariant and separately conjoined with it."""
     return World(Star(Tensor(w1.inv, w2.inv), w2.inv))
-
-
-# PredEnv: tuple of (relvar name, (params tuple, closed Assertion))
-PredEnv = Tuple
-EMPTY_PREDENV: PredEnv = ()
 
 
 @dataclass(frozen=True)
@@ -164,14 +159,32 @@ class Fail:
 Verdict = Union[Pass, Fail]
 
 
-def close_assertion(P, env: Env, rho: PredEnv):
-    """Close an assertion over an environment and a predicate environment
-    by substituting runtime values and predicate bodies."""
-    var_map = {k: ValueLit(v) for k, v in env.items}
-    rel_map = dict(rho)
-    if not var_map and not rel_map:
+def close_assertion(P, env: Env):
+    """Close an assertion over an environment by substituting runtime
+    values."""
+    if not env.items:
         return P
-    return substitute(P, var_map, rel_map)
+    return substitute(P, {k: ValueLit(v) for k, v in env.items})
+
+
+def _splits(h: Heap):
+    """Every pair (h1, h2) with h = h1 * h2; Bot splits only into Bot and
+    Bot."""
+    if h.is_bot:
+        yield h, h
+        return
+    cells = h.cells
+    for mask in range(1 << len(cells)):
+        yield (Heap(tuple(c for i, c in enumerate(cells) if mask >> i & 1)),
+               Heap(tuple(c for i, c in enumerate(cells)
+                          if not mask >> i & 1)))
+
+
+def _finite_rank(h: Heap, what: str) -> int:
+    r = rank(h)
+    if r == INF:
+        raise UniverseOverflow(f"{what} on a heap of infinite rank")
+    return int(r)
 
 
 class Tester:
@@ -219,12 +232,12 @@ class Tester:
 
     # --- membership
 
-    def member(self, P, env: Env, rho: PredEnv, w: World, h: Heap) -> bool:
+    def member(self, P, env: Env, w: World, h: Heap) -> bool:
         # contractiveness makes a genuine cycle impossible
-        return _memo(self._member_cache, (P, env, rho, w, h), self._member,
-                     P, env, rho, w, h)
+        return _memo(self._member_cache, (P, env, w, h), self._member,
+                     P, env, w, h)
 
-    def _member(self, P, env, rho, w, h) -> bool:
+    def _member(self, P, env, w, h) -> bool:
         t = type(P)
         if t is FalseA:
             return h.is_bot
@@ -256,53 +269,35 @@ class Tester:
                 return False
             return heap_leq(h, Heap(((a.n, v),)))
         if t is And:
-            return self.member(P.left, env, rho, w, h) \
-                and self.member(P.right, env, rho, w, h)
+            return self.member(P.left, env, w, h) \
+                and self.member(P.right, env, w, h)
         if t is Or:
-            return self.member(P.left, env, rho, w, h) \
-                or self.member(P.right, env, rho, w, h)
+            return self.member(P.left, env, w, h) \
+                or self.member(P.right, env, w, h)
         if t is Implies:
-            r = rank(h)
-            if r == INF:
-                raise UniverseOverflow("implication on a heap of infinite rank")
-            for n in range(int(r) + 1):
+            for n in range(_finite_rank(h, "implication") + 1):
                 hn = truncate(n, h)
-                if self.member(P.left, env, rho, w, hn) \
-                        and not self.member(P.right, env, rho, w, hn):
+                if self.member(P.left, env, w, hn) \
+                        and not self.member(P.right, env, w, hn):
                     return False
             return True
         if t is Forall:
-            return all(self.member(P.body, env.bind(P.var, d), rho, w, h)
+            return all(self.member(P.body, env.bind(P.var, d), w, h)
                        for d in self.values())
         if t is Exists:
-            r = rank(h)
-            if r == INF:
-                raise UniverseOverflow("existential on a heap of infinite rank")
             pool = self.values()
-            for n in range(int(r), -1, -1):
+            for n in range(_finite_rank(h, "existential"), -1, -1):
                 hn = truncate(n, h)
-                if not any(self.member(P.body, env.bind(P.var, d), rho, w, hn)
+                if not any(self.member(P.body, env.bind(P.var, d), w, hn)
                            for d in pool):
                     return False
             return True
         if t is Star:
-            if h.is_bot:
-                return self.member(P.left, env, rho, w, h) \
-                    and self.member(P.right, env, rho, w, h)
-            cells = h.cells
-            for mask in range(1 << len(cells)):
-                h1 = Heap(tuple(c for i, c in enumerate(cells)
-                                if mask >> i & 1))
-                h2 = Heap(tuple(c for i, c in enumerate(cells)
-                                if not mask >> i & 1))
-                if self.member(P.left, env, rho, w, h1) \
-                        and self.member(P.right, env, rho, w, h2):
-                    return True
-            return False
+            return any(self.member(P.left, env, w, h1)
+                       and self.member(P.right, env, w, h2)
+                       for h1, h2 in _splits(h))
         if t is Triple:
-            r = rank(h)
-            if r == INF:
-                raise UniverseOverflow("triple on a heap of infinite rank")
+            r = _finite_rank(h, "triple")
             if r == 0:
                 return True
             try:
@@ -311,37 +306,24 @@ class Tester:
                 return False
             if not isinstance(code, CodeVal):
                 return False
-            verdict = self.sem_triple_at(int(r) - 1, w, P.pre, code, P.post,
-                                         env, rho)
+            verdict = self.sem_triple_at(r - 1, w, P.pre, code, P.post, env)
             return isinstance(verdict, Pass)
         if t is Tensor:
-            wr = World(close_assertion(P.right, env, rho))
-            return self.member(P.left, env, rho, world_circ(wr, w), h)
+            wr = World(close_assertion(P.right, env))
+            return self.member(P.left, env, world_circ(wr, w), h)
         if t is RelVar:
-            for name, (params, body) in rho:
-                if name == P.name:
-                    try:
-                        vals = [eval_expr(e, env) for e in P.args]
-                    except (TypeFault, UnboundVariable):
-                        return False
-                    inst = substitute(
-                        body, {p: ValueLit(v) for p, v in zip(params, vals)})
-                    return self.member(inst, env, rho, w, h)
             raise UnboundVariable(f"relation variable {P.name}")
         if t is Mu:
-            r = rank(h)
-            if r == INF:
-                raise UniverseOverflow("mu on a heap of infinite rank")
-            unfolded = mu_approximation(P, int(r) + 1)
-            return self.member(unfolded, env, rho, w, h)
+            unfolded = mu_approximation(P, _finite_rank(h, "mu") + 1)
+            return self.member(unfolded, env, w, h)
         if t is Diamond:
-            return self._member_diamond(P.body, env, rho, w, h)
+            return self._member_diamond(P.body, env, w, h)
         raise TypeError(f"not an assertion: {P!r}")
 
-    def _member_diamond(self, body, env, rho, w, h) -> bool:
+    def _member_diamond(self, body, env, w, h) -> bool:
         k = rank(h)
         if k == INF:
-            return self.member(body, env, rho, w, h)
+            return self.member(body, env, w, h)
         k = int(k)
         if classify(body) in (PURE, PSEUDO_PURE):
             # the body's truth depends only on the rank, so "one level up"
@@ -349,11 +331,11 @@ class Tester:
             # projection-witness search below would be empty on heaps
             # without top-tag code, belying the level-shift reading
             rep = Heap(((1, CodeVal(Skip(), EMPTY_ENV, k)),))
-            return self.member(body, env, rho, w, rep)
+            return self.member(body, env, w, rep)
         if h.is_bot:
             # any rank-1 heap projects to Bot at level 0
-            return any(self.member(body, env, rho, w, g)
-                       for g in self.universe() if rank(g) == 1)
+            return any(self.member(body, env, w, g)
+                       for g in self.universe_up_to_rank(1) if not g.is_bot)
         raisable = [i for i, (_, v) in enumerate(h.cells)
                     if isinstance(v, CodeVal) and v.tag == k - 1]
         if not raisable:
@@ -365,34 +347,18 @@ class Tester:
                 for i in chosen:
                     a, v = new_cells[i]
                     new_cells[i] = (a, CodeVal(v.body, v.captured, k))
-                if self.member(body, env, rho, w, Heap(tuple(new_cells))):
+                if self.member(body, env, w, Heap(tuple(new_cells))):
                     return True
         return False
 
     # --- semantic triples
 
     def _member3(self, P, w: World, frame, g: Heap) -> bool:
-        """g in  [[P]]w * (world invariant at the unit world) * frame."""
-        inv = w.inv
-        if g.is_bot:
-            return (self.member(P, EMPTY_ENV, EMPTY_PREDENV, w, g)
-                    and self.member(inv, EMPTY_ENV, EMPTY_PREDENV,
-                                    EMP_WORLD, g)
-                    and self.member(frame, EMPTY_ENV, EMPTY_PREDENV,
-                                    EMP_WORLD, g))
-        cells = g.cells
-        for assign in itertools.product(range(3), repeat=len(cells)):
-            parts = ([], [], [])
-            for which, cell in zip(assign, cells):
-                parts[which].append(cell)
-            g1, g2, g3 = (Heap(tuple(p)) for p in parts)
-            if self.member(P, EMPTY_ENV, EMPTY_PREDENV, w, g1) \
-                    and self.member(inv, EMPTY_ENV, EMPTY_PREDENV,
-                                    EMP_WORLD, g2) \
-                    and self.member(frame, EMPTY_ENV, EMPTY_PREDENV,
-                                    EMP_WORLD, g3):
-                return True
-        return False
+        """g in  [[P]]w * (world invariant at the unit world * frame)."""
+        rest = Star(w.inv, frame)
+        return any(self.member(P, EMPTY_ENV, w, g1)
+                   and self.member(rest, EMPTY_ENV, EMP_WORLD, g2)
+                   for g1, g2 in _splits(g))
 
     def _dcl_member3(self, P, w: World, frame, h: Heap) -> bool:
         """Downward-closure membership: some tag-raised candidate above h
@@ -403,18 +369,17 @@ class Tester:
         return False
 
     def sem_triple_at(self, k: int, w: World, pre, code: HeapValue, post,
-                      env: Env = EMPTY_ENV,
-                      rho: PredEnv = EMPTY_PREDENV) -> Verdict:
-        return _memo(self._triple_cache, (k, w, pre, post, code, env, rho),
-                     self._sem_triple_at, k, w, pre, code, post, env, rho)
+                      env: Env = EMPTY_ENV) -> Verdict:
+        return _memo(self._triple_cache, (k, w, pre, post, code, env),
+                     self._sem_triple_at, k, w, pre, code, post, env)
 
-    def _sem_triple_at(self, k, w, pre, code, post, env, rho) -> Verdict:
+    def _sem_triple_at(self, k, w, pre, code, post, env) -> Verdict:
         if not isinstance(code, CodeVal):
             return Fail(Witness("triple", w, None, BOT, "non-code",
                                 "the evaluated expression is not code",
                                 env, k))
-        pre_c = close_assertion(pre, env, rho)
-        post_c = close_assertion(post, env, rho)
+        pre_c = close_assertion(pre, env)
+        post_c = close_assertion(post, env)
         samples = 0
         inconclusive = 0
         for frame in self.cfg.frame_pool:
@@ -491,7 +456,7 @@ class Tester:
             for w in self.cfg.world_pool:
                 for h in self.universe():
                     samples += 1
-                    if not self.member(goal, env, EMPTY_PREDENV, w, h):
+                    if not self.member(goal, env, w, h):
                         return Fail(Witness(
                             "entailment", w, None, h, "implication-violation",
                             "heap satisfies the left side but not the right",
@@ -501,8 +466,8 @@ class Tester:
     def replay(self, witness: Witness, goal_kind: str, P, extra=None) -> bool:
         """Re-examine a Fail witness; True iff the failure reproduces."""
         if witness.kind == "entailment":
-            return not self.member(P, witness.env, EMPTY_PREDENV,
-                                   witness.world, witness.heap)
+            return not self.member(P, witness.env, witness.world,
+                                   witness.heap)
         pre, e, post = P, extra[0], extra[1]
         try:
             code = eval_expr(e, witness.env)
@@ -510,8 +475,8 @@ class Tester:
             return True
         if not isinstance(code, CodeVal):
             return True
-        pre_c = close_assertion(pre, witness.env, EMPTY_PREDENV)
-        post_c = close_assertion(post, witness.env, EMPTY_PREDENV)
+        pre_c = close_assertion(pre, witness.env)
+        post_c = close_assertion(post, witness.env)
         frame = witness.frame if witness.frame is not None else Emp()
         n = witness.level if witness.level is not None else self.cfg.level_k
         outcome = self._sample(code, witness.heap, n, witness.world, frame,

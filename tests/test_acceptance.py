@@ -24,7 +24,7 @@ from sepstore.interp import (BOT, EMPTY_ENV, EMPTY_HEAP, Fault, Heap,
                              truncate)
 from sepstore.logic import (REJECTED, UnknownRule, apply_rule, dist_step,
                             make_node, check_proof)
-from sepstore.semantics import (EMP_WORLD, EMPTY_PREDENV, Pass, TestConfig,
+from sepstore.semantics import (EMP_WORLD, Pass, TestConfig,
                                 Tester, World, world_circ)
 from sepstore.syntax import Emp, Tensor, TrueA, substitute
 
@@ -120,8 +120,8 @@ def test_criterion_3_distribution_axioms():
             assert rhs is not None
             for w in (EMP_WORLD, World(parse("1 |-> 0", "assertion"))):
                 for h in heaps:
-                    a = tester.member(lhs, EMPTY_ENV, EMPTY_PREDENV, w, h)
-                    c = tester.member(rhs, EMPTY_ENV, EMPTY_PREDENV, w, h)
+                    a = tester.member(lhs, EMPTY_ENV, w, h)
+                    c = tester.member(rhs, EMPTY_ENV, w, h)
                     assert a == c, (name, pretty(lhs), h)
                     instances += 1
     assert instances >= 1000
@@ -147,11 +147,9 @@ def test_criterion_4_world_monoid_laws():
             unit_l = world_circ(EMP_WORLD, w)
             unit_r = world_circ(w, EMP_WORLD)
             for h in heaps:
-                want = tester.member(P, EMPTY_ENV, EMPTY_PREDENV, w, h)
-                assert tester.member(P, EMPTY_ENV, EMPTY_PREDENV,
-                                     unit_l, h) == want
-                assert tester.member(P, EMPTY_ENV, EMPTY_PREDENV,
-                                     unit_r, h) == want
+                want = tester.member(P, EMPTY_ENV, w, h)
+                assert tester.member(P, EMPTY_ENV, unit_l, h) == want
+                assert tester.member(P, EMPTY_ENV, unit_r, h) == want
                 instances += 1
     for w1, w2, w3 in [(worlds[1], worlds[2], worlds[0]),
                        (worlds[2], worlds[3], worlds[2]),
@@ -161,8 +159,8 @@ def test_criterion_4_world_monoid_laws():
         for _ in range(5):
             P = rand_asn(rng, 1)
             for h in heaps:
-                assert tester.member(P, EMPTY_ENV, EMPTY_PREDENV, left, h) \
-                    == tester.member(P, EMPTY_ENV, EMPTY_PREDENV, right, h)
+                assert tester.member(P, EMPTY_ENV, left, h) \
+                    == tester.member(P, EMPTY_ENV, right, h)
                 instances += 1
     assert instances >= 1000
     b.done(f", {instances} instances")

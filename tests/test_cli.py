@@ -228,6 +228,22 @@ def test_cli_bad_config(runner, tmp_path):
     assert invoke(runner, "test", g, "--config", c).exit_code == 3
 
 
+@pytest.mark.parametrize("line, goal", [
+    # k = -1 examined no level, so a false triple used to pass
+    ("k = -1", "{true} 'skip' {false}"),
+    # env_cap = -1 used to crash in islice while sampling x
+    ("env_cap = -1", "1 |-> x => true"),
+])
+def test_cli_rejects_negative_config_values(runner, tmp_path, line, goal):
+    c = write(tmp_path, "cfg", FAST_CFG + line + "\n")
+    g = write(tmp_path, "g.asn", goal)
+    r = invoke(runner, "test", g, "--config", c)
+    assert r.exit_code == 3
+    key = line.split()[0]
+    assert f"error: config: line 6: {key}: expected a non-negative " \
+        "integer, got -1" in r.output
+
+
 # ---------------------------------------------------------------------------
 # counterexamples
 

@@ -1,5 +1,6 @@
 """Semantic-model tests: membership, triples, entailment, world laws."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -10,11 +11,11 @@ from sepstore.fuzz import assertion as rand_fuzz_asn
 from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse
 from sepstore.interp import (BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Env,
-                             Heap, IntVal, rank, truncate)
+                             Heap, IntVal, heap_join, rank, truncate)
 from sepstore.logic import dist_step
 from sepstore.semantics import (
-    EMP_WORLD, EMPTY_PREDENV, MAX_UNIVERSE_HEAPS, CacheReentry, Fail, Pass,
-    Tester, UniverseTooLarge, World, close_assertion, world_circ,
+    EMP_WORLD, MAX_UNIVERSE_HEAPS, CacheReentry, Fail, Pass,
+    Tester, UniverseTooLarge, World, _splits, close_assertion, world_circ,
 )
 from sepstore.syntax import (
     And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, IntLit, Mu,
@@ -29,7 +30,7 @@ SKIP = Quote(Skip())
 
 
 def member(tester, P, h, w=EMP_WORLD, env=EMPTY_ENV):
-    return tester.member(P, env, EMPTY_PREDENV, w, h)
+    return tester.member(P, env, w, h)
 
 
 def skip_cell(addr, tag):
@@ -170,9 +171,50 @@ def test_pseudo_pure_truth_depends_only_on_rank(lean_tester):
 def test_close_assertion():
     env = Env.of({"x": IntVal(2)})
     P = A("1 |-> x")
-    closed = close_assertion(P, env, EMPTY_PREDENV)
+    closed = close_assertion(P, env)
     assert closed == PointsTo(IntLit(1), ValueLit(IntVal(2)))
-    assert close_assertion(P, EMPTY_ENV, EMPTY_PREDENV) is P
+    assert close_assertion(P, EMPTY_ENV) is P
+
+
+def test_splits_enumerate_every_disjoint_pair():
+    assert list(_splits(BOT)) == [(BOT, BOT)]
+    for h in Tester(fuzz_config()).universe()[1:]:
+        pairs = list(_splits(h))
+        assert len(pairs) == 2 ** len(h.cells) == len(set(pairs))
+        assert all(heap_join(h1, h2) == h for h1, h2 in pairs)
+
+
+def reference_member3(t, P, w, frame, g):
+    """g in [[P]]w * I(w) * frame by one pass over every assignment of
+    g's cells to the three parts, as the model once computed it."""
+    parts = ((P, w), (w.inv, EMP_WORLD), (frame, EMP_WORLD))
+    if g.is_bot:
+        return all(member(t, Q, g, v) for Q, v in parts)
+    for assign in itertools.product(range(3), repeat=len(g.cells)):
+        cells = ([], [], [])
+        for which, cell in zip(assign, g.cells):
+            cells[which].append(cell)
+        if all(member(t, Q, Heap(tuple(c)), v)
+               for (Q, v), c in zip(parts, cells)):
+            return True
+    return False
+
+
+def test_member3_matches_three_way_reference(lean_tester):
+    t = lean_tester
+    rng = random.Random(15)
+    worlds = (EMP_WORLD, World(A("1 |-> 0")))
+    seen = []
+    for _ in range(40):
+        P = rand_fuzz_asn(rng)
+        for w in worlds:
+            for frame in t.cfg.frame_pool:
+                for g in t.universe():
+                    got = t._member3(P, w, frame, g)
+                    assert got == reference_member3(t, P, w, frame, g), \
+                        (P, w, frame, g)
+                    seen.append(got)
+    assert len(seen) == 40 * 2 * 2 * 37 and set(seen) == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +270,7 @@ def test_cache_reentry_raises():
     """A computation that asks for its own cached result is an error, for
     membership and for triples alike; the aborted entry is not cached."""
     t = Tester(fuzz_config())
-    args = (TrueA(), EMPTY_ENV, EMPTY_PREDENV, EMP_WORLD, EMPTY_HEAP)
+    args = (TrueA(), EMPTY_ENV, EMP_WORLD, EMPTY_HEAP)
     t._member = lambda *a: t.member(*a)
     with pytest.raises(CacheReentry):
         t.member(*args)
@@ -238,8 +280,8 @@ def test_cache_reentry_raises():
 
     code = CodeVal(Skip(), EMPTY_ENV, INF)
     triple = (1, EMP_WORLD, A("emp"), code, A("emp"))
-    t._sem_triple_at = lambda k, w, pre, c, post, env, rho: \
-        t.sem_triple_at(k, w, pre, c, post, env, rho)
+    t._sem_triple_at = lambda k, w, pre, c, post, env: \
+        t.sem_triple_at(k, w, pre, c, post, env)
     with pytest.raises(CacheReentry):
         t.sem_triple_at(*triple)
     assert t._triple_cache == {}
