@@ -11,6 +11,13 @@ order `terms()` yields them:
                 relation variable becomes an assertion over all of them
     unfold      repr of `unfold_mu` of each mu sub-term, in pre-order
     roundtrip   repr of parse(pretty(term))
+    canon       `canon_key` of the term, of its subst result and of each
+                unfold result
+    classify    `classify` of the term (assertions only, else null)
+    contractive `contractive_in` of the term in each of its free relation
+                variables and in X, and of each mu sub-term's body in its
+                own relation variable, in pre-order (assertions only,
+                else null)
 
 The terms are term_corpus(seed=7, n=200), every hypothesis and goal
 stated in proofs/, and a few hand-written terms with parameterised mu and
@@ -31,7 +38,7 @@ from sepstore.grammar import parse, pretty
 from sepstore.logic import parse_script, unfold_mu
 from sepstore.syntax import (
     BinOp, Eq, Exists, Forall, IntLit, LetDeref, LetNew, Mu, RelVar, Var,
-    free_vars, substitute,
+    canon_key, classify, contractive_in, free_vars, substitute,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,12 +124,22 @@ def terms():
 def record(kind, t):
     fv, frv = free_vars(t)
     var_map, rel_map = renaming_maps(t)
+    s = substitute(t, var_map, rel_map)
+    mus = [m for m in _walk(t) if type(m) is Mu]
+    unfolded = list(map(unfold_mu, mus))
+    asn = kind == "assertion"
     return {
         "term": repr(t),
         "free_vars": [sorted(fv), sorted(frv)],
-        "subst": repr(substitute(t, var_map, rel_map)),
-        "unfold": [repr(unfold_mu(m)) for m in _walk(t) if type(m) is Mu],
+        "subst": repr(s),
+        "unfold": [repr(u) for u in unfolded],
         "roundtrip": repr(parse(pretty(t), kind)),
+        "canon": [canon_key(t), canon_key(s)] + list(map(canon_key, unfolded)),
+        "classify": classify(t) if asn else None,
+        "contractive": {
+            "term": {X: contractive_in(t, X) for X in sorted(frv | {"X"})},
+            "mu_bodies": [contractive_in(m.body, m.relvar) for m in mus],
+        } if asn else None,
     }
 
 
