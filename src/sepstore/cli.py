@@ -180,9 +180,7 @@ def cmd_test(goal_path, config_path, fuel, json_mode):
 
 @main.command("normalize")
 @click.argument("path")
-@click.option("--kind", type=click.Choice(["assertion"]),
-              default="assertion")
-def cmd_normalize(path, kind):
+def cmd_normalize(path):
     """Push every (*)-extension inward to its normal form."""
     click.echo(pretty(normalize_otimes(parse(_read(path), "assertion"))))
 

@@ -51,10 +51,14 @@ def _ints(text, key):
                           f"list, got {text!r}") from exc
 
 
-def _nat(text, key):
+def _nat(text, key, positive=False):
     n = int(text)
     if n < 0:
         raise ValueError(f"{key}: expected a non-negative integer, got {n}")
+    if positive and n == 0:
+        # k = 0 checks no step and env_cap = 0 samples no environment, so
+        # every goal would pass
+        raise ValueError(f"{key}: expected a positive integer, got 0")
     return n
 
 
@@ -78,13 +82,13 @@ def load_config(text: str) -> TestConfig:
         "ints": lambda v: ("int_pool", _ints(v, "ints")),
         "code": lambda v: ("code_pool", _parsed_list(v, "program", "code")),
         "tag_max": lambda v: ("tag_max", _nat(v, "tag_max")),
-        "k": lambda v: ("level_k", _nat(v, "k")),
+        "k": lambda v: ("level_k", _nat(v, "k", positive=True)),
         "worlds": lambda v: ("world_pool", tuple(
             World(a) for a in _parsed_list(v, "assertion", "worlds"))),
         "frames": lambda v: ("frame_pool",
                              _parsed_list(v, "assertion", "frames")),
         "fuel": lambda v: ("fuel", _nat(v, "fuel")),
-        "env_cap": lambda v: ("env_cap", _nat(v, "env_cap")),
+        "env_cap": lambda v: ("env_cap", _nat(v, "env_cap", positive=True)),
     }
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

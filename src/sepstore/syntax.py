@@ -21,7 +21,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Union
 
 
 class Node:
@@ -243,10 +243,8 @@ Ast = Union[Expr, Command, Assertion]
 
 @dataclass(frozen=True)
 class Judgement:
-    """A sequent: relation variables, variables, hypotheses, goal."""
+    """A sequent: hypotheses and goal."""
 
-    relvars: tuple = ()  # of (name, arity)
-    vars: tuple = ()     # of identifier
     hyps: tuple = ()     # of Assertion
     goal: Assertion = TrueA()
 
@@ -262,8 +260,8 @@ class ArityError(Exception):
 # `*f` holds a tuple of sub-terms; `^f` lies in the scope of the node's
 # binder, which is `var`, or for Mu the parameters `params` together with
 # the relation variable `relvar`.  Every structural traversal reads this
-# table; what a class means (printing, evaluation, canonical keys) stays
-# in per-class code.
+# table, canonical keys too (with the class's head from _HEAD); what a
+# class means (printing, evaluation, membership) stays in per-class code.
 SCHEMA = {
     IntLit: (), Var: (), ValueLit: (),
     BinOp: ("left", "right"), Quote: ("body",),
@@ -294,6 +292,14 @@ def binders(node):
     if t in _BINDERS:
         return (node.var,), ()
     return (), ()
+
+
+def _rebind(node, names):
+    """node with the variables it binds renamed to names, in the order
+    binders gives them; the sub-terms are left as they are."""
+    if type(node) is Mu:
+        return replace(node, params=names)
+    return replace(node, var=names[0])
 
 
 def children(node):
@@ -412,101 +418,68 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
     return f"{stem}_{i}"
 
 
-class Subst:
-    """Simultaneous substitution of variables and relation variables.
+def substitute(ast: Ast, var_map=None, rel_map=None) -> Ast:
+    """Simultaneous capture-avoiding substitution.
 
     var_map: identifier -> Expr
     rel_map: relvar -> (params tuple, Assertion body)
     """
-
-    def __init__(self, var_map: Optional[Mapping] = None,
-                 rel_map: Optional[Mapping] = None):
-        self.var_map = dict(var_map or {})
-        self.rel_map = dict(rel_map or {})
-
-    def is_empty(self):
-        return not self.var_map and not self.rel_map
-
-    def without(self, names=(), relnames=()):
-        sub = Subst(self.var_map, self.rel_map)
-        for n in names:
-            sub.var_map.pop(n, None)
-        for n in relnames:
-            sub.rel_map.pop(n, None)
-        return sub
-
-    def value_free_vars(self):
-        fv: set = set()
-        for e in self.var_map.values():
-            fv |= free_vars(e)[0]
-        for params, body in self.rel_map.values():
-            fv |= free_vars(body)[0] - set(params)
-        return fv
+    return _subst(ast, var_map or {}, rel_map or {})
 
 
-def substitute(ast: Ast, var_map=None, rel_map=None) -> Ast:
-    return _subst(ast, Subst(var_map, rel_map))
+def _without(m, names):
+    if any(n in m for n in names):
+        return {k: v for k, v in m.items() if k not in names}
+    return m
 
 
-def _rename_binder(var, body, sub):
-    """Pick a replacement binder avoiding capture; returns (var', sub')."""
-    sub = sub.without(names=(var,))
-    if sub.is_empty():
-        return var, sub
-    clash = sub.value_free_vars()
-    if var not in clash:
-        return var, sub
-    used = set(clash)
-    used |= set(sub.var_map) | set(sub.rel_map) | free_vars(body)[0]
-    new = fresh_name(var, used | {var})
-    sub2 = Subst(sub.var_map, sub.rel_map)
-    sub2.var_map[var] = Var(new)
-    return new, sub2
+def _value_free_vars(var_map, rel_map):
+    fv: set = set()
+    for e in var_map.values():
+        fv |= _free(e)[0]
+    for params, body in rel_map.values():
+        fv |= _free(body)[0] - set(params)
+    return fv
 
 
-def _subst(ast, sub: Subst):
-    if sub.is_empty():
+def _subst(ast, var_map, rel_map):
+    if not var_map and not rel_map:
         return ast
     t = type(ast)
     if t is Var:
-        return sub.var_map.get(ast.name, ast)
-    if t is RelVar and ast.name in sub.rel_map:
-        args = tuple(_subst(e, sub) for e in ast.args)
-        params, body = sub.rel_map[ast.name]
+        return var_map.get(ast.name, ast)
+    if t is RelVar and ast.name in rel_map:
+        args = tuple(_subst(e, var_map, rel_map) for e in ast.args)
+        params, body = rel_map[ast.name]
         if len(params) != len(args):
             raise ArityError(
                 f"relation variable {ast.name} applied to {len(args)} "
                 f"arguments, expected {len(params)}")
-        return _subst(body, Subst(dict(zip(params, args)), {}))
-    if t is Mu:
-        return _subst_mu(ast, sub)
-    if t in _BINDERS:
-        var, inner = _rename_binder(ast.var, ast.body, sub)
-        node = map_children(ast, _subst, sub, scoped=(inner,))
-        return node if var == ast.var else replace(node, var=var)
-    return map_children(ast, _subst, sub)
-
-
-def _subst_mu(ast, sub):
-    """Substitute into a mu: the bound relation variable is not replaced
-    and parameters that would capture are renamed (relation variable names
-    do not occur free in the substitution's expressions)."""
-    inner = sub.without(names=ast.params, relnames=(ast.relvar,))
-    clash = inner.value_free_vars()
-    body_sub = Subst(inner.var_map, inner.rel_map)
-    used = set(clash) | set(body_sub.var_map) | free_vars(ast.body)[0]
-    params = []
-    for p in ast.params:
-        if p in clash:
-            q = fresh_name(p, used | set(params) | {p})
-            body_sub.var_map[p] = Var(q)
-            used.add(q)
-            params.append(q)
-        else:
-            params.append(p)
-    node = map_children(ast, _subst, sub, scoped=(body_sub,))
-    params = tuple(params)
-    return node if params == ast.params else replace(node, params=params)
+        return _subst(body, dict(zip(params, args)), {})
+    if t not in _BINDERS:
+        return map_children(ast, _subst, var_map, rel_map)
+    # the bound names are not replaced; bound variables that the
+    # substituted values mention are renamed apart (bound relation
+    # variables are not: the values are taken to mention none of them)
+    names, rnames = binders(ast)
+    inner, inner_rel = _without(var_map, names), _without(rel_map, rnames)
+    clash = _value_free_vars(inner, inner_rel)
+    renamed = names
+    if not clash.isdisjoint(names):
+        used = clash.union(inner, *(_free(getattr(ast, f))[0]
+                                    for f, _, under in _FIELDS[t] if under))
+        inner, renamed = dict(inner), []
+        for b in names:
+            if b in clash:
+                q = fresh_name(b, used | set(renamed) | {b})
+                inner[b] = Var(q)
+                used.add(q)
+                b = q
+            renamed.append(b)
+        renamed = tuple(renamed)
+    node = map_children(ast, _subst, var_map, rel_map,
+                        scoped=(inner, inner_rel))
+    return node if renamed == names else _rebind(node, renamed)
 
 
 # ---------------------------------------------------------------------------
@@ -516,26 +489,16 @@ def _subst_mu(ast, sub):
 def contractive_in(P: Assertion, X: str) -> bool:
     """Whether every occurrence of X in P sits under a triple or in the
     right arm of an invariant extension."""
+    if X not in _free(P)[1]:
+        return True
     t = type(P)
     if t is RelVar:
-        return P.name != X
-    if t in (FalseA, TrueA, Emp, Eq, Leq, PointsTo):
-        return True
-    if t in (Or, And, Implies, Star):
-        return contractive_in(P.left, X) and contractive_in(P.right, X)
-    if t in (Forall, Exists):
-        return contractive_in(P.body, X)
-    if t is Diamond:
-        return contractive_in(P.body, X)
+        return False
     if t is Triple:
         return True
     if t is Tensor:
         return contractive_in(P.left, X)
-    if t is Mu:
-        if P.relvar == X:
-            return True
-        return contractive_in(P.body, X)
-    raise TypeError(f"not an assertion: {P!r}")
+    return all(contractive_in(c, X) for c in children(P))
 
 
 class ContractivenessError(Exception):
@@ -555,35 +518,32 @@ PSEUDO_PURE = "pseudo_pure"
 GENERAL = "general"
 
 
+# the pure atoms, and the connectives that keep their operands' purity
+_PURE_ATOMS = (Eq, Leq)
+_PURE_CONNECTIVES = (TrueA, FalseA, And, Or, Implies, Forall, Exists)
+
+
 def _is_pure(P) -> bool:
     t = type(P)
-    if t in (TrueA, FalseA, Eq, Leq):
+    if t in _PURE_ATOMS:
         return True
-    if t in (And, Or, Implies):
-        return _is_pure(P.left) and _is_pure(P.right)
-    if t in (Forall, Exists):
-        return _is_pure(P.body)
-    return False
+    return t in _PURE_CONNECTIVES and all(map(_is_pure, children(P)))
 
 
 def _is_pseudo_pure(P, bound=frozenset()) -> bool:
     t = type(P)
-    if _is_pure(P):
-        return True
-    if t is Triple:
+    if t is Triple or _is_pure(P):
         return True
     if t is Tensor:
         return _is_pseudo_pure(P.left, bound)
-    if t in (And, Or):
-        return _is_pseudo_pure(P.left, bound) \
-            and _is_pseudo_pure(P.right, bound)
     if t is Mu:
         return _is_pseudo_pure(P.body, bound | {P.relvar})
     if t is RelVar:
         # only a recursion variable whose binder we have seen: its
         # unfoldings stay within this grammar
         return P.name in bound
-    return False
+    return t in (And, Or) and all(_is_pseudo_pure(c, bound)
+                                  for c in children(P))
 
 
 def classify(P: Assertion) -> str:
@@ -620,51 +580,31 @@ def _canon(ast, venv, renv) -> str:
     return key
 
 
+# The head of each class's canonical string `(head child ...)`; a class
+# without sub-terms is its bare head.  BinOp's head is its operator.
+_HEAD = {
+    Quote: "quote", Assign: ":=", LetDeref: "letderef", EvalAt: "eval",
+    LetNew: "new", Free: "free", Skip: "skip", Seq: "seq", If: "if",
+    FalseA: "false", TrueA: "true", Emp: "emp", Implies: "=>",
+    Forall: "forall", Exists: "exists", Eq: "=", Leq: "<=",
+    PointsTo: "|->", Triple: "triple", Tensor: "tensor", RelVar: "rel",
+    Mu: "mu", Diamond: "dia",
+}
+
+
 def _canon_walk(ast, venv, renv) -> str:
-    """The canonical string of each class, from its children's."""
+    """The canonical string of ast from its children's: `(head child ...)`
+    in SCHEMA order, bound variables as de Bruijn indices `#i` and bound
+    relation variables as `%i`.  A tuple field is one group of its
+    children's strings, parenthesised unless it is the only field."""
     t = type(ast)
-    if t is IntLit:
-        return f"i{ast.value}"
     if t is Var:
         for i in range(len(venv) - 1, -1, -1):
             if venv[i] == ast.name:
                 return f"#{len(venv) - 1 - i}"
         return f"v:{ast.name}"
-    if t is BinOp:
-        return f"({ast.op} {_canon(ast.left, venv, renv)} " \
-               f"{_canon(ast.right, venv, renv)})"
-    if t is Quote:
-        return f"(quote {_canon(ast.body, venv, renv)})"
-    if t is ValueLit:
-        return f"(val {ast.value!r})"
-    if t is Assign:
-        return f"(:= {_canon(ast.target, venv, renv)} " \
-               f"{_canon(ast.source, venv, renv)})"
-    if t is LetDeref:
-        return f"(letderef {_canon(ast.addr, venv, renv)} " \
-               f"{_canon(ast.body, venv + (ast.var,), renv)})"
-    if t is EvalAt:
-        return f"(eval {_canon(ast.addr, venv, renv)})"
-    if t is LetNew:
-        inits = " ".join(_canon(e, venv, renv) for e in ast.inits)
-        return f"(new ({inits}) {_canon(ast.body, venv + (ast.var,), renv)})"
-    if t is Free:
-        return f"(free {_canon(ast.addr, venv, renv)})"
-    if t is Skip:
-        return "skip"
-    if t is Seq:
-        return f"(seq {_canon(ast.first, venv, renv)} " \
-               f"{_canon(ast.second, venv, renv)})"
-    if t is If:
-        return f"(if {_canon(ast.lhs, venv, renv)} " \
-               f"{_canon(ast.rhs, venv, renv)} " \
-               f"{_canon(ast.then, venv, renv)} {_canon(ast.els, venv, renv)})"
-    if t is FalseA:
-        return "false"
-    if t is TrueA:
-        return "true"
-    if t is Emp:
-        return "emp"
+    if t is IntLit:
+        return f"i{ast.value}"
     if t in _AC_HEADS:
         parts = []
         _flatten_ac(ast, t, venv, renv, parts)
@@ -675,43 +615,33 @@ def _canon_walk(ast, venv, renv) -> str:
         if len(parts) == 1:
             return parts[0]
         return f"({_AC_HEADS[t]} {' '.join(sorted(parts))})"
-    if t is Implies:
-        return f"(=> {_canon(ast.left, venv, renv)} " \
-               f"{_canon(ast.right, venv, renv)})"
-    if t is Forall or t is Exists:
-        head = "forall" if t is Forall else "exists"
-        return f"({head} {_canon(ast.body, venv + (ast.var,), renv)})"
-    if t is Eq or t is Leq:
-        head = "=" if t is Eq else "<="
-        return f"({head} {_canon(ast.left, venv, renv)} " \
-               f"{_canon(ast.right, venv, renv)})"
-    if t is PointsTo:
-        return f"(|-> {_canon(ast.addr, venv, renv)} " \
-               f"{_canon(ast.value, venv, renv)})"
-    if t is Triple:
-        return f"(triple {_canon(ast.pre, venv, renv)} " \
-               f"{_canon(ast.code, venv, renv)} " \
-               f"{_canon(ast.post, venv, renv)})"
-    if t is Tensor:
-        return f"(tensor {_canon(ast.left, venv, renv)} " \
-               f"{_canon(ast.right, venv, renv)})"
+    if t is ValueLit:
+        return f"(val {ast.value!r})"
+    fields = _FIELDS[t]
+    if not fields:
+        return _HEAD[t]
+    items = [ast.op if t is BinOp else _HEAD[t]]
     if t is RelVar:
         for i in range(len(renv) - 1, -1, -1):
             if renv[i] == ast.name:
-                name = f"%{len(renv) - 1 - i}"
+                items.append(f"%{len(renv) - 1 - i}")
                 break
         else:
-            name = f"X:{ast.name}"
-        args = " ".join(_canon(e, venv, renv) for e in ast.args)
-        return f"(rel {name} {args})"
-    if t is Mu:
-        args = " ".join(_canon(e, venv, renv) for e in ast.args)
-        body = _canon(ast.body, venv + tuple(ast.params),
-                      renv + (ast.relvar,))
-        return f"(mu {len(ast.params)} {body} ({args}))"
-    if t is Diamond:
-        return f"(dia {_canon(ast.body, venv, renv)})"
-    raise TypeError(f"unexpected AST node {ast!r}")
+            items.append(f"X:{ast.name}")
+    elif t is Mu:
+        items.append(str(len(ast.params)))
+    if t in _BINDERS:
+        names, rnames = binders(ast)
+        inner = (venv + names, renv + rnames)
+    for name, many, under in fields:
+        v, r = inner if under else (venv, renv)
+        value = getattr(ast, name)
+        if not many:
+            items.append(_canon(value, v, r))
+        else:
+            group = " ".join([_canon(c, v, r) for c in value])
+            items.append(f"({group})" if len(fields) > 1 else group)
+    return f"({' '.join(items)})"
 
 
 def _flatten_ac(ast, head, venv, renv, out):
@@ -735,35 +665,15 @@ def equal_mod_ac(P: Ast, Q: Ast) -> bool:
 
 
 def star(*parts: Assertion) -> Assertion:
-    parts = tuple(parts)
-    if not parts:
-        return Emp()
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = Star(acc, p)
-    return acc
+    return functools.reduce(Star, parts) if parts else Emp()
 
 
 def conj(*parts: Assertion) -> Assertion:
-    parts = tuple(parts)
-    if not parts:
-        return TrueA()
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = And(acc, p)
-    return acc
+    return functools.reduce(And, parts) if parts else TrueA()
 
 
 def star_parts(P: Assertion) -> list:
     """Flatten nested Star into a list of non-Star components."""
-    out: list = []
-
-    def go(a):
-        if type(a) is Star:
-            go(a.left)
-            go(a.right)
-        else:
-            out.append(a)
-
-    go(P)
-    return out
+    if type(P) is not Star:
+        return [P]
+    return star_parts(P.left) + star_parts(P.right)

@@ -228,20 +228,32 @@ def test_cli_bad_config(runner, tmp_path):
     assert invoke(runner, "test", g, "--config", c).exit_code == 3
 
 
-@pytest.mark.parametrize("line, goal", [
+def _config_case(line, goal, message):
+    # the id leaves the expected message out, as the cases were first named
+    return pytest.param(line, goal, message, id=f"{line}-{goal}")
+
+
+@pytest.mark.parametrize("line, goal, message", [
     # k = -1 examined no level, so a false triple used to pass
-    ("k = -1", "{true} 'skip' {false}"),
+    _config_case("k = -1", "{true} 'skip' {false}",
+                 "k: expected a non-negative integer, got -1"),
     # env_cap = -1 used to crash in islice while sampling x
-    ("env_cap = -1", "1 |-> x => true"),
+    _config_case("env_cap = -1", "1 |-> x => true",
+                 "env_cap: expected a non-negative integer, got -1"),
+    # every triple holds at level 0, so a false one passed on bottom alone
+    _config_case("k = 0", "{true} 'skip' {false}",
+                 "k: expected a positive integer, got 0"),
+    # env_cap = 0 sampled no environment, so a refutable goal passed
+    _config_case("env_cap = 0", "1 |-> x => false",
+                 "env_cap: expected a positive integer, got 0"),
 ])
-def test_cli_rejects_negative_config_values(runner, tmp_path, line, goal):
+def test_cli_rejects_negative_config_values(runner, tmp_path, line, goal,
+                                            message):
     c = write(tmp_path, "cfg", FAST_CFG + line + "\n")
     g = write(tmp_path, "g.asn", goal)
     r = invoke(runner, "test", g, "--config", c)
     assert r.exit_code == 3
-    key = line.split()[0]
-    assert f"error: config: line 6: {key}: expected a non-negative " \
-        "integer, got -1" in r.output
+    assert f"error: config: line 6: {message}" in r.output
 
 
 # ---------------------------------------------------------------------------
