@@ -22,11 +22,10 @@ from .grammar import ParseError, parse, pretty, pretty_cmd
 from .interp import (EMPTY_ENV, Done, Fault, OutOfFuel, exec_cmd,
                      format_heap, parse_heap_text)
 from .logic import check_proof, normalize_otimes, parse_script, ScriptError
-from .semantics import Fail, Pass, Tester, UniverseTooLarge
+from .semantics import Fail, Pass, TestConfig, Tester, UniverseTooLarge
 from .syntax import Implies, Triple
 
 INCONCLUSIVE_THRESHOLD = 0.2
-DEFAULT_FUEL = 10000
 
 
 def _emit(json_mode, kind, goal, verdict, millis, witness=None,
@@ -101,7 +100,7 @@ def cmd_parse(path, kind):
 @main.command("run")
 @click.argument("program_path")
 @click.argument("heap_path", required=False)
-@click.option("--fuel", type=int, default=DEFAULT_FUEL, show_default=True)
+@click.option("--fuel", type=int, default=TestConfig.fuel, show_default=True)
 @click.option("--json", "json_mode", is_flag=True)
 def cmd_run(program_path, heap_path, fuel, json_mode):
     """Run a program on an initial heap (default: the empty heap)."""
@@ -191,18 +190,20 @@ def cmd_normalize(path):
 
 
 def _refuted(text):
-    """The goal has a Fail whose witness replays."""
+    """The goal has a Fail whose witness replays on a fresh Tester, which
+    shares no cached answer with the one that found it."""
     def check(tester):
         goal = parse(text, "assertion")
         kind, v = _test_goal(tester, goal)
         if isinstance(v, Pass):
             return ("inconclusive" if v.inconclusive else "unexpected",
                     "no witness found", None)
+        fresh = Tester(tester.cfg)
         if kind == "triple":
-            replays = tester.replay(v.witness, kind, goal.pre,
-                                    (goal.code, goal.post))
+            replays = fresh.replay(v.witness, kind, goal.pre,
+                                   (goal.code, goal.post))
         else:
-            replays = tester.replay(v.witness, kind, goal)
+            replays = fresh.replay(v.witness, kind, goal)
         if not replays:
             return "unexpected", "witness did not replay", None
         return "as-registered", "witness replays", v.witness.to_json()

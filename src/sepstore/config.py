@@ -18,7 +18,7 @@ contain `;` and `,`.
 from dataclasses import replace
 
 from .grammar import ParseError, parse
-from .semantics import TestConfig, World
+from .semantics import TestConfig
 
 
 class ConfigError(Exception):
@@ -31,14 +31,10 @@ DEFAULT_FRAMES = ("emp", "true", "3 |-> 0")
 
 def default_config() -> TestConfig:
     """The default CLI universe: smallest one that exercises every entry
-    of the counterexample registry."""
+    of the counterexample registry.  The fields not set here are
+    TestConfig's defaults."""
     return TestConfig(
-        addr_pool=(1, 2, 3),
-        int_pool=(-1, 0, 1, 2),
         code_pool=tuple(parse(c, "program") for c in DEFAULT_CODE),
-        tag_max=3,
-        level_k=3,
-        world_pool=(World(parse("emp", "assertion")),),
         frame_pool=tuple(parse(f, "assertion") for f in DEFAULT_FRAMES),
     )
 
@@ -83,8 +79,8 @@ def load_config(text: str) -> TestConfig:
         "code": lambda v: ("code_pool", _parsed_list(v, "program", "code")),
         "tag_max": lambda v: ("tag_max", _nat(v, "tag_max")),
         "k": lambda v: ("level_k", _nat(v, "k", positive=True)),
-        "worlds": lambda v: ("world_pool", tuple(
-            World(a) for a in _parsed_list(v, "assertion", "worlds"))),
+        "worlds": lambda v: ("world_pool",
+                             _parsed_list(v, "assertion", "worlds")),
         "frames": lambda v: ("frame_pool",
                              _parsed_list(v, "assertion", "frames")),
         "fuel": lambda v: ("fuel", _nat(v, "fuel")),

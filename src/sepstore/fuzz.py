@@ -9,7 +9,7 @@ schema validation rejects) count as inconclusive.
 import random
 from dataclasses import dataclass, field
 
-from .semantics import TestConfig, Tester, Fail, Pass, World
+from .semantics import TestConfig, Tester, Fail, Pass
 from .syntax import (And, BinOp, Diamond, Emp, Eq, Exists, FalseA, Forall,
                      Implies, IntLit, Judgement, Leq, Mu, Or, PointsTo,
                      Quote, RelVar, Star, Tensor, Triple, TrueA, Var,
@@ -30,8 +30,6 @@ def fuzz_config() -> TestConfig:
         code_pool=(SkipCmd(),),
         tag_max=2,
         level_k=2,
-        world_pool=(World(Emp()),),
-        frame_pool=(Emp(), TrueA()),
     )
 
 

@@ -128,12 +128,6 @@ class Done:
 class Fault:
     reason: str = ""
 
-    def __eq__(self, other):
-        return isinstance(other, Fault)
-
-    def __hash__(self):
-        return hash(Fault)
-
 
 @dataclass(frozen=True)
 class OutOfFuel:

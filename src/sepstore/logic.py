@@ -25,7 +25,7 @@ from .syntax import (
     And, Assertion, Assign, BinOp, Diamond, Emp, Eq, EvalAt, Exists, FalseA,
     Forall, Free, If, Implies, IntLit, Judgement, LetDeref, LetNew, Leq, Mu,
     Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Seq, Skip, Star, Tensor,
-    Triple, TrueA, ValueLit, Var, canon_key, children, classify, conj,
+    Triple, TrueA, ValueLit, Var, canon_key, children, circ, classify, conj,
     contractive_in, equal_mod_ac, free_vars, fresh_name, map_children, star,
     star_parts, substitute,
 )
@@ -247,11 +247,6 @@ _ATOM_TYPES = (TrueA, FalseA, Emp, Eq, Leq, PointsTo)
 _CONNECTIVES = frozenset(get_args(Assertion)).difference(_ATOM_TYPES,
                                                          (RelVar,))
 _BIN_TYPES = (Implies, And, Or, Star)
-
-
-def circ(P, R):
-    """Invariant combination (P (*) R) * R."""
-    return Star(Tensor(P, R), R)
 
 
 def dist_step(L, R):
@@ -544,11 +539,6 @@ class _Entailer:
                     and self.ent(P.post, Q.post, mu, d):
                 return True
 
-        if type(P) is Implies and type(Q) is Implies:
-            if self.ent(Q.left, P.left, mu, d) \
-                    and self.ent(P.right, Q.right, mu, d):
-                return True
-
         if type(P) is PointsTo and type(Q) is PointsTo:
             try:
                 if eval_expr(P.addr, EMPTY_ENV) == eval_expr(Q.addr,
@@ -607,7 +597,7 @@ class _Entailer:
         return False
 
 
-def entail_basic(P, Q, budget: int = 3) -> bool:
+def entail_basic(P, Q) -> bool:
     """Sound, incomplete entailment check for P => Q.
 
     Uses equality modulo the star laws, distribution of invariant
@@ -615,13 +605,13 @@ def entail_basic(P, Q, budget: int = 3) -> bool:
     arithmetic, and the intuitionistic lattice laws.  Never claims an
     invalid entailment; may fail to prove a valid one.
     """
-    return _Entailer(budget).run(P, Q)
+    return _Entailer(3).run(P, Q)
 
 
-def equiv_basic(P, Q, budget: int = 2) -> bool:
+def equiv_basic(P, Q) -> bool:
     if equal_mod_ac(P, Q):
         return True
-    e = _Entailer(budget)
+    e = _Entailer(2)
     return e.run(P, Q) and e.run(Q, P)
 
 
@@ -632,7 +622,6 @@ _ASSERTION_KEYS = {"P", "Q", "R", "S", "A", "B", "P0", "phi", "psi",
                    "template", "inv"}
 _EXPR_KEYS = {"e", "e0", "e1", "e2", "witness", "code", "init", "arg"}
 _IDENT_KEYS = {"x", "k", "X", "var", "ys"}
-_INT_KEYS = {"budget"}
 
 
 def _parse_param(key, value):
@@ -647,8 +636,6 @@ def _parse_param(key, value):
             raise SchemaMismatch(f"parameter {key} must be an identifier, "
                                  f"got {value!r}")
         return value
-    if key in _INT_KEYS:
-        return int(value)
     raise SchemaMismatch(f"unknown parameter key {key!r}")
 
 
@@ -947,17 +934,16 @@ def _r_ArithFact(ps, stated):
 
 @_rule("Entail", 0)
 def _r_Entail(ps, stated):
-    budget = ps.get("budget", default=3)
     if stated is not None and not ps.given("P", "Q") \
             and match_iff(stated.goal) is not None:
         a, b = match_iff(stated.goal)
-        need(entail_basic(a, b, budget) and entail_basic(b, a, budget),
+        need(entail_basic(a, b) and entail_basic(b, a),
              "Entail: the equivalence is not derivable by the basic "
              "entailment engine")
         return Judgement(goal=iff(a, b))
     P = ps.need("P", lambda g: _shape(g, Implies, "Entail conclusion").left)
     Q = ps.need("Q", lambda g: _shape(g, Implies, "Entail conclusion").right)
-    need(entail_basic(P, Q, budget),
+    need(entail_basic(P, Q),
          "Entail: not derivable by the basic entailment engine")
     return Judgement(goal=Implies(P, Q))
 

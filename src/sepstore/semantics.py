@@ -1,13 +1,13 @@
 """Finite-approximation semantic model.
 
 Worlds are closed assertions; a world's membership function is the
-denotation of its invariant, and worlds compose by the syntactic image of
-the defining equation for invariant combination.  The membership evaluator
-follows the assertion semantics clause by clause over a bounded universe
-of heaps, values, worlds and frames described by a TestConfig.  On top of
-it sit a bounded semantic-triple tester and an entailment tester: a Fail
-verdict is a genuine refutation within the model, a Pass means no
-counterexample exists in the configured universe.
+denotation of its invariant, and worlds compose by invariant combination
+(`syntax.circ`), the syntactic image of its defining equation.  The
+membership evaluator follows the assertion semantics clause by clause over
+a bounded universe of heaps, values, worlds and frames described by a
+TestConfig.  On top of it sit a bounded semantic-triple tester and an
+entailment tester: a Fail verdict is a genuine refutation within the
+model, a Pass means no counterexample exists in the configured universe.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .interp import (
 from .syntax import (
     And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, Leq, Mu, Or,
     PointsTo, PSEUDO_PURE, PURE, RelVar, Skip, Star, Tensor, Triple, TrueA,
-    ValueLit, classify, free_vars, substitute,
+    ValueLit, circ, classify, free_vars, substitute,
 )
 
 
@@ -72,55 +72,32 @@ def _memo(cache, key, compute, *args):
 
 
 @dataclass(frozen=True)
-class World:
-    """A world, represented by the closed assertion generating it."""
-
-    inv: object  # closed Assertion
-
-
-EMP_WORLD = World(Emp())
-
-
-def world_circ(w1: World, w2: World) -> World:
-    """Invariant combination: the inner world is extended by the outer
-    invariant and separately conjoined with it."""
-    return World(Star(Tensor(w1.inv, w2.inv), w2.inv))
-
-
-@dataclass(frozen=True)
 class TestConfig:
     addr_pool: tuple = (1, 2, 3)
     int_pool: tuple = (-1, 0, 1, 2)
     code_pool: tuple = ()       # closed Commands
     tag_max: int = 3
     level_k: int = 3
-    world_pool: tuple = (EMP_WORLD,)
+    world_pool: tuple = (Emp(),)    # closed Assertions, as worlds
     frame_pool: tuple = (Emp(), TrueA())
     fuel: int = 10000
     env_cap: int = 256
 
     def __post_init__(self):
-        if EMP_WORLD not in self.world_pool:
+        if Emp() not in self.world_pool:
             object.__setattr__(self, "world_pool",
-                               (EMP_WORLD,) + tuple(self.world_pool))
+                               (Emp(),) + tuple(self.world_pool))
         frames = tuple(self.frame_pool)
         for needed in (Emp(), TrueA()):
             if needed not in frames:
                 frames += (needed,)
         object.__setattr__(self, "frame_pool", frames)
 
-    def value_pool(self) -> tuple:
-        vals = [IntVal(n) for n in sorted(self.int_pool)]
-        for c in self.code_pool:
-            for t in range(self.tag_max + 1):
-                vals.append(CodeVal(c, EMPTY_ENV, t))
-        return tuple(vals)
-
 
 @dataclass(frozen=True)
 class Witness:
     kind: str                 # "triple" or "entailment"
-    world: object             # World
+    world: object             # closed Assertion
     frame: Optional[object]   # Assertion or None
     heap: Heap
     outcome: str
@@ -131,7 +108,7 @@ class Witness:
     def to_json(self) -> dict:
         data = {
             "kind": self.kind,
-            "world": pretty(self.world.inv),
+            "world": pretty(self.world),
             "heap": format_heap(self.heap),
             "outcome": self.outcome,
             "reason": self.reason,
@@ -196,13 +173,15 @@ class Tester:
         self._triple_cache: dict = {}
         self._universe: Optional[list] = None
         self._by_rank: dict = {}
-        self._vals: Optional[tuple] = None
+        self._vals = tuple(IntVal(n) for n in sorted(cfg.int_pool)) \
+            + tuple(CodeVal(c, EMPTY_ENV, t) for c in cfg.code_pool
+                    for t in range(cfg.tag_max + 1))
         self.inconclusive = 0
         self.samples = 0
 
     def values(self) -> tuple:
-        if self._vals is None:
-            self._vals = self.cfg.value_pool()
+        """The heap values: the integers, then each stored command at every
+        tag up to tag_max."""
         return self._vals
 
     # --- heap universe
@@ -232,7 +211,9 @@ class Tester:
 
     # --- membership
 
-    def member(self, P, env: Env, w: World, h: Heap) -> bool:
+    def member(self, P, env: Env, w, h: Heap) -> bool:
+        """h in [[P]]env at the world generated by the closed assertion
+        w."""
         # contractiveness makes a genuine cycle impossible
         return _memo(self._member_cache, (P, env, w, h), self._member,
                      P, env, w, h)
@@ -309,8 +290,8 @@ class Tester:
             verdict = self.sem_triple_at(r - 1, w, P.pre, code, P.post, env)
             return isinstance(verdict, Pass)
         if t is Tensor:
-            wr = World(close_assertion(P.right, env))
-            return self.member(P.left, env, world_circ(wr, w), h)
+            return self.member(P.left, env,
+                               circ(close_assertion(P.right, env), w), h)
         if t is RelVar:
             raise UnboundVariable(f"relation variable {P.name}")
         if t is Mu:
@@ -353,22 +334,20 @@ class Tester:
 
     # --- semantic triples
 
-    def _member3(self, P, w: World, frame, g: Heap) -> bool:
+    def _member3(self, P, w, frame, g: Heap) -> bool:
         """g in  [[P]]w * (world invariant at the unit world * frame)."""
-        rest = Star(w.inv, frame)
+        rest = Star(w, frame)
         return any(self.member(P, EMPTY_ENV, w, g1)
-                   and self.member(rest, EMPTY_ENV, EMP_WORLD, g2)
+                   and self.member(rest, EMPTY_ENV, Emp(), g2)
                    for g1, g2 in _splits(g))
 
-    def _dcl_member3(self, P, w: World, frame, h: Heap) -> bool:
+    def _dcl_member3(self, P, w, frame, h: Heap) -> bool:
         """Downward-closure membership: some tag-raised candidate above h
         lies in the target set."""
-        for g in tag_raises(h, max(self.cfg.tag_max, self.cfg.level_k)):
-            if self._member3(P, w, frame, g):
-                return True
-        return False
+        return any(self._member3(P, w, frame, g) for g in
+                   tag_raises(h, max(self.cfg.tag_max, self.cfg.level_k)))
 
-    def sem_triple_at(self, k: int, w: World, pre, code: HeapValue, post,
+    def sem_triple_at(self, k: int, w, pre, code: HeapValue, post,
                       env: Env = EMPTY_ENV) -> Verdict:
         return _memo(self._triple_cache, (k, w, pre, post, code, env),
                      self._sem_triple_at, k, w, pre, code, post, env)
@@ -398,7 +377,7 @@ class Tester:
                                             env, n))
         return Pass(samples, inconclusive)
 
-    def _sample(self, code: CodeVal, g: Heap, n: int, w: World, frame,
+    def _sample(self, code: CodeVal, g: Heap, n: int, w, frame,
                 pre_c, post_c):
         """Run the code on one sample heap g at level n.  None when g lies
         outside the precondition; otherwise (outcome, reason), the outcome
@@ -420,14 +399,9 @@ class Tester:
 
     def _env_samples(self, fvs):
         fvs = sorted(fvs)
-        if not fvs:
-            return [EMPTY_ENV]
-        pool = self.values()
-        combos = itertools.product(pool, repeat=len(fvs))
-        out = []
-        for combo in itertools.islice(combos, self.cfg.env_cap):
-            out.append(Env(tuple(zip(fvs, combo))))
-        return out
+        combos = itertools.product(self.values(), repeat=len(fvs))
+        return [Env(tuple(zip(fvs, combo)))
+                for combo in itertools.islice(combos, self.cfg.env_cap)]
 
     def test_triple(self, P, e, Q) -> Verdict:
         fvs = free_vars(P)[0] | free_vars(e)[0] | free_vars(Q)[0]
@@ -436,7 +410,7 @@ class Tester:
             try:
                 code = eval_expr(e, env)
             except (TypeFault, UnboundVariable) as exc:
-                return Fail(Witness("triple", EMP_WORLD, None, BOT,
+                return Fail(Witness("triple", Emp(), None, BOT,
                                     "bad-code", str(exc), env))
             for w in self.cfg.world_pool:
                 verdict = self.sem_triple_at(self.cfg.level_k, w, P, code,
@@ -477,10 +451,8 @@ class Tester:
             return True
         pre_c = close_assertion(pre, witness.env)
         post_c = close_assertion(post, witness.env)
-        frame = witness.frame if witness.frame is not None else Emp()
-        n = witness.level if witness.level is not None else self.cfg.level_k
-        outcome = self._sample(code, witness.heap, n, witness.world, frame,
-                               pre_c, post_c)
+        outcome = self._sample(code, witness.heap, witness.level,
+                               witness.world, witness.frame, pre_c, post_c)
         return outcome is not None \
             and outcome[0] in ("fault", "post-violation")
 

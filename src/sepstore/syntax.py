@@ -466,7 +466,7 @@ def _subst(ast, var_map, rel_map):
     clash = _value_free_vars(inner, inner_rel)
     renamed = names
     if not clash.isdisjoint(names):
-        used = clash.union(inner, *(_free(getattr(ast, f))[0]
+        used = clash.union(names, inner, *(_free(getattr(ast, f))[0]
                                     for f, _, under in _FIELDS[t] if under))
         inner, renamed = dict(inner), []
         for b in names:
@@ -670,6 +670,12 @@ def star(*parts: Assertion) -> Assertion:
 
 def conj(*parts: Assertion) -> Assertion:
     return functools.reduce(And, parts) if parts else TrueA()
+
+
+def circ(P: Assertion, R: Assertion) -> Assertion:
+    """Invariant combination (P (*) R) * R: the world generated by P
+    extended by the invariant R and separately conjoined with it."""
+    return Star(Tensor(P, R), R)
 
 
 def star_parts(P: Assertion) -> list:

@@ -24,9 +24,8 @@ from sepstore.interp import (BOT, EMPTY_ENV, EMPTY_HEAP, Fault, Heap,
                              truncate)
 from sepstore.logic import (REJECTED, UnknownRule, apply_rule, dist_step,
                             make_node, check_proof)
-from sepstore.semantics import (EMP_WORLD, Pass, TestConfig,
-                                Tester, World, world_circ)
-from sepstore.syntax import Emp, Tensor, TrueA, substitute
+from sepstore.semantics import Pass, TestConfig, Tester
+from sepstore.syntax import Emp, Tensor, TrueA, circ, substitute
 
 ROOT = Path(__file__).resolve().parent.parent
 PY = sys.executable
@@ -118,7 +117,7 @@ def test_criterion_3_distribution_axioms():
             P, R = params["P"], params["R"]
             lhs, rhs = Tensor(P, R), dist_step(P, R)
             assert rhs is not None
-            for w in (EMP_WORLD, World(parse("1 |-> 0", "assertion"))):
+            for w in (Emp(), parse("1 |-> 0", "assertion")):
                 for h in heaps:
                     a = tester.member(lhs, EMPTY_ENV, w, h)
                     c = tester.member(rhs, EMPTY_ENV, w, h)
@@ -138,14 +137,14 @@ def test_criterion_4_world_monoid_laws():
     tester = Tester(fuzz_config())
     rng = random.Random(29)
     heaps = tester.universe()
-    worlds = [World(parse(s, "assertion"))
+    worlds = [parse(s, "assertion")
               for s in ("emp", "true", "1 |-> 0", "{emp} 'skip' {emp}")]
     instances = 0
     for _ in range(10):
         P = rand_asn(rng, 1)
         for w in worlds:
-            unit_l = world_circ(EMP_WORLD, w)
-            unit_r = world_circ(w, EMP_WORLD)
+            unit_l = circ(Emp(), w)
+            unit_r = circ(w, Emp())
             for h in heaps:
                 want = tester.member(P, EMPTY_ENV, w, h)
                 assert tester.member(P, EMPTY_ENV, unit_l, h) == want
@@ -154,8 +153,8 @@ def test_criterion_4_world_monoid_laws():
     for w1, w2, w3 in [(worlds[1], worlds[2], worlds[0]),
                        (worlds[2], worlds[3], worlds[2]),
                        (worlds[3], worlds[1], worlds[2])]:
-        left = world_circ(world_circ(w1, w2), w3)
-        right = world_circ(w1, world_circ(w2, w3))
+        left = circ(circ(w1, w2), w3)
+        right = circ(w1, circ(w2, w3))
         for _ in range(5):
             P = rand_asn(rng, 1)
             for h in heaps:
@@ -206,7 +205,7 @@ def test_criterion_6_iterator_case_study():
         code_pool=(parse("skip", "program"), parse(C_IT, "program")),
         tag_max=3,
         level_k=3,
-        world_pool=(World(Emp()),),
+        world_pool=(Emp(),),
         frame_pool=(Emp(), TrueA()),
     )
     tester = Tester(cfg)

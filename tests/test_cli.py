@@ -6,9 +6,12 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from sepstore.cli import main
+from sepstore.cli import _refuted, main
+from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse
+from sepstore.interp import EMPTY_ENV
 from sepstore.logic import make_node, serialize_script
+from sepstore.semantics import Tester
 from sepstore.syntax import Skip, Triple
 
 
@@ -281,6 +284,18 @@ def test_cli_counterexamples(runner, tmp_path):
     for l in lines:
         if l["goal"].endswith("refuted"):
             assert "witness" in l and l["detail"] == "witness replays"
+
+
+def test_registry_replays_witnesses_on_a_fresh_tester():
+    """A refutation that only the finding Tester's cache believes is not
+    reported as one: the witness is replayed without that cache."""
+    text = "1 |-> 0 => exists v. 1 |-> v"
+    tester = Tester(fuzz_config())
+    world, heap = tester.cfg.world_pool[0], tester.universe()[0]
+    tester._member_cache[(parse(text, "assertion"), EMPTY_ENV, world,
+                          heap)] = False
+    status, detail, _ = _refuted(text)(tester)
+    assert (status, detail) == ("unexpected", "witness did not replay")
 
 
 def test_cli_counterexamples_unsound_demo(runner, tmp_path):

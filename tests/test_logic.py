@@ -14,6 +14,7 @@ from sepstore.logic import (
     make_node, match_iff, normalize_otimes, parse_script, serialize_script,
     unfold_mu,
 )
+from sepstore.semantics import Pass
 from sepstore.syntax import (
     And, Emp, Eq, FalseA, Implies, IntLit, Judgement, Mu, Or, PointsTo,
     Quote, RelVar, Skip, Star, Tensor, Triple, TrueA, Var, equal_mod_ac,
@@ -263,6 +264,14 @@ def test_unread_parameter_is_rejected():
         check_node(make_node("Skip", [], goal, Q="false"))
 
 
+def test_entail_takes_no_budget_parameter():
+    script = '(rule Entail (param budget "5") (conclude "1 |-> 0 => true"))'
+    report = check_proof(parse_script(script))
+    assert not report.ok
+    assert any("rule Entail does not take parameter 'budget'" in m
+               for _, m in report.failures)
+
+
 def test_invariance_requires_pure_conjunct():
     t = Triple(Emp(), SKIP, Emp())
     j = apply_rule("Invariance", {"P": t, "psi": A("x = 1")}, [])
@@ -309,6 +318,49 @@ def test_entail_basic_star_unit_under_binders():
     P = A("emp * (1 |-> 0 /\\ true)")
     assert entail_basic(P, A("1 |-> 0"))
     assert entail_basic(Star(Emp(), Star(Emp(), A("1 |-> 0"))), A("1 |-> 0"))
+
+
+# each branch of the engine by one derivable and one underivable pair
+ENTAIL_BRANCHES = [
+    # a triple is contravariant in its precondition
+    ("{exists v. 1 |-> v} 'skip' {1 |-> 0}",
+     "{1 |-> 0} 'skip' {exists v. 1 |-> v}", True),
+    ("{1 |-> 0} 'skip' {1 |-> 0}",
+     "{exists v. 1 |-> v} 'skip' {1 |-> 0}", False),
+    # forall on the right: a fresh variable
+    ("1 |-> 0", "forall v. v = 1 => 1 |-> 0", True),
+    ("1 |-> 0", "forall v. 1 |-> v", False),
+    # forall on the left: an instance
+    ("forall v. 1 |-> v \\/ v = 0", "1 |-> 1", True),
+    ("forall v. 1 |-> v \\/ v = 0", "2 |-> 1", False),
+    # the rank modality on the left
+    ("<> 1 |-> 0", "exists v. 1 |-> v", True),
+    ("<> 1 |-> 0", "2 |-> 0", False),
+    # ground points-to facts
+    ("1 |-> (0 + 1)", "1 |-> 1", True),
+    ("1 |-> (0 + 1)", "1 |-> 0", False),
+    # disjunction on the left: both arms
+    ("1 |-> 0 \\/ 2 |-> 0", "(exists v. 1 |-> v) \\/ 2 |-> 0", True),
+    ("1 |-> 0 \\/ 2 |-> 0", "1 |-> 0", False),
+    # distributing an extension renames a binder the invariant mentions
+    # free, so the bound x stays apart from the free x
+    ("(exists x. {1 |-> x} 'skip' {1 |-> x}) (*) 2 |-> x",
+     "exists z. {1 |-> z * 2 |-> x} 'skip' {1 |-> z * 2 |-> x}", True),
+    ("(exists x. {1 |-> x} 'skip' {1 |-> x}) (*) 2 |-> x",
+     "exists z. {1 |-> z * 2 |-> z} 'skip' {1 |-> z * 2 |-> z}", False),
+]
+
+
+def test_entail_basic_branches():
+    for P, Q, derivable in ENTAIL_BRANCHES:
+        assert entail_basic(A(P), A(Q)) is derivable, (P, Q)
+
+
+def test_entail_basic_branches_agree_with_the_model(lean_tester):
+    for P, Q, derivable in ENTAIL_BRANCHES:
+        if derivable:
+            v = lean_tester.test_entailment(A(P), A(Q))
+            assert isinstance(v, Pass) and v.samples, (P, Q)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from sepstore.interp import (BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Env,
                              Heap, IntVal, heap_join, rank, truncate)
 from sepstore.logic import dist_step
 from sepstore.semantics import (
-    EMP_WORLD, MAX_UNIVERSE_HEAPS, CacheReentry, Fail, Pass,
-    Tester, UniverseTooLarge, World, _splits, close_assertion, world_circ,
+    MAX_UNIVERSE_HEAPS, CacheReentry, Fail, Pass, Tester, UniverseTooLarge,
+    _splits, close_assertion,
 )
 from sepstore.syntax import (
     And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, IntLit, Mu,
     PointsTo, Quote, RelVar, Skip, Star, Tensor, Triple, TrueA, ValueLit,
-    Var, classify,
+    Var, circ, classify,
 )
 
 A = lambda s: parse(s, "assertion")
@@ -29,7 +29,7 @@ E = lambda s: parse(s, "expr")
 SKIP = Quote(Skip())
 
 
-def member(tester, P, h, w=EMP_WORLD, env=EMPTY_ENV):
+def member(tester, P, h, w=Emp(), env=EMPTY_ENV):
     return tester.member(P, env, w, h)
 
 
@@ -187,7 +187,7 @@ def test_splits_enumerate_every_disjoint_pair():
 def reference_member3(t, P, w, frame, g):
     """g in [[P]]w * I(w) * frame by one pass over every assignment of
     g's cells to the three parts, as the model once computed it."""
-    parts = ((P, w), (w.inv, EMP_WORLD), (frame, EMP_WORLD))
+    parts = ((P, w), (w, Emp()), (frame, Emp()))
     if g.is_bot:
         return all(member(t, Q, g, v) for Q, v in parts)
     for assign in itertools.product(range(3), repeat=len(g.cells)):
@@ -203,7 +203,7 @@ def reference_member3(t, P, w, frame, g):
 def test_member3_matches_three_way_reference(lean_tester):
     t = lean_tester
     rng = random.Random(15)
-    worlds = (EMP_WORLD, World(A("1 |-> 0")))
+    worlds = (Emp(), A("1 |-> 0"))
     seen = []
     for _ in range(40):
         P = rand_fuzz_asn(rng)
@@ -270,7 +270,7 @@ def test_cache_reentry_raises():
     """A computation that asks for its own cached result is an error, for
     membership and for triples alike; the aborted entry is not cached."""
     t = Tester(fuzz_config())
-    args = (TrueA(), EMPTY_ENV, EMP_WORLD, EMPTY_HEAP)
+    args = (TrueA(), EMPTY_ENV, Emp(), EMPTY_HEAP)
     t._member = lambda *a: t.member(*a)
     with pytest.raises(CacheReentry):
         t.member(*args)
@@ -279,7 +279,7 @@ def test_cache_reentry_raises():
     assert t.member(*args) is True
 
     code = CodeVal(Skip(), EMPTY_ENV, INF)
-    triple = (1, EMP_WORLD, A("emp"), code, A("emp"))
+    triple = (1, Emp(), A("emp"), code, A("emp"))
     t._sem_triple_at = lambda k, w, pre, c, post, env: \
         t.sem_triple_at(k, w, pre, c, post, env)
     with pytest.raises(CacheReentry):
@@ -308,8 +308,7 @@ def test_entailment(lean_tester):
 
 
 def world_pool():
-    return [World(A(s)) for s in ("emp", "true", "1 |-> 0",
-                                  "{emp} 'skip' {emp}")]
+    return [A(s) for s in ("emp", "true", "1 |-> 0", "{emp} 'skip' {emp}")]
 
 
 def test_world_circ_unit_laws(lean_tester):
@@ -322,8 +321,8 @@ def test_world_circ_unit_laws(lean_tester):
             P = rand_fuzz_asn(rng)
             for h in heaps:
                 want = member(t, P, h, w)
-                assert member(t, P, h, world_circ(w, EMP_WORLD)) == want
-                assert member(t, P, h, world_circ(EMP_WORLD, w)) == want
+                assert member(t, P, h, circ(w, Emp())) == want
+                assert member(t, P, h, circ(Emp(), w)) == want
                 checked += 1
     assert checked >= 1000
 
@@ -338,8 +337,8 @@ def test_world_circ_associative(lean_tester):
                        (ws[3], ws[2], ws[2])]:
         for _ in range(10):
             P = rand_fuzz_asn(rng, 1)
-            left = world_circ(world_circ(w1, w2), w3)
-            right = world_circ(w1, world_circ(w2, w3))
+            left = circ(circ(w1, w2), w3)
+            right = circ(w1, circ(w2, w3))
             for h in heaps:
                 assert member(t, P, h, left) == member(t, P, h, right)
                 checked += 1

@@ -39,7 +39,7 @@ from sepstore import fuzz
 from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse, pretty
 from sepstore.interp import EMPTY_ENV
-from sepstore.semantics import Fail, Tester, World
+from sepstore.semantics import Fail, Tester
 from sepstore.syntax import (
     And, Diamond, Exists, Forall, Implies, Or, PointsTo, Quote, Skip,
     Tensor, Triple, TrueA, Var, free_vars,
@@ -53,7 +53,7 @@ SKIP = Quote(Skip())
 
 
 def world(text):
-    return World(parse(text, "assertion"))
+    return parse(text, "assertion")
 
 
 def membership_terms():

@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from conftest import Names, rand_asn
+from sepstore.grammar import parse
 from sepstore.syntax import (
     And, BinOp, Emp, Eq, Exists, FalseA, Forall, GENERAL, Implies, IntLit,
     LetNew, Leq, Mu, Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Skip,
@@ -111,6 +112,16 @@ def test_substitute_capture_avoiding():
     b = substitute(a, {"y": Var("x")})
     assert type(b) is Exists and b.var != "x"
     assert b.body == Eq(Var(b.var), Var("x"))
+
+
+def test_substitute_renames_mu_parameter_apart_from_later_ones():
+    # renaming p must not take the name of the parameter p_1 that the body
+    # never mentions, or the result binds p_1 twice
+    m = parse("mu X(p, p_1). {X(p, p)} 'skip' {q |-> p}", "assertion")
+    out = substitute(m, {"q": Var("p")})
+    assert len(set(out.params)) == 2 and "p" not in out.params
+    assert out.params[1] == "p_1"
+    assert out.body.post == PointsTo(Var("p"), Var(out.params[0]))
 
 
 def test_substitute_relvar():
