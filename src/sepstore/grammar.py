@@ -25,8 +25,7 @@ from .syntax import (
     And, Assign, BinOp, ContractivenessError, Diamond, Emp, EvalAt, Exists,
     Eq, FalseA, Forall, Free, If, Implies, IntLit, LetDeref, LetNew, Leq, Mu,
     Or, PointsTo, Quote, RelVar, Seq, Skip, Star, Tensor, Triple, TrueA,
-    ValueLit, Var, binders, children, contractive_in, free_vars, fresh_name,
-    map_children, substitute,
+    ValueLit, Var, children, contractive_in,
 )
 
 KEYWORDS = {
@@ -368,38 +367,6 @@ def _check_contractive(ast):
         _check_contractive(c)
 
 
-def _rename_apart(ast, seen, rseen):
-    """Rename any binder that shadows an enclosing binder of the same name."""
-    ast = _unshadow(ast, seen, rseen)
-    names, rnames = binders(ast)
-    inner = (seen.union(names), rseen.union(rnames)) if names or rnames \
-        else None
-    return map_children(ast, _rename_apart, seen, rseen, scoped=inner)
-
-
-def _unshadow(ast, seen, rseen):
-    """ast with the names it binds renamed away from `seen`/`rseen`."""
-    names, rnames = binders(ast)
-    if not (seen.intersection(names) or rseen.intersection(rnames)):
-        return ast
-    body = ast.body
-    if type(ast) is Mu and ast.relvar in rseen:
-        relvar = fresh_name(ast.relvar,
-                            rseen | free_vars(body)[1] | {ast.relvar})
-        body = substitute(body, rel_map={ast.relvar: (
-            ast.params, RelVar(relvar, tuple(Var(p) for p in ast.params)))})
-        ast = replace(ast, relvar=relvar)
-    names = list(names)
-    for i, p in enumerate(names):
-        if p in seen:
-            fv = free_vars(body)[0]
-            names[i] = fresh_name(p, seen | fv | set(names) | {p})
-            body = substitute(body, {p: Var(names[i])})
-    if type(ast) is Mu:
-        return replace(ast, params=tuple(names), body=body)
-    return replace(ast, var=names[0], body=body)
-
-
 def parse(text: str, kind: str):
     """Parse a program, assertion or expression from concrete syntax."""
     p = Parser(text)
@@ -415,7 +382,7 @@ def parse(text: str, kind: str):
     if tok[0] != "eof":
         raise ParseError(tok[2], "end of input", tok[1])
     _check_contractive(ast)
-    return _rename_apart(ast, set(), set())
+    return ast
 
 
 # ---------------------------------------------------------------------------

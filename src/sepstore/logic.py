@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import get_args
 
@@ -27,7 +27,7 @@ from .syntax import (
     Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Seq, Skip, Star, Tensor,
     Triple, TrueA, ValueLit, Var, canon_key, children, circ, classify, conj,
     contractive_in, equal_mod_ac, free_vars, fresh_name, map_children, star,
-    star_parts, substitute,
+    star_parts, substitute, unfold,
 )
 
 
@@ -231,12 +231,7 @@ def _quantify(quant, xs, body):
 def unfold_mu(m: Mu):
     """One unfolding: the body with the bound relation variable replaced
     by the recursive assertion and parameters by the arguments."""
-    generic = Mu(m.relvar, m.params, m.body,
-                 tuple(Var(p) for p in m.params))
-    body = substitute(m.body, rel_map={m.relvar: (m.params, generic)})
-    if m.params:
-        body = substitute(body, dict(zip(m.params, m.args)))
-    return body
+    return unfold(m, replace(m, args=tuple(Var(p) for p in m.params)))
 
 
 # ---------------------------------------------------------------------------

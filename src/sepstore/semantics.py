@@ -25,7 +25,7 @@ from .interp import (
 from .syntax import (
     And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, Leq, Mu, Or,
     PointsTo, PSEUDO_PURE, PURE, RelVar, Skip, Star, Tensor, Triple, TrueA,
-    ValueLit, circ, classify, free_vars, substitute,
+    ValueLit, circ, classify, free_vars, substitute, unfold,
 )
 
 
@@ -458,13 +458,9 @@ class Tester:
 
 
 def mu_approximation(mu: Mu, depth: int):
-    """Unfold a recursive assertion `depth` times; residual occurrences of
-    the bound relation variable become false."""
+    """Unfold a recursive assertion `depth` >= 1 times; residual
+    occurrences of the bound relation variable become false."""
     approx = FalseA()
-    for _ in range(depth):
-        approx = substitute(mu.body,
-                            rel_map={mu.relvar: (mu.params, approx)})
-    if mu.params:
-        approx = substitute(approx,
-                            dict(zip(mu.params, mu.args)))
-    return approx
+    for _ in range(depth - 1):
+        approx = substitute(mu.body, rel_map={mu.relvar: (mu.params, approx)})
+    return unfold(mu, approx)

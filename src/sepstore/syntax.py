@@ -294,11 +294,11 @@ def binders(node):
     return (), ()
 
 
-def _rebind(node, names):
-    """node with the variables it binds renamed to names, in the order
-    binders gives them; the sub-terms are left as they are."""
+def _rebind(node, names, rnames):
+    """node with the names it binds renamed to names and rnames, in the
+    order binders gives them; the sub-terms are left as they are."""
     if type(node) is Mu:
-        return replace(node, params=names)
+        return replace(node, params=names, relvar=rnames[0])
     return replace(node, var=names[0])
 
 
@@ -458,9 +458,9 @@ def _subst(ast, var_map, rel_map):
         return _subst(body, dict(zip(params, args)), {})
     if t not in _BINDERS:
         return map_children(ast, _subst, var_map, rel_map)
-    # the bound names are not replaced; bound variables that the
-    # substituted values mention are renamed apart (bound relation
-    # variables are not: the values are taken to mention none of them)
+    # the bound names are not replaced; a bound variable or relation
+    # variable that a substituted value mentions is renamed apart, through
+    # an inner map entry from the old name to the new one
     names, rnames = binders(ast)
     inner, inner_rel = _without(var_map, names), _without(rel_map, rnames)
     clash = _value_free_vars(inner, inner_rel)
@@ -477,9 +477,26 @@ def _subst(ast, var_map, rel_map):
                 b = q
             renamed.append(b)
         renamed = tuple(renamed)
+    rrenamed = rnames
+    if t is Mu:
+        rclash = set().union(*(_free(v)[1] for _, v in inner_rel.values()))
+        if ast.relvar in rclash:
+            q = fresh_name(ast.relvar, rclash | _free(ast.body)[1])
+            inner_rel = {**inner_rel, ast.relvar: (
+                ast.params, RelVar(q, tuple(map(Var, ast.params))))}
+            rrenamed = (q,)
     node = map_children(ast, _subst, var_map, rel_map,
                         scoped=(inner, inner_rel))
-    return node if renamed == names else _rebind(node, renamed)
+    if (renamed, rrenamed) == (names, rnames):
+        return node
+    return _rebind(node, renamed, rrenamed)
+
+
+def unfold(m: Mu, R: Assertion) -> Assertion:
+    """The body of m with its relation variable replaced by R, a relation
+    over m's parameters, and its parameters replaced by its arguments."""
+    return substitute(m.body, dict(zip(m.params, m.args)),
+                      {m.relvar: (m.params, R)})
 
 
 # ---------------------------------------------------------------------------

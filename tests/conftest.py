@@ -23,8 +23,10 @@ def lean_tester():
 # random grammar-representable terms
 #
 # Binder names are globally unique within a term and disjoint from the
-# free-variable alphabet, so parse(pretty(t)) == t holds exactly (the
-# parser renames shadowed binders apart).
+# free-variable alphabet.  parse(pretty(t)) == t holds for shadowing terms
+# too, since the parser keeps the names it reads; the uniqueness stays
+# because the golden traversal corpus draws its terms from these
+# generators.
 
 
 class Names:

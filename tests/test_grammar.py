@@ -89,10 +89,23 @@ def test_parse_errors():
         parse("emp", "sequent")
 
 
-def test_shadowed_binders_renamed_apart():
+def test_parser_keeps_shadowing_names():
     a = parse("exists x. exists x. x = 1", "assertion")
-    assert type(a) is Exists and type(a.body) is Exists
-    assert a.var != a.body.var
+    assert a == Exists("x", Exists("x", Eq(Var("x"), IntLit(1))))
+    m = parse("mu X. {X} 'skip' {mu X. {X} 'skip' {emp}}", "assertion")
+    assert m.relvar == m.body.post.relvar == "X"
+    shadowing = [
+        ("assertion", "exists x. exists x. x = 1"),
+        ("assertion", "mu X. {X} 'skip' {mu X. {X} 'skip' {X}}"),
+        ("assertion", "mu X(p). {X(p)} 'skip' {mu X. {X} 'skip' {p |-> 0}}"),
+        # the shadowing terms of the golden traversal corpus
+        ("assertion", "forall p. (mu X(p). {X(p + 1)} 'skip' {p |-> z})(p)"),
+        ("assertion", "forall x. exists x. x = y /\\ (exists y. y |-> x)"),
+        ("program", "let x = [x] in (let x = new x in [x] := y) ; eval [x]"),
+    ]
+    for kind, text in shadowing:
+        t = parse(text, kind)
+        assert parse(pretty(t), kind) == t, text
 
 
 # ---------------------------------------------------------------------------

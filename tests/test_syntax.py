@@ -11,7 +11,7 @@ from sepstore.syntax import (
     LetNew, Leq, Mu, Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Skip,
     Star, Tensor, Triple, TrueA, Var, canon_key, classify, conj,
     contractive_in, equal_mod_ac, free_vars, fresh_name, map_children, star,
-    star_parts, substitute,
+    star_parts, substitute, unfold,
 )
 
 SKIP = Quote(Skip())
@@ -122,6 +122,24 @@ def test_substitute_renames_mu_parameter_apart_from_later_ones():
     assert len(set(out.params)) == 2 and "p" not in out.params
     assert out.params[1] == "p_1"
     assert out.body.post == PointsTo(Var("p"), Var(out.params[0]))
+
+
+def test_substitute_renames_mu_binder_a_value_mentions():
+    m = parse("mu Y. {X} 'skip' {Y}", "assertion")
+    out = substitute(m, rel_map={"X": ((), RelVar("Y"))})
+    assert out == Mu("Y_1", (), Triple(RelVar("Y"), SKIP, RelVar("Y_1")))
+    assert free_vars(out)[1] == {"Y"}
+
+
+def test_unfold_keeps_an_enclosing_relation_variable_free():
+    outer = parse("mu Y. (mu X. {Y} 'skip' {mu Y. {Y} 'skip' {X}})",
+                  "assertion")
+    inner = outer.body
+    out = unfold(inner, inner)
+    assert free_vars(out)[1] == {"Y"}
+    # the inner mu Y is renamed, so the unfolded X still refers to Y
+    assert out.post.relvar != "Y"
+    assert out.post.body.post == inner
 
 
 def test_substitute_relvar():
