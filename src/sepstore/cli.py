@@ -23,7 +23,8 @@ from .interp import (EMPTY_ENV, Done, Fault, OutOfFuel, exec_cmd,
                      format_heap, parse_heap_text)
 from .logic import check_proof, normalize_otimes, parse_script, ScriptError
 from .semantics import Fail, Pass, TestConfig, Tester, UniverseTooLarge
-from .syntax import Implies, Triple
+from .syntax import (ArityError, ContractivenessError, Implies, Triple,
+                     free_vars)
 
 INCONCLUSIVE_THRESHOLD = 0.2
 
@@ -72,7 +73,8 @@ class _Main(click.Group):
             raise
         except (ConfigError, UniverseTooLarge) as exc:
             click.echo(f"error: config: {exc}", err=True)
-        except (ParseError, ScriptError, OSError) as exc:
+        except (ParseError, ScriptError, ContractivenessError, ArityError,
+                OSError) as exc:
             click.echo(f"error: {exc}", err=True)
         except Exception as exc:
             click.echo(f"internal error: {type(exc).__name__}: {exc}",
@@ -148,6 +150,9 @@ def cmd_check(script_path, json_mode, accept_unsound_in):
 
 def _test_goal(tester, goal):
     """(kind, verdict) of a closed triple or entailment."""
+    if unbound := free_vars(goal)[1]:
+        raise ParseError(0, "a goal without free relation variables",
+                         ", ".join(sorted(unbound)))
     if type(goal) is Triple:
         return "triple", tester.test_triple(goal.pre, goal.code, goal.post)
     if type(goal) is Implies:

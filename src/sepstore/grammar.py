@@ -13,6 +13,11 @@ parenthesised, e.g. `(x * y) = z`.
 Sugar expanded at parse time:
   e |-> _          ==  exists x. e |-> x          (fresh x)
   e |-> {A}_{B}    ==  exists k. e |-> k /\\ {A}k{B}   (fresh k)
+
+The parser keeps the names it reads, shadowing binders included (only
+substitution renames binders), so parse(pretty(t)) == t for every term it
+returns.  It rejects a mu body that is not contractive, and a bound
+relation variable applied to the wrong number of arguments.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from dataclasses import replace
 from functools import partial
 
 from .syntax import (
-    And, Assign, BinOp, ContractivenessError, Diamond, Emp, EvalAt, Exists,
-    Eq, FalseA, Forall, Free, If, Implies, IntLit, LetDeref, LetNew, Leq, Mu,
-    Or, PointsTo, Quote, RelVar, Seq, Skip, Star, Tensor, Triple, TrueA,
-    ValueLit, Var, children, contractive_in,
+    And, ArityError, Assign, BinOp, ContractivenessError, Diamond, Emp,
+    EvalAt, Exists, Eq, FalseA, Forall, Free, If, Implies, IntLit, LetDeref,
+    LetNew, Leq, Mu, Or, PointsTo, Quote, RelVar, Seq, Skip, Star, Tensor,
+    Triple, TrueA, ValueLit, Var, children, contractive_in,
 )
 
 KEYWORDS = {
@@ -169,10 +174,19 @@ class Parser:
     # --- commands
 
     def parse_cmd(self):
-        left = self.parse_cmd_atom()
-        while self.at(";"):
+        # count the parentheses of printed left operands, `((a ; b) ; c)`
+        opened = 0
+        while self.at("("):
             self.advance()
-            left = Seq(left, self.parse_cmd_atom())
+            opened += 1
+        left = self.parse_cmd_atom()
+        while self.at(";") or opened and self.at(")"):
+            if self.advance()[1] == ")":
+                opened -= 1
+            else:
+                left = Seq(left, self.parse_cmd_atom())
+        for _ in range(opened):
+            self.expect(")")
         return left
 
     def parse_cmd_atom(self):
@@ -360,11 +374,18 @@ class Parser:
         return PointsTo(addr, self.parse_expr(allow_mul=False))
 
 
-def _check_contractive(ast):
-    if type(ast) is Mu and not contractive_in(ast.body, ast.relvar):
-        raise ContractivenessError(ast.relvar, ast.body)
+def _check_mu(ast, arity):
+    """Reject a non-contractive mu body, or a bound relation variable applied
+    to other than `arity[name]` arguments, its innermost binder's count."""
+    t = type(ast)
+    if t is RelVar and len(ast.args) != arity.get(ast.name, len(ast.args)):
+        raise ArityError(ast.name, len(ast.args), arity[ast.name])
+    if t is Mu:
+        if not contractive_in(ast.body, ast.relvar):
+            raise ContractivenessError(ast.relvar, ast.body)
+        arity = {**arity, ast.relvar: len(ast.params)}
     for c in children(ast):
-        _check_contractive(c)
+        _check_mu(c, arity)
 
 
 def parse(text: str, kind: str):
@@ -381,7 +402,7 @@ def parse(text: str, kind: str):
     tok = p.peek()
     if tok[0] != "eof":
         raise ParseError(tok[2], "end of input", tok[1])
-    _check_contractive(ast)
+    _check_mu(ast, {})
     return ast
 
 
@@ -410,38 +431,33 @@ def pretty_expr(e, prec=0) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _cmd_atom(c, wrap_right_open=False) -> str:
-    """Print a command in a position requiring a sequencing atom."""
-    s = pretty_cmd(c)
-    t = type(c)
-    if t is Seq or (wrap_right_open and t in (LetDeref, LetNew, If)):
-        return f"({s})"
-    return s
-
-
-def pretty_cmd(c) -> str:
+def pretty_cmd(c, atom=False, open_right=False) -> str:
+    """Print a command; as a sequencing atom (`atom`) a sequence is put in
+    parentheses, and with `open_right` also a let or if."""
     t = type(c)
     if t is Skip:
         return "skip"
     if t is Assign:
         return f"[{pretty_expr(c.target)}] := {pretty_expr(c.source)}"
-    if t is LetDeref:
-        return f"let {c.var} = [{pretty_expr(c.addr)}] in {pretty_cmd(c.body)}"
-    if t is LetNew:
-        inits = ", ".join(pretty_expr(e) for e in c.inits)
-        return f"let {c.var} = new {inits} in {pretty_cmd(c.body)}"
     if t is EvalAt:
         return f"eval [{pretty_expr(c.addr)}]"
     if t is Free:
         return f"free({pretty_expr(c.addr)})"
-    if t is Seq:
-        return f"{_cmd_atom(c.first, wrap_right_open=True)} ; " \
-               f"{_cmd_atom(c.second)}"
-    if t is If:
-        return f"if ({pretty_expr(c.lhs)} = {pretty_expr(c.rhs)}) " \
-               f"then {_cmd_atom(c.then, wrap_right_open=True)} " \
-               f"else {_cmd_atom(c.els)}"
-    raise TypeError(f"not a command: {c!r}")
+    if t is LetDeref:
+        s = f"let {c.var} = [{pretty_expr(c.addr)}] in {pretty_cmd(c.body)}"
+    elif t is LetNew:
+        inits = ", ".join(pretty_expr(e) for e in c.inits)
+        s = f"let {c.var} = new {inits} in {pretty_cmd(c.body)}"
+    elif t is Seq:
+        s = f"{pretty_cmd(c.first, True, True)} ; " \
+            f"{pretty_cmd(c.second, True)}"
+    elif t is If:
+        s = f"if ({pretty_expr(c.lhs)} = {pretty_expr(c.rhs)}) " \
+            f"then {pretty_cmd(c.then, True, True)} " \
+            f"else {pretty_cmd(c.els, True)}"
+    else:
+        raise TypeError(f"not a command: {c!r}")
+    return f"({s})" if atom and (open_right or t is Seq) else s
 
 
 def pretty_asn(a, prec=0) -> str:

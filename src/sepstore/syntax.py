@@ -250,7 +250,9 @@ class Judgement:
 
 
 class ArityError(Exception):
-    pass
+    def __init__(self, relvar, got, expected):
+        super().__init__(f"relation variable {relvar} applied to {got} "
+                         f"arguments, expected {expected}")
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +454,7 @@ def _subst(ast, var_map, rel_map):
         args = tuple(_subst(e, var_map, rel_map) for e in ast.args)
         params, body = rel_map[ast.name]
         if len(params) != len(args):
-            raise ArityError(
-                f"relation variable {ast.name} applied to {len(args)} "
-                f"arguments, expected {len(params)}")
+            raise ArityError(ast.name, len(args), len(params))
         return _subst(body, dict(zip(params, args)), {})
     if t not in _BINDERS:
         return map_children(ast, _subst, var_map, rel_map)

@@ -7,6 +7,7 @@ universe so the whole gate stays within its budgets on one core.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -29,6 +30,15 @@ from sepstore.syntax import Emp, Tensor, TrueA, circ, substitute
 
 ROOT = Path(__file__).resolve().parent.parent
 PY = sys.executable
+
+
+def run_cli(*args):
+    """The command line of this checkout's src/, in a subprocess."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([PY, "-m", "sepstore.cli", *args],
+                          capture_output=True, text=True, cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class Budget:
@@ -56,9 +66,7 @@ def test_criterion_1_counterexample_registry():
     for _ in range(3):
         assert isinstance(exec_cmd(prog, EMPTY_ENV, heap, 10000), Fault)
     # the registry passes end to end on the default config
-    r = subprocess.run([PY, "-m", "sepstore.cli", "counterexamples",
-                        "--json"], capture_output=True, text=True,
-                       cwd=ROOT)
+    r = run_cli("counterexamples", "--json")
     assert r.returncode == 0, r.stdout + r.stderr
     lines = [json.loads(l) for l in r.stdout.splitlines() if l]
     assert all(l["verdict"] == "as-registered" for l in lines)
@@ -195,8 +203,7 @@ def test_criterion_6_iterator_case_study():
     proofs = sorted((ROOT / "proofs").glob("*.proof"))
     assert len(proofs) == 3
     for p in proofs:
-        r = subprocess.run([PY, "-m", "sepstore.cli", "check", str(p)],
-                           capture_output=True, text=True, cwd=ROOT)
+        r = run_cli("check", str(p))
         assert r.returncode == 0, f"{p.name}: {r.stdout}{r.stderr}"
     # the concrete triple: counter in {0,1,2}, the stored operation skip
     cfg = TestConfig(

@@ -62,6 +62,24 @@ def test_cli_normalize(runner, tmp_path):
         == "{emp * 1 |-> 0} 'skip' {emp * 1 |-> 0}"
 
 
+@pytest.mark.parametrize("command, text, message", [
+    (("parse", "--kind", "assertion"), "mu X. X /\\ emp",
+     "not formally contractive in X"),
+    (("parse", "--kind", "assertion"), "mu X. {X(1)} 'skip' {emp}",
+     "X applied to 1 arguments, expected 0"),
+    (("test",), "(mu X(p). {X(1, 2)} 'skip' {emp})(1) => true",
+     "X applied to 2 arguments, expected 1"),
+    (("test",), "X => true", "without free relation variables"),
+])
+def test_cli_bad_recursive_assertion_is_input_error(runner, tmp_path,
+                                                     command, text, message):
+    p = write(tmp_path, "bad.asn", text)
+    r = invoke(runner, command[0], p, *command[1:])
+    assert r.exit_code == 3
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -96,12 +114,21 @@ def test_cli_run_bad_heap_is_usage(runner, tmp_path):
 
 
 def test_cli_internal_error_exits_3(runner, tmp_path):
-    # printing a 500-statement sequence overflows the recursion limit; a
+    # checking a 5,000-statement sequence overflows the recursion limit; a
     # crash is reported as an internal error, never as the fault code 1
-    p = write(tmp_path, "long.prog", " ; ".join(["skip"] * 500))
+    p = write(tmp_path, "long.prog", " ; ".join(["skip"] * 5000))
     r = invoke(runner, "run", p)
     assert r.exit_code == 3
     assert r.stderr.startswith("internal error: RecursionError")
+
+
+def test_cli_long_sequence_parses_and_runs(runner, tmp_path):
+    p = write(tmp_path, "long.prog", " ; ".join(["[1] := 1"] * 800))
+    h = write(tmp_path, "h.heap", "1 = 0")
+    r = invoke(runner, "parse", p)
+    assert r.exit_code == 0 and r.output.count(";") == 799
+    r = invoke(runner, "run", p, h)
+    assert r.exit_code == 0 and "[run] done" in r.output
 
 
 def test_cli_run_json(runner, tmp_path):

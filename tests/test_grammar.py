@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Names, rand_asn, rand_cmd, rand_expr, term_corpus
 from sepstore.grammar import ParseError, parse, pretty, pretty_cmd
+from sepstore.interp import (EMPTY_ENV, Done, exec_cmd, format_heap,
+                             parse_heap_text)
 from sepstore.syntax import (
-    And, Assign, BinOp, Diamond, Emp, Eq, EvalAt, Exists, Implies, IntLit,
-    Mu, Or, PointsTo, Quote, Seq, Skip, Star, Tensor, Triple, TrueA, Var,
+    And, ArityError, Assign, BinOp, ContractivenessError, Diamond, Emp, Eq,
+    EvalAt, Exists, Implies, IntLit, Mu, Or, PointsTo, Quote, Seq, Skip, Star,
+    Tensor, Triple, TrueA, Var,
 )
 from sepstore.syntax import Free as FreeCmd
 
@@ -106,6 +109,32 @@ def test_parser_keeps_shadowing_names():
     for kind, text in shadowing:
         t = parse(text, kind)
         assert parse(pretty(t), kind) == t, text
+
+
+def test_parser_checks_relation_variable_arity_by_scope():
+    for text in ("mu X. {X(1)} 'skip' {emp}",
+                 "(mu X(p). {X(1, 2)} 'skip' {emp})(1)",
+                 "mu X(p). {mu X. {X(1)} 'skip' {emp}} 'skip' {emp}"):
+        with pytest.raises(ArityError):
+            parse(text, "assertion")
+    # the innermost mu decides, and a free relation variable is unchecked
+    parse("mu X. {mu X(p). {X(p)} 'skip' {emp}} 'skip' {X * Y(1) * Y}",
+          "assertion")
+    with pytest.raises(ContractivenessError):
+        parse("mu X. X /\\ emp", "assertion")
+
+
+def test_long_sequence_parses_runs_and_prints():
+    # strings, not trees, are compared: the generated == of two equal
+    # 800-statement chains still overflows the stack
+    text = " ; ".join(["[1] := 1"] * 800)
+    c = parse(text, "program")
+    s = pretty_cmd(c)
+    assert s.startswith("(" * 798) and s.replace("(", "").replace(")", "") \
+        == text
+    assert pretty_cmd(parse(s, "program")) == s
+    out = exec_cmd(c, EMPTY_ENV, parse_heap_text("1 = 0"), 10_000)
+    assert isinstance(out, Done) and format_heap(out.heap) == "1 = 1"
 
 
 # ---------------------------------------------------------------------------
