@@ -30,7 +30,7 @@ from .syntax import (
     And, ArityError, Assign, BinOp, ContractivenessError, Diamond, Emp,
     EvalAt, Exists, Eq, FalseA, Forall, Free, If, Implies, IntLit, LetDeref,
     LetNew, Leq, Mu, Or, PointsTo, Quote, RelVar, Seq, Skip, Star, Tensor,
-    Triple, TrueA, ValueLit, Var, children, contractive_in,
+    Triple, TrueA, ValueLit, Var, children, exposed_occurrence,
 )
 
 KEYWORDS = {
@@ -381,8 +381,10 @@ def _check_mu(ast, arity):
     if t is RelVar and len(ast.args) != arity.get(ast.name, len(ast.args)):
         raise ArityError(ast.name, len(ast.args), arity[ast.name])
     if t is Mu:
-        if not contractive_in(ast.body, ast.relvar):
-            raise ContractivenessError(ast.relvar, ast.body)
+        occurrence = exposed_occurrence(ast.body, ast.relvar)
+        if occurrence is not None:
+            raise ContractivenessError(ast.relvar, pretty(occurrence),
+                                       pretty(ast.body))
         arity = {**arity, ast.relvar: len(ast.params)}
     for c in children(ast):
         _check_mu(c, arity)

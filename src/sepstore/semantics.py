@@ -144,17 +144,17 @@ def close_assertion(P, env: Env):
     return substitute(P, {k: ValueLit(v) for k, v in env.items})
 
 
-def _splits(h: Heap):
-    """Every pair (h1, h2) with h = h1 * h2; Bot splits only into Bot and
+def _splits(h: Heap) -> tuple:
+    """Every pair (h1, h2) with h = h1 * h2, h1 holding the cells picked by
+    the bits of a mask counted up from 0; Bot splits only into Bot and
     Bot."""
     if h.is_bot:
-        yield h, h
-        return
+        return ((h, h),)
     cells = h.cells
-    for mask in range(1 << len(cells)):
-        yield (Heap(tuple(c for i, c in enumerate(cells) if mask >> i & 1)),
-               Heap(tuple(c for i, c in enumerate(cells)
-                          if not mask >> i & 1)))
+    return tuple(
+        (Heap(tuple(c for i, c in enumerate(cells) if mask >> i & 1)),
+         Heap(tuple(c for i, c in enumerate(cells) if not mask >> i & 1)))
+        for mask in range(1 << len(cells)))
 
 
 def _finite_rank(h: Heap, what: str) -> int:
@@ -170,6 +170,7 @@ class Tester:
     def __init__(self, cfg: TestConfig):
         self.cfg = cfg
         self._member_cache: dict = {}
+        self._split_table: dict = {}    # heap -> _splits(heap)
         self._triple_cache: dict = {}
         self._universe: Optional[list] = None
         self._by_rank: dict = {}
@@ -208,6 +209,14 @@ class Tester:
         if n not in self._by_rank:
             self._by_rank[n] = [h for h in self.universe() if rank(h) <= n]
         return self._by_rank[n]
+
+    def splits(self, h: Heap) -> tuple:
+        """_splits(h), computed once per heap: heaps are interned, so the
+        table is keyed by identity."""
+        pairs = self._split_table.get(h)
+        if pairs is None:
+            pairs = self._split_table[h] = _splits(h)
+        return pairs
 
     # --- membership
 
@@ -276,7 +285,7 @@ class Tester:
         if t is Star:
             return any(self.member(P.left, env, w, h1)
                        and self.member(P.right, env, w, h2)
-                       for h1, h2 in _splits(h))
+                       for h1, h2 in self.splits(h))
         if t is Triple:
             r = _finite_rank(h, "triple")
             if r == 0:
@@ -339,7 +348,7 @@ class Tester:
         rest = Star(w, frame)
         return any(self.member(P, EMPTY_ENV, w, g1)
                    and self.member(rest, EMPTY_ENV, Emp(), g2)
-                   for g1, g2 in _splits(g))
+                   for g1, g2 in self.splits(g))
 
     def _dcl_member3(self, P, w, frame, h: Heap) -> bool:
         """Downward-closure membership: some tag-raised candidate above h

@@ -7,12 +7,13 @@ classification, equality modulo associativity/commutativity) live here;
 the concrete grammar lives in grammar.py.
 
 Every AST class derives from Node, whose slots cache facts about the node:
-its closed canonical key, its free (relation) variables and its
+its hash, its closed canonical key, its free (relation) variables and its
 unit-stripped form (logic._strip_units).  Invariant: a cached fact depends
 only on the node's own fields, never on where the node occurs, so a node
 shared between terms, or under different binders, may carry it.  Each fact
 is computed once, on first use, and written with object.__setattr__; the
-slots take no part in ==, hash, repr, copying or pickling.
+slots take no part in ==, repr, copying or pickling, and the cached hash
+is the one the generated dataclass __hash__ computes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class Node:
     """Base of the AST classes; the slots hold the cached facts (module
     docstring) and stay unset until first computed."""
 
-    __slots__ = ("_key", "_fv", "_stripped")
+    __slots__ = ("_hash", "_key", "_fv", "_stripped")
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +242,24 @@ Assertion = Union[
 Ast = Union[Expr, Command, Assertion]
 
 
+def _cache_hash(cls):
+    """Keep cls's hash, the hash of its field tuple, in the _hash slot.
+    @dataclass(frozen=True) writes a __hash__ into each class, so one on
+    Node would never be called."""
+    names = tuple(cls.__dataclass_fields__)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = hash(tuple([getattr(self, f) for f in names]))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+
+
 @dataclass(frozen=True)
 class Judgement:
     """A sequent: hypotheses and goal."""
@@ -284,6 +303,9 @@ _FIELDS = {cls: tuple((f.lstrip("*^"), "*" in f, "^" in f) for f in spec)
            for cls, spec in SCHEMA.items()}
 _BINDERS = frozenset(cls for cls, spec in SCHEMA.items()
                      if any(f.startswith("^") for f in spec))
+
+for _cls in SCHEMA:
+    _cache_hash(_cls)
 
 
 def binders(node):
@@ -506,25 +528,37 @@ def unfold(m: Mu, R: Assertion) -> Assertion:
 def contractive_in(P: Assertion, X: str) -> bool:
     """Whether every occurrence of X in P sits under a triple or in the
     right arm of an invariant extension."""
+    return exposed_occurrence(P, X) is None
+
+
+def exposed_occurrence(P: Assertion, X: str):
+    """The first occurrence of X in P that is neither under a triple nor
+    in the right arm of an invariant extension, or None."""
     if X not in _free(P)[1]:
-        return True
+        return None
     t = type(P)
     if t is RelVar:
-        return False
+        return P
     if t is Triple:
-        return True
+        return None
     if t is Tensor:
-        return contractive_in(P.left, X)
-    return all(contractive_in(c, X) for c in children(P))
+        return exposed_occurrence(P.left, X)
+    for c in children(P):
+        occurrence = exposed_occurrence(c, X)
+        if occurrence is not None:
+            return occurrence
+    return None
 
 
 class ContractivenessError(Exception):
-    def __init__(self, relvar, subterm):
+    """A mu body that is not contractive in its relation variable; the
+    occurrence and the body come in concrete syntax."""
+
+    def __init__(self, relvar, occurrence: str, body: str):
         self.relvar = relvar
-        self.subterm = subterm
         super().__init__(
             f"recursive assertion body is not formally contractive in "
-            f"{relvar}: offending occurrence in {subterm!r}")
+            f"{relvar}: offending occurrence {occurrence} in {body}")
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,12 @@ def test_cli_normalize(runner, tmp_path):
     (("test",), "(mu X(p). {X(1, 2)} 'skip' {emp})(1) => true",
      "X applied to 2 arguments, expected 1"),
     (("test",), "X => true", "without free relation variables"),
+    # the occurrence and the body are printed in concrete syntax
+    (("parse", "--kind", "assertion"), "mu X. X /\\ emp",
+     "offending occurrence X in X /\\ emp"),
+    (("parse", "--kind", "assertion"),
+     "(mu X(p). {X(p)} 'skip' {emp} * (p = 1 /\\ X(p)))(1)",
+     "offending occurrence X(p) in {X(p)} 'skip' {emp} * (p = 1 /\\ X(p))"),
 ])
 def test_cli_bad_recursive_assertion_is_input_error(runner, tmp_path,
                                                      command, text, message):
@@ -77,7 +83,7 @@ def test_cli_bad_recursive_assertion_is_input_error(runner, tmp_path,
     r = invoke(runner, command[0], p, *command[1:])
     assert r.exit_code == 3
     assert r.stderr.startswith("error: ") and message in r.stderr
-    assert "Traceback" not in r.stderr
+    assert "Traceback" not in r.stderr and "RelVar(" not in r.stderr
 
 
 # ---------------------------------------------------------------------------

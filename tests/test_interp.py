@@ -1,17 +1,22 @@
-"""Interpreter tests: projections, rank, heap order, execution."""
+"""Interpreter tests: projections, rank, heap order, execution, and the
+interning of runtime values."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepstore.config import default_config
+from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse
 from sepstore.interp import (
     BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Done, Env, Fault, Heap,
     IntVal, OutOfFuel, exec_cmd, eval_expr, format_heap, format_value,
     heap_join, heap_leq, parse_heap_text, rank, run_codeval, tag_raises,
-    truncate,
+    truncate, value_raises,
 )
 from sepstore.semantics import Tester
 from sepstore.syntax import Quote, Skip
@@ -268,3 +273,89 @@ def test_default_universe_is_finite_and_ranked():
     r0 = tester.universe_up_to_rank(0)
     assert r0 == [BOT]
     assert all(rank(h) <= 2 for h in tester.universe_up_to_rank(2))
+
+
+# ---------------------------------------------------------------------------
+# interning: one object per value
+
+
+def test_equal_values_from_every_constructor_are_one_object():
+    code = CodeVal(prog("[1] := 2"), EMPTY_ENV, 1)
+    h = Heap(((1, IntVal(3)), (2, code)))
+    assert IntVal(3) is IntVal(3) and IntVal(3) is not IntVal(4)
+    assert Heap.of({2: code, 1: IntVal(3)}) is h
+    assert Heap(cells=((1, IntVal(3)), (2, code))) is h
+    assert parse_heap_text("1 = 3\n2 = '[1] := 2'@1") is h
+    assert truncate(2, Heap(((1, IntVal(3)),
+                             (2, CodeVal(prog("[1] := 2")))))) is h
+    assert truncate(5, h) is h and truncate(0, h) is BOT
+    assert Heap(None) is BOT and Heap.bot() is BOT and Heap() is EMPTY_HEAP
+    assert h in tag_raises(Heap(((1, IntVal(3)),
+                                 (2, CodeVal(prog("[1] := 2"), tag=0)))), 3)
+    assert h in tag_raises(h, 3)
+    assert value_raises(code, 1) == [code]
+    env = Env.of({"x": IntVal(1), "y": code})
+    assert EMPTY_ENV.bind("y", code).bind("x", IntVal(1)) is env
+    assert env.bind("x", IntVal(1)) is env and Env() is EMPTY_ENV
+    assert env.restrict({"x"}) is Env((("x", IntVal(1)),))
+    assert CodeVal(prog("[1] := 2"), EMPTY_ENV, 1) is code
+    # equality is identity: a distinct but equal body still finds the value
+    assert CodeVal(code.body, captured=EMPTY_ENV, tag=1) is code
+
+
+def test_copies_pickles_and_replace_return_the_canonical_value():
+    code = CodeVal(prog("let x = [1] in [2] := x"),
+                   Env.of({"z": IntVal(0)}), 2)
+    values = [IntVal(7), code.captured, code, BOT, EMPTY_HEAP,
+              Heap(((1, code), (3, IntVal(-1))))]
+    for v in values:
+        for c in (copy.copy(v), copy.deepcopy(v),
+                  pickle.loads(pickle.dumps(v)), dataclasses.replace(v)):
+            assert c is v, repr(v)
+    assert dataclasses.replace(code, tag=INF) is CodeVal(code.body,
+                                                         code.captured)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        code.tag = 3
+
+
+def test_code_tags_2_and_2_0_are_one_value():
+    a = CodeVal(Skip(), EMPTY_ENV, 2.0)
+    b = CodeVal(Skip(), EMPTY_ENV, 2)
+    assert a is b and a.tag == 2 and type(a.tag) is int
+    assert repr(a) == "CodeVal(body=Skip(), captured=Env(items=()), tag=2)"
+    assert CodeVal(Skip(), EMPTY_ENV, INF).tag == INF
+
+
+def test_value_hash_is_the_structural_hash():
+    code = CodeVal(prog("[1] := x"), Env.of({"x": IntVal(2)}), 1)
+    h = Heap(((1, code),))
+    assert hash(IntVal(5)) == hash((5,))
+    assert hash(code.captured) == hash((code.captured.items,))
+    assert hash(code) == hash((code.body, code.captured, 1))
+    assert hash(h) == hash((h.cells,))
+
+
+def _reference_splits(h):
+    """The pairs h = h1 * h2 in the order the split table must keep: h1
+    holds the cells picked by the bits of a mask counted up from 0."""
+    if h.is_bot:
+        return [(h, h)]
+    cells = h.cells
+    out = []
+    for mask in range(1 << len(cells)):
+        left = tuple(c for i, c in enumerate(cells) if mask >> i & 1)
+        right = tuple(c for i, c in enumerate(cells) if not mask >> i & 1)
+        out.append((Heap(left), Heap(right)))
+    return out
+
+
+def test_split_table_keeps_the_enumerator_order():
+    fuzz = Tester(fuzz_config())
+    default = Tester(default_config())
+    for tester, heaps in ((fuzz, fuzz.universe()),
+                          (default, default.universe()[::7])):
+        for h in heaps:
+            # Heap == Heap is identity, so equal pairs are the same heaps
+            pairs = tester.splits(h)
+            assert list(pairs) == _reference_splits(h)
+            assert tester.splits(h) is pairs

@@ -1,9 +1,10 @@
-"""The facts cached in the slots of every AST node (syntax.Node): closed
-canonical key, free variables and the unit-stripped form.
+"""The facts cached in the slots of every AST node (syntax.Node): hash,
+closed canonical key, free variables and the unit-stripped form.
 
 Each cached answer must equal a from-scratch computation on a structurally
 equal fresh copy, whatever was cached first; the slots must not show in
-==, hash, repr or copies; and each fact is computed at most once.
+==, repr or copies, and the cached hash is the structural one; and each
+fact is computed at most once.
 """
 
 import copy
@@ -16,8 +17,8 @@ from sepstore import syntax
 from sepstore.grammar import parse, pretty_cmd
 from sepstore.logic import _strip_units
 from sepstore.syntax import (
-    Exists, IntLit, Node, PointsTo, Star, Var, canon_key, equal_mod_ac,
-    free_vars, map_children,
+    Exists, IntLit, Node, PointsTo, Star, ValueLit, Var, canon_key,
+    equal_mod_ac, free_vars, map_children,
 )
 from test_traversal_golden import _walk, terms
 
@@ -109,17 +110,20 @@ def test_memo_slots_are_invisible():
     t = parse("exists y. (mu X(p). {X(p) * p |-> y} 'skip' {emp})(y) "
               "* (emp * (1 |-> y /\\ y = 2))", "assertion")
     for s in _walk(t):
-        canon_key(s), free_vars(s), _strip_units(s)
+        hash(s), canon_key(s), free_vars(s), _strip_units(s)
     assert filled(t) == set(Node.__slots__)
     u = fresh_copy(t)
     assert not filled(u)
     assert not hasattr(t, "__dict__")
     assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
     deep = copy.deepcopy(t), pickle.loads(pickle.dumps(t))
-    for c in (dataclasses.replace(t), copy.copy(t)) + deep:
-        assert c == t and hash(c) == hash(t) and repr(c) == repr(t)
+    copies = (dataclasses.replace(t), copy.copy(t)) + deep
+    # no slot is copied; checked before hash() fills the copies' _hash
+    for c in copies:
         assert not any(hasattr(c, s) for s in Node.__slots__)
     assert not any(filled(c) for c in deep)
+    for c in copies:
+        assert c == t and hash(c) == hash(t) and repr(c) == repr(t)
     rebuilt = map_children(t, fresh_copy)
     assert rebuilt == t and rebuilt is not t
     assert not filled(rebuilt)
@@ -157,6 +161,31 @@ def test_each_fact_is_computed_once(monkeypatch):
         free_walks.clear()
         assert (canon_key(t), free_vars(t)) == first
         assert not canon_walks and not free_walks
+
+
+def test_hash_is_computed_once():
+    class Counted:
+        """A ValueLit payload that counts how often it is hashed."""
+        calls = 0
+
+        def __hash__(self):
+            Counted.calls += 1
+            return 7
+
+    v = Counted()
+    t = Star(PointsTo(IntLit(1), ValueLit(v)), Exists("x", Var("x")))
+    assert not filled(t)
+    first = hash(t)
+    assert Counted.calls == 1 and filled(t) == {"_hash"}
+    assert hash(t) == first and Counted.calls == 1
+    # the sub-terms' hashes were kept while hashing t
+    assert hash(t.left.value) and Counted.calls == 1
+    # a structurally equal copy computes the same hash once itself
+    u = fresh_copy(t)
+    assert hash(u) == first and Counted.calls == 2
+    assert hash(u) == first and Counted.calls == 2
+    # the value is the generated dataclass hash of the field tuple
+    assert first == hash((t.left, t.right))
 
 
 # ---------------------------------------------------------------------------
