@@ -6,14 +6,23 @@ Operations on them (free variables, substitution, contractiveness, purity
 classification, equality modulo associativity/commutativity) live here;
 the concrete grammar lives in grammar.py.
 
+Every node is hash-consed: building a node with the class and fields of
+an existing one returns that node, so there is one object per term and
+`==` is `is`.  The constructors, map_children, dataclasses.replace, copy,
+deepcopy and pickle all go through the one intern table, _NODES.  A
+node's hash is the hash of its class name and field tuple, taken once,
+when the node is made; it never depends on an address, since the order
+of sets and dicts of nodes decides fresh names and witness order.
+
 Every AST class derives from Node, whose slots cache facts about the node:
 its hash, its closed canonical key, its free (relation) variables and its
 unit-stripped form (logic._strip_units).  Invariant: a cached fact depends
 only on the node's own fields, never on where the node occurs, so a node
 shared between terms, or under different binders, may carry it.  Each fact
-is computed once, on first use, and written with object.__setattr__; the
-slots take no part in ==, repr, copying or pickling, and the cached hash
-is the one the generated dataclass __hash__ computes.
+but the hash is computed once, on first use, and written with
+object.__setattr__; the slots take no part in repr.  Since substitution
+hands back every sub-term it does not reach, the facts of those sub-terms
+survive it.
 """
 
 from __future__ import annotations
@@ -21,44 +30,96 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 from typing import Iterable, Union
 
 
 class Node:
     """Base of the AST classes; the slots hold the cached facts (module
-    docstring) and stay unset until first computed."""
+    docstring).  _hash is set when the node is made, the others stay unset
+    until first computed."""
 
     __slots__ = ("_hash", "_key", "_fv", "_stripped")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+_NODES: dict = {}   # (class, *fields) -> the node
+
+
+def _make(key):
+    cls, fields = key[0], key[1:]
+    node = object.__new__(cls)
+    for f, x in zip(cls.__match_args__, fields):
+        object.__setattr__(node, f, x)
+    # the class by name: a class's own hash is its address, which varies
+    # from run to run and would reorder sets and dicts of nodes
+    object.__setattr__(node, "_hash", hash((cls.__name__,) + fields))
+    _NODES[key] = node
+    return node
+
+
+_NEW = """\
+def __new__(cls, {params}):
+    key = (cls, {fields})
+    node = _NODES.get(key)
+    return _make(key) if node is None else node
+"""
+
+
+def _node(cls):
+    """cls as a frozen dataclass whose constructor returns the interned
+    node of its fields (module docstring)."""
+    cls = dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
+    fields = cls.__dataclass_fields__.values()
+    defaults = {f"_{f.name}": f.default for f in fields
+                if f.default is not MISSING}
+    params = ", ".join(f"{f.name}=_{f.name}" if f"_{f.name}" in defaults
+                       else f.name for f in fields)
+    scope = {"_NODES": _NODES, "_make": _make, **defaults}
+    exec(_NEW.format(params=params,
+                     fields="".join(f"{f.name}, " for f in fields)), scope)
+    cls.__new__ = scope["__new__"]
+    return cls
 
 
 # ---------------------------------------------------------------------------
 # expressions
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class IntLit(Node):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Var(Node):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class BinOp(Node):
     op: str  # one of + - *
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Quote(Node):
     body: "Command"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ValueLit(Node):
     """A runtime value embedded as an expression.
 
@@ -77,48 +138,48 @@ Expr = Union[IntLit, Var, BinOp, Quote, ValueLit]
 # commands
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Assign(Node):
     target: Expr
     source: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class LetDeref(Node):
     var: str
     addr: Expr
     body: "Command"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class EvalAt(Node):
     addr: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class LetNew(Node):
     var: str
     inits: tuple
     body: "Command"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Free(Node):
     addr: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Skip(Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Seq(Node):
     first: "Command"
     second: "Command"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class If(Node):
     lhs: Expr
     rhs: Expr
@@ -133,95 +194,95 @@ Command = Union[Assign, LetDeref, EvalAt, LetNew, Free, Skip, Seq, If]
 # assertions
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FalseA(Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class TrueA(Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Or(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Implies(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Forall(Node):
     var: str
     body: "Assertion"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Exists(Node):
     var: str
     body: "Assertion"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Eq(Node):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Leq(Node):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class PointsTo(Node):
     addr: Expr
     value: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Emp(Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Star(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Triple(Node):
     pre: "Assertion"
     code: Expr
     post: "Assertion"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Tensor(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class RelVar(Node):
     name: str
     args: tuple = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mu(Node):
     relvar: str
     params: tuple
@@ -229,7 +290,7 @@ class Mu(Node):
     args: tuple = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Diamond(Node):
     body: "Assertion"
 
@@ -240,24 +301,6 @@ Assertion = Union[
 ]
 
 Ast = Union[Expr, Command, Assertion]
-
-
-def _cache_hash(cls):
-    """Keep cls's hash, the hash of its field tuple, in the _hash slot.
-    @dataclass(frozen=True) writes a __hash__ into each class, so one on
-    Node would never be called."""
-    names = tuple(cls.__dataclass_fields__)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        h = hash(tuple([getattr(self, f) for f in names]))
-        object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
 
 
 @dataclass(frozen=True)
@@ -303,9 +346,6 @@ _FIELDS = {cls: tuple((f.lstrip("*^"), "*" in f, "^" in f) for f in spec)
            for cls, spec in SCHEMA.items()}
 _BINDERS = frozenset(cls for cls, spec in SCHEMA.items()
                      if any(f.startswith("^") for f in spec))
-
-for _cls in SCHEMA:
-    _cache_hash(_cls)
 
 
 def binders(node):
@@ -355,8 +395,8 @@ def map_children(node, f, *args, scoped=None):
         changed[name] = new
     if changed is None:
         return node
-    return t(**{n: changed[n] if n in changed else getattr(node, n)
-                for n in t.__dataclass_fields__})
+    return t(*[changed[n] if n in changed else getattr(node, n)
+               for n in t.__match_args__])
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +507,14 @@ def _value_free_vars(var_map, rel_map):
 
 
 def _subst(ast, var_map, rel_map):
-    if not var_map and not rel_map:
+    # the maps reach no free name of ast: it comes back as it is, with the
+    # facts cached on it and on its sub-terms
+    fv, frv = _free(ast)
+    if fv.isdisjoint(var_map) and frv.isdisjoint(rel_map):
         return ast
     t = type(ast)
     if t is Var:
-        return var_map.get(ast.name, ast)
+        return var_map[ast.name]
     if t is RelVar and ast.name in rel_map:
         args = tuple(_subst(e, var_map, rel_map) for e in ast.args)
         params, body = rel_map[ast.name]
