@@ -37,8 +37,10 @@ class TypeFault(Exception):
 # Every value is interned: building one with the fields of an existing
 # value returns that value, so there is one object per value, `==` is `is`,
 # and the hash -- the structural hash of the field tuple, as a frozen
-# dataclass would compute it -- is taken once, when the value is made.
-# Copies, pickles and dataclasses.replace go through the constructor too.
+# dataclass would compute it -- is taken once, when the value is made,
+# together with its serial `_id`, a table key only (syntax module
+# docstring).  Copies, pickles and dataclasses.replace go through the
+# constructor too.
 
 _INTERNED: dict = {}   # (class, *fields) -> the value
 
@@ -51,12 +53,13 @@ def _intern(key):
         for f, x in zip(cls.__match_args__, fields):
             object.__setattr__(v, f, x)
         object.__setattr__(v, "_hash", hash(fields))
+        object.__setattr__(v, "_id", next(syntax._SERIALS))
         _INTERNED[key] = v
     return v
 
 
 class _Value:
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_id")
 
     def __hash__(self):
         return self._hash

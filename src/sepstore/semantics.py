@@ -164,13 +164,29 @@ def _finite_rank(h: Heap, what: str) -> int:
     return int(r)
 
 
+def _truncations(h: Heap, what: str) -> tuple:
+    return tuple(truncate(n, h) for n in range(_finite_rank(h, what) + 1))
+
+
 class Tester:
-    """Bounded membership evaluator and triple/entailment tester."""
+    """Bounded membership evaluator and triple/entailment tester.
+
+    Its tables go through _memo and are keyed by the serials (`_id`) of
+    interned terms and values, never by the objects themselves: an int
+    key hashes in C, where a term or value would hash through a Python
+    `__hash__`.  The member cache has one row per (P, env, w), a dict
+    from heap serial to answer, filled on demand; so has the _member3
+    table, per (P, w, frame)."""
 
     def __init__(self, cfg: TestConfig):
         self.cfg = cfg
-        self._member_cache: dict = {}
-        self._split_table: dict = {}    # heap -> _splits(heap)
+        self._member_cache: dict = {}   # (P, env, w) -> {h: member(..., h)}
+        self._member3_table: dict = {}  # (P, w, frame) -> {g: _member3(...)}
+        self._split_table: dict = {}    # h -> _splits(h)
+        self._truncations: dict = {}    # h -> truncate(n, h), n = 0..rank h
+        self._raises: dict = {}         # h -> tag_raises(h, ...)
+        self._bindings: dict = {}       # (env, x) -> env.bind(x, d) per value
+        self._mu_table: dict = {}       # (mu, depth) -> mu_approximation
         self._triple_cache: dict = {}
         self._universe: Optional[list] = None
         self._by_rank: dict = {}
@@ -206,26 +222,49 @@ class Tester:
         return self._universe
 
     def universe_up_to_rank(self, n) -> list:
-        if n not in self._by_rank:
-            self._by_rank[n] = [h for h in self.universe() if rank(h) <= n]
-        return self._by_rank[n]
+        return _memo(self._by_rank, n, self._up_to_rank, n)
+
+    def _up_to_rank(self, n) -> list:
+        return [h for h in self.universe() if rank(h) <= n]
 
     def splits(self, h: Heap) -> tuple:
-        """_splits(h), computed once per heap: heaps are interned, so the
-        table is keyed by identity."""
-        pairs = self._split_table.get(h)
-        if pairs is None:
-            pairs = self._split_table[h] = _splits(h)
-        return pairs
+        """_splits(h), computed once per heap."""
+        return _memo(self._split_table, h._id, _splits, h)
+
+    def truncations(self, h: Heap, what: str) -> tuple:
+        """truncate(n, h) for n = 0 .. rank(h), computed once per heap; a
+        heap of infinite rank raises UniverseOverflow about `what`."""
+        return _memo(self._truncations, h._id, _truncations, h, what)
+
+    def raises(self, h: Heap) -> list:
+        """tag_raises(h) up to the larger of tag_max and level_k, computed
+        once per heap."""
+        return _memo(self._raises, h._id, tag_raises, h,
+                     max(self.cfg.tag_max, self.cfg.level_k))
+
+    def bindings(self, env: Env, x: str) -> tuple:
+        """env.bind(x, d) for each d in values(), computed once."""
+        return _memo(self._bindings, (env._id, x), self._bind_values, env, x)
+
+    def _bind_values(self, env, x) -> tuple:
+        return tuple(env.bind(x, d) for d in self.values())
+
+    def mu_approximation(self, mu: Mu, depth: int):
+        """mu_approximation(mu, depth), computed once."""
+        return _memo(self._mu_table, (mu._id, depth), mu_approximation,
+                     mu, depth)
 
     # --- membership
 
     def member(self, P, env: Env, w, h: Heap) -> bool:
         """h in [[P]]env at the world generated by the closed assertion
         w."""
+        key = (P._id, env._id, w._id)
+        row = self._member_cache.get(key)
+        if row is None:
+            row = self._member_cache[key] = {}
         # contractiveness makes a genuine cycle impossible
-        return _memo(self._member_cache, (P, env, w, h), self._member,
-                     P, env, w, h)
+        return _memo(row, h._id, self._member, P, env, w, h)
 
     def _member(self, P, env, w, h) -> bool:
         t = type(P)
@@ -265,21 +304,18 @@ class Tester:
             return self.member(P.left, env, w, h) \
                 or self.member(P.right, env, w, h)
         if t is Implies:
-            for n in range(_finite_rank(h, "implication") + 1):
-                hn = truncate(n, h)
+            for hn in self.truncations(h, "implication"):
                 if self.member(P.left, env, w, hn) \
                         and not self.member(P.right, env, w, hn):
                     return False
             return True
         if t is Forall:
-            return all(self.member(P.body, env.bind(P.var, d), w, h)
-                       for d in self.values())
+            return all(self.member(P.body, e, w, h)
+                       for e in self.bindings(env, P.var))
         if t is Exists:
-            pool = self.values()
-            for n in range(_finite_rank(h, "existential"), -1, -1):
-                hn = truncate(n, h)
-                if not any(self.member(P.body, env.bind(P.var, d), w, hn)
-                           for d in pool):
+            envs = self.bindings(env, P.var)
+            for hn in reversed(self.truncations(h, "existential")):
+                if not any(self.member(P.body, e, w, hn) for e in envs):
                     return False
             return True
         if t is Star:
@@ -304,7 +340,7 @@ class Tester:
         if t is RelVar:
             raise UnboundVariable(f"relation variable {P.name}")
         if t is Mu:
-            unfolded = mu_approximation(P, _finite_rank(h, "mu") + 1)
+            unfolded = self.mu_approximation(P, _finite_rank(h, "mu") + 1)
             return self.member(unfolded, env, w, h)
         if t is Diamond:
             return self._member_diamond(P.body, env, w, h)
@@ -345,6 +381,13 @@ class Tester:
 
     def _member3(self, P, w, frame, g: Heap) -> bool:
         """g in  [[P]]w * (world invariant at the unit world * frame)."""
+        key = (P._id, w._id, frame._id)
+        row = self._member3_table.get(key)
+        if row is None:
+            row = self._member3_table[key] = {}
+        return _memo(row, g._id, self._star3, P, w, frame, g)
+
+    def _star3(self, P, w, frame, g: Heap) -> bool:
         rest = Star(w, frame)
         return any(self.member(P, EMPTY_ENV, w, g1)
                    and self.member(rest, EMPTY_ENV, Emp(), g2)
@@ -353,12 +396,12 @@ class Tester:
     def _dcl_member3(self, P, w, frame, h: Heap) -> bool:
         """Downward-closure membership: some tag-raised candidate above h
         lies in the target set."""
-        return any(self._member3(P, w, frame, g) for g in
-                   tag_raises(h, max(self.cfg.tag_max, self.cfg.level_k)))
+        return any(self._member3(P, w, frame, g) for g in self.raises(h))
 
     def sem_triple_at(self, k: int, w, pre, code: HeapValue, post,
                       env: Env = EMPTY_ENV) -> Verdict:
-        return _memo(self._triple_cache, (k, w, pre, post, code, env),
+        key = (k, w._id, pre._id, post._id, code._id, env._id)
+        return _memo(self._triple_cache, key,
                      self._sem_triple_at, k, w, pre, code, post, env)
 
     def _sem_triple_at(self, k, w, pre, code, post, env) -> Verdict:

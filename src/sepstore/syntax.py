@@ -14,6 +14,13 @@ node's hash is the hash of its class name and field tuple, taken once,
 when the node is made; it never depends on an address, since the order
 of sets and dicts of nodes decides fresh names and witness order.
 
+Each interned node, and each interned runtime value (interp._INTERNED),
+also gets a serial, `_id`, from the one counter _SERIALS when it is made.
+A serial is a table key only: the semantic tester keys its tables by
+serials, whose int hash costs no Python call.  It never enters the hash,
+`==` or any iteration order, so it decides no fresh name and no witness.
+Copies, pickles and replace return the interned object, serial and all.
+
 Every AST class derives from Node, whose slots cache facts about the node:
 its hash, its closed canonical key, its free (relation) variables and its
 unit-stripped form (logic._strip_units).  Invariant: a cached fact depends
@@ -28,6 +35,7 @@ survive it.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 from dataclasses import MISSING, dataclass, replace
@@ -36,10 +44,10 @@ from typing import Iterable, Union
 
 class Node:
     """Base of the AST classes; the slots hold the cached facts (module
-    docstring).  _hash is set when the node is made, the others stay unset
-    until first computed."""
+    docstring).  _hash and the serial _id are set when the node is made, the
+    others stay unset until first computed."""
 
-    __slots__ = ("_hash", "_key", "_fv", "_stripped")
+    __slots__ = ("_hash", "_id", "_key", "_fv", "_stripped")
 
     def __hash__(self):
         return self._hash
@@ -55,6 +63,7 @@ class Node:
 
 
 _NODES: dict = {}   # (class, *fields) -> the node
+_SERIALS = itertools.count()   # _id of each interned node and runtime value
 
 
 def _make(key):
@@ -65,6 +74,7 @@ def _make(key):
     # the class by name: a class's own hash is its address, which varies
     # from run to run and would reorder sets and dicts of nodes
     object.__setattr__(node, "_hash", hash((cls.__name__,) + fields))
+    object.__setattr__(node, "_id", next(_SERIALS))
     _NODES[key] = node
     return node
 

@@ -325,8 +325,8 @@ def test_registry_replays_witnesses_on_a_fresh_tester():
     text = "1 |-> 0 => exists v. 1 |-> v"
     tester = Tester(fuzz_config())
     world, heap = tester.cfg.world_pool[0], tester.universe()[0]
-    tester._member_cache[(parse(text, "assertion"), EMPTY_ENV, world,
-                          heap)] = False
+    row = (parse(text, "assertion")._id, EMPTY_ENV._id, world._id)
+    tester._member_cache[row] = {heap._id: False}
     status, detail, _ = _refuted(text)(tester)
     assert (status, detail) == ("unexpected", "witness did not replay")
 

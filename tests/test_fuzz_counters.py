@@ -8,7 +8,8 @@ instances of each rule were checked, vacuous, rejected and failing.
 any change to the semantic model or the rule generators that alters a
 verdict shows up as a changed counter.  The test only reads the file.
 
-The same pass also shows that its Tester keeps one object per world.
+The same pass also shows that its Tester keeps one object per world, and
+pins how many samples it checked.
 """
 
 import json
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from sepstore import syntax
 from sepstore.fuzz import GENERATORS, fuzz_all, fuzz_config
 from sepstore.semantics import Tester
 
@@ -39,8 +41,17 @@ def test_fuzz_counters_match_the_bench_baseline(seed_0_pass):
 
 
 def test_member_cache_holds_one_object_per_world(seed_0_pass):
-    # a world is an assertion; told apart by its repr, which does not
-    # rely on `==`
-    worlds = [w for _, _, w, _ in seed_0_pass[1]._member_cache]
+    # a row is keyed by serials; a world is an assertion, told apart by
+    # its repr, which does not rely on `==`
+    node = {n._id: n for n in syntax._NODES.values()}
+    worlds = [node[w] for _, _, w in seed_0_pass[1]._member_cache]
     assert len({id(w) for w in worlds}) == len({repr(w) for w in worlds})
     assert len({repr(w) for w in worlds}) > 100
+
+
+def test_seed_0_pass_samples_every_heap_once(seed_0_pass):
+    # a table that skipped or repeated a counted sample would move these
+    tester = seed_0_pass[1]
+    assert tester.samples == 37751
+    assert tester.inconclusive == 1660
+    assert len(tester._triple_cache) == 2508

@@ -268,15 +268,26 @@ def test_universe_size_is_checked_before_enumerating():
 
 def test_cache_reentry_raises():
     """A computation that asks for its own cached result is an error, for
-    membership and for triples alike; the aborted entry is not cached."""
+    membership, three-way membership and triples alike; the aborted entry
+    is not cached."""
     t = Tester(fuzz_config())
     args = (TrueA(), EMPTY_ENV, Emp(), EMPTY_HEAP)
     t._member = lambda *a: t.member(*a)
     with pytest.raises(CacheReentry):
         t.member(*args)
-    assert t._member_cache == {}
+    row = t._member_cache[(TrueA()._id, EMPTY_ENV._id, Emp()._id)]
+    assert EMPTY_HEAP._id not in row
     del t._member
     assert t.member(*args) is True
+
+    args3 = (TrueA(), Emp(), TrueA(), EMPTY_HEAP)
+    t._star3 = lambda *a: t._member3(*a)
+    with pytest.raises(CacheReentry):
+        t._member3(*args3)
+    row = t._member3_table[(TrueA()._id, Emp()._id, TrueA()._id)]
+    assert EMPTY_HEAP._id not in row
+    del t._star3
+    assert t._member3(*args3) is True
 
     code = CodeVal(Skip(), EMPTY_ENV, INF)
     triple = (1, Emp(), A("emp"), code, A("emp"))

@@ -1,0 +1,91 @@
+"""Serials, and the Tester tables keyed by them.
+
+Every interned node (syntax._NODES) and runtime value (interp._INTERNED)
+carries a serial, `_id`, drawn from one counter when it is made.  A
+serial is a table key only: the Tester keys its tables by serials, so
+each table must answer what the function it tables answers.
+"""
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from sepstore import interp, syntax
+from sepstore.config import default_config
+from sepstore.fuzz import fuzz_config
+from sepstore.interp import (
+    EMPTY_ENV, INF, CodeVal, Env, Heap, IntVal, rank, tag_raises, truncate,
+)
+from sepstore.semantics import Tester, UniverseOverflow, mu_approximation
+from sepstore.syntax import Mu, Skip
+from test_traversal_golden import _walk, terms
+
+
+def test_serials_are_distinct_across_both_intern_tables():
+    Tester(fuzz_config()).universe()
+    list(terms())
+    serials = [n._id for n in syntax._NODES.values()] \
+        + [v._id for v in interp._INTERNED.values()]
+    assert len(serials) == len(set(serials))
+    assert len(serials) > 1000
+
+
+def test_copies_pickles_and_replace_keep_the_serial():
+    tester = Tester(fuzz_config())
+    objects = [t for _, t in terms()][:50] + tester.universe() \
+        + list(tester.values()) + [Env.of({"x": IntVal(1)})]
+    for x in objects:
+        for c in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x)), dataclasses.replace(x)):
+            assert c._id == x._id, repr(x)
+
+
+def _testers_and_heaps():
+    fuzz = Tester(fuzz_config())
+    default = Tester(default_config())
+    return ((fuzz, fuzz.universe()), (default, default.universe()[::7]))
+
+
+def test_truncation_table_equals_truncate_at_every_level():
+    for tester, heaps in _testers_and_heaps():
+        for h in heaps:
+            levels = tester.truncations(h, "a test")
+            assert levels == tuple(truncate(n, h)
+                                   for n in range(int(rank(h)) + 1))
+            assert tester.truncations(h, "a test") is levels
+        unranked = Heap(((1, CodeVal(Skip(), EMPTY_ENV, INF)),))
+        with pytest.raises(UniverseOverflow, match="a test on a heap"):
+            tester.truncations(unranked, "a test")
+
+
+def test_binding_table_equals_env_bind_over_the_values():
+    for tester, _ in _testers_and_heaps():
+        envs = [EMPTY_ENV, Env.of({"x": IntVal(1)}),
+                Env.of({"x": IntVal(0), "y": tester.values()[-1]})]
+        for env in envs:
+            for x in ("x", "y", "z"):
+                bound = tester.bindings(env, x)
+                assert bound == tuple(env.bind(x, d)
+                                      for d in tester.values())
+                assert tester.bindings(env, x) is bound
+
+
+def test_mu_table_equals_mu_approximation():
+    mus = {n for _, t in terms() for n in _walk(t) if type(n) is Mu}
+    assert len(mus) > 10
+    tester = Tester(fuzz_config())
+    for m in sorted(mus, key=repr):
+        for depth in (1, 2, 3):
+            assert tester.mu_approximation(m, depth) \
+                is mu_approximation(m, depth)
+
+
+def test_raise_table_equals_tag_raises():
+    for tester, heaps in _testers_and_heaps():
+        top = max(tester.cfg.tag_max, tester.cfg.level_k)
+        for h in heaps:
+            above = tester.raises(h)
+            assert above == tag_raises(h, top)
+            assert tester.raises(h) is above
