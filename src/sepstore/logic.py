@@ -9,6 +9,11 @@ deduction layer; derived rules are built from kernel rule applications.
 A small decidable entailment engine (entail_basic) discharges the obvious
 implication premises, and a negative registry rejects known-unsound rule
 names with an explanation.
+
+Each pure function of one term on the entailer's path (normal forms,
+ground truth, unfolding, witness candidates) is computed once per interned
+node: it keeps a table from the node's serial to its answer, listed in
+_TABLES, and probes it inline ("per-node tables" below).
 """
 
 from __future__ import annotations
@@ -136,6 +141,37 @@ REJECTED = {
 
 
 # ---------------------------------------------------------------------------
+# per-node tables
+#
+# Every term is one interned node (syntax), so a function of one term and
+# nothing else is computed once per node.  Each such function keeps one
+# table, listed in _TABLES under its name: a dict from the node's serial
+# (`_id`) to the function's answer.  The function probes it inline, first
+# thing in its body, and stores its answer last:
+#
+#     out = _TABLE.get(P._id, _MISS)
+#     if out is not _MISS:
+#         return out
+#     ...
+#     _TABLE[P._id] = out
+#
+# Inline, not in a wrapping decorator: these functions recurse once per
+# level of the term, and a wrapper would double the stack frames per level.
+# A miss is _MISS, never None, since None is an answer (ground_truth's
+# "undecided").  No table is ever emptied; a serial is never reused.
+
+_MISS = object()
+_TABLES: dict = {}   # name of the tabled function -> its table
+_STRIPPED = _TABLES["_strip_units"] = {}
+_NORMALIZED = _TABLES["normalize_otimes"] = {}
+_PRENEX = _TABLES["prenex"] = {}
+_ABSURD = _TABLES["lhs_absurd"] = {}
+_GROUND = _TABLES["ground_truth"] = {}
+_UNFOLDED = _TABLES["unfold_mu"] = {}
+_WITNESSES = _TABLES["_witnesses"] = {}
+
+
+# ---------------------------------------------------------------------------
 # small assertion utilities
 
 
@@ -231,7 +267,12 @@ def _quantify(quant, xs, body):
 def unfold_mu(m: Mu):
     """One unfolding: the body with the bound relation variable replaced
     by the recursive assertion and parameters by the arguments."""
-    return unfold(m, replace(m, args=tuple(Var(p) for p in m.params)))
+    out = _UNFOLDED.get(m._id, _MISS)
+    if out is not _MISS:
+        return out
+    out = unfold(m, replace(m, args=tuple(Var(p) for p in m.params)))
+    _UNFOLDED[m._id] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +310,19 @@ def normalize_otimes(P):
     """Push every invariant extension inward as far as the distribution
     axioms allow; extensions over recursive assertions, relation variables
     and the rank modality are left in place."""
-    if type(P) is not Tensor:
-        return map_children(P, normalize_otimes) \
-            if type(P) in _CONNECTIVES else P
-    left, right = normalize_otimes(P.left), normalize_otimes(P.right)
-    step = dist_step(left, right)
-    if step is None:
-        return Tensor(left, right)
-    return normalize_otimes(step)
+    if type(P) not in _CONNECTIVES:
+        return P
+    out = _NORMALIZED.get(P._id, _MISS)
+    if out is not _MISS:
+        return out
+    if type(P) is Tensor:
+        left, right = normalize_otimes(P.left), normalize_otimes(P.right)
+        step = dist_step(left, right)
+        out = Tensor(left, right) if step is None else normalize_otimes(step)
+    else:
+        out = map_children(P, normalize_otimes)
+    _NORMALIZED[P._id] = out
+    return out
 
 
 def circ_n(P, R):
@@ -295,18 +341,25 @@ def ground_truth(A):
         return True
     if t is FalseA:
         return False
+    if t not in (Eq, Leq, And, Or, Implies):
+        return None
+    out = _GROUND.get(A._id, _MISS)
+    if out is not _MISS:
+        return out
     if t in (Eq, Leq):
         try:
             a = eval_expr(A.left, EMPTY_ENV)
             b = eval_expr(A.right, EMPTY_ENV)
         except (TypeFault, UnboundVariable):
-            return None
-        if t is Eq:
-            return a == b
-        if isinstance(a, IntVal) and isinstance(b, IntVal):
-            return a.n <= b.n
-        return None
-    if t in (And, Or, Implies):
+            out = None
+        else:
+            if t is Eq:
+                out = a == b
+            elif isinstance(a, IntVal) and isinstance(b, IntVal):
+                out = a.n <= b.n
+            else:
+                out = None
+    else:
         # three-valued: a side that is undecided leaves the result open
         # unless the other side decides it alone
         l, r = ground_truth(A.left), ground_truth(A.right)
@@ -314,9 +367,11 @@ def ground_truth(A):
             l = not l
         decisive = t is not And
         if decisive in (l, r):
-            return decisive
-        return l if l is r else None
-    return None
+            out = decisive
+        else:
+            out = l if l is r else None
+    _GROUND[A._id] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +382,14 @@ def prenex(P):
     """Pull existentials out of star- and and-components (an equivalence,
     since the binders do not occur in the siblings)."""
     t = type(P)
-    if t in (Star, And):
+    if t not in (Star, And, Exists):
+        return P
+    out = _PRENEX.get(P._id, _MISS)
+    if out is not _MISS:
+        return out
+    if t is Exists:
+        out = Exists(P.var, prenex(P.body))
+    else:
         left, right = prenex(P.left), prenex(P.right)
         binders = []
 
@@ -346,42 +408,56 @@ def prenex(P):
 
         left = strip(left, right)
         right = strip(right, left)
-        return _quantify(Exists, binders, t(left, right))
-    if t is Exists:
-        return Exists(P.var, prenex(P.body))
-    return P
+        out = _quantify(Exists, binders, t(left, right))
+    _PRENEX[P._id] = out
+    return out
 
 
-def _collect_exprs(ast, out, seen):
-    """Sub-expressions usable as quantifier witnesses."""
+def _witnesses(ast) -> tuple:
+    """The sub-expressions of ast usable as quantifier witnesses (integers,
+    variables, arithmetic and quoted code), one per canonical key, in
+    pre-order of first occurrence; the walk enters no witness but a BinOp."""
+    out = _WITNESSES.get(ast._id, _MISS)
+    if out is not _MISS:
+        return out
     t = type(ast)
-    if t in (IntLit, Var, BinOp, Quote):
-        k = canon_key(ast)
-        if k not in seen:
-            seen.add(k)
-            out.append(ast)
-        if t is not BinOp:
-            return
-    for c in children(ast):
-        _collect_exprs(c, out, seen)
+    if t in (IntLit, Var, Quote):
+        out = (ast,)
+    else:
+        found = [ast] if t is BinOp else []
+        seen = set(map(canon_key, found))
+        for c in children(ast):
+            for w in _witnesses(c):
+                k = canon_key(w)
+                if k not in seen:
+                    seen.add(k)
+                    found.append(w)
+        out = tuple(found)
+    _WITNESSES[ast._id] = out
+    return out
 
 
 def lhs_absurd(P) -> bool:
     """Whether P is unsatisfiable by the star laws and ground facts."""
-    if ground_truth(P) is False:
-        return True
     t = type(P)
-    if t is And:
-        return any(lhs_absurd(p) for p in and_parts(P))
-    if t is Star:
+    if t not in (And, Star, Exists):
+        return ground_truth(P) is False
+    out = _ABSURD.get(P._id, _MISS)
+    if out is not _MISS:
+        return out
+    if ground_truth(P) is False:
+        out = True
+    elif t is And:
+        out = any(lhs_absurd(p) for p in and_parts(P))
+    elif t is Star:
         parts = star_parts(P)
-        if any(lhs_absurd(p) for p in parts):
-            return True
-        addrs = [a for a in (part_addr(p) for p in parts) if a is not None]
-        return len(addrs) != len(set(addrs))
-    if t is Exists:
-        return lhs_absurd(P.body)
-    return False
+        addrs = [a for a in map(part_addr, parts) if a is not None]
+        out = any(lhs_absurd(p) for p in parts) \
+            or len(addrs) != len(set(addrs))
+    else:
+        out = lhs_absurd(P.body)
+    _ABSURD[P._id] = out
+    return out
 
 
 def _unfold_first_mu(P):
@@ -400,29 +476,20 @@ def _unfold_first_mu(P):
 
 def _strip_units(a):
     """Remove emp units under * everywhere; keeps the memo key of an
-    entailment problem in step with its structure.  Cached on the node
-    (syntax.Node), with None for "a itself" so no node refers to itself."""
+    entailment problem in step with its structure."""
     if type(a) not in _CONNECTIVES:
         return a
-    try:
-        out = a._stripped
-    except AttributeError:
-        pass
-    else:
-        return a if out is None else out
-    out = _strip_walk(a)
-    object.__setattr__(a, "_stripped", None if out is a else out)
+    out = _STRIPPED.get(a._id, _MISS)
+    if out is not _MISS:
+        return out
+    out = map_children(a, _strip_units)
+    if type(out) is Star:
+        if type(out.left) is Emp:
+            out = out.right
+        elif type(out.right) is Emp:
+            out = out.left
+    _STRIPPED[a._id] = out
     return out
-
-
-def _strip_walk(a):
-    b = map_children(a, _strip_units)
-    if type(b) is Star:
-        if type(b.left) is Emp:
-            return b.right
-        if type(b.right) is Emp:
-            return b.left
-    return b
 
 
 class _Entailer:
@@ -552,8 +619,11 @@ class _Entailer:
         """The body of `quant` at each candidate witness: sub-expressions
         of `other` and of the body."""
         out, seen = [], set()
-        _collect_exprs(other, out, seen)
-        _collect_exprs(quant.body, out, seen)
+        for w in _witnesses(other) + _witnesses(quant.body):
+            k = canon_key(w)
+            if k not in seen:
+                seen.add(k)
+                out.append(w)
         for w in out[:self.MAX_WITNESSES]:
             if quant.var not in free_vars(w)[0]:
                 yield substitute(quant.body, {quant.var: w})

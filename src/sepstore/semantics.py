@@ -151,10 +151,12 @@ def _splits(h: Heap) -> tuple:
     if h.is_bot:
         return ((h, h),)
     cells = h.cells
-    return tuple(
-        (Heap(tuple(c for i, c in enumerate(cells) if mask >> i & 1)),
-         Heap(tuple(c for i, c in enumerate(cells) if not mask >> i & 1)))
-        for mask in range(1 << len(cells)))
+    # the sub-heap of each mask, built once: the complement of mask m,
+    # full ^ m, names the other half of the same split
+    sub = [Heap(tuple(c for i, c in enumerate(cells) if mask >> i & 1))
+           for mask in range(1 << len(cells))]
+    full = len(sub) - 1
+    return tuple((sub[m], sub[full ^ m]) for m in range(len(sub)))
 
 
 def _finite_rank(h: Heap, what: str) -> int:
@@ -189,6 +191,7 @@ class Tester:
         self._mu_table: dict = {}       # (mu, depth) -> mu_approximation
         self._triple_cache: dict = {}
         self._universe: Optional[list] = None
+        self._ranks: list = []          # rank of each universe heap
         self._by_rank: dict = {}
         self._vals = tuple(IntVal(n) for n in sorted(cfg.int_pool)) \
             + tuple(CodeVal(c, EMPTY_ENV, t) for c in cfg.code_pool
@@ -218,6 +221,7 @@ class Tester:
                 for dom in itertools.combinations(addrs, size):
                     for combo in itertools.product(vals, repeat=size):
                         heaps.append(Heap(tuple(zip(dom, combo))))
+            self._ranks = [rank(h) for h in heaps]
             self._universe = heaps
         return self._universe
 
@@ -225,7 +229,10 @@ class Tester:
         return _memo(self._by_rank, n, self._up_to_rank, n)
 
     def _up_to_rank(self, n) -> list:
-        return [h for h in self.universe() if rank(h) <= n]
+        """The heaps of rank at most n, in universe order, by the ranks
+        taken once when the universe was built."""
+        heaps = self.universe()
+        return [h for h, r in zip(heaps, self._ranks) if r <= n]
 
     def splits(self, h: Heap) -> tuple:
         """_splits(h), computed once per heap."""

@@ -21,15 +21,16 @@ serials, whose int hash costs no Python call.  It never enters the hash,
 `==` or any iteration order, so it decides no fresh name and no witness.
 Copies, pickles and replace return the interned object, serial and all.
 
-Every AST class derives from Node, whose slots cache facts about the node:
-its hash, its closed canonical key, its free (relation) variables and its
-unit-stripped form (logic._strip_units).  Invariant: a cached fact depends
-only on the node's own fields, never on where the node occurs, so a node
-shared between terms, or under different binders, may carry it.  Each fact
-but the hash is computed once, on first use, and written with
-object.__setattr__; the slots take no part in repr.  Since substitution
-hands back every sub-term it does not reach, the facts of those sub-terms
-survive it.
+Every AST class derives from Node, whose slots cache the syntactic facts
+about the node: its hash, its closed canonical key and its free (relation)
+variables.  Invariant: a cached fact depends only on the node's own fields,
+never on where the node occurs, so a node shared between terms, or under
+different binders, may carry it.  Each fact but the hash is computed once,
+on first use, and written with object.__setattr__; the slots take no part
+in repr.  Since substitution hands back every sub-term it does not reach,
+the facts of those sub-terms survive it.  Facts of the logic (normal forms,
+ground truth, witnesses) are not slots: logic keeps one table per function,
+keyed by the node's serial.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class Node:
     docstring).  _hash and the serial _id are set when the node is made, the
     others stay unset until first computed."""
 
-    __slots__ = ("_hash", "_id", "_key", "_fv", "_stripped")
+    __slots__ = ("_hash", "_id", "_key", "_fv")
 
     def __hash__(self):
         return self._hash

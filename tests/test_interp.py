@@ -273,6 +273,15 @@ def test_default_universe_is_finite_and_ranked():
     r0 = tester.universe_up_to_rank(0)
     assert r0 == [BOT]
     assert all(rank(h) <= 2 for h in tester.universe_up_to_rank(2))
+    # the ranks are taken once, when the universe is built; each level
+    # keeps universe order
+    for tester in (Tester(fuzz_config()), tester):
+        uni = tester.universe()
+        top = max(map(rank, uni))
+        for n in range(top + 2):
+            assert tester.universe_up_to_rank(n) == [
+                h for h in uni if rank(h) <= n]
+        assert tester.universe_up_to_rank(top) == uni
 
 
 # ---------------------------------------------------------------------------

@@ -1,50 +1,104 @@
-"""The facts cached in the slots of every AST node (syntax.Node): hash,
-closed canonical key, free variables and the unit-stripped form.
+"""The facts cached about every AST node: in its slots (syntax.Node) the
+hash, closed canonical key and free variables; in the per-node tables of
+logic (logic._TABLES) the answer of each single-term function on the
+entailer's path.
 
-Every node is interned, so the canonical node's slots are the one cache of
-its facts.  Each cached answer must equal a from-scratch computation with
-every cache bypassed, whatever was cached first; copies, pickles, replace
-and rebuilding return the canonical node; the slots do not show in repr;
-the hash includes the class and is computed once, when the node is made;
-and each other fact is computed at most once, also across two checks of
-one proof script.
+Every node is interned, so the canonical node's slots and its row in each
+table are the one cache of its facts.  Each cached answer must equal a
+from-scratch computation with every cache bypassed, whatever was cached
+first; copies, pickles, replace and rebuilding return the canonical node;
+the slots do not show in repr; the hash includes the class and is computed
+once, when the node is made; and each other fact is computed at most once,
+also across two checks of one proof script.
 """
 
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
 from conftest import term_corpus
-from sepstore import syntax
+from sepstore import logic, syntax
 from sepstore.grammar import parse, pretty_cmd
 from sepstore.logic import (
-    _CONNECTIVES, _strip_units, check_proof, parse_script,
+    REJECTED, _CONNECTIVES, _strip_units, check_proof, ground_truth,
+    parse_script,
 )
 from sepstore.syntax import (
-    Emp, Exists, IntLit, PointsTo, Star, ValueLit, Var, canon_key,
+    Emp, Exists, IntLit, Mu, PointsTo, Star, ValueLit, Var, canon_key,
     equal_mod_ac, free_vars, map_children,
 )
 from test_traversal_golden import ROOT, _walk, terms
 
 # the slots filled on first use; _hash is filled when a node is made
-MEMOS = ("_key", "_fv", "_stripped")
+MEMOS = ("_key", "_fv")
 
 
 def clear(node):
-    """Empty the memo slots of node and of all its sub-terms, as if each
-    were made just now."""
+    """Empty the memo slots of node and of all its sub-terms, and every
+    table of logic, as if each node were made just now."""
     for n in _walk(node):
         for s in MEMOS:
             if hasattr(n, s):
                 object.__delattr__(n, s)
+    for table in logic._TABLES.values():
+        table.clear()
 
 
 def filled(node):
-    """The memo slots set on node or on any of its sub-terms."""
-    return {s for n in _walk(node) for s in MEMOS if hasattr(n, s)}
+    """The memo slots set on node or on any of its sub-terms, and the
+    names of the logic tables holding an answer for one of them."""
+    nodes = list(_walk(node))
+    return {s for n in nodes for s in MEMOS if hasattr(n, s)} | {
+        name for name, table in logic._TABLES.items()
+        if any(n._id in table for n in nodes)}
+
+
+class Forgetful(dict):
+    """A table that keeps nothing, so every probe misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class Recording(dict):
+    """A copy of a table that logs the key of every answer stored in it;
+    a tabled function stores one answer each time its body runs."""
+
+    def __init__(self, table, log):
+        super().__init__(table)
+        self.log = log
+
+    def __setitem__(self, key, value):
+        self.log.append(key)
+        super().__setitem__(key, value)
+
+
+def swap_tables(m, make):
+    """Within the monkeypatch context m, rebind the module global of each
+    logic table to make(table)."""
+    swapped = 0
+    for name, value in list(vars(logic).items()):
+        if any(value is t for t in logic._TABLES.values()):
+            m.setattr(logic, name, make(value))
+            swapped += 1
+    assert swapped == len(logic._TABLES)
+
+
+def tabled_calls(t):
+    """(name, function, argument) of each tabled function applied to t,
+    or, for unfold_mu, to each mu sub-term of t."""
+    for name in logic._TABLES:
+        f = getattr(logic, name)
+        if name == "unfold_mu":
+            yield from ((name, f, s) for s in _walk(t) if type(s) is Mu)
+        else:
+            yield name, f, t
 
 
 def reference(t, monkeypatch):
@@ -123,6 +177,38 @@ def test_strip_units_cached_equals_fresh():
         assert _strip_units(cold) is cold
 
 
+def test_tabled_functions_cached_equal_uncached(monkeypatch):
+    n = 0
+    for t in corpus():
+        for name, f, a in tabled_calls(t):
+            with monkeypatch.context() as m:
+                swap_tables(m, lambda table: Forgetful())
+                ref = f(a)
+            clear(a)
+            cold = f(a)
+            # interned answers: equal normal forms are one node
+            assert cold == ref, (name, repr(a))
+            assert f(a) is cold, (name, repr(a))
+            n += 1
+    assert n > 7 * 300
+
+
+def test_undecided_ground_truth_is_an_answer(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("ground_truth ran its body again")
+
+    t = parse("x = 1 \\/ 1 <= 0", "assertion")
+    clear(t)
+    assert ground_truth(t) is None
+    assert logic._TABLES["ground_truth"][t._id] is None
+    stored = []
+    with monkeypatch.context() as m:
+        swap_tables(m, lambda table: Recording(table, stored))
+        m.setattr(logic, "eval_expr", unreachable)
+        assert ground_truth(t) is None and ground_truth(t.left) is None
+    assert not stored
+
+
 # ---------------------------------------------------------------------------
 # one node per term, whichever way it is made
 
@@ -133,7 +219,7 @@ def test_memo_slots_are_invisible():
     t = parse(text, "assertion")
     for s in _walk(t):
         hash(s), canon_key(s), free_vars(s), _strip_units(s)
-    assert filled(t) == set(MEMOS)
+    assert filled(t) == set(MEMOS) | {"_strip_units"}
     assert not hasattr(t, "__dict__")
     # the parser builds the same node again, and a node with every memo
     # slot emptied still prints the same
@@ -209,10 +295,34 @@ def test_second_check_of_a_proof_walks_no_term(monkeypatch):
     canon_walks.clear()
     free_walks.clear()
     # parsing again yields the same nodes, and substitution hands back
-    # the ones it does not reach, so every fact is already cached
-    second = check_proof(parse_script(text))
+    # the ones it does not reach, so every fact is already cached, and no
+    # tabled function of logic runs its body
+    stored = []
+    with monkeypatch.context() as m:
+        swap_tables(m, lambda table: Recording(table, stored))
+        second = check_proof(parse_script(text))
     assert second.ok
-    assert not canon_walks and not free_walks
+    assert not canon_walks and not free_walks and not stored
+
+
+def test_one_round_makes_a_fixed_number_of_entailer_calls(monkeypatch):
+    # the tables must not change the entailer's search: one round over
+    # proofs/ and the negative registry, as the proof_check benchmark
+    # makes it, takes as many _Entailer.ent calls with them as without
+    calls = []
+    ent = logic._Entailer.ent
+
+    def counted(self, *args):
+        calls.append(None)
+        return ent(self, *args)
+
+    monkeypatch.setattr(logic._Entailer, "ent", counted)
+    for path in sorted((ROOT / "proofs").glob("*.proof")):
+        assert check_proof(parse_script(path.read_text())).ok
+    for name in sorted(REJECTED):
+        root = parse_script(f'(rule {name} (conclude "true"))')
+        assert not check_proof(root).ok
+    assert len(calls) == 20_482
 
 
 def test_hash_is_computed_once():
@@ -256,6 +366,36 @@ def test_long_sequence_does_not_exhaust_the_stack():
     assert free_vars(prog) == ({"x"}, set())
     assert canon_key(prog).count("(:= v:x i1)") == 400
     assert equal_mod_ac(prog, parse(text, "program"))
+
+
+DEEP_CHAINS = """
+from sepstore.logic import lhs_absurd, normalize_otimes, prenex
+from sepstore.syntax import IntLit, PointsTo, Star
+
+def chain(n, tag):
+    t = PointsTo(IntLit(0), IntLit(tag))
+    for i in range(1, n + 1):
+        t = Star(PointsTo(IntLit(i), IntLit(tag)), t)
+    return t
+
+shallow, deep = chain(490, 1), chain(900, 2)
+assert normalize_otimes(shallow) is shallow
+assert prenex(deep) is deep
+assert lhs_absurd(deep) is False
+"""
+
+
+def test_tabled_functions_on_deep_chains_do_not_exhaust_the_stack():
+    # a fresh process, whose stack holds none of the test runner's frames,
+    # and freshly built chains, which no table has seen: normalize_otimes
+    # recurses two frames per `*` (through map_children), prenex and
+    # lhs_absurd one, so a table probe must add none
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", DEEP_CHAINS],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_equal_long_sequences_are_one_object():
