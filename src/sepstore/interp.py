@@ -199,17 +199,16 @@ Outcome = Union[Done, Fault, OutOfFuel]
 
 def truncate(n: Union[int, float], h: Heap) -> Heap:
     """Projection at level n: level 0 collapses to Bot, level n >= 1 caps
-    every stored closure's tag at n - 1."""
+    every stored closure's tag at n - 1; h itself when no tag is above."""
     if n == 0:
         return BOT
-    if h.is_bot:
+    if h.is_bot or not any(isinstance(v, CodeVal) and v.tag > n - 1
+                           for _, v in h.cells):
         return h
-    cells = []
-    for a, v in h.cells:
-        if isinstance(v, CodeVal) and v.tag > n - 1:
-            v = CodeVal(v.body, v.captured, n - 1)
-        cells.append((a, v))
-    return Heap(tuple(cells))
+    return Heap(tuple(
+        (a, CodeVal(v.body, v.captured, n - 1)
+         if isinstance(v, CodeVal) and v.tag > n - 1 else v)
+        for a, v in h.cells))
 
 
 def rank(h: Heap) -> Union[int, float]:

@@ -10,10 +10,11 @@ A small decidable entailment engine (entail_basic) discharges the obvious
 implication premises, and a negative registry rejects known-unsound rule
 names with an explanation.
 
-Each pure function of one term on the entailer's path (normal forms,
-ground truth, unfolding, witness candidates) is computed once per interned
-node: it keeps a table from the node's serial to its answer, listed in
-_TABLES, and probes it inline ("per-node tables" below).
+Each pure function of interned terms on the entailer's path (normal forms,
+ground truth, unfolding, witness candidates, binder openings, memo keys,
+`*` regroupings) is computed once per argument: it keeps a table from its
+arguments' serials to its answer, listed in _TABLES, and probes it inline
+("per-node tables" below).
 """
 
 from __future__ import annotations
@@ -143,11 +144,12 @@ REJECTED = {
 # ---------------------------------------------------------------------------
 # per-node tables
 #
-# Every term is one interned node (syntax), so a function of one term and
-# nothing else is computed once per node.  Each such function keeps one
-# table, listed in _TABLES under its name: a dict from the node's serial
-# (`_id`) to the function's answer.  The function probes it inline, first
-# thing in its body, and stores its answer last:
+# Every term is one interned node (syntax), so a function of terms and
+# nothing else is computed once per argument.  Each such function keeps one
+# table, listed in _TABLES under its name: a dict to the function's answer
+# from the node's serial (`_id`), or, for a function of several terms, from
+# a tuple of their serials (and of the names it takes).  The function
+# probes it inline, first thing in its body, and stores its answer last:
 #
 #     out = _TABLE.get(P._id, _MISS)
 #     if out is not _MISS:
@@ -169,6 +171,9 @@ _ABSURD = _TABLES["lhs_absurd"] = {}
 _GROUND = _TABLES["ground_truth"] = {}
 _UNFOLDED = _TABLES["unfold_mu"] = {}
 _WITNESSES = _TABLES["_witnesses"] = {}
+_OPENED = _TABLES["_open"] = {}
+_ENT_KEYS = _TABLES["_ent_key"] = {}
+_GROUPINGS = _TABLES["_groupings"] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +497,46 @@ def _strip_units(a):
     return out
 
 
+def _open(P, x, e):
+    """substitute(P, {x: e}): a quantifier body at a witness, or P
+    rewritten by an equality; keyed by (P._id, x, e._id)."""
+    key = (P._id, x, e._id)
+    out = _OPENED.get(key, _MISS)
+    if out is not _MISS:
+        return out
+    out = substitute(P, {x: e})
+    _OPENED[key] = out
+    return out
+
+
+def _ent_key(P):
+    """P without emp units, and its canonical key: one side of the
+    entailer's memo key."""
+    out = _ENT_KEYS.get(P._id, _MISS)
+    if out is not _MISS:
+        return out
+    s = _strip_units(P)
+    out = (s, canon_key(s))
+    _ENT_KEYS[P._id] = out
+    return out
+
+
+def _groupings(lp) -> tuple:
+    """(star of the parts of lp in mask, the parts not in mask) for each
+    mask over lp in increasing order; keyed by the parts' serials."""
+    key = tuple(p._id for p in lp)
+    out = _GROUPINGS.get(key, _MISS)
+    if out is not _MISS:
+        return out
+    n = len(lp)
+    out = tuple(
+        (star(*(lp[i] for i in range(n) if mask >> i & 1)),
+         tuple(lp[i] for i in range(n) if not mask >> i & 1))
+        for mask in range(1 << n))
+    _GROUPINGS[key] = out
+    return out
+
+
 class _Entailer:
     MAX_DEPTH = 60
     MAX_WITNESSES = 24
@@ -507,8 +552,9 @@ class _Entailer:
     def ent(self, P, Q, mu, depth) -> bool:
         if depth > self.MAX_DEPTH:
             return False
-        P, Q = _strip_units(P), _strip_units(Q)
-        key = (canon_key(P), canon_key(Q), mu)
+        P, kp = _ent_key(P)
+        Q, kq = _ent_key(Q)
+        key = (kp, kq, mu)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -546,9 +592,8 @@ class _Entailer:
                     for x, e in ((p.left, p.right), (p.right, p.left)):
                         if type(x) is Var \
                                 and x.name not in free_vars(e)[0]:
-                            sub = {x.name: e}
-                            P3 = substitute(P, sub)
-                            Q3 = substitute(Q, sub)
+                            P3 = _open(P, x.name, e)
+                            Q3 = _open(Q, x.name, e)
                             if canon_key(P3) != canon_key(P) \
                                     and self.ent(P3, Q3, mu, d):
                                 return True
@@ -563,8 +608,8 @@ class _Entailer:
             if type(P) is Exists:
                 z = fresh_name(P.var, free_vars(P)[0] | free_vars(Q)[0]
                                | {P.var, Q.var})
-                if self.ent(substitute(P.body, {P.var: Var(z)}),
-                            substitute(Q.body, {Q.var: Var(z)}), mu, d):
+                if self.ent(_open(P.body, P.var, Var(z)),
+                            _open(Q.body, Q.var, Var(z)), mu, d):
                     return True
             if any(self.ent(P, body, mu, d)
                    for body in self._instances(Q, P)):
@@ -572,12 +617,12 @@ class _Entailer:
         if type(P) is Exists:
             z = fresh_name(P.var, free_vars(P)[0] | free_vars(Q)[0]
                            | {P.var})
-            return self.ent(substitute(P.body, {P.var: Var(z)}), Q, mu, d)
+            return self.ent(_open(P.body, P.var, Var(z)), Q, mu, d)
 
         if type(Q) is Forall:
             z = fresh_name(Q.var, free_vars(P)[0] | free_vars(Q)[0]
                            | {Q.var})
-            return self.ent(P, substitute(Q.body, {Q.var: Var(z)}), mu, d)
+            return self.ent(P, _open(Q.body, Q.var, Var(z)), mu, d)
         if type(P) is Forall:
             if any(self.ent(body, Q, mu, d)
                    for body in self._instances(P, Q)):
@@ -626,7 +671,7 @@ class _Entailer:
                 out.append(w)
         for w in out[:self.MAX_WITNESSES]:
             if quant.var not in free_vars(w)[0]:
-                yield substitute(quant.body, {quant.var: w})
+                yield _open(quant.body, quant.var, w)
 
     def _ent_star(self, P, Q, mu, d) -> bool:
         lp = [p for p in star_parts(P) if type(p) is not Emp]
@@ -651,11 +696,7 @@ class _Entailer:
         if len(lp) > 6:
             return False
         q, rest_q = lq[0], lq[1:]
-        n = len(lp)
-        for mask in range(1 << n):
-            group = tuple(lp[i] for i in range(n) if mask >> i & 1)
-            other = tuple(lp[i] for i in range(n) if not mask >> i & 1)
-            cand = star(*group) if group else Emp()
+        for cand, other in _groupings(lp):
             if self.ent(cand, q, mu, d) \
                     and self._match_star(other, rest_q, mu, d):
                 return True

@@ -20,7 +20,7 @@ from .grammar import pretty
 from .interp import (
     BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Env, Fault, Heap, HeapValue,
     IntVal, OutOfFuel, TypeFault, UnboundVariable, eval_expr, format_heap,
-    format_value, heap_leq, rank, run_codeval, tag_raises, truncate,
+    format_value, rank, run_codeval, tag_raises, truncate, value_leq,
 )
 from .syntax import (
     And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, Leq, Mu, Or,
@@ -301,9 +301,10 @@ class Tester:
                 v = eval_expr(P.value, env)
             except (TypeFault, UnboundVariable):
                 return False
-            if not isinstance(a, IntVal) or a.n < 1:
+            if not isinstance(a, IntVal) or a.n < 1 or len(h.cells) != 1:
                 return False
-            return heap_leq(h, Heap(((a.n, v),)))
+            addr, cell = h.cells[0]
+            return addr == a.n and value_leq(cell, v)
         if t is And:
             return self.member(P.left, env, w, h) \
                 and self.member(P.right, env, w, h)

@@ -79,6 +79,36 @@ def test_truncate_fixes_at_rank():
             assert truncate(r - 1, h) != h
 
 
+def copying_truncate(n, h):
+    """truncate as it was first written: it rebuilds every heap it does
+    not collapse to Bot."""
+    if n == 0:
+        return BOT
+    if h.is_bot:
+        return h
+    cells = []
+    for a, v in h.cells:
+        if isinstance(v, CodeVal) and v.tag > n - 1:
+            v = CodeVal(v.body, v.captured, n - 1)
+        cells.append((a, v))
+    return Heap(tuple(cells))
+
+
+def test_truncate_at_or_above_rank_returns_the_heap_itself():
+    checked = 0
+    for cfg in (fuzz_config(), default_config()):
+        uni = Tester(cfg).universe()
+        top = max(map(rank, uni))
+        for h in uni:
+            for n in [*range(top + 2), INF]:
+                if n >= rank(h):
+                    assert truncate(n, h) is h, (n, h)
+                else:
+                    assert truncate(n, h) is copying_truncate(n, h), (n, h)
+                checked += 1
+    assert checked > 10_000
+
+
 def test_truncate_distributes_over_join_small_exhaustive():
     hs = small_universe()
     for h1 in hs:

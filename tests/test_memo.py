@@ -1,7 +1,7 @@
 """The facts cached about every AST node: in its slots (syntax.Node) the
-hash, closed canonical key and free variables; in the per-node tables of
-logic (logic._TABLES) the answer of each single-term function on the
-entailer's path.
+hash, closed canonical key and free variables; in the tables of logic
+(logic._TABLES) the answer of each pure function of terms on the
+entailer's path, keyed by the serials of its arguments.
 
 Every node is interned, so the canonical node's slots and its row in each
 table are the one cache of its facts.  Each cached answer must equal a
@@ -14,6 +14,7 @@ also across two checks of one proof script.
 
 import copy
 import dataclasses
+import itertools
 import os
 import pickle
 import subprocess
@@ -30,8 +31,9 @@ from sepstore.logic import (
     parse_script,
 )
 from sepstore.syntax import (
-    Emp, Exists, IntLit, Mu, PointsTo, Star, ValueLit, Var, canon_key,
-    equal_mod_ac, free_vars, map_children,
+    Emp, Exists, Forall, IntLit, Mu, PointsTo, Star, ValueLit, Var,
+    canon_key, equal_mod_ac, free_vars, map_children, star, star_parts,
+    substitute,
 )
 from test_traversal_golden import ROOT, _walk, terms
 
@@ -52,11 +54,14 @@ def clear(node):
 
 def filled(node):
     """The memo slots set on node or on any of its sub-terms, and the
-    names of the logic tables holding an answer for one of them."""
+    names of the logic tables holding an answer for one of them: keyed by
+    its serial, or by a tuple of serials (and names) that holds it."""
     nodes = list(_walk(node))
+    ids = {n._id for n in nodes}
     return {s for n in nodes for s in MEMOS if hasattr(n, s)} | {
         name for name, table in logic._TABLES.items()
-        if any(n._id in table for n in nodes)}
+        if any(not ids.isdisjoint(k) if type(k) is tuple else k in ids
+               for k in table)}
 
 
 class Forgetful(dict):
@@ -91,14 +96,50 @@ def swap_tables(m, make):
 
 
 def tabled_calls(t):
-    """(name, function, argument) of each tabled function applied to t,
-    or, for unfold_mu, to each mu sub-term of t."""
+    """(name, function, arguments) of each tabled function applied to t;
+    but unfold_mu to each mu sub-term of t, _groupings to the parts of
+    each `*` sub-term of two to six parts, and _open to the body of each
+    quantifier sub-term at a variable and at a literal, and to t at each
+    of its free variables.  The variable b1 is bound in many terms of the
+    corpus, so opening at it also renames a binder apart."""
+    subterms = list(dict.fromkeys(_walk(t)))
     for name in logic._TABLES:
         f = getattr(logic, name)
         if name == "unfold_mu":
-            yield from ((name, f, s) for s in _walk(t) if type(s) is Mu)
+            yield from ((name, f, (s,)) for s in subterms if type(s) is Mu)
+        elif name == "_groupings":
+            for s in subterms:
+                if type(s) is Star and 2 <= len(star_parts(s)) <= 6:
+                    yield name, f, (tuple(star_parts(s)),)
+        elif name == "_open":
+            for s in subterms:
+                if type(s) in (Exists, Forall):
+                    for w in (Var("b1"), IntLit(3)):
+                        yield name, f, (s.body, s.var, w)
+            for x in sorted(free_vars(t)[0]):
+                yield name, f, (t, x, Var("b1"))
         else:
-            yield name, f, t
+            yield name, f, (t,)
+
+
+def groupings_reference(lp):
+    """_groupings with no cache, written without the code under test:
+    the subsets of lp in binary counting order, lp[0] the lowest bit."""
+    out = []
+    for bits in itertools.product((False, True), repeat=len(lp)):
+        chosen = bits[::-1]
+        out.append((star(*(p for p, c in zip(lp, chosen) if c)),
+                    tuple(p for p, c in zip(lp, chosen) if not c)))
+    return tuple(out)
+
+
+# what _open, _ent_key and _groupings compute, written out with no table
+WRITTEN_OUT = {
+    "_open": lambda P, x, e: substitute(P, {x: e}),
+    "_ent_key": lambda P: (strip_reference(P),
+                           canon_key(strip_reference(P))),
+    "_groupings": groupings_reference,
+}
 
 
 def reference(t, monkeypatch):
@@ -178,19 +219,29 @@ def test_strip_units_cached_equals_fresh():
 
 
 def test_tabled_functions_cached_equal_uncached(monkeypatch):
-    n = 0
+    calls = Counter()
     for t in corpus():
-        for name, f, a in tabled_calls(t):
+        refs = []
+        for name, f, args in tabled_calls(t):
             with monkeypatch.context() as m:
                 swap_tables(m, lambda table: Forgetful())
-                ref = f(a)
-            clear(a)
-            cold = f(a)
+                ref = f(*args)
+            if name in WRITTEN_OUT:
+                assert ref == WRITTEN_OUT[name](*args), (name, repr(args))
+            refs.append(ref)
+            # every argument is a sub-term of t or a leaf
+            clear(t)
+            cold = f(*args)
             # interned answers: equal normal forms are one node
-            assert cold == ref, (name, repr(a))
-            assert f(a) is cold, (name, repr(a))
-            n += 1
-    assert n > 7 * 300
+            assert cold == ref, (name, repr(args))
+            assert f(*args) is cold, (name, repr(args))
+            calls[name] += 1
+        # all of them on one set of tables: no two keys collide
+        clear(t)
+        for (name, f, args), ref in zip(tabled_calls(t), refs):
+            assert f(*args) == ref, (name, repr(args))
+    assert set(calls) == set(logic._TABLES)
+    assert min(calls.values()) >= 4 and sum(calls.values()) > 7 * 300
 
 
 def test_undecided_ground_truth_is_an_answer(monkeypatch):
@@ -305,6 +356,16 @@ def test_second_check_of_a_proof_walks_no_term(monkeypatch):
     assert not canon_walks and not free_walks and not stored
 
 
+def one_round():
+    """Check proofs/ and the negative registry, as one round of the
+    proof_check benchmark does."""
+    for path in sorted((ROOT / "proofs").glob("*.proof")):
+        assert check_proof(parse_script(path.read_text())).ok
+    for name in sorted(REJECTED):
+        root = parse_script(f'(rule {name} (conclude "true"))')
+        assert not check_proof(root).ok
+
+
 def test_one_round_makes_a_fixed_number_of_entailer_calls(monkeypatch):
     # the tables must not change the entailer's search: one round over
     # proofs/ and the negative registry, as the proof_check benchmark
@@ -317,12 +378,18 @@ def test_one_round_makes_a_fixed_number_of_entailer_calls(monkeypatch):
         return ent(self, *args)
 
     monkeypatch.setattr(logic._Entailer, "ent", counted)
-    for path in sorted((ROOT / "proofs").glob("*.proof")):
-        assert check_proof(parse_script(path.read_text())).ok
-    for name in sorted(REJECTED):
-        root = parse_script(f'(rule {name} (conclude "true"))')
-        assert not check_proof(root).ok
+    one_round()
     assert len(calls) == 20_482
+
+
+def test_one_round_opens_each_binder_once(monkeypatch):
+    # from an empty table, one round runs the body of _open once per
+    # distinct (term, variable, witness); the ~4,000 openings the round
+    # asks for are served from these
+    opened = []
+    monkeypatch.setattr(logic, "_OPENED", Recording({}, opened))
+    one_round()
+    assert len(opened) == len(set(opened)) == 578
 
 
 def test_hash_is_computed_once():

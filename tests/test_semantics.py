@@ -11,7 +11,8 @@ from sepstore.fuzz import assertion as rand_fuzz_asn
 from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse
 from sepstore.interp import (BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Env,
-                             Heap, IntVal, heap_join, rank, truncate)
+                             Heap, IntVal, heap_join, heap_leq, rank,
+                             truncate)
 from sepstore.logic import dist_step
 from sepstore.semantics import (
     MAX_UNIVERSE_HEAPS, CacheReentry, Fail, Pass, Tester, UniverseTooLarge,
@@ -66,6 +67,26 @@ def test_member_points_to_is_downward_closed(lean_tester):
     assert not member(t, P, Heap((skip_cell(2, 1),)))
     # strict subheaps with extra cells fail: points-to is exact on domain
     assert not member(t, P, Heap((skip_cell(1, 1), (2, IntVal(0)))))
+
+
+def test_member_points_to_equals_heap_order_reference():
+    # a |-> v holds on h exactly when h lies below the one-cell heap a = v
+    # in the approximation order; over the fuzz universe and every 7th
+    # heap of the default universe, each address of the pool and one
+    # outside it, and each heap value
+    checked = 0
+    for cfg, step in ((fuzz_config(), 1), (default_config(), 7)):
+        t = Tester(cfg)
+        addrs = sorted(cfg.addr_pool)
+        addrs.append(addrs[-1] + 1)
+        for a in addrs:
+            for v in t.values():
+                P = PointsTo(IntLit(a), ValueLit(v))
+                for h in t.universe()[::step]:
+                    want = heap_leq(h, Heap(((a, v),)))
+                    assert member(t, P, h) == want, (a, v, h)
+                    checked += 1
+    assert checked > 10_000
 
 
 def test_member_star_splits(lean_tester):
