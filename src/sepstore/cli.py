@@ -5,8 +5,9 @@ Subcommands: parse, run, check, test, counterexamples, normalize.
 Exit codes: 0 success / verified / all-as-registered; 1 fault / rejected /
 refuted / unsoundness demonstrated; 2 out of fuel / inconclusive above the
 threshold; 3 bad input (`error: ...`: a parse, script, config or file
-error) and internal errors (an uncaught exception is reported as
-`internal error: ...`, never as a verdict).
+error, or a usage error with click's message) and internal errors (an
+uncaught exception is reported as `internal error: ...`, never as a
+verdict).
 """
 
 import json
@@ -27,6 +28,7 @@ from .syntax import (ArityError, ContractivenessError, Implies, Triple,
                      free_vars)
 
 INCONCLUSIVE_THRESHOLD = 0.2
+_FUEL = click.IntRange(min=0)   # as a config file's `fuel` is checked
 
 
 def _emit(json_mode, kind, goal, verdict, millis, witness=None,
@@ -66,9 +68,20 @@ def _load_cfg(config_path, fuel):
 
 
 class _Main(click.Group):
+    # click exits 2 on a usage error, and 2 means inconclusive here
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = 3
+            raise
+
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 3
+            raise
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
         except (ConfigError, UniverseTooLarge) as exc:
@@ -102,7 +115,8 @@ def cmd_parse(path, kind):
 @main.command("run")
 @click.argument("program_path")
 @click.argument("heap_path", required=False)
-@click.option("--fuel", type=int, default=TestConfig.fuel, show_default=True)
+@click.option("--fuel", type=_FUEL, default=TestConfig.fuel,
+              show_default=True)
 @click.option("--json", "json_mode", is_flag=True)
 def cmd_run(program_path, heap_path, fuel, json_mode):
     """Run a program on an initial heap (default: the empty heap)."""
@@ -163,7 +177,7 @@ def _test_goal(tester, goal):
 @main.command("test")
 @click.argument("goal_path")
 @click.option("--config", "config_path", default=None)
-@click.option("--fuel", type=int, default=None)
+@click.option("--fuel", type=_FUEL, default=None)
 @click.option("--json", "json_mode", is_flag=True)
 def cmd_test(goal_path, config_path, fuel, json_mode):
     """Semantically test a closed triple or entailment."""
@@ -307,7 +321,7 @@ def _in_rule_unsound(tester):
 
 @main.command("counterexamples")
 @click.option("--config", "config_path", default=None)
-@click.option("--fuel", type=int, default=None)
+@click.option("--fuel", type=_FUEL, default=None)
 @click.option("--json", "json_mode", is_flag=True)
 @click.option("--accept-unsound-in", is_flag=True,
               help="Debug only: demonstrate the unsoundness of the "

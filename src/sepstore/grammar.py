@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
-from functools import partial
 
 from .syntax import (
     And, ArityError, Assign, BinOp, ContractivenessError, Diamond, Emp,
@@ -50,7 +49,7 @@ _TOKEN_RE = re.compile(r"""
 # both the parser and the printer
 _BIN_PREC = {Implies: (1, "=>"), Or: (2, "\\/"), And: (3, "/\\"),
              Star: (4, "*"), Tensor: (5, "(*)")}
-_BY_PREC = {p: (cls, sym) for cls, (p, sym) in _BIN_PREC.items()}
+_BY_SYM = {sym: (p, cls) for cls, (p, sym) in _BIN_PREC.items()}
 
 
 class ParseError(Exception):
@@ -249,15 +248,15 @@ class Parser:
 
     def parse_asn(self, prec=1):
         """The binary connectives of `_BIN_PREC` binding at level `prec`
-        or tighter, each associating to the left."""
-        cls, sym = _BY_PREC[prec]
-        operand = self.parse_prefix if prec == len(_BIN_PREC) \
-            else partial(self.parse_asn, prec + 1)
-        left = operand()
-        while self.at(sym):
+        or tighter, each associating to the left: precedence climbing,
+        whose right operand binds one level tighter than its connective."""
+        left = self.parse_prefix()
+        while True:
+            p, cls = _BY_SYM.get(self.peek()[1], (0, None))
+            if p < prec:
+                return left
             self.advance()
-            left = cls(left, operand())
-        return left
+            left = cls(left, self.parse_asn(p + 1))
 
     def parse_prefix(self):
         if self.at("<>"):

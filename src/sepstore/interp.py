@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Tuple, Union
 
-from . import grammar, syntax
+from . import grammar
 from .syntax import (
-    Assign, BinOp, Command, EvalAt, Free, If, IntLit, LetDeref, LetNew,
-    Quote, Seq, Skip, ValueLit, Var, free_vars,
+    Assign, BinOp, Command, EvalAt, Free, If, Interned, IntLit, LetDeref,
+    LetNew, Quote, Seq, Skip, ValueLit, Var, free_vars, intern, interned,
 )
 
 INF = float("inf")
@@ -34,63 +34,18 @@ class TypeFault(Exception):
 # values, environments, heaps
 
 
-# Every value is interned: building one with the fields of an existing
-# value returns that value, so there is one object per value, `==` is `is`,
-# and the hash -- the structural hash of the field tuple, as a frozen
-# dataclass would compute it -- is taken once, when the value is made,
-# together with its serial `_id`, a table key only (syntax module
-# docstring).  Copies, pickles and dataclasses.replace go through the
-# constructor too.
-
-_INTERNED: dict = {}   # (class, *fields) -> the value
+# Every value is interned in the one table of syntax, with the AST nodes
+# (syntax module docstring): one object per value, and `==` is `is`.
 
 
-def _intern(key):
-    v = _INTERNED.get(key)
-    if v is None:
-        cls, fields = key[0], key[1:]
-        v = object.__new__(cls)
-        for f, x in zip(cls.__match_args__, fields):
-            object.__setattr__(v, f, x)
-        object.__setattr__(v, "_hash", hash(fields))
-        object.__setattr__(v, "_id", next(syntax._SERIALS))
-        _INTERNED[key] = v
-    return v
-
-
-class _Value:
-    __slots__ = ("_hash", "_id")
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
-
-_value = dataclass(frozen=True, eq=False, init=False, slots=True)
-
-
-@_value
-class IntVal(_Value):
+@interned
+class IntVal(Interned):
     n: int
 
-    def __new__(cls, n):
-        return _intern((cls, n))
 
-
-@_value
-class Env(_Value):
+@interned
+class Env(Interned):
     items: tuple = ()  # sorted (name, HeapValue) pairs
-
-    def __new__(cls, items=()):
-        return _intern((cls, items))
 
     @staticmethod
     def of(mapping) -> "Env":
@@ -113,28 +68,25 @@ class Env(_Value):
 EMPTY_ENV = Env()
 
 
-@_value
-class CodeVal(_Value):
+@interned
+class CodeVal(Interned):
     body: Command
     captured: Env = EMPTY_ENV
     tag: Union[int, float] = INF  # natural or INF
 
     def __new__(cls, body, captured=EMPTY_ENV, tag=INF):
         # 2 and 2.0 are one key; a finite tag is kept as an int
-        return _intern((cls, body, captured, tag if tag == INF else int(tag)))
+        return intern((cls, body, captured, tag if tag == INF else int(tag)))
 
 
 HeapValue = Union[IntVal, CodeVal]
 
 
-@_value
-class Heap(_Value):
+@interned
+class Heap(Interned):
     """Bot (cells is None) or a finite map from address to value."""
 
     cells: Optional[tuple] = ()  # sorted (addr, HeapValue) pairs, or None
-
-    def __new__(cls, cells=()):
-        return _intern((cls, cells))
 
     @staticmethod
     def bot() -> "Heap":

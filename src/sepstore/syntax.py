@@ -6,28 +6,28 @@ Operations on them (free variables, substitution, contractiveness, purity
 classification, equality modulo associativity/commutativity) live here;
 the concrete grammar lives in grammar.py.
 
-Every node is hash-consed: building a node with the class and fields of
-an existing one returns that node, so there is one object per term and
-`==` is `is`.  The constructors, map_children, dataclasses.replace, copy,
-deepcopy and pickle all go through the one intern table, _NODES.  A
-node's hash is the hash of its class name and field tuple, taken once,
-when the node is made; it never depends on an address, since the order
-of sets and dicts of nodes decides fresh names and witness order.
+Every AST node, and every runtime value of interp (IntVal, Env, CodeVal,
+Heap), is hash-consed in the one table _NODES: building an object with
+the class and fields of an existing one returns that object, so there is
+one object per term or value and `==` is `is`.  The classes are declared
+with `interned` and derive from Interned; the constructors, map_children,
+dataclasses.replace, copy, deepcopy and pickle all go through the table.
+An object's hash is the hash of its class name and field tuple, taken
+once, when it is made; it never depends on an address, since the order of
+sets and dicts of nodes decides fresh names and witness order.  Each
+object also gets a serial, `_id`, from the counter _SERIALS when it is
+made.  A serial is a table key only: the semantic tester keys its tables
+by serials, whose int hash costs no Python call.  It never enters the
+hash, `==` or any iteration order, so it decides no fresh name and no
+witness.
 
-Each interned node, and each interned runtime value (interp._INTERNED),
-also gets a serial, `_id`, from the one counter _SERIALS when it is made.
-A serial is a table key only: the semantic tester keys its tables by
-serials, whose int hash costs no Python call.  It never enters the hash,
-`==` or any iteration order, so it decides no fresh name and no witness.
-Copies, pickles and replace return the interned object, serial and all.
-
-Every AST class derives from Node, whose slots cache the syntactic facts
-about the node: its hash, its closed canonical key and its free (relation)
+Every AST class derives from Node, whose slots, beyond the hash and the
+serial of Interned that runtime values carry too, cache the syntactic
+facts about the node: its closed canonical key and its free (relation)
 variables.  Invariant: a cached fact depends only on the node's own fields,
 never on where the node occurs, so a node shared between terms, or under
-different binders, may carry it.  Each fact but the hash is computed once,
-on first use, and written with object.__setattr__; the slots take no part
-in repr.  Since substitution hands back every sub-term it does not reach,
+different binders, may carry it.  Each fact is computed once, on first
+use, and written with object.__setattr__; the slots take no part in repr.  Since substitution hands back every sub-term it does not reach,
 the facts of those sub-terms survive it.  Facts of the logic (normal forms,
 ground truth, witnesses) are not slots: logic keeps one table per function,
 keyed by the node's serial.
@@ -43,12 +43,11 @@ from dataclasses import MISSING, dataclass, replace
 from typing import Iterable, Union
 
 
-class Node:
-    """Base of the AST classes; the slots hold the cached facts (module
-    docstring).  _hash and the serial _id are set when the node is made, the
-    others stay unset until first computed."""
+class Interned:
+    """Base of every hash-consed class (module docstring); _hash and the
+    serial _id are set when the object is made."""
 
-    __slots__ = ("_hash", "_id", "_key", "_fv")
+    __slots__ = ("_hash", "_id")
 
     def __hash__(self):
         return self._hash
@@ -63,35 +62,49 @@ class Node:
         return self
 
 
-_NODES: dict = {}   # (class, *fields) -> the node
-_SERIALS = itertools.count()   # _id of each interned node and runtime value
+class Node(Interned):
+    """Base of the AST classes; its slots, unset until first computed,
+    cache the syntactic facts (module docstring)."""
+
+    __slots__ = ("_key", "_fv")
+
+
+_NODES: dict = {}   # (class, *fields) -> the interned object
+_SERIALS = itertools.count()   # _id of each interned object
 
 
 def _make(key):
     cls, fields = key[0], key[1:]
-    node = object.__new__(cls)
+    obj = object.__new__(cls)
     for f, x in zip(cls.__match_args__, fields):
-        object.__setattr__(node, f, x)
+        object.__setattr__(obj, f, x)
     # the class by name: a class's own hash is its address, which varies
     # from run to run and would reorder sets and dicts of nodes
-    object.__setattr__(node, "_hash", hash((cls.__name__,) + fields))
-    object.__setattr__(node, "_id", next(_SERIALS))
-    _NODES[key] = node
-    return node
+    object.__setattr__(obj, "_hash", hash((cls.__name__,) + fields))
+    object.__setattr__(obj, "_id", next(_SERIALS))
+    _NODES[key] = obj
+    return obj
+
+
+def intern(key):
+    """The interned object of key, (class, *fields)."""
+    return _NODES.get(key) or _make(key)
 
 
 _NEW = """\
 def __new__(cls, {params}):
     key = (cls, {fields})
-    node = _NODES.get(key)
-    return _make(key) if node is None else node
+    return _NODES.get(key) or _make(key)
 """
 
 
-def _node(cls):
+def interned(cls):
     """cls as a frozen dataclass whose constructor returns the interned
-    node of its fields (module docstring)."""
+    object of its fields (module docstring); a class that defines its own
+    __new__, to normalise its fields, calls intern."""
     cls = dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
+    if "__new__" in vars(cls):
+        return cls
     fields = cls.__dataclass_fields__.values()
     defaults = {f"_{f.name}": f.default for f in fields
                 if f.default is not MISSING}
@@ -108,29 +121,29 @@ def _node(cls):
 # expressions
 
 
-@_node
+@interned
 class IntLit(Node):
     value: int
 
 
-@_node
+@interned
 class Var(Node):
     name: str
 
 
-@_node
+@interned
 class BinOp(Node):
     op: str  # one of + - *
     left: "Expr"
     right: "Expr"
 
 
-@_node
+@interned
 class Quote(Node):
     body: "Command"
 
 
-@_node
+@interned
 class ValueLit(Node):
     """A runtime value embedded as an expression.
 
@@ -149,48 +162,48 @@ Expr = Union[IntLit, Var, BinOp, Quote, ValueLit]
 # commands
 
 
-@_node
+@interned
 class Assign(Node):
     target: Expr
     source: Expr
 
 
-@_node
+@interned
 class LetDeref(Node):
     var: str
     addr: Expr
     body: "Command"
 
 
-@_node
+@interned
 class EvalAt(Node):
     addr: Expr
 
 
-@_node
+@interned
 class LetNew(Node):
     var: str
     inits: tuple
     body: "Command"
 
 
-@_node
+@interned
 class Free(Node):
     addr: Expr
 
 
-@_node
+@interned
 class Skip(Node):
     pass
 
 
-@_node
+@interned
 class Seq(Node):
     first: "Command"
     second: "Command"
 
 
-@_node
+@interned
 class If(Node):
     lhs: Expr
     rhs: Expr
@@ -205,95 +218,95 @@ Command = Union[Assign, LetDeref, EvalAt, LetNew, Free, Skip, Seq, If]
 # assertions
 
 
-@_node
+@interned
 class FalseA(Node):
     pass
 
 
-@_node
+@interned
 class TrueA(Node):
     pass
 
 
-@_node
+@interned
 class Or(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@_node
+@interned
 class And(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@_node
+@interned
 class Implies(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@_node
+@interned
 class Forall(Node):
     var: str
     body: "Assertion"
 
 
-@_node
+@interned
 class Exists(Node):
     var: str
     body: "Assertion"
 
 
-@_node
+@interned
 class Eq(Node):
     left: Expr
     right: Expr
 
 
-@_node
+@interned
 class Leq(Node):
     left: Expr
     right: Expr
 
 
-@_node
+@interned
 class PointsTo(Node):
     addr: Expr
     value: Expr
 
 
-@_node
+@interned
 class Emp(Node):
     pass
 
 
-@_node
+@interned
 class Star(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@_node
+@interned
 class Triple(Node):
     pre: "Assertion"
     code: Expr
     post: "Assertion"
 
 
-@_node
+@interned
 class Tensor(Node):
     left: "Assertion"
     right: "Assertion"
 
 
-@_node
+@interned
 class RelVar(Node):
     name: str
     args: tuple = ()
 
 
-@_node
+@interned
 class Mu(Node):
     relvar: str
     params: tuple
@@ -301,7 +314,7 @@ class Mu(Node):
     args: tuple = ()
 
 
-@_node
+@interned
 class Diamond(Node):
     body: "Assertion"
 

@@ -292,6 +292,33 @@ def test_cli_rejects_negative_config_values(runner, tmp_path, line, goal,
     assert f"error: config: line 6: {message}" in r.output
 
 
+# Each probe names files that exist, so that without the check it would
+# run, not fail on a missing file.
+@pytest.mark.parametrize("args, message", [
+    pytest.param(("test",), "Missing argument 'GOAL_PATH'", id="test"),
+    pytest.param(("run", "p.prog", "--fuel", "abc"),
+                 "Invalid value for '--fuel'", id="run-fuel-abc"),
+    pytest.param(("bogus",), "No such command 'bogus'", id="bogus"),
+    pytest.param(("run", "p.prog", "--fuel", "-1"),
+                 "-1 is not in the range x>=0", id="run-fuel-neg"),
+    pytest.param(("test", "g.asn", "--config", "cfg", "--fuel", "-1"),
+                 "-1 is not in the range x>=0", id="test-fuel-neg"),
+    pytest.param(("counterexamples", "--config", "cfg", "--fuel", "-1"),
+                 "-1 is not in the range x>=0", id="counterexamples-fuel-neg"),
+])
+def test_cli_usage_error_exits_3(runner, tmp_path, monkeypatch, args,
+                                 message):
+    # click's own exit code for a usage error is 2, which means
+    # inconclusive here
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "p.prog", "skip")
+    write(tmp_path, "g.asn", "true => true")
+    write(tmp_path, "cfg", FAST_CFG)
+    r = invoke(runner, *args)
+    assert r.exit_code == 3
+    assert message in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # counterexamples
 

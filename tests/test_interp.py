@@ -9,6 +9,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepstore import syntax
 from sepstore.config import default_config
 from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse
@@ -358,20 +359,27 @@ def test_copies_pickles_and_replace_return_the_canonical_value():
 
 
 def test_code_tags_2_and_2_0_are_one_value():
-    a = CodeVal(Skip(), EMPTY_ENV, 2.0)
-    b = CodeVal(Skip(), EMPTY_ENV, 2)
+    # a body no other test builds, so the float tag makes the value here
+    body = prog("[9] := 2020")
+    assert (CodeVal, body, EMPTY_ENV, 2) not in syntax._NODES
+    a = CodeVal(body, EMPTY_ENV, 2.0)
+    b = CodeVal(body, EMPTY_ENV, 2)
     assert a is b and a.tag == 2 and type(a.tag) is int
-    assert repr(a) == "CodeVal(body=Skip(), captured=Env(items=()), tag=2)"
-    assert CodeVal(Skip(), EMPTY_ENV, INF).tag == INF
+    assert repr(CodeVal(Skip(), EMPTY_ENV, 2.0)) \
+        == "CodeVal(body=Skip(), captured=Env(items=()), tag=2)"
+    assert CodeVal(body, EMPTY_ENV, INF).tag == INF
 
 
 def test_value_hash_is_the_structural_hash():
+    # one formula for values and nodes: the class name and the fields
     code = CodeVal(prog("[1] := x"), Env.of({"x": IntVal(2)}), 1)
     h = Heap(((1, code),))
-    assert hash(IntVal(5)) == hash((5,))
-    assert hash(code.captured) == hash((code.captured.items,))
-    assert hash(code) == hash((code.body, code.captured, 1))
-    assert hash(h) == hash((h.cells,))
+    assert hash(IntVal(5)) == hash(("IntVal", 5))
+    assert hash(code.captured) == hash(("Env", code.captured.items))
+    assert hash(code) == hash(("CodeVal", code.body, code.captured, 1))
+    assert hash(h) == hash(("Heap", h.cells))
+    assert hash(code.body) == hash(("Assign", code.body.target,
+                                    code.body.source))
 
 
 def _reference_splits(h):

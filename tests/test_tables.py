@@ -1,7 +1,7 @@
-"""Serials, and the Tester tables keyed by them.
+"""The one intern table, serials, and the Tester tables keyed by them.
 
-Every interned node (syntax._NODES) and runtime value (interp._INTERNED)
-carries a serial, `_id`, drawn from one counter when it is made.  A
+Every AST node and runtime value lives in one intern table, syntax._NODES,
+and carries a serial, `_id`, drawn from one counter when it is made.  A
 serial is a table key only: the Tester keys its tables by serials, so
 each table must answer what the function it tables answers.
 """
@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from sepstore import interp, syntax
+from sepstore import syntax
 from sepstore.config import default_config
 from sepstore.fuzz import fuzz_config
 from sepstore.interp import (
@@ -23,13 +23,25 @@ from sepstore.syntax import Mu, Skip
 from test_traversal_golden import _walk, terms
 
 
-def test_serials_are_distinct_across_both_intern_tables():
+def _fill_the_table():
     Tester(fuzz_config()).universe()
     list(terms())
-    serials = [n._id for n in syntax._NODES.values()] \
-        + [v._id for v in interp._INTERNED.values()]
+
+
+def test_serials_are_distinct_in_the_one_intern_table():
+    _fill_the_table()
+    objects = list(syntax._NODES.values())
+    serials = [x._id for x in objects]
     assert len(serials) == len(set(serials))
+    assert {type(x) for x in objects} >= {IntVal, Env, CodeVal, Heap, Mu}
     assert len(serials) > 1000
+
+
+def test_every_object_is_the_entry_for_its_own_fields():
+    _fill_the_table()
+    for x in list(syntax._NODES.values()):
+        fields = (getattr(x, f) for f in type(x).__match_args__)
+        assert syntax._NODES[(type(x), *fields)] is x, repr(x)
 
 
 def test_copies_pickles_and_replace_keep_the_serial():
