@@ -11,8 +11,11 @@ order `terms()` yields them:
                 relation variable becomes an assertion over all of them
     unfold      repr of `unfold_mu` of each mu sub-term, in pre-order
     roundtrip   repr of parse(pretty(term))
-    canon       `canon_key` of the term, of its subst result and of each
-                unfold result
+    canon       class labels of `canon_key` of the term, of its subst
+                result and of each unfold result: a key's label is the
+                ordinal of its first appearance over the whole walk of
+                `terms()`, so two labels are equal exactly when the keys
+                are one
     classify    `classify` of the term (assertions only, else null)
     contractive `contractive_in` of the term in each of its free relation
                 variables and in X, and of each mu sub-term's body in its
@@ -121,7 +124,9 @@ def terms():
         yield kind, parse(text, kind)
 
 
-def record(kind, t):
+def record(kind, t, labels):
+    """The recorded results of t; labels maps each canonical key met so
+    far in the walk to its class label."""
     fv, frv = free_vars(t)
     var_map, rel_map = renaming_maps(t)
     s = substitute(t, var_map, rel_map)
@@ -134,7 +139,8 @@ def record(kind, t):
         "subst": repr(s),
         "unfold": [repr(u) for u in unfolded],
         "roundtrip": repr(parse(pretty(t), kind)),
-        "canon": [canon_key(t), canon_key(s)] + list(map(canon_key, unfolded)),
+        "canon": [labels.setdefault(canon_key(x), len(labels))
+                  for x in [t, s, *unfolded]],
         "classify": classify(t) if asn else None,
         "contractive": {
             "term": {X: contractive_in(t, X) for X in sorted(frv | {"X"})},
@@ -146,7 +152,8 @@ def record(kind, t):
 def test_traversals_match_recorded_results():
     recorded = [json.loads(line)
                 for line in CORPUS.read_text().splitlines()]
-    replayed = [record(kind, t) for kind, t in terms()]
+    labels = {}
+    replayed = [record(kind, t, labels) for kind, t in terms()]
     assert len(replayed) == len(recorded) > 200
     for i, (old, new) in enumerate(zip(recorded, replayed)):
         assert new == old, f"term {i}: {old['term']}"
@@ -161,6 +168,7 @@ def test_corpus_forces_renaming_and_unfolding():
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    labels = {}
     with open(CORPUS, "w") as fh:
         for kind, t in terms():
-            fh.write(json.dumps(record(kind, t)) + "\n")
+            fh.write(json.dumps(record(kind, t, labels)) + "\n")
