@@ -206,7 +206,7 @@ def parts_remove(parts, target):
     """Remove one part equal (mod AC) to target; None if absent."""
     key = canon_key(target)
     for i, p in enumerate(parts):
-        if canon_key(p) == key:
+        if canon_key(p) is key:
             return parts[:i] + parts[i + 1:]
     return None
 
@@ -247,18 +247,19 @@ def is_pt_wild(part):
 
 
 def part_addr(part):
-    """Canonical address key of a part that pins down one heap cell."""
+    """The serial of the canonical address of a part that pins down one
+    heap cell."""
     if type(part) is PointsTo:
-        return canon_key(part.addr)
+        return canon_key(part.addr)._id
     if type(part) is Exists:
         for a in and_parts(part.body):
             if type(a) is PointsTo and part.var not in free_vars(a.addr)[0]:
-                return canon_key(a.addr)
+                return canon_key(a.addr)._id
         return None
     if type(part) is And:
         for a in and_parts(part):
             if type(a) is PointsTo:
-                return canon_key(a.addr)
+                return canon_key(a.addr)._id
     return None
 
 
@@ -420,7 +421,7 @@ def prenex(P):
 
 def _witnesses(ast) -> tuple:
     """The sub-expressions of ast usable as quantifier witnesses (integers,
-    variables, arithmetic and quoted code), one per canonical key, in
+    variables, arithmetic and quoted code), one per canonical form, in
     pre-order of first occurrence; the walk enters no witness but a BinOp."""
     out = _WITNESSES.get(ast._id, _MISS)
     if out is not _MISS:
@@ -430,10 +431,10 @@ def _witnesses(ast) -> tuple:
         out = (ast,)
     else:
         found = [ast] if t is BinOp else []
-        seen = set(map(canon_key, found))
+        seen = {canon_key(w)._id for w in found}
         for c in children(ast):
             for w in _witnesses(c):
-                k = canon_key(w)
+                k = canon_key(w)._id
                 if k not in seen:
                     seen.add(k)
                     found.append(w)
@@ -510,13 +511,13 @@ def _open(P, x, e):
 
 
 def _ent_key(P):
-    """P without emp units, and its canonical key: one side of the
-    entailer's memo key."""
+    """P without emp units, and the serial of its canonical node
+    (canon_key): one side of the entailer's memo key."""
     out = _ENT_KEYS.get(P._id, _MISS)
     if out is not _MISS:
         return out
     s = _strip_units(P)
-    out = (s, canon_key(s))
+    out = (s, canon_key(s)._id)
     _ENT_KEYS[P._id] = out
     return out
 
@@ -574,7 +575,7 @@ class _Entailer:
             return True
 
         P2, Q2 = prenex(P), prenex(Q)
-        if canon_key(P2) != canon_key(P) or canon_key(Q2) != canon_key(Q):
+        if not (equal_mod_ac(P2, P) and equal_mod_ac(Q2, Q)):
             return self.ent(P2, Q2, mu, d)
 
         if type(P) is Or:
@@ -594,7 +595,7 @@ class _Entailer:
                                 and x.name not in free_vars(e)[0]:
                             P3 = _open(P, x.name, e)
                             Q3 = _open(Q, x.name, e)
-                            if canon_key(P3) != canon_key(P) \
+                            if not equal_mod_ac(P3, P) \
                                     and self.ent(P3, Q3, mu, d):
                                 return True
 
@@ -641,7 +642,7 @@ class _Entailer:
                 return True
 
         if type(P) is Triple and type(Q) is Triple \
-                and canon_key(P.code) == canon_key(Q.code):
+                and equal_mod_ac(P.code, Q.code):
             if self.ent(Q.pre, P.pre, mu, d) \
                     and self.ent(P.post, Q.post, mu, d):
                 return True
@@ -665,7 +666,7 @@ class _Entailer:
         of `other` and of the body."""
         out, seen = [], set()
         for w in _witnesses(other) + _witnesses(quant.body):
-            k = canon_key(w)
+            k = canon_key(w)._id
             if k not in seen:
                 seen.add(k)
                 out.append(w)
@@ -859,13 +860,13 @@ def _fresh(x, asts, msg):
 
 
 def _hyp_subset(sub, sup):
-    allowed = {canon_key(h) for h in sup}
-    return all(canon_key(h) in allowed for h in sub)
+    allowed = {canon_key(h)._id for h in sup}
+    return all(canon_key(h)._id in allowed for h in sub)
 
 
 def _without(hyps, a):
     key = canon_key(a)
-    return tuple(h for h in hyps if canon_key(h) != key)
+    return tuple(h for h in hyps if canon_key(h) is not key)
 
 
 def _concl(goal, *prems):
@@ -1103,7 +1104,8 @@ def _zero_rhs(L):
 
 
 def _overlap_rhs(L):
-    addrs = [canon_key(p.addr) for p in star_parts(L) if type(p) is PointsTo]
+    addrs = [canon_key(p.addr)._id for p in star_parts(L)
+             if type(p) is PointsTo]
     return FalseA() if len(addrs) != len(set(addrs)) else None
 
 
@@ -1182,9 +1184,9 @@ def _frames(ps, e):
     if ps.stated is None:
         return [Emp()]
     pre = _shape(ps.stated.goal, Triple, f"{ps.rule} conclusion").pre
-    parts, ek = star_parts(pre), canon_key(e)
+    parts = star_parts(pre)
     return [star(*parts[:i], *parts[i + 1:]) for i, p in enumerate(parts)
-            if is_pt_wild(p) is not None and canon_key(is_pt_wild(p)) == ek]
+            if is_pt_wild(p) is not None and equal_mod_ac(is_pt_wild(p), e)]
 
 
 @_rule("Skip", 0)
@@ -1219,16 +1221,15 @@ def _inv_cells(goal, e, e0):
                  for a in (goal.pre, goal.post))
     need(len(pre) == 2 and len(post) == 2,
          "UpdateInv: pre and post each have exactly two star components")
-    ek, e0k = canon_key(e), canon_key(e0)
     for upd, inv in (post, post[::-1]):
         aps = and_parts(upd)
         at = [i for i, a in enumerate(aps) if type(a) is PointsTo
-              and canon_key(a.addr) == ek and canon_key(a.value) == e0k]
+              and equal_mod_ac(a.addr, e) and equal_mod_ac(a.value, e0)]
         if not at:
             continue
         phis = tuple(aps[:at[0]] + aps[at[0] + 1:])
         for a in and_parts(inv):
-            if type(a) is PointsTo and canon_key(a.value) == e0k:
+            if type(a) is PointsTo and equal_mod_ac(a.value, e0):
                 yield a.addr, phis
 
 
@@ -1308,7 +1309,7 @@ def _r_Deref(ps, p, stated):
     t = _code_triple(p.goal, "Deref premise")
     x = ps.need("x", lambda g: _command(g, LetDeref, "Deref").var)
     e = ps.need("e", lambda g: _command(g, LetDeref, "Deref").addr)
-    need(any(type(q) is PointsTo and canon_key(q.addr) == canon_key(e)
+    need(any(type(q) is PointsTo and equal_mod_ac(q.addr, e)
              and type(q.value) is Var and q.value.name == x
              for q in star_parts(t.pre)),
          "Deref: premise precondition lacks the component e |-> x")
@@ -1338,7 +1339,6 @@ def _r_New(ps, p, stated):
 def _find_stored_spec(pre, e, k):
     """Find the star component of `pre` of shape e |-> R[_] (possibly a
     recursive assertion that unfolds to it) and return R[k]."""
-    ek = canon_key(e)
     for part in star_parts(pre):
         cands = [part]
         if type(part) is Mu:
@@ -1349,7 +1349,7 @@ def _find_stored_spec(pre, e, k):
             k2 = c.var
             aps = and_parts(c.body)
             for i, a in enumerate(aps):
-                if type(a) is PointsTo and canon_key(a.addr) == ek \
+                if type(a) is PointsTo and equal_mod_ac(a.addr, e) \
                         and type(a.value) is Var and a.value.name == k2 \
                         and k2 not in _fv(a.addr):
                     rest = conj(*(aps[:i] + aps[i + 1:]))
@@ -1419,7 +1419,7 @@ def _r_Disj(ps, stated):
                 "Disj first triple")
     t2 = _shape(ps.need("Q", lambda g: both(g).right), Triple,
                 "Disj second triple")
-    need(canon_key(t1.code) == canon_key(t2.code),
+    need(equal_mod_ac(t1.code, t2.code),
          "Disj: all triples must run the same code")
     return Judgement(goal=Implies(And(t1, t2), Triple(
         Or(t1.pre, t2.pre), t1.code, Or(t1.post, t2.post))))

@@ -19,18 +19,20 @@ object also gets a serial, `_id`, from the counter _SERIALS when it is
 made.  A serial is a table key only: the semantic tester keys its tables
 by serials, whose int hash costs no Python call.  It never enters the
 hash, `==` or any iteration order, so it decides no fresh name and no
-witness.
+witness.  It orders only the AC parts inside a canonical node, which is
+an identity and is never printed or walked for order (canon_key).
 
 Every AST class derives from Node, whose slots, beyond the hash and the
 serial of Interned that runtime values carry too, cache the syntactic
-facts about the node: its closed canonical key and its free (relation)
-variables.  Invariant: a cached fact depends only on the node's own fields,
-never on where the node occurs, so a node shared between terms, or under
-different binders, may carry it.  Each fact is computed once, on first
-use, and written with object.__setattr__; the slots take no part in repr.  Since substitution hands back every sub-term it does not reach,
-the facts of those sub-terms survive it.  Facts of the logic (normal forms,
-ground truth, witnesses) are not slots: logic keeps one table per function,
-keyed by the node's serial.
+facts about the node: its closed canonical node (canon_key) and its free
+(relation) variables.  Invariant: a cached fact depends only on the
+node's own fields, never on where the node occurs, so a node shared
+between terms, or under different binders, may carry it.  Each fact is
+computed once, on first use, and written with object.__setattr__; the
+slots take no part in repr.  Since substitution hands back every sub-term
+it does not reach, the facts of those sub-terms survive it.  Facts of the
+logic (normal forms, ground truth, witnesses) are not slots: logic keeps
+one table per function, keyed by the node's serial.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import MISSING, dataclass, replace
+from dataclasses import MISSING, dataclass
 from typing import Iterable, Union
 
 
@@ -64,7 +66,7 @@ class Interned:
 
 class Node(Interned):
     """Base of the AST classes; its slots, unset until first computed,
-    cache the syntactic facts (module docstring)."""
+    cache the closed canonical node and the free pair (module docstring)."""
 
     __slots__ = ("_key", "_fv")
 
@@ -348,8 +350,8 @@ class ArityError(Exception):
 # `*f` holds a tuple of sub-terms; `^f` lies in the scope of the node's
 # binder, which is `var`, or for Mu the parameters `params` together with
 # the relation variable `relvar`.  Every structural traversal reads this
-# table, canonical keys too (with the class's head from _HEAD); what a
-# class means (printing, evaluation, membership) stays in per-class code.
+# table, canonical forms too; what a class means (printing, evaluation,
+# membership) stays in per-class code.
 SCHEMA = {
     IntLit: (), Var: (), ValueLit: (),
     BinOp: ("left", "right"), Quote: ("body",),
@@ -385,9 +387,10 @@ def binders(node):
 def _rebind(node, names, rnames):
     """node with the names it binds renamed to names and rnames, in the
     order binders gives them; the sub-terms are left as they are."""
-    if type(node) is Mu:
-        return replace(node, params=names, relvar=rnames[0])
-    return replace(node, var=names[0])
+    t = type(node)
+    if t is Mu:
+        return Mu(rnames[0], names, node.body, node.args)
+    return t(names[0], *[getattr(node, f) for f in t.__match_args__[1:]])
 
 
 def children(node):
@@ -677,106 +680,62 @@ def classify(P: Assertion) -> str:
 # equality modulo AC of * /\ \/, the unit law P * emp <=> P, and alpha
 
 
-_AC_HEADS = {Star: "*", And: "/\\", Or: "\\/"}
-
-
-def _canon(ast, venv, renv) -> str:
-    """Canonical string of ast under the enclosing binders venv/renv; bound
-    names become de Bruijn indices so that alpha-variants agree and
-    AC-sorting is stable.  When no enclosing binder captures a free name of
-    ast its key is the closed one, cached on the node."""
-    if venv or renv:
-        fv, frv = _free(ast)
-        if not (fv.isdisjoint(venv) and frv.isdisjoint(renv)):
-            return _canon_walk(ast, venv, renv)
+def canon_key(ast: Ast) -> Node:
+    """The canonical node of ast, one per class of terms equal up to alpha,
+    AC of * /\\ \\/ and P*emp <=> P: bound names become de Bruijn indices
+    (Var("#i"), RelVar("%i", args); innermost binder 0) and binder names
+    are blanked; *, /\\, \\/ are flattened, emp parts of * dropped, and the
+    parts sorted by serial.  A term without binders or AC nodes is its own
+    canonical node.  Invariant: the canonical node is an identity only,
+    compared with `is` or used as a key, never printed, parsed, searched
+    or iterated for order, so sorting by serial is safe."""
     try:
         return ast._key
     except AttributeError:
-        pass
-    key = _canon_walk(ast, (), ())
-    object.__setattr__(ast, "_key", key)
-    return key
+        return _canon(ast, (), ())
 
 
-# The head of each class's canonical string `(head child ...)`; a class
-# without sub-terms is its bare head.  BinOp's head is its operator.
-_HEAD = {
-    Quote: "quote", Assign: ":=", LetDeref: "letderef", EvalAt: "eval",
-    LetNew: "new", Free: "free", Skip: "skip", Seq: "seq", If: "if",
-    FalseA: "false", TrueA: "true", Emp: "emp", Implies: "=>",
-    Forall: "forall", Exists: "exists", Eq: "=", Leq: "<=",
-    PointsTo: "|->", Triple: "triple", Tensor: "tensor", RelVar: "rel",
-    Mu: "mu", Diamond: "dia",
-}
-
-
-def _canon_walk(ast, venv, renv) -> str:
-    """The canonical string of ast from its children's: `(head child ...)`
-    in SCHEMA order, bound variables as de Bruijn indices `#i` and bound
-    relation variables as `%i`.  A tuple field is one group of its
-    children's strings, parenthesised unless it is the only field."""
+def _canon(ast, venv, renv):
+    """canon_key of ast under the enclosing binders venv/renv; the closed
+    form, cached on the node, unless they capture a free name of ast.  One
+    frame per level besides map_children's, so deep terms fit the stack."""
+    fv, frv = _free(ast) if venv or renv else _NO_FREE
+    closed = fv.isdisjoint(venv) and frv.isdisjoint(renv)
+    if closed:
+        try:
+            return ast._key
+        except AttributeError:
+            venv = renv = ()
     t = type(ast)
-    if t is Var:
-        for i in range(len(venv) - 1, -1, -1):
-            if venv[i] == ast.name:
-                return f"#{len(venv) - 1 - i}"
-        return f"v:{ast.name}"
-    if t is IntLit:
-        return f"i{ast.value}"
-    if t in _AC_HEADS:
-        parts = []
-        _flatten_ac(ast, t, venv, renv, parts)
-        if t is Star:
-            parts = [p for p in parts if p != "emp"]
-            if not parts:
-                return "emp"
-        if len(parts) == 1:
-            return parts[0]
-        return f"({_AC_HEADS[t]} {' '.join(sorted(parts))})"
-    if t is ValueLit:
-        return f"(val {ast.value!r})"
-    fields = _FIELDS[t]
-    if not fields:
-        return _HEAD[t]
-    items = [ast.op if t is BinOp else _HEAD[t]]
-    if t is RelVar:
-        for i in range(len(renv) - 1, -1, -1):
-            if renv[i] == ast.name:
-                items.append(f"%{len(renv) - 1 - i}")
-                break
-        else:
-            items.append(f"X:{ast.name}")
-    elif t is Mu:
-        items.append(str(len(ast.params)))
-    if t in _BINDERS:
+    if t is Var:   # walked under venv only when venv binds it
+        key = Var(f"#{venv[::-1].index(ast.name)}") if venv else ast
+    elif t is Star or t is And or t is Or:
+        parts, stack = [], [ast]
+        while stack:
+            p = stack.pop()
+            if type(p) is t:
+                stack += p.right, p.left
+            elif t is not Star or type(p) is not Emp:
+                parts.append(_canon(p, venv, renv))
+        parts.sort(key=operator.attrgetter("_id"))
+        key = functools.reduce(t, parts) if parts else Emp()
+    elif t in _BINDERS:
         names, rnames = binders(ast)
-        inner = (venv + names, renv + rnames)
-    for name, many, under in fields:
-        v, r = inner if under else (venv, renv)
-        value = getattr(ast, name)
-        if not many:
-            items.append(_canon(value, v, r))
-        else:
-            group = " ".join([_canon(c, v, r) for c in value])
-            items.append(f"({group})" if len(fields) > 1 else group)
-    return f"({' '.join(items)})"
-
-
-def _flatten_ac(ast, head, venv, renv, out):
-    if type(ast) is head:
-        _flatten_ac(ast.left, head, venv, renv, out)
-        _flatten_ac(ast.right, head, venv, renv, out)
+        key = _rebind(map_children(ast, _canon, venv, renv,
+                                   scoped=(venv + names, renv + rnames)),
+                      ("",) * len(names), ("",) * len(rnames))
     else:
-        out.append(_canon(ast, venv, renv))
-
-
-def canon_key(ast: Ast) -> str:
-    return _canon(ast, (), ())
+        key = map_children(ast, _canon, venv, renv)
+        if t is RelVar and ast.name in renv:
+            key = RelVar(f"%{renv[::-1].index(ast.name)}", key.args)
+    if closed:
+        object.__setattr__(ast, "_key", key)
+    return key
 
 
 def equal_mod_ac(P: Ast, Q: Ast) -> bool:
     """Equality up to alpha, AC of * /\\ \\/, and the unit law P*emp <=> P."""
-    return P is Q or canon_key(P) == canon_key(Q)
+    return P is Q or canon_key(P) is canon_key(Q)
 
 
 # convenient n-ary builders

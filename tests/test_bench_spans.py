@@ -3,7 +3,8 @@
 bench/spans.py wraps functions and methods of sepstore by name and reads
 Tester counters; a rename or deletion of any of them leaves the traced
 benchmark with nothing measured.  This runs the tracer the way the bench
-worker does, in a fresh interpreter, on one fuzz instance.
+worker does, in a fresh interpreter, on one fuzz instance and one
+equality modulo AC.
 """
 
 import json
@@ -25,6 +26,9 @@ from sepstore.fuzz import fuzz_config, fuzz_rule
 from sepstore.semantics import Tester
 
 res = fuzz_rule("Skip", Tester(fuzz_config()), random.Random(0), 1)
+from sepstore.syntax import Emp, IntLit, PointsTo, Star, equal_mod_ac
+cell = PointsTo(IntLit(1), IntLit(2))
+assert equal_mod_ac(Star(cell, Emp()), cell)
 print(json.dumps({"samples": res.samples, "testers": len(testers),
                   "spans": tracer.snapshot()["spans"],
                   "counts": spans.tester_counts(testers)}))
@@ -41,6 +45,9 @@ def test_bench_tracer_runs_on_one_fuzz_instance():
     assert out["samples"] == 1 and out["testers"] == 1
     assert out["spans"]["semantics.member"][0] > 0
     assert out["spans"]["fuzz.judge"][0] == 1
+    # equal_mod_ac, the checker's one comparison of terms, reaches the
+    # traced module global canon_key: once for each side
+    assert out["spans"]["syntax.canon_key"][0] == 2
     counts = out["counts"]
     assert counts["semantics.samples"] > 0
     assert counts["semantics.member_cache_entries"] > 0

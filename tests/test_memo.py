@@ -1,5 +1,5 @@
 """The facts cached about every AST node: in its slots (syntax.Node) the
-hash, closed canonical key and free variables; in the tables of logic
+hash, closed canonical node and free variables; in the tables of logic
 (logic._TABLES) the answer of each pure function of terms on the
 entailer's path, keyed by the serials of its arguments.
 
@@ -14,11 +14,13 @@ also across two checks of one proof script.
 
 import copy
 import dataclasses
+import functools
 import itertools
 import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -31,9 +33,9 @@ from sepstore.logic import (
     parse_script,
 )
 from sepstore.syntax import (
-    Emp, Exists, Forall, IntLit, Mu, PointsTo, Star, ValueLit, Var,
-    canon_key, equal_mod_ac, free_vars, map_children, star, star_parts,
-    substitute,
+    And, Assign, Emp, Exists, Forall, IntLit, Mu, Or, PointsTo, RelVar,
+    Star, ValueLit, Var, binders, canon_key, equal_mod_ac, free_vars,
+    map_children, star, star_parts, substitute,
 )
 from test_traversal_golden import ROOT, _walk, terms
 
@@ -137,21 +139,53 @@ def groupings_reference(lp):
 WRITTEN_OUT = {
     "_open": lambda P, x, e: substitute(P, {x: e}),
     "_ent_key": lambda P: (strip_reference(P),
-                           canon_key(strip_reference(P))),
+                           canon_reference(strip_reference(P))._id),
     "_groupings": groupings_reference,
 }
 
 
 def reference(t, monkeypatch):
-    """canon_key and free_vars of t with every cache bypassed: the
-    per-class walks recurse into each other directly."""
+    """canon_key and free_vars of t with every cache bypassed: the free
+    variable walk recurses into itself directly."""
     clear(t)
     with monkeypatch.context() as m:
-        m.setattr(syntax, "_canon", syntax._canon_walk)
         m.setattr(syntax, "_free", syntax._free_walk)
-        ref = canon_key(t), free_vars(t)
+        ref = canon_reference(t), free_vars(t)
         assert not filled(t)
     return ref
+
+
+def by_serial(parts):
+    return sorted(parts, key=lambda p: p._id)
+
+
+def canon_reference(t, venv=(), renv=()):
+    """canon_key with no cache, written without the code under test:
+    bound names as de Bruijn indices and binder names blanked; the parts
+    of * /\\ \\/ flattened, emp dropped from *, sorted by serial and
+    nested to the left."""
+    k = type(t)
+    if k is Var and t.name in venv:
+        return Var(f"#{venv[::-1].index(t.name)}")
+    if k in (Star, And, Or):
+        parts = [canon_reference(p, venv, renv) for p in flat(t, k)]
+        if k is Star:
+            parts = [p for p in parts if p is not Emp()]
+        return functools.reduce(k, by_serial(parts)) if parts else Emp()
+    names, rnames = binders(t)
+    u = map_children(t, canon_reference, venv, renv,
+                     scoped=(venv + names, renv + rnames))
+    if k is RelVar and t.name in renv:
+        return RelVar(f"%{renv[::-1].index(t.name)}", u.args)
+    if k is Mu:
+        return Mu("", ("",) * len(t.params), u.body, u.args)
+    return dataclasses.replace(u, var="") if names else u
+
+
+def flat(t, k):
+    if type(t) is not k:
+        return [t]
+    return flat(t.left, k) + flat(t.right, k)
 
 
 def strip_reference(a):
@@ -186,9 +220,12 @@ def test_shared_node_inside_and_outside_its_binder():
                 Exists("x", PointsTo(IntLit(1), Var("x")))) is t
     assert t.left is t.right.body
     clear(t)
-    assert canon_key(t) == "(* (exists (|-> i1 #0)) (|-> i1 v:x))"
-    # the closed key of p is cached now; under the binder it must not leak
-    assert canon_key(Exists("x", p)) == "(exists (|-> i1 #0))"
+    e = Exists("", PointsTo(IntLit(1), Var("#0")))
+    assert canon_key(t) is Star(*by_serial([e, p]))
+    # p is its own closed form, cached now; under the binder it must not
+    # leak
+    assert p._key is p
+    assert canon_key(Exists("x", p)) is e
     assert free_vars(t) == ({"x"}, set())
 
 
@@ -300,19 +337,28 @@ def test_copies_pickles_and_replace_return_the_canonical_node():
 
 
 def counted_walks(monkeypatch):
-    """Counters of the canonical-key and free-variable walks, by node."""
+    """Counters of the canonical-form and free-variable walks, by node: a
+    canonical form is walked when the node is open under the enclosing
+    binders, and counted with them, or when its closed form is not cached
+    yet."""
     canon_walks, free_walks = Counter(), Counter()
-    canon_walk, free_walk = syntax._canon_walk, syntax._free_walk
+    canon, free_walk = syntax._canon, syntax._free_walk
 
     def count_canon(ast, venv, renv):
-        canon_walks[id(ast), venv, renv] += 1
-        return canon_walk(ast, venv, renv)
+        if venv or renv:
+            fv, frv = free_vars(ast)
+            if not (fv.isdisjoint(venv) and frv.isdisjoint(renv)):
+                canon_walks[id(ast), venv, renv] += 1
+                return canon(ast, venv, renv)
+        if not hasattr(ast, "_key"):
+            canon_walks[id(ast), (), ()] += 1
+        return canon(ast, venv, renv)
 
     def count_free(ast):
         free_walks[id(ast)] += 1
         return free_walk(ast)
 
-    monkeypatch.setattr(syntax, "_canon_walk", count_canon)
+    monkeypatch.setattr(syntax, "_canon", count_canon)
     monkeypatch.setattr(syntax, "_free_walk", count_free)
     return canon_walks, free_walks
 
@@ -325,8 +371,8 @@ def test_each_fact_is_computed_once(monkeypatch):
         canon_walks.clear()
         free_walks.clear()
         first = canon_key(t), free_vars(t)
-        # a key under enclosing binders is not cached: it is walked once
-        # per occurrence of the node, and the closed key once per node
+        # a form under enclosing binders is not cached: it is walked once
+        # per occurrence of the node, and the closed form once per node
         for (node, venv, renv), walks in canon_walks.items():
             assert walks == 1 or venv + renv and walks <= occurrences[node]
         assert max(free_walks.values()) == 1, repr(t)
@@ -431,8 +477,36 @@ def test_long_sequence_does_not_exhaust_the_stack():
     prog = parse(text, "program")
     assert pretty_cmd(parse(pretty_cmd(prog), "program")) == pretty_cmd(prog)
     assert free_vars(prog) == ({"x"}, set())
-    assert canon_key(prog).count("(:= v:x i1)") == 400
+    # no binder and no AC node: the chain is its own canonical node
+    assert canon_key(prog) is prog
     assert equal_mod_ac(prog, parse(text, "program"))
+
+
+def test_cached_forms_of_a_long_chain_take_no_memory():
+    # a chain of 400 statements no other test builds; each sub-term's
+    # cached form is the sub-term itself, where a key string per sub-term
+    # held the whole rest of the chain (1.46 MB in all)
+    prog = parse(" ; ".join(["[y] := 2"] * 400), "program")
+    clear(prog)
+    tracemalloc.start()
+    try:
+        assert canon_key(prog) is prog
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(s._key is s for s in _walk(prog))
+    assert retained < 100_000
+
+
+def test_star_form_ignores_which_part_was_made_first():
+    for flip in (False, True):
+        a, b = (Assign(Var(f"s{flip}"), IntLit(i)) for i in (1, 2))
+        a, b = PointsTo(IntLit(5), a), PointsTo(IntLit(6), b)
+        if flip:
+            a, b = b, a
+        assert (a._id < b._id) is not flip
+        assert canon_key(Star(a, b)) is canon_key(Star(b, a))
+        assert canon_key(Star(Emp(), Star(b, a))) is canon_key(Star(a, b))
 
 
 DEEP_CHAINS = """
