@@ -484,8 +484,9 @@ def test_long_sequence_does_not_exhaust_the_stack():
 
 def test_cached_forms_of_a_long_chain_take_no_memory():
     # a chain of 400 statements no other test builds; each sub-term's
-    # cached form is the sub-term itself, where a key string per sub-term
-    # held the whole rest of the chain (1.46 MB in all)
+    # cached form is the sub-term itself, so caching allocates nothing,
+    # where a form that spelled out its sub-terms' forms would take memory
+    # quadratic in the length
     prog = parse(" ; ".join(["[y] := 2"] * 400), "program")
     clear(prog)
     tracemalloc.start()
