@@ -263,8 +263,15 @@ def eval_expr(e, env: Env) -> HeapValue:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _addr_of(v: HeapValue):
-    return v.n if isinstance(v, IntVal) else None
+def _cell(e, env, h: Heap, what: str):
+    """(a, h(a)) for the address a that e evaluates to; TypeFault "<what>
+    non-address a" when h has no cell at a."""
+    v = eval_expr(e, env)
+    a = v.n if isinstance(v, IntVal) else None
+    cell = None if a is None else h.get(a)
+    if cell is None:
+        raise TypeFault(f"{what} non-address {a}")
+    return a, cell
 
 
 def exec_cmd(C: Command, env: Env, h: Heap, fuel: int) -> Outcome:
@@ -281,24 +288,15 @@ def _exec(C, env, h: Heap, fuel: int):
         if t is Skip:
             return Done(h), fuel
         if t is Assign:
-            a = _addr_of(eval_expr(C.target, env))
+            a, _ = _cell(C.target, env, h, "update of")
             cells = dict(h.cells)
-            if a is None or a not in cells:
-                return Fault(f"update of non-address {a}"), fuel
             cells[a] = eval_expr(C.source, env)
             return Done(Heap(tuple(sorted(cells.items())))), fuel
         if t is LetDeref:
-            a = _addr_of(eval_expr(C.addr, env))
-            cells = dict(h.cells)
-            if a is None or a not in cells:
-                return Fault(f"lookup of non-address {a}"), fuel
-            return _exec(C.body, env.bind(C.var, cells[a]), h, fuel)
+            _, v = _cell(C.addr, env, h, "lookup of")
+            return _exec(C.body, env.bind(C.var, v), h, fuel)
         if t is EvalAt:
-            a = _addr_of(eval_expr(C.addr, env))
-            cells = dict(h.cells)
-            if a is None or a not in cells:
-                return Fault(f"eval at non-address {a}"), fuel
-            v = cells[a]
+            a, v = _cell(C.addr, env, h, "eval at")
             if not isinstance(v, CodeVal):
                 return Fault(f"eval of non-code at {a}"), fuel
             if fuel <= 0:
@@ -317,10 +315,8 @@ def _exec(C, env, h: Heap, fuel: int):
             h2 = Heap(tuple(sorted(cells.items())))
             return _exec(C.body, env.bind(C.var, IntVal(base)), h2, fuel)
         if t is Free:
-            a = _addr_of(eval_expr(C.addr, env))
+            a, _ = _cell(C.addr, env, h, "free of")
             cells = dict(h.cells)
-            if a is None or a not in cells:
-                return Fault(f"free of non-address {a}"), fuel
             del cells[a]
             return Done(Heap(tuple(sorted(cells.items())))), fuel
         if t is Seq:
