@@ -10,11 +10,9 @@ A small decidable entailment engine (entail_basic) discharges the obvious
 implication premises, and a negative registry rejects known-unsound rule
 names with an explanation.
 
-Each pure function of interned terms on the entailer's path (normal forms,
-ground truth, unfolding, witness candidates, binder openings, memo keys,
-`*` regroupings) is computed once per argument: it keeps a table from its
-arguments' serials to its answer, listed in _TABLES, and probes it inline
-("per-node tables" below).
+Each pure function of terms on the entailer's path (normal forms,
+unfolding, witness candidates, binder openings, memo keys, `*`
+regroupings) is tabled in the registry syntax.TABLES.
 """
 
 from __future__ import annotations
@@ -30,10 +28,10 @@ from .interp import EMPTY_ENV, IntVal, TypeFault, UnboundVariable, eval_expr
 from .syntax import (
     And, Assertion, Assign, BinOp, Diamond, Emp, Eq, EvalAt, Exists, FalseA,
     Forall, Free, If, Implies, IntLit, Judgement, LetDeref, LetNew, Leq, Mu,
-    Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Seq, Skip, Star, Tensor,
-    Triple, TrueA, ValueLit, Var, canon_key, children, circ, classify, conj,
-    contractive_in, equal_mod_ac, free_vars, fresh_name, map_children, star,
-    star_parts, substitute, unfold,
+    Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Seq, Skip, Star, TABLES,
+    Tensor, Triple, TrueA, ValueLit, Var, canon_key, children, circ, classify,
+    conj, contractive_in, equal_mod_ac, free_vars, fresh_name, map_children,
+    star, star_parts, substitute, unfold,
 )
 
 
@@ -142,38 +140,17 @@ REJECTED = {
 
 
 # ---------------------------------------------------------------------------
-# per-node tables
-#
-# Every term is one interned node (syntax), so a function of terms and
-# nothing else is computed once per argument.  Each such function keeps one
-# table, listed in _TABLES under its name: a dict to the function's answer
-# from the node's serial (`_id`), or, for a function of several terms, from
-# a tuple of their serials (and of the names it takes).  The function
-# probes it inline, first thing in its body, and stores its answer last:
-#
-#     out = _TABLE.get(P._id, _MISS)
-#     if out is not _MISS:
-#         return out
-#     ...
-#     _TABLE[P._id] = out
-#
-# Inline, not in a wrapping decorator: these functions recurse once per
-# level of the term, and a wrapper would double the stack frames per level.
-# A miss is _MISS, never None, since None is an answer (ground_truth's
-# "undecided").  No table is ever emptied; a serial is never reused.
+# per-node tables, in the registry syntax.TABLES (syntax docstring)
 
-_MISS = object()
-_TABLES: dict = {}   # name of the tabled function -> its table
-_STRIPPED = _TABLES["_strip_units"] = {}
-_NORMALIZED = _TABLES["normalize_otimes"] = {}
-_PRENEX = _TABLES["prenex"] = {}
-_ABSURD = _TABLES["lhs_absurd"] = {}
-_GROUND = _TABLES["ground_truth"] = {}
-_UNFOLDED = _TABLES["unfold_mu"] = {}
-_WITNESSES = _TABLES["_witnesses"] = {}
-_OPENED = _TABLES["_open"] = {}
-_ENT_KEYS = _TABLES["_ent_key"] = {}
-_GROUPINGS = _TABLES["_groupings"] = {}
+_STRIPPED = TABLES["_strip_units"] = {}
+_NORMALIZED = TABLES["normalize_otimes"] = {}
+_PRENEX = TABLES["prenex"] = {}
+_ABSURD = TABLES["lhs_absurd"] = {}
+_UNFOLDED = TABLES["unfold_mu"] = {}
+_WITNESSES = TABLES["_witnesses"] = {}
+_OPENED = TABLES["_open"] = {}
+_ENT_KEYS = TABLES["_ent_key"] = {}
+_GROUPINGS = TABLES["_groupings"] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +250,8 @@ def _quantify(quant, xs, body):
 def unfold_mu(m: Mu):
     """One unfolding: the body with the bound relation variable replaced
     by the recursive assertion and parameters by the arguments."""
-    out = _UNFOLDED.get(m._id, _MISS)
-    if out is not _MISS:
+    out = _UNFOLDED.get(m._id)
+    if out is not None:
         return out
     out = unfold(m, replace(m, args=tuple(Var(p) for p in m.params)))
     _UNFOLDED[m._id] = out
@@ -318,8 +295,8 @@ def normalize_otimes(P):
     and the rank modality are left in place."""
     if type(P) not in _CONNECTIVES:
         return P
-    out = _NORMALIZED.get(P._id, _MISS)
-    if out is not _MISS:
+    out = _NORMALIZED.get(P._id)
+    if out is not None:
         return out
     if type(P) is Tensor:
         left, right = normalize_otimes(P.left), normalize_otimes(P.right)
@@ -349,35 +326,26 @@ def ground_truth(A):
         return False
     if t not in (Eq, Leq, And, Or, Implies):
         return None
-    out = _GROUND.get(A._id, _MISS)
-    if out is not _MISS:
-        return out
     if t in (Eq, Leq):
         try:
             a = eval_expr(A.left, EMPTY_ENV)
             b = eval_expr(A.right, EMPTY_ENV)
         except (TypeFault, UnboundVariable):
-            out = None
-        else:
-            if t is Eq:
-                out = a == b
-            elif isinstance(a, IntVal) and isinstance(b, IntVal):
-                out = a.n <= b.n
-            else:
-                out = None
-    else:
-        # three-valued: a side that is undecided leaves the result open
-        # unless the other side decides it alone
-        l, r = ground_truth(A.left), ground_truth(A.right)
-        if t is Implies and l is not None:      # a => b is (not a) \/ b
-            l = not l
-        decisive = t is not And
-        if decisive in (l, r):
-            out = decisive
-        else:
-            out = l if l is r else None
-    _GROUND[A._id] = out
-    return out
+            return None
+        if t is Eq:
+            return a == b
+        if isinstance(a, IntVal) and isinstance(b, IntVal):
+            return a.n <= b.n
+        return None
+    # three-valued: a side that is undecided leaves the result open
+    # unless the other side decides it alone
+    l, r = ground_truth(A.left), ground_truth(A.right)
+    if t is Implies and l is not None:      # a => b is (not a) \/ b
+        l = not l
+    decisive = t is not And
+    if decisive in (l, r):
+        return decisive
+    return l if l is r else None
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +358,8 @@ def prenex(P):
     t = type(P)
     if t not in (Star, And, Exists):
         return P
-    out = _PRENEX.get(P._id, _MISS)
-    if out is not _MISS:
+    out = _PRENEX.get(P._id)
+    if out is not None:
         return out
     if t is Exists:
         out = Exists(P.var, prenex(P.body))
@@ -423,8 +391,8 @@ def _witnesses(ast) -> tuple:
     """The sub-expressions of ast usable as quantifier witnesses (integers,
     variables, arithmetic and quoted code), one per canonical form, in
     pre-order of first occurrence; the walk enters no witness but a BinOp."""
-    out = _WITNESSES.get(ast._id, _MISS)
-    if out is not _MISS:
+    out = _WITNESSES.get(ast._id)
+    if out is not None:
         return out
     t = type(ast)
     if t in (IntLit, Var, Quote):
@@ -448,8 +416,8 @@ def lhs_absurd(P) -> bool:
     t = type(P)
     if t not in (And, Star, Exists):
         return ground_truth(P) is False
-    out = _ABSURD.get(P._id, _MISS)
-    if out is not _MISS:
+    out = _ABSURD.get(P._id)
+    if out is not None:
         return out
     if ground_truth(P) is False:
         out = True
@@ -485,8 +453,8 @@ def _strip_units(a):
     entailment problem in step with its structure."""
     if type(a) not in _CONNECTIVES:
         return a
-    out = _STRIPPED.get(a._id, _MISS)
-    if out is not _MISS:
+    out = _STRIPPED.get(a._id)
+    if out is not None:
         return out
     out = map_children(a, _strip_units)
     if type(out) is Star:
@@ -502,8 +470,8 @@ def _open(P, x, e):
     """substitute(P, {x: e}): a quantifier body at a witness, or P
     rewritten by an equality; keyed by (P._id, x, e._id)."""
     key = (P._id, x, e._id)
-    out = _OPENED.get(key, _MISS)
-    if out is not _MISS:
+    out = _OPENED.get(key)
+    if out is not None:
         return out
     out = substitute(P, {x: e})
     _OPENED[key] = out
@@ -513,8 +481,8 @@ def _open(P, x, e):
 def _ent_key(P):
     """P without emp units, and the serial of its canonical node
     (canon_key): one side of the entailer's memo key."""
-    out = _ENT_KEYS.get(P._id, _MISS)
-    if out is not _MISS:
+    out = _ENT_KEYS.get(P._id)
+    if out is not None:
         return out
     s = _strip_units(P)
     out = (s, canon_key(s)._id)
@@ -526,8 +494,8 @@ def _groupings(lp) -> tuple:
     """(star of the parts of lp in mask, the parts not in mask) for each
     mask over lp in increasing order; keyed by the parts' serials."""
     key = tuple(p._id for p in lp)
-    out = _GROUPINGS.get(key, _MISS)
-    if out is not _MISS:
+    out = _GROUPINGS.get(key)
+    if out is not None:
         return out
     n = len(lp)
     out = tuple(

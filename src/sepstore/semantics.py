@@ -25,7 +25,7 @@ from .interp import (
 from .syntax import (
     And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, Leq, Mu, Or,
     PointsTo, PSEUDO_PURE, PURE, RelVar, Skip, Star, Tensor, Triple, TrueA,
-    ValueLit, circ, classify, free_vars, substitute, unfold,
+    TABLES, ValueLit, circ, classify, free_vars, substitute, unfold,
 )
 
 
@@ -34,7 +34,8 @@ class UniverseOverflow(Exception):
 
 
 class UniverseTooLarge(Exception):
-    """The configured heap universe has more than MAX_UNIVERSE_HEAPS heaps."""
+    """The configured heap universe has more than MAX_UNIVERSE_HEAPS heaps,
+    or a goal's environments number more than the config's env_cap."""
 
 
 # The most heaps Tester.universe() enumerates.  The default CLI universe
@@ -144,19 +145,32 @@ def close_assertion(P, env: Env):
     return substitute(P, {k: ValueLit(v) for k, v in env.items})
 
 
-def _splits(h: Heap) -> tuple:
+# tables of the registry syntax.TABLES (syntax docstring); no function
+# tabled here reaches a Tester table, so none can re-enter one
+_SPLITS = TABLES["splits"] = {}
+_TRUNCATIONS = TABLES["truncations"] = {}
+_MU_APPROXIMATIONS = TABLES["mu_approximation"] = {}
+
+
+def splits(h: Heap) -> tuple:
     """Every pair (h1, h2) with h = h1 * h2, h1 holding the cells picked by
     the bits of a mask counted up from 0; Bot splits only into Bot and
     Bot."""
+    out = _SPLITS.get(h._id)
+    if out is not None:
+        return out
     if h.is_bot:
-        return ((h, h),)
-    cells = h.cells
-    # the sub-heap of each mask, built once: the complement of mask m,
-    # full ^ m, names the other half of the same split
-    sub = [Heap(tuple(c for i, c in enumerate(cells) if mask >> i & 1))
-           for mask in range(1 << len(cells))]
-    full = len(sub) - 1
-    return tuple((sub[m], sub[full ^ m]) for m in range(len(sub)))
+        out = ((h, h),)
+    else:
+        cells = h.cells
+        # the sub-heap of each mask, built once: the complement of mask m,
+        # full ^ m, names the other half of the same split
+        sub = [Heap(tuple(c for i, c in enumerate(cells) if mask >> i & 1))
+               for mask in range(1 << len(cells))]
+        full = len(sub) - 1
+        out = tuple((sub[m], sub[full ^ m]) for m in range(len(sub)))
+    _SPLITS[h._id] = out
+    return out
 
 
 def _finite_rank(h: Heap, what: str) -> int:
@@ -166,29 +180,35 @@ def _finite_rank(h: Heap, what: str) -> int:
     return int(r)
 
 
-def _truncations(h: Heap, what: str) -> tuple:
-    return tuple(truncate(n, h) for n in range(_finite_rank(h, what) + 1))
+def truncations(h: Heap, what: str) -> tuple:
+    """truncate(n, h) for n = 0 .. rank(h); a heap of infinite rank raises
+    UniverseOverflow about `what`."""
+    out = _TRUNCATIONS.get(h._id)
+    if out is not None:
+        return out
+    out = tuple(truncate(n, h) for n in range(_finite_rank(h, what) + 1))
+    _TRUNCATIONS[h._id] = out
+    return out
 
 
 class Tester:
     """Bounded membership evaluator and triple/entailment tester.
 
-    Its tables go through _memo and are keyed by the serials (`_id`) of
-    interned terms and values, never by the objects themselves: an int
-    key hashes in C, where a term or value would hash through a Python
-    `__hash__`.  The member cache has one row per (P, env, w), a dict
-    from heap serial to answer, filled on demand; so has the _member3
-    table, per (P, w, frame)."""
+    It holds the tables whose answers depend on its configuration:
+    membership, the _member3 rows, triples, the heaps up to a rank, tag
+    raises and quantifier bindings (syntax docstring, home 3).  Each goes
+    through _memo and is keyed by serials (`_id`), never by the objects
+    themselves: an int key hashes in C, where a term or value would hash
+    through a Python `__hash__`.  The member cache has one row per
+    (P, env, w), a dict from heap serial to answer, filled on demand; so
+    has the _member3 table, per (P, w, frame)."""
 
     def __init__(self, cfg: TestConfig):
         self.cfg = cfg
         self._member_cache: dict = {}   # (P, env, w) -> {h: member(..., h)}
         self._member3_table: dict = {}  # (P, w, frame) -> {g: _member3(...)}
-        self._split_table: dict = {}    # h -> _splits(h)
-        self._truncations: dict = {}    # h -> truncate(n, h), n = 0..rank h
         self._raises: dict = {}         # h -> tag_raises(h, ...)
         self._bindings: dict = {}       # (env, x) -> env.bind(x, d) per value
-        self._mu_table: dict = {}       # (mu, depth) -> mu_approximation
         self._triple_cache: dict = {}
         self._universe: Optional[list] = None
         self._ranks: list = []          # rank of each universe heap
@@ -234,15 +254,6 @@ class Tester:
         heaps = self.universe()
         return [h for h, r in zip(heaps, self._ranks) if r <= n]
 
-    def splits(self, h: Heap) -> tuple:
-        """_splits(h), computed once per heap."""
-        return _memo(self._split_table, h._id, _splits, h)
-
-    def truncations(self, h: Heap, what: str) -> tuple:
-        """truncate(n, h) for n = 0 .. rank(h), computed once per heap; a
-        heap of infinite rank raises UniverseOverflow about `what`."""
-        return _memo(self._truncations, h._id, _truncations, h, what)
-
     def raises(self, h: Heap) -> list:
         """tag_raises(h) up to the larger of tag_max and level_k, computed
         once per heap."""
@@ -255,11 +266,6 @@ class Tester:
 
     def _bind_values(self, env, x) -> tuple:
         return tuple(env.bind(x, d) for d in self.values())
-
-    def mu_approximation(self, mu: Mu, depth: int):
-        """mu_approximation(mu, depth), computed once."""
-        return _memo(self._mu_table, (mu._id, depth), mu_approximation,
-                     mu, depth)
 
     # --- membership
 
@@ -312,7 +318,7 @@ class Tester:
             return self.member(P.left, env, w, h) \
                 or self.member(P.right, env, w, h)
         if t is Implies:
-            for hn in self.truncations(h, "implication"):
+            for hn in truncations(h, "implication"):
                 if self.member(P.left, env, w, hn) \
                         and not self.member(P.right, env, w, hn):
                     return False
@@ -322,14 +328,14 @@ class Tester:
                        for e in self.bindings(env, P.var))
         if t is Exists:
             envs = self.bindings(env, P.var)
-            for hn in reversed(self.truncations(h, "existential")):
+            for hn in reversed(truncations(h, "existential")):
                 if not any(self.member(P.body, e, w, hn) for e in envs):
                     return False
             return True
         if t is Star:
             return any(self.member(P.left, env, w, h1)
                        and self.member(P.right, env, w, h2)
-                       for h1, h2 in self.splits(h))
+                       for h1, h2 in splits(h))
         if t is Triple:
             r = _finite_rank(h, "triple")
             if r == 0:
@@ -348,7 +354,7 @@ class Tester:
         if t is RelVar:
             raise UnboundVariable(f"relation variable {P.name}")
         if t is Mu:
-            unfolded = self.mu_approximation(P, _finite_rank(h, "mu") + 1)
+            unfolded = mu_approximation(P, _finite_rank(h, "mu") + 1)
             return self.member(unfolded, env, w, h)
         if t is Diamond:
             return self._member_diamond(P.body, env, w, h)
@@ -399,7 +405,7 @@ class Tester:
         rest = Star(w, frame)
         return any(self.member(P, EMPTY_ENV, w, g1)
                    and self.member(rest, EMPTY_ENV, Emp(), g2)
-                   for g1, g2 in self.splits(g))
+                   for g1, g2 in splits(g))
 
     def _dcl_member3(self, P, w, frame, h: Heap) -> bool:
         """Downward-closure membership: some tag-raised candidate above h
@@ -458,10 +464,16 @@ class Tester:
     # --- entry points
 
     def _env_samples(self, fvs):
+        """Every environment of fvs, refused above env_cap: a Pass on
+        part of them would not have exhausted the universe."""
         fvs = sorted(fvs)
-        combos = itertools.product(self.values(), repeat=len(fvs))
+        count = len(self.values()) ** len(fvs)
+        if count > self.cfg.env_cap:
+            raise UniverseTooLarge(f"the goal has {count:,} environments, "
+                                   f"more than env_cap = {self.cfg.env_cap}")
         return [Env(tuple(zip(fvs, combo)))
-                for combo in itertools.islice(combos, self.cfg.env_cap)]
+                for combo in itertools.product(self.values(),
+                                               repeat=len(fvs))]
 
     def test_triple(self, P, e, Q) -> Verdict:
         fvs = free_vars(P)[0] | free_vars(e)[0] | free_vars(Q)[0]
@@ -520,7 +532,12 @@ class Tester:
 def mu_approximation(mu: Mu, depth: int):
     """Unfold a recursive assertion `depth` >= 1 times; residual
     occurrences of the bound relation variable become false."""
+    key = (mu._id, depth)
+    out = _MU_APPROXIMATIONS.get(key)
+    if out is not None:
+        return out
     approx = FalseA()
     for _ in range(depth - 1):
         approx = substitute(mu.body, rel_map={mu.relvar: (mu.params, approx)})
-    return unfold(mu, approx)
+    out = _MU_APPROXIMATIONS[key] = unfold(mu, approx)
+    return out

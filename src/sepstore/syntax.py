@@ -22,17 +22,26 @@ hash, `==` or any iteration order, so it decides no fresh name and no
 witness.  It orders only the AC parts inside a canonical node, which is
 an identity and is never printed or walked for order (canon_key).
 
-Every AST class derives from Node, whose slots, beyond the hash and the
-serial of Interned that runtime values carry too, cache the syntactic
-facts about the node: its closed canonical node (canon_key) and its free
-(relation) variables.  Invariant: a cached fact depends only on the
-node's own fields, never on where the node occurs, so a node shared
-between terms, or under different binders, may carry it.  Each fact is
-computed once, on first use, and written with object.__setattr__; the
-slots take no part in repr.  Since substitution hands back every sub-term
-it does not reach, the facts of those sub-terms survive it.  Facts of the
-logic (normal forms, ground truth, witnesses) are not slots: logic keeps
-one table per function, keyed by the node's serial.
+Every memo has one of three homes:
+
+1. Node slots hold the two facts every AST node needs: its closed
+   canonical node (canon_key) and its free (relation) variables.  A slot
+   costs a node 8 bytes, less than an entry of any table.  Invariant: a
+   cached fact depends only on the node's own fields, never on where the
+   node occurs, so a node shared between terms, or under different
+   binders, may carry it.  A fact is computed once, on first use, and
+   written with object.__setattr__; the slots take no part in repr.
+   Substitution hands back every sub-term it does not reach, facts and
+   all.
+2. Every other pure function of interned terms or heaps keeps one
+   process-wide table, listed in TABLES under its name: a dict from its
+   arguments' serials (and names) to its answer.  It probes the table
+   inline, first thing in its body, with None as the miss (no such
+   function answers None), and stores its answer last; a wrapping
+   decorator would double the stack frames per level of the recursive
+   ones.  No table is ever emptied; a serial is never reused.
+3. An answer that depends on a configuration lives in the semantic
+   Tester built for it, behind its re-entry guard (semantics._memo).
 """
 
 from __future__ import annotations
@@ -73,6 +82,7 @@ class Node(Interned):
 
 _NODES: dict = {}   # (class, *fields) -> the interned object
 _SERIALS = itertools.count()   # _id of each interned object
+TABLES: dict = {}   # name of a tabled function -> its table (docstring)
 
 
 def _make(key):
@@ -445,35 +455,18 @@ def _free(ast):
     return pair
 
 
-# Nodes share their pairs: the empty pair, one pair per name, and a
-# child's pair whenever the union adds nothing to it.  A fresh pair of
+# Nodes share pairs: the empty pair, and a child's pair whenever the union
+# adds nothing to it (so a name's pair is its Var's).  A fresh pair of
 # frozensets per node would cost several hundred bytes each.
 _NO_FREE = (frozenset(), frozenset())
-
-
-@functools.cache
-def _single(name, rel):
-    one = frozenset((name,))
-    return (frozenset(), one) if rel else (one, frozenset())
-
-
-def _pair(fv, frv):
-    if not frv:
-        if not fv:
-            return _NO_FREE
-        if len(fv) == 1:
-            return _single(next(iter(fv)), False)
-    elif not fv and len(frv) == 1:
-        return _single(next(iter(frv)), True)
-    return fv, frv
 
 
 def _free_walk(ast):
     """The free pair of ast from the cached pairs of its children."""
     t = type(ast)
     if t is Var:
-        return _single(ast.name, False)
-    out = _single(ast.name, True) if t is RelVar else _NO_FREE
+        return frozenset((ast.name,)), frozenset()
+    out = (frozenset(), frozenset((ast.name,))) if t is RelVar else _NO_FREE
     for name, many, under in _FIELDS[t]:
         value = getattr(ast, name)
         for c in value if many else (value,):
@@ -481,14 +474,14 @@ def _free_walk(ast):
             if under:
                 names, rnames = binders(ast)
                 if not (fv.isdisjoint(names) and frv.isdisjoint(rnames)):
-                    fv, frv = fv.difference(names), frv.difference(rnames)
-                    pair = _pair(fv, frv)
+                    fv, frv = pair = (fv.difference(names),
+                                      frv.difference(rnames))
             if fv <= out[0] and frv <= out[1]:
                 continue
             if out[0] <= fv and out[1] <= frv:
                 out = pair
             else:
-                out = _pair(out[0] | fv, out[1] | frv)
+                out = out[0] | fv, out[1] | frv
     return out
 
 

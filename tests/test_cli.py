@@ -258,6 +258,22 @@ def test_cli_test_refuses_oversized_universe(runner, tmp_path):
     assert "4,826,810 heaps" in r.output
 
 
+def test_cli_test_refuses_more_environments_than_env_cap(runner, tmp_path):
+    # 3 free variables over the default 12 values give 1,728 environments;
+    # sampling only the first env_cap = 256 of them never binds a to 1,
+    # and the refutable goal passed
+    g = write(tmp_path, "g.asn", "emp /\\ b = b /\\ c = c => a <= 0")
+    r = invoke(runner, "test", g)
+    assert r.exit_code == 3
+    assert r.output.startswith("error: config: ")
+    assert "1,728 environments" in r.output
+    # one free variable gives 12 environments, and a = 1 refutes the goal
+    g = write(tmp_path, "g2.asn", "emp => a <= 0")
+    r = invoke(runner, "test", g, "--json")
+    assert r.exit_code == 1
+    assert json_lines(r.output)[0]["witness"]["env"] == {"a": "1"}
+
+
 def test_cli_bad_config(runner, tmp_path):
     c = write(tmp_path, "cfg", "nonsense = 1")
     g = write(tmp_path, "g.asn", "true => true")

@@ -16,7 +16,7 @@ from sepstore.interp import (BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Env,
 from sepstore.logic import dist_step
 from sepstore.semantics import (
     MAX_UNIVERSE_HEAPS, CacheReentry, Fail, Pass, Tester, UniverseTooLarge,
-    _splits, close_assertion,
+    close_assertion, splits,
 )
 from sepstore.syntax import (
     And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, IntLit, Mu,
@@ -198,9 +198,9 @@ def test_close_assertion():
 
 
 def test_splits_enumerate_every_disjoint_pair():
-    assert list(_splits(BOT)) == [(BOT, BOT)]
+    assert list(splits(BOT)) == [(BOT, BOT)]
     for h in Tester(fuzz_config()).universe()[1:]:
-        pairs = list(_splits(h))
+        pairs = list(splits(h))
         assert len(pairs) == 2 ** len(h.cells) == len(set(pairs))
         assert all(heap_join(h1, h2) == h for h1, h2 in pairs)
 

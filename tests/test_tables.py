@@ -1,9 +1,11 @@
-"""The one intern table, serials, and the Tester tables keyed by them.
+"""The one intern table, serials, and the model's tables keyed by them.
 
 Every AST node and runtime value lives in one intern table, syntax._NODES,
 and carries a serial, `_id`, drawn from one counter when it is made.  A
-serial is a table key only: the Tester keys its tables by serials, so
-each table must answer what the function it tables answers.
+serial is a table key only: the model keys its tables by serials, in the
+process-wide registry syntax.TABLES for its functions of heaps and terms
+alone and in the Tester for those of its configuration, so each table
+must answer what the function it tables answers.
 """
 
 import copy
@@ -18,8 +20,10 @@ from sepstore.fuzz import fuzz_config
 from sepstore.interp import (
     EMPTY_ENV, INF, CodeVal, Env, Heap, IntVal, rank, tag_raises, truncate,
 )
-from sepstore.semantics import Tester, UniverseOverflow, mu_approximation
-from sepstore.syntax import Mu, Skip
+from sepstore.semantics import (
+    Tester, UniverseOverflow, mu_approximation, truncations,
+)
+from sepstore.syntax import FalseA, Mu, Skip, substitute, unfold
 from test_traversal_golden import _walk, terms
 
 
@@ -63,13 +67,15 @@ def _testers_and_heaps():
 def test_truncation_table_equals_truncate_at_every_level():
     for tester, heaps in _testers_and_heaps():
         for h in heaps:
-            levels = tester.truncations(h, "a test")
+            levels = truncations(h, "a test")
             assert levels == tuple(truncate(n, h)
                                    for n in range(int(rank(h)) + 1))
-            assert tester.truncations(h, "a test") is levels
-        unranked = Heap(((1, CodeVal(Skip(), EMPTY_ENV, INF)),))
-        with pytest.raises(UniverseOverflow, match="a test on a heap"):
-            tester.truncations(unranked, "a test")
+            assert truncations(h, "a test") is levels
+            assert syntax.TABLES["truncations"][h._id] is levels
+    unranked = Heap(((1, CodeVal(Skip(), EMPTY_ENV, INF)),))
+    with pytest.raises(UniverseOverflow, match="a test on a heap"):
+        truncations(unranked, "a test")
+    assert unranked._id not in syntax.TABLES["truncations"]
 
 
 def test_binding_table_equals_env_bind_over_the_values():
@@ -84,14 +90,24 @@ def test_binding_table_equals_env_bind_over_the_values():
                 assert tester.bindings(env, x) is bound
 
 
+def mu_reference(mu, depth):
+    """mu_approximation with no table: depth - 1 unfoldings from false
+    inside one unfolding at the arguments."""
+    approx = FalseA()
+    for _ in range(depth - 1):
+        approx = substitute(mu.body, rel_map={mu.relvar: (mu.params, approx)})
+    return unfold(mu, approx)
+
+
 def test_mu_table_equals_mu_approximation():
     mus = {n for _, t in terms() for n in _walk(t) if type(n) is Mu}
     assert len(mus) > 10
-    tester = Tester(fuzz_config())
     for m in sorted(mus, key=repr):
         for depth in (1, 2, 3):
-            assert tester.mu_approximation(m, depth) \
-                is mu_approximation(m, depth)
+            syntax.TABLES["mu_approximation"].pop((m._id, depth), None)
+            approx = mu_approximation(m, depth)
+            assert approx is mu_reference(m, depth)
+            assert mu_approximation(m, depth) is approx
 
 
 def test_raise_table_equals_tag_raises():
