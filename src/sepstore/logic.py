@@ -506,6 +506,19 @@ def _groupings(lp) -> tuple:
     return out
 
 
+def _cancel(lp, lq):
+    """The star parts lp and lq without emp units and without the parts
+    they share (equal mod AC), each shared part removed once per side."""
+    lp = [p for p in lp if type(p) is not Emp]
+    lq = [q for q in lq if type(q) is not Emp]
+    for q in list(lq):
+        rest = parts_remove(lp, q)
+        if rest is not None:
+            lp = rest
+            lq = parts_remove(lq, q)
+    return tuple(lp), tuple(lq)
+
+
 class _Entailer:
     MAX_DEPTH = 60
     MAX_WITNESSES = 24
@@ -541,6 +554,15 @@ class _Entailer:
             return True
         if lhs_absurd(P):
             return True
+
+        # frame first: * is monotone, so dropping the parts both sides
+        # share (up to AC) leaves an entailment that implies this one,
+        # tried before prenex pulls the frame's quantifiers out
+        if type(P) is Star and type(Q) is Star:
+            qs = star_parts(Q)
+            lp, lq = _cancel(star_parts(P), qs)
+            if len(lq) < len(qs) and self.ent(star(*lp), star(*lq), mu, d):
+                return True
 
         P2, Q2 = prenex(P), prenex(Q)
         if not (equal_mod_ac(P2, P) and equal_mod_ac(Q2, Q)):
@@ -643,15 +665,8 @@ class _Entailer:
                 yield _open(quant.body, quant.var, w)
 
     def _ent_star(self, P, Q, mu, d) -> bool:
-        lp = [p for p in star_parts(P) if type(p) is not Emp]
-        lq = [q for q in star_parts(Q) if type(q) is not Emp]
-        # cancel syntactically equal components first
-        for q in list(lq):
-            rest = parts_remove(lp, q)
-            if rest is not None:
-                lp = rest
-                lq = parts_remove(lq, q)
-        return self._match_star(tuple(lp), tuple(lq), mu, d)
+        lp, lq = _cancel(star_parts(P), star_parts(Q))
+        return self._match_star(lp, lq, mu, d)
 
     def _match_star(self, lp, lq, mu, d) -> bool:
         if not lq:
@@ -677,8 +692,11 @@ def entail_basic(P, Q) -> bool:
 
     Uses equality modulo the star laws, distribution of invariant
     extension, bounded unfolding of recursive assertions, ground
-    arithmetic, and the intuitionistic lattice laws.  Never claims an
-    invalid entailment; may fail to prove a valid one.
+    arithmetic, and the intuitionistic lattice laws.  Shared frames are
+    cancelled before quantifiers are opened: when both sides are *, the
+    parts equal mod AC on both are dropped first, which is sound because
+    * is monotone (A => B gives A * F => B * F).  Never claims an invalid
+    entailment; may fail to prove a valid one.
     """
     return _Entailer(3).run(P, Q)
 

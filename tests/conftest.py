@@ -1,15 +1,17 @@
 """Shared fixtures and random-term generators for the test suite."""
 
 import random
+from typing import get_args
 
 import pytest
 
-from sepstore.fuzz import fuzz_config
-from sepstore.semantics import Tester
+from sepstore.fuzz import INTS, fuzz_config
+from sepstore.semantics import Fail, Tester
 from sepstore.syntax import (
-    And, Assign, BinOp, Diamond, Emp, Eq, EvalAt, Exists, FalseA, Forall,
-    Free, If, Implies, IntLit, LetDeref, LetNew, Leq, Mu, Or, PointsTo,
-    Quote, RelVar, Seq, Skip, Star, Tensor, Triple, TrueA, Var,
+    And, Assertion, Assign, BinOp, Diamond, Emp, Eq, EvalAt, Exists, FalseA,
+    Forall, Free, If, Implies, IntLit, LetDeref, LetNew, Leq, Mu, Or,
+    PointsTo, Quote, RelVar, Seq, Skip, Star, Tensor, Triple, TrueA, Var,
+    children, free_vars, substitute,
 )
 
 
@@ -133,3 +135,81 @@ def rand_term(rng):
 def term_corpus(seed, n):
     rng = random.Random(seed)
     return [rand_term(rng) for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# entailment pairs for checking the entailer against the model
+
+
+_ASSERTIONS = frozenset(get_args(Assertion))
+
+
+def _sub_assertions(P):
+    """The assertion sub-terms of P, P included, in pre-order, that mention
+    no variable or relation variable bound above them."""
+    out, stack = [], [P]
+    while stack:
+        t = stack.pop()
+        if type(t) in _ASSERTIONS:
+            fv, frv = free_vars(t)
+            if fv <= set(FREE_NAMES) and not frv:
+                out.append(t)
+        stack.extend(reversed(list(children(t))))
+    return out
+
+
+SHAPES = ("unrelated", "conjunct", "subterm", "instance", "frame",
+          "frame_weaken", "frame_unrelated")
+
+
+def entail_pairs(seed, depth=2):
+    """One pair (P, Q) per shape of SHAPES, drawn from rand_asn terms A, B
+    and a frame F on one seed.  F' is F drawn again with other binder
+    names, so it equals F up to alpha, and e is an integer of the fuzz
+    model's int_pool, the range of its quantifiers:
+      unrelated        A => B
+      conjunct         A /\\ B => A
+      subterm          A => a sub-term of A
+      instance         A[x := e] => exists v. A[x := v]
+      frame            A * F => F' * A
+      frame_weaken     A * F => F' * (A \\/ B)
+      frame_unrelated  A * F => F' * B
+    """
+    rng = random.Random(seed)
+    names = Names()
+    A = rand_asn(rng, names, depth)
+    B = rand_asn(rng, names, depth)
+    state = rng.getstate()
+    F = rand_asn(rng, names, depth)
+    rng.setstate(state)
+    renamed = Names()
+    renamed.n = names.n + 100
+    F2 = rand_asn(rng, renamed, depth)
+    e = IntLit(rng.choice(INTS))
+    v = names.fresh()
+    return dict(zip(SHAPES, (
+        (A, B),
+        (And(A, B), A),
+        (A, rng.choice(_sub_assertions(A))),
+        (substitute(A, {"x": e}), Exists(v, substitute(A, {"x": Var(v)}))),
+        (Star(A, F), Star(F2, A)),
+        (Star(A, F), Star(F2, Or(A, B))),
+        (Star(A, F), Star(F2, B)),
+    )))
+
+
+def model_refutes(tester, P, Q):
+    """None if the model passes P => Q; else the cause of the refutation:
+    "bot-diamond" for one at the bottom heap with <> on the right (the
+    known _member_diamond defect: <> of a pure body excludes bottom),
+    "refuted" for any other."""
+    verdict = tester.test_entailment(P, Q)
+    if not isinstance(verdict, Fail):
+        return None
+    if verdict.witness.heap.is_bot and _has_diamond(Q):
+        return "bot-diamond"
+    return "refuted"
+
+
+def _has_diamond(P):
+    return type(P) is Diamond or any(map(_has_diamond, children(P)))
