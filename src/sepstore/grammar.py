@@ -2,7 +2,10 @@
 
 Lexemes: invariant extension is `(*)`, the later-rank modality is `<>`,
 triples are `{P} e {Q}`, points-to is `|->`, separating conjunction `*`,
-command quoting `'C'`.  `#` starts a line comment.
+command quoting `'C'`.  `#` starts a line comment.  The lexer makes the
+token list of a text in one regular-expression scan; the parser reads it
+once, left to right, and backtracks only where a parenthesised text read
+as an assertion turns out to be an expression.
 
 Precedence, loosest to tightest: `=>`, `\\/`, `/\\`, `*`, `(*)`, `<>`;
 binary connectives associate to the left; quantifiers and `mu` extend
@@ -17,19 +20,22 @@ Sugar expanded at parse time:
 The parser keeps the names it reads, shadowing binders included (only
 substitution renames binders), so parse(pretty(t)) == t for every term it
 returns.  It rejects a mu body that is not contractive, and a bound
-relation variable applied to the wrong number of arguments.
+relation variable applied to the wrong number of arguments: it checks a
+mu when it has read the body, and a relation variable against the mu
+binders around it, and once the whole text has parsed reports the first
+fault in the text, which is the first in pre-order of the term.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import replace
 
 from .syntax import (
     And, ArityError, Assign, BinOp, ContractivenessError, Diamond, Emp,
     EvalAt, Exists, Eq, FalseA, Forall, Free, If, Implies, IntLit, LetDeref,
     LetNew, Leq, Mu, Or, PointsTo, Quote, RelVar, Seq, Skip, Star, Tensor,
-    Triple, TrueA, ValueLit, Var, children, exposed_occurrence,
+    Triple, TrueA, ValueLit, Var, exposed_occurrence, replace,
 )
 
 KEYWORDS = {
@@ -37,11 +43,15 @@ KEYWORDS = {
     "true", "false", "emp", "forall", "exists", "mu",
 }
 
+# each match is one token, or the end of the text, with the white space
+# and comments before it; the last group is a character that starts no
+# token
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>\(\*\)|\|->|:=|<=|=>|<>|/\\|\\/|[;=()\[\]{},.'+\-*])
+    (\s*(?:\#[^\n]*\s*)*)
+    (?: (\d+)
+      | ([A-Za-z_][A-Za-z0-9_]*)
+      | (\(\*\)|\|->|:=|<=|=>|<>|/\\|\\/|[;=()\[\]{},.'+\-*])
+      | (.) | \Z)
 """, re.VERBOSE)
 
 
@@ -62,18 +72,24 @@ class ParseError(Exception):
 
 
 def tokenize(text: str):
+    """(kind, text, offset) of each token, kind int, ident or sym, and a
+    last eof token."""
     tokens = []
     pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(pos, "a token", text[pos])
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    tokens.append(("eof", "", n))
+    for space, num, ident, sym, bad in _TOKEN_RE.findall(text):
+        pos += len(space)
+        if sym:
+            tokens.append(("sym", sym, pos))
+            pos += len(sym)
+        elif ident:
+            tokens.append(("ident", ident, pos))
+            pos += len(ident)
+        elif num:
+            tokens.append(("int", num, pos))
+            pos += len(num)
+        elif bad:
+            raise ParseError(pos, "a token", bad)
+    tokens.append(("eof", "", pos))
     return tokens
 
 
@@ -81,19 +97,25 @@ class Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
+        # a second eof, for the one token of lookahead past the end
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
-        # every identifier in the input, so generated names never clash
-        self.used_names = {t[1] for t in self.tokens if t[0] == "ident"}
         self._fresh_counter = 0
+        # the arity of each relation variable bound by an enclosing mu
+        self.arity = {}
+        # (offset, error) of each mu or relation variable read so far that
+        # fails its check; parse raises the first one once the whole input
+        # has parsed, so a syntax error anywhere comes first
+        self.faults = []
 
     # --- token plumbing
 
     def peek(self, ahead=0):
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + ahead]
 
     def at(self, *texts):
-        return self.peek()[1] in texts and self.peek()[0] != "eof"
+        # the eof token's text is "", which no caller asks for
+        return self.tokens[self.pos][1] in texts
 
     def advance(self):
         tok = self.tokens[self.pos]
@@ -120,6 +142,11 @@ class Parser:
             items.append(item())
         return tuple(items)
 
+    @functools.cached_property
+    def used_names(self):
+        """Every identifier in the input, so generated names never clash."""
+        return {t[1] for t in self.tokens if t[0] == "ident"}
+
     def fresh(self):
         while True:
             name = f"_{self._fresh_counter}"
@@ -145,7 +172,7 @@ class Parser:
         return left
 
     def parse_expr_atom(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] == "int":
             self.advance()
             return IntLit(int(tok[1]))
@@ -252,10 +279,10 @@ class Parser:
         whose right operand binds one level tighter than its connective."""
         left = self.parse_prefix()
         while True:
-            p, cls = _BY_SYM.get(self.peek()[1], (0, None))
+            p, cls = _BY_SYM.get(self.tokens[self.pos][1], (0, None))
             if p < prec:
                 return left
-            self.advance()
+            self.pos += 1
             left = cls(left, self.parse_asn(p + 1))
 
     def parse_prefix(self):
@@ -265,7 +292,7 @@ class Parser:
         return self.parse_asn_atom()
 
     def parse_asn_atom(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[1] == "true":
             self.advance()
             return TrueA()
@@ -290,7 +317,16 @@ class Parser:
                 params = self.comma_list(self.expect_ident)
                 self.expect(")")
             self.expect(".")
-            body = self.parse_asn()
+            outer = self.arity
+            self.arity = {**outer, relvar: len(params)}
+            try:
+                body = self.parse_asn()
+            finally:
+                self.arity = outer
+            occurrence = exposed_occurrence(body, relvar)
+            if occurrence is not None:
+                self.faults.append((tok[2], ContractivenessError(
+                    relvar, pretty(occurrence), pretty(body))))
             return Mu(relvar, params, body, tuple(Var(p) for p in params))
         if tok[1] == "{":
             self.advance()
@@ -308,15 +344,15 @@ class Parser:
             self.advance()
             args = self.comma_list(self.parse_expr)
             self.expect(")")
-            return RelVar(name, args)
+            return self.relvar(tok[2], name, args)
         if tok[1] == "(":
-            saved = self.pos
+            saved = self.pos, len(self.faults)
             try:
                 self.advance()
                 asn = self.parse_asn()
                 self.expect(")")
             except ParseError:
-                self.pos = saved
+                self.backtrack(saved)
             else:
                 if isinstance(asn, Mu) and asn.params \
                         and asn.args == tuple(Var(p) for p in asn.params) \
@@ -332,7 +368,7 @@ class Parser:
                     return replace(asn, args=args)
                 if not self._continues_expr():
                     return asn
-                self.pos = saved
+                self.backtrack(saved)
         # an expression-headed atom: comparison, points-to, or relvar use
         e = self.parse_expr(allow_mul=False)
         if self.at("="):
@@ -345,9 +381,23 @@ class Parser:
             self.advance()
             return self.parse_points_to_rhs(e)
         if isinstance(e, Var):
-            return RelVar(e.name, ())
+            return self.relvar(tok[2], e.name, ())
         raise ParseError(self.peek()[2], "'=', '<=' or '|->' after expression",
                          self.peek()[1] or "end of input")
+
+    def relvar(self, offset, name, args):
+        """RelVar(name, args), read at offset; a wrong count of arguments
+        for the innermost mu that binds name is a fault."""
+        if len(args) != self.arity.get(name, len(args)):
+            self.faults.append(
+                (offset, ArityError(name, len(args), self.arity[name])))
+        return RelVar(name, args)
+
+    def backtrack(self, saved):
+        """Return to a (position, fault count) taken before a parse that
+        is given up, with the faults found since."""
+        self.pos, n = saved
+        del self.faults[n:]
 
     def _continues_expr(self):
         # after a successfully parsed parenthesised assertion, these tokens
@@ -373,22 +423,6 @@ class Parser:
         return PointsTo(addr, self.parse_expr(allow_mul=False))
 
 
-def _check_mu(ast, arity):
-    """Reject a non-contractive mu body, or a bound relation variable applied
-    to other than `arity[name]` arguments, its innermost binder's count."""
-    t = type(ast)
-    if t is RelVar and len(ast.args) != arity.get(ast.name, len(ast.args)):
-        raise ArityError(ast.name, len(ast.args), arity[ast.name])
-    if t is Mu:
-        occurrence = exposed_occurrence(ast.body, ast.relvar)
-        if occurrence is not None:
-            raise ContractivenessError(ast.relvar, pretty(occurrence),
-                                       pretty(ast.body))
-        arity = {**arity, ast.relvar: len(ast.params)}
-    for c in children(ast):
-        _check_mu(c, arity)
-
-
 def parse(text: str, kind: str):
     """Parse a program, assertion or expression from concrete syntax."""
     p = Parser(text)
@@ -403,7 +437,9 @@ def parse(text: str, kind: str):
     tok = p.peek()
     if tok[0] != "eof":
         raise ParseError(tok[2], "end of input", tok[1])
-    _check_mu(ast, {})
+    if p.faults:
+        # the first in the text is the first in pre-order of the term
+        raise min(p.faults, key=lambda f: f[0])[1]
     return ast
 
 

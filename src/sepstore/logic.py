@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import get_args
 
@@ -31,7 +31,7 @@ from .syntax import (
     Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Seq, Skip, Star, TABLES,
     Tensor, Triple, TrueA, ValueLit, Var, canon_key, children, circ, classify,
     conj, contractive_in, equal_mod_ac, free_vars, fresh_name, map_children,
-    star, star_parts, substitute, unfold,
+    replace, star, star_parts, substitute, unfold,
 )
 
 

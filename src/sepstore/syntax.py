@@ -1,7 +1,8 @@
 """Abstract syntax for the heap language and its assertion logic.
 
-Expressions, commands, assertions and judgements are immutable dataclasses
-whose sub-terms and binder scopes SCHEMA lists for every traversal.
+Expressions, commands and assertions are immutable interned classes, and
+judgements immutable dataclasses; SCHEMA lists the sub-terms and binder
+scopes of each node class for every traversal.
 Operations on them (free variables, substitution, contractiveness, purity
 classification, equality modulo associativity/commutativity) live here;
 the concrete grammar lives in grammar.py.
@@ -10,8 +11,10 @@ Every AST node, and every runtime value of interp (IntVal, Env, CodeVal,
 Heap), is hash-consed in the one table _NODES: building an object with
 the class and fields of an existing one returns that object, so there is
 one object per term or value and `==` is `is`.  The classes are declared
-with `interned` and derive from Interned; the constructors, map_children,
-dataclasses.replace, copy, deepcopy and pickle all go through the table.
+with `interned`, which builds each one with a slot per annotated field,
+and derive from Interned, whose fields are frozen; the constructors,
+map_children, replace, copy, deepcopy and pickle all go through the
+table.
 An object's hash is the hash of its class name and field tuple, taken
 once, when it is made; it never depends on an address, since the order of
 sets and dicts of nodes decides fresh names and witness order.  Each
@@ -50,18 +53,29 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import MISSING, dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Union
 
 
 class Interned:
     """Base of every hash-consed class (module docstring); _hash and the
-    serial _id are set when the object is made."""
+    serial _id are set when the object is made.  Its fields are frozen."""
 
     __slots__ = ("_hash", "_id")
 
     def __hash__(self):
         return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
@@ -111,22 +125,35 @@ def __new__(cls, {params}):
 
 
 def interned(cls):
-    """cls as a frozen dataclass whose constructor returns the interned
-    object of its fields (module docstring); a class that defines its own
-    __new__, to normalise its fields, calls intern."""
-    cls = dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
-    if "__new__" in vars(cls):
-        return cls
-    fields = cls.__dataclass_fields__.values()
-    defaults = {f"_{f.name}": f.default for f in fields
-                if f.default is not MISSING}
-    params = ", ".join(f"{f.name}=_{f.name}" if f"_{f.name}" in defaults
-                       else f.name for f in fields)
-    scope = {"_NODES": _NODES, "_make": _make, **defaults}
-    exec(_NEW.format(params=params,
-                     fields="".join(f"{f.name}, " for f in fields)), scope)
-    cls.__new__ = scope["__new__"]
-    return cls
+    """cls rebuilt with one slot per annotated field, in declaration order
+    (its __match_args__), and a constructor that returns the interned
+    object of its fields (module docstring); a field's class attribute is
+    its default.  A class that defines its own __new__, to normalise its
+    fields, calls intern."""
+    ns = dict(vars(cls))
+    fields = tuple(ns.get("__annotations__", ()))
+    defaults = {f"_{f}": ns.pop(f) for f in fields if f in ns}
+    # the class as declared has an instance dict; the rebuilt one has
+    # slots only
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    ns.update(__slots__=fields, __match_args__=fields,
+              __qualname__=cls.__qualname__)
+    if "__new__" not in ns:
+        params = ", ".join(f"{f}=_{f}" if f"_{f}" in defaults else f
+                           for f in fields)
+        scope = {"_NODES": _NODES, "_make": _make, **defaults}
+        exec(_NEW.format(params=params,
+                         fields="".join(f"{f}, " for f in fields)), scope)
+        ns["__new__"] = scope["__new__"]
+    return type(cls.__name__, cls.__bases__, ns)
+
+
+def replace(obj, **changes):
+    """The interned object of obj's class with the fields named in changes
+    replaced, as the class's constructor gives it."""
+    return type(obj)(**({f: getattr(obj, f) for f in obj.__match_args__}
+                        | changes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Parser and pretty-printer tests, including the round-trip property."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +15,12 @@ from sepstore.interp import (EMPTY_ENV, Done, exec_cmd, format_heap,
                              parse_heap_text)
 from sepstore.syntax import (
     And, ArityError, Assign, BinOp, ContractivenessError, Diamond, Emp, Eq,
-    EvalAt, Exists, Implies, IntLit, Mu, Or, PointsTo, Quote, Seq, Skip, Star,
-    Tensor, Triple, TrueA, Var,
+    EvalAt, Exists, Implies, IntLit, Mu, Or, PointsTo, Quote, RelVar, Seq,
+    Skip, Star, Tensor, Triple, TrueA, Var, children, exposed_occurrence,
 )
 from sepstore.syntax import Free as FreeCmd
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +128,145 @@ def test_parser_checks_relation_variable_arity_by_scope():
           "assertion")
     with pytest.raises(ContractivenessError):
         parse("mu X. X /\\ emp", "assertion")
+
+
+# the first fault in the text is the one reported: an enclosing mu before
+# the terms in its body, an earlier sibling before a later one
+MU_FAULTS = [
+    # nested mu: the outer body's fault, not the inner one built first
+    ("mu X. (mu Y. Y /\\ emp) /\\ X",
+     "recursive assertion body is not formally contractive in X: "
+     "offending occurrence X in (mu Y. Y /\\ emp) /\\ X"),
+    ("mu X. {mu Y(a). {Y(1, 2)} 'skip' {emp}} 'skip' {emp} /\\ X",
+     "recursive assertion body is not formally contractive in X: "
+     "offending occurrence X in {mu Y(a). {Y(1, 2)} 'skip' {emp}} 'skip' "
+     "{emp} /\\ X"),
+    ("mu X. {emp} 'skip' {mu Y. Y * emp} * {X(1)} 'skip' {emp}",
+     "recursive assertion body is not formally contractive in Y: "
+     "offending occurrence Y in Y * emp"),
+    ("mu X. {X(1)} 'skip' {emp} * (mu Y. Y)",
+     "relation variable X applied to 1 arguments, expected 0"),
+    # the application form (mu X(p). ...)(args)
+    ("(mu X(p). X(p) /\\ emp)(1)",
+     "recursive assertion body is not formally contractive in X: "
+     "offending occurrence X(p) in X(p) /\\ emp"),
+    ("(mu X(p). {X(1, 2)} 'skip' {emp})(1)",
+     "relation variable X applied to 2 arguments, expected 1"),
+    ("(mu X(p). {(mu Y. Y)} 'skip' {X(p, p)})(1) * X(1, 2)",
+     "recursive assertion body is not formally contractive in Y: "
+     "offending occurrence Y in Y"),
+    # a relation variable under a mu that shadows an outer binder, and one
+    # after that mu closes
+    ("mu X(p). {mu X(p, q). {X(p)} 'skip' {emp}} 'skip' {X(p)}",
+     "relation variable X applied to 1 arguments, expected 2"),
+    ("mu X(p). {mu X. {X} 'skip' {emp}} 'skip' {X}",
+     "relation variable X applied to 0 arguments, expected 1"),
+    ("mu X(a). {(X)} 'skip' {emp}",
+     "relation variable X applied to 0 arguments, expected 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", MU_FAULTS)
+def test_mu_faults_keep_their_messages(text, message):
+    with pytest.raises((ArityError, ContractivenessError)) as exc:
+        parse(text, "assertion")
+    assert str(exc.value) == message
+
+
+def test_faults_of_an_abandoned_reading_are_dropped():
+    # `(X)` is first read as an assertion, where X has the wrong arity,
+    # then as the expression it is
+    for text in ("mu X(a). {(X) = 1} 'skip' {emp}",
+                 "mu X(a). {((X)) = 1} 'skip' {X(a)}"):
+        assert type(parse(text, "assertion")) is Mu
+    # a syntax error anywhere comes before a fault
+    for text in ("(mu X. X) + 1 = 2", "mu X. X * ("):
+        with pytest.raises(ParseError):
+            parse(text, "assertion")
+
+
+def _check_mu(ast, arity):
+    """The reference: reject the first, in pre-order, non-contractive mu
+    body or bound relation variable applied to other than `arity[name]`
+    arguments, its innermost binder's count."""
+    t = type(ast)
+    if t is RelVar and len(ast.args) != arity.get(ast.name, len(ast.args)):
+        raise ArityError(ast.name, len(ast.args), arity[ast.name])
+    if t is Mu:
+        occurrence = exposed_occurrence(ast.body, ast.relvar)
+        if occurrence is not None:
+            raise ContractivenessError(ast.relvar, pretty(occurrence),
+                                       pretty(ast.body))
+        arity = {**arity, ast.relvar: len(ast.params)}
+    for c in children(ast):
+        _check_mu(c, arity)
+
+
+def _rand_mu_term(rng, depth):
+    """(text, term) of a random assertion over mu binders and relation
+    variables of any arity, contractive or not."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        name, n = rng.choice("XY"), rng.randrange(3)
+        if rng.random() < 0.2:
+            return "x = 1", Eq(Var("x"), IntLit(1))
+        args = tuple(IntLit(i) for i in range(n))
+        text = f"{name}({', '.join('0123'[:n])})" if n else name
+        return text, RelVar(name, args)
+    (a, p), (b, q) = (_rand_mu_term(rng, depth - 1) for _ in range(2))
+    if roll < 0.45:
+        return f"({a} * {b})", Star(p, q)
+    if roll < 0.6:
+        return f"{{{a}}} 'skip' {{{b}}}", Triple(p, Quote(Skip()), q)
+    if roll < 0.7:
+        return f"({a} (*) {b})", Tensor(p, q)
+    name, n = rng.choice("XY"), rng.randrange(3)
+    params = ("p", "q")[:n]
+    head = f"mu {name}({', '.join(params)})" if n else f"mu {name}"
+    if n and rng.random() < 0.5:
+        args = tuple(IntLit(i) for i in range(n))
+        return (f"({head}. {a})({', '.join('0123'[:n])})",
+                Mu(name, params, p, args))
+    return f"({head}. {a})", Mu(name, params, p, tuple(map(Var, params)))
+
+
+def test_parser_reports_what_the_reference_walk_reports():
+    rng = random.Random(3)
+    faults = 0
+    for _ in range(3000):
+        text, t = _rand_mu_term(rng, 4)
+        try:
+            _check_mu(t, {})
+        except (ArityError, ContractivenessError) as exc:
+            faults += 1
+            with pytest.raises(type(exc)) as got:
+                parse(text, "assertion")
+            assert str(got.value) == str(exc), text
+        else:
+            assert parse(text, "assertion") is t, text
+    assert 500 < faults < 2500
+
+
+CHAIN = """
+from sepstore.grammar import parse
+from sepstore.syntax import Seq
+
+p, n = parse(" ; ".join(["[x] := 1"] * 10_000), "program"), 0
+while type(p) is Seq:
+    p, n = p.first, n + 1
+assert n == 9_999, n
+"""
+
+
+def test_ten_thousand_statement_chain_parses():
+    # a fresh process, whose stack holds none of the test runner's frames:
+    # the parser reads a sequence in a loop and walks no term afterwards
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", CHAIN],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_long_sequence_parses_runs_and_prints():

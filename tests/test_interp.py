@@ -350,10 +350,10 @@ def test_copies_pickles_and_replace_return_the_canonical_value():
               Heap(((1, code), (3, IntVal(-1))))]
     for v in values:
         for c in (copy.copy(v), copy.deepcopy(v),
-                  pickle.loads(pickle.dumps(v)), dataclasses.replace(v)):
+                  pickle.loads(pickle.dumps(v)), syntax.replace(v)):
             assert c is v, repr(v)
-    assert dataclasses.replace(code, tag=INF) is CodeVal(code.body,
-                                                         code.captured)
+    assert syntax.replace(code, tag=INF) is CodeVal(code.body,
+                                                    code.captured)
     with pytest.raises(dataclasses.FrozenInstanceError):
         code.tag = 3
 

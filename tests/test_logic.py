@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sepstore.fuzz import GENERATORS
+from sepstore.fuzz import GENERATORS, fuzz_config, judge
 from sepstore.grammar import parse, pretty
 from sepstore.logic import (
     REJECTED, RULE_IDS, ProofError, ProofNode, SchemaMismatch, UnknownRule,
@@ -14,7 +14,7 @@ from sepstore.logic import (
     make_node, match_iff, normalize_otimes, parse_script, serialize_script,
     unfold_mu,
 )
-from sepstore.semantics import Pass
+from sepstore.semantics import Fail, Pass, Tester
 from sepstore.syntax import (
     And, Emp, Eq, FalseA, Implies, IntLit, Judgement, Mu, Or, PointsTo,
     Quote, RelVar, Skip, Star, Tensor, Triple, TrueA, Var, equal_mod_ac,
@@ -249,6 +249,41 @@ def test_update_inv_side_conditions():
     with pytest.raises(ProofError):
         apply_rule("UpdateInv", {"e": IntLit(1), "e0": IntLit(0),
                                  "e1": IntLit(2), "phi": A("3 |-> 0")}, [])
+
+
+# For each side condition, a script that breaks it and nothing else: the
+# kernel rejects its root for that condition alone, and the model refutes
+# the conclusion it would license.
+SIDE_CONDITIONS = {
+    "ForallI": ("""
+        (rule ForallI (param x "x") (hyp "x = 1")
+          (premise (rule Hyp (param A "x = 1") (hyp "x = 1")
+            (conclude "x = 1")))
+          (conclude "forall x. x = 1"))""",
+                "ForallI: x occurs free in a hypothesis"),
+    "ExistsE": ("""
+        (rule ExistsE (hyp "exists x. x = 1")
+          (premise (rule Hyp (param A "exists x. x = 1")
+            (hyp "exists x. x = 1") (conclude "exists x. x = 1")))
+          (premise (rule Hyp (param A "x = 1") (hyp "x = 1")
+            (conclude "x = 1")))
+          (conclude "x = 1"))""",
+                "ExistsE: x occurs free in the goal or a hypothesis"),
+    "New": ("""
+        (rule New (param x "x") (param init "0")
+          (premise (rule Skip (param P "x |-> 0")
+            (conclude "{x |-> 0} 'skip' {x |-> 0}")))
+          (conclude "{emp} 'let x = new 0 in skip' {x |-> 0}"))""",
+            "New: x occurs free where it must not"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(SIDE_CONDITIONS))
+def test_side_condition_alone_rejects_an_unsound_instance(rule):
+    text, message = SIDE_CONDITIONS[rule]
+    root = parse_script(text)
+    assert check_proof(root).failures == [("0", message)]
+    assert isinstance(judge(Tester(fuzz_config()), root.conclusion), Fail)
 
 
 def test_update_inv_ignores_emp_star_parts():

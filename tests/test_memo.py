@@ -184,7 +184,7 @@ def canon_reference(t, venv=(), renv=()):
         return RelVar(f"%{renv[::-1].index(t.name)}", u.args)
     if k is Mu:
         return Mu("", ("",) * len(t.params), u.body, u.args)
-    return dataclasses.replace(u, var="") if names else u
+    return syntax.replace(u, var="") if names else u
 
 
 def flat(t, k):
@@ -313,13 +313,13 @@ def test_memo_slots_are_invisible():
 def test_copies_pickles_and_replace_return_the_canonical_node():
     for t in corpus():
         for c in (copy.copy(t), copy.deepcopy(t),
-                  pickle.loads(pickle.dumps(t)), dataclasses.replace(t),
+                  pickle.loads(pickle.dumps(t)), syntax.replace(t),
                   map_children(t, copy.deepcopy)):
             assert c is t, repr(t)
     t = parse("exists y. 1 |-> y * emp", "assertion")
-    assert dataclasses.replace(t, var="z") is parse("exists z. 1 |-> y * emp",
-                                                    "assertion")
-    assert dataclasses.replace(t.body, right=Emp()) is Star(
+    assert syntax.replace(t, var="z") is parse("exists z. 1 |-> y * emp",
+                                               "assertion")
+    assert syntax.replace(t.body, right=Emp()) is Star(
         PointsTo(IntLit(1), Var("y")), Emp())
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.var = "z"

@@ -9,7 +9,6 @@ must answer what the function it tables answers.
 """
 
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -54,7 +53,7 @@ def test_copies_pickles_and_replace_keep_the_serial():
         + list(tester.values()) + [Env.of({"x": IntVal(1)})]
     for x in objects:
         for c in (copy.copy(x), copy.deepcopy(x),
-                  pickle.loads(pickle.dumps(x)), dataclasses.replace(x)):
+                  pickle.loads(pickle.dumps(x)), syntax.replace(x)):
             assert c._id == x._id, repr(x)
 
 

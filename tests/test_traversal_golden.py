@@ -40,8 +40,8 @@ from conftest import term_corpus
 from sepstore.grammar import parse, pretty
 from sepstore.logic import parse_script, unfold_mu
 from sepstore.syntax import (
-    BinOp, Eq, Exists, Forall, IntLit, LetDeref, LetNew, Mu, RelVar, Var,
-    canon_key, classify, contractive_in, free_vars, substitute,
+    BinOp, Eq, Exists, Forall, IntLit, Interned, LetDeref, LetNew, Mu, RelVar,
+    Var, canon_key, classify, contractive_in, free_vars, substitute,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,13 +59,18 @@ EXTRA = [
 ]
 
 
+def _fields(cls):
+    """The fields of an interned class, as its source declares them."""
+    return vars(cls).get("__annotations__", {})
+
+
 def _children(node):
-    """Every dataclass value directly inside node, tuple fields included
+    """Every interned value directly inside node, tuple fields included
     (written here without the code under test)."""
-    for name in getattr(type(node), "__dataclass_fields__", ()):
+    for name in _fields(type(node)):
         value = getattr(node, name)
         for v in value if isinstance(value, tuple) else (value,):
-            if hasattr(type(v), "__dataclass_fields__"):
+            if isinstance(v, Interned):
                 yield v
 
 
@@ -153,7 +158,10 @@ def test_traversals_match_recorded_results():
     recorded = [json.loads(line)
                 for line in CORPUS.read_text().splitlines()]
     labels = {}
-    replayed = [record(kind, t, labels) for kind, t in terms()]
+    corpus = list(terms())
+    # the walk reaches below the roots, so the results it feeds are checked
+    assert sum(1 for _, t in corpus for _ in _walk(t)) > 5 * len(corpus)
+    replayed = [record(kind, t, labels) for kind, t in corpus]
     assert len(replayed) == len(recorded) > 200
     for i, (old, new) in enumerate(zip(recorded, replayed)):
         assert new == old, f"term {i}: {old['term']}"
