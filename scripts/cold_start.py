@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Where a cold `sepstore check` spends its time, layer by layer.
+"""Where a cold `sepstore check` and `sepstore test` spend their time,
+layer by layer.
 
     PYTHONPATH=src python scripts/cold_start.py [--runs N]
 
@@ -13,6 +14,13 @@ every module is compiled from source.  The layers:
   parse_script <file>    each file in proofs/, after the imports
   check_proof <file>     the parsed script
   sepstore check <file>  the wall time of the whole command
+  test: <layer>          one `sepstore test` layer on a fresh Tester,
+                         each in its own interpreter after the imports
+                         and the parse of its config and goal: the
+                         default universe, Tester(default_config())
+                         .universe(); the iterator triple of acceptance
+                         criterion 6 on its universe; one StarComm
+                         entailment on the default config
 
 Each figure is the median over N runs, in milliseconds of wall-clock time.
 The sepstore package is the one PYTHONPATH finds, so pointing it at
@@ -64,6 +72,44 @@ for path, root in roots.items():
 json.dump(times, sys.stdout)
 """ % (MODULES, [str(p) for p in PROOFS])
 
+C_IT = ("let n = [1] in if (n = 0) then skip else "
+        "(eval [2] ; [1] := n - 1 ; eval [3])")
+ITERATOR_CONFIG = f"""\
+addrs = 1, 2, 3
+ints = 0, 1, 2
+code = skip ;; {C_IT}
+tag_max = 3
+k = 3
+"""
+# each test layer: (set-up, timed statement), run in a fresh interpreter
+TEST_LAYERS = {
+    "default universe": ("cfg = default_config()",
+                         "Tester(cfg).universe()"),
+    "iterator triple": (
+        "cfg = load_config(%r)\nP = parse(%r, 'assertion')"
+        % (ITERATOR_CONFIG,
+           f"{{1 |-> _ * 2 |-> 'skip' * 3 |-> '{C_IT}'}} 'eval [3]' "
+           f"{{1 |-> 0 * 2 |-> 'skip' * 3 |-> '{C_IT}'}}"),
+        "Tester(cfg).test_triple(P.pre, P.code, P.post)"),
+    "StarComm entailment": (
+        "cfg = default_config()\n"
+        "P = parse(\"1 |-> 0 * 2 |-> 'skip' => 2 |-> 'skip' * 1 |-> 0\", "
+        "'assertion')",
+        "Tester(cfg).test_entailment(P.left, P.right)"),
+}
+# one run of one test layer; prints the seconds of its timed statement
+TEST_LAYER = """
+import sys, time
+from sepstore.config import default_config, load_config
+from sepstore.grammar import parse
+from sepstore.semantics import Tester
+exec(sys.argv[1])
+timed = compile(sys.argv[2], "<layer>", "exec")
+t0 = time.perf_counter()
+exec(timed)
+print(time.perf_counter() - t0)
+"""
+
 
 def wall(cmd, env):
     t0 = time.perf_counter()
@@ -80,6 +126,10 @@ def one_run(env):
     for path in PROOFS:
         times["sepstore check " + path.name] = wall(
             [sys.executable, "-m", "sepstore.cli", "check", str(path)], env)
+    for layer, (setup, timed) in TEST_LAYERS.items():
+        times["test: " + layer] = float(subprocess.run(
+            [sys.executable, "-c", TEST_LAYER, setup, timed], env=env,
+            check=True, capture_output=True, text=True).stdout)
     return times
 
 

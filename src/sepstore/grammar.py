@@ -486,8 +486,17 @@ def pretty_cmd(c, atom=False, open_right=False) -> str:
         inits = ", ".join(pretty_expr(e) for e in c.inits)
         s = f"let {c.var} = new {inits} in {pretty_cmd(c.body)}"
     elif t is Seq:
-        s = f"{pretty_cmd(c.first, True, True)} ; " \
-            f"{pretty_cmd(c.second, True)}"
+        # the left spine in a loop, not one frame per statement: the
+        # parser builds `a ; b ; c` as ((a ; b) ; c), and every inner
+        # sequence on the spine prints as a parenthesised atom
+        seconds = []
+        while type(c) is Seq:
+            seconds.append(c.second)
+            c = c.first
+        parts = ["(" * (len(seconds) - 1), pretty_cmd(c, True, True)]
+        for second in reversed(seconds):
+            parts += (" ; ", pretty_cmd(second, True), ")")
+        s = "".join(parts[:-1])
     elif t is If:
         s = f"if ({pretty_expr(c.lhs)} = {pretty_expr(c.rhs)}) " \
             f"then {pretty_cmd(c.then, True, True)} " \

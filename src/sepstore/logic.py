@@ -1714,7 +1714,10 @@ def _sexp_read(tokens, i):
     return text, i + 1
 
 
-def _node_of_sexp(sx) -> ProofNode:
+def _node_of_sexp(sx, parsed: dict) -> ProofNode:
+    """The proof node of sx; `parsed` holds the assertion of each string
+    that this script has parsed so far, since scripts repeat hypotheses
+    and conclusions."""
     if not isinstance(sx, list) or len(sx) < 2 or sx[0] != "rule":
         raise ScriptError("each proof node is (rule NAME ...)")
     name = sx[1]
@@ -1733,21 +1736,28 @@ def _node_of_sexp(sx) -> ProofNode:
         elif head == "hyp":
             if len(item) != 2:
                 raise ScriptError("hyp takes one assertion")
-            hyps.append(parse(item[1], "assertion"))
+            hyps.append(_assertion(item[1], parsed))
         elif head == "premise":
             if len(item) != 2:
                 raise ScriptError("premise wraps one rule node")
-            premises.append(_node_of_sexp(item[1]))
+            premises.append(_node_of_sexp(item[1], parsed))
         elif head == "conclude":
             if len(item) != 2:
                 raise ScriptError("conclude takes one assertion")
-            goal = parse(item[1], "assertion")
+            goal = _assertion(item[1], parsed)
         else:
             raise ScriptError(f"unknown item {head!r} in rule {name}")
     if goal is None:
         raise ScriptError(f"rule {name} has no (conclude ...)")
     return ProofNode(name, tuple(params), tuple(premises),
                      Judgement(hyps=tuple(hyps), goal=goal))
+
+
+def _assertion(text, parsed: dict):
+    out = parsed.get(text)
+    if out is None:
+        out = parsed[text] = parse(text, "assertion")
+    return out
 
 
 def parse_script(text: str) -> ProofNode:
@@ -1757,7 +1767,7 @@ def parse_script(text: str) -> ProofNode:
     sx, i = _sexp_read(tokens, 0)
     if i != len(tokens):
         raise ScriptError(f"trailing input at offset {tokens[i][2]}")
-    return _node_of_sexp(sx)
+    return _node_of_sexp(sx, {})
 
 
 def _escape(s: str) -> str:

@@ -150,26 +150,83 @@ def close_assertion(P, env: Env):
 _SPLITS = TABLES["splits"] = {}
 _TRUNCATIONS = TABLES["truncations"] = {}
 _MU_APPROXIMATIONS = TABLES["mu_approximation"] = {}
+# heap serial -> (code, _UniverseIndex), for each non-Bot heap of every
+# universe a Tester has built; the last universe built holds the entry
+_UNIVERSE_INDEX = TABLES["universe_index"] = {}
+
+
+class _UniverseIndex:
+    """The mixed-radix numbering of one heap universe.  A non-Bot heap's
+    code has one digit per address of the sorted pool, the first address
+    least significant: 0 where the heap is unmapped, else 1 + the index of
+    its value in values().  by_code[code] is the interned heap; levels[n]
+    maps a digit to the digit of its value truncated at level n >= 1, and
+    ranks[d] is the rank of a heap whose highest-ranked digit is d."""
+
+    __slots__ = ("by_code", "radix", "places", "ranks", "levels")
+
+    def __init__(self, vals, addresses):
+        self.radix = 1 + len(vals)
+        self.places = tuple(self.radix ** i for i in range(addresses))
+        self.by_code = [None] * self.radix ** addresses
+        self.ranks = (1,) + tuple(1 + v.tag if isinstance(v, CodeVal)
+                                  else 1 for v in vals)
+        first = {}
+        for d, v in enumerate(vals, 1):
+            first.setdefault(v, d)
+        # level n caps a stored closure's tag at n - 1 (interp.truncate)
+        self.levels = [None] + [
+            (0,) + tuple(first[CodeVal(v.body, v.captured, n - 1)]
+                         if isinstance(v, CodeVal) and v.tag > n - 1 else d
+                         for d, v in enumerate(vals, 1))
+            for n in range(1, max(self.ranks) + 1)]
+
+    def digits(self, code) -> list:
+        out = []
+        for _ in self.places:
+            code, d = divmod(code, self.radix)
+            out.append(d)
+        return out
+
+    def splits(self, code) -> list:
+        """The sub-heap of each mask over the mapped addresses, in mask
+        order: subset sums of the nonzero digits, doubled up bit by bit."""
+        sums = [0]
+        for d, place in zip(self.digits(code), self.places):
+            if d:
+                term = d * place
+                sums += [s + term for s in sums]
+        return [self.by_code[s] for s in sums]
+
+    def truncations(self, code) -> tuple:
+        digits = self.digits(code)
+        top = max((self.ranks[d] for d in digits), default=1)
+        return (BOT,) + tuple(
+            self.by_code[sum(level[d] * place
+                             for d, place in zip(digits, self.places))]
+            for level in self.levels[1:top + 1])
 
 
 def splits(h: Heap) -> tuple:
     """Every pair (h1, h2) with h = h1 * h2, h1 holding the cells picked by
     the bits of a mask counted up from 0; Bot splits only into Bot and
-    Bot."""
+    Bot.  A universe heap's sub-heaps come from its index entry, any
+    other heap's are built cell by cell."""
     out = _SPLITS.get(h._id)
     if out is not None:
         return out
-    if h.is_bot:
-        out = ((h, h),)
+    entry = _UNIVERSE_INDEX.get(h._id)
+    if entry is not None:
+        sub = entry[1].splits(entry[0])
+    elif h.is_bot:
+        sub = [h]
     else:
         cells = h.cells
-        # the sub-heap of each mask, built once: the complement of mask m,
-        # full ^ m, names the other half of the same split
         sub = [Heap(tuple(c for i, c in enumerate(cells) if mask >> i & 1))
                for mask in range(1 << len(cells))]
-        full = len(sub) - 1
-        out = tuple((sub[m], sub[full ^ m]) for m in range(len(sub)))
-    _SPLITS[h._id] = out
+    # the complement of mask m, full ^ m = full - m, names the other half
+    # of the same split
+    out = _SPLITS[h._id] = tuple(zip(sub, reversed(sub)))
     return out
 
 
@@ -186,7 +243,12 @@ def truncations(h: Heap, what: str) -> tuple:
     out = _TRUNCATIONS.get(h._id)
     if out is not None:
         return out
-    out = tuple(truncate(n, h) for n in range(_finite_rank(h, what) + 1))
+    entry = _UNIVERSE_INDEX.get(h._id)
+    if entry is not None:
+        out = entry[1].truncations(entry[0])
+    else:
+        out = tuple(truncate(n, h)
+                    for n in range(_finite_rank(h, what) + 1))
     _TRUNCATIONS[h._id] = out
     return out
 
@@ -201,7 +263,14 @@ class Tester:
     themselves: an int key hashes in C, where a term or value would hash
     through a Python `__hash__`.  The member cache has one row per
     (P, env, w), a dict from heap serial to answer, filled on demand; so
-    has the _member3 table, per (P, w, frame)."""
+    has the _member3 table, per (P, w, frame).  `member` answers a hit
+    from one probe of its row, and only a miss goes through _memo.
+
+    universe() enumerates the heaps in a fixed order and numbers them as
+    it goes: each non-Bot heap's mixed-radix code goes into the registry's
+    universe index (syntax docstring, home 2), from which splits and
+    truncations answer universe heaps, and its rank is read off the same
+    digits."""
 
     def __init__(self, cfg: TestConfig):
         self.cfg = cfg
@@ -235,13 +304,28 @@ class Tester:
                 raise UniverseTooLarge(
                     f"the heap universe has {count:,} heaps, more than "
                     f"{MAX_UNIVERSE_HEAPS:,}; use fewer addresses or values")
-            heaps = [BOT, EMPTY_HEAP]
             addrs = sorted(self.cfg.addr_pool)
+            index = _UniverseIndex(vals, len(addrs))
+            mapped = range(1, index.radix)
+            heaps, codes, ranks = [BOT, EMPTY_HEAP], [0], [0, 1]
             for size in range(1, len(addrs) + 1):
-                for dom in itertools.combinations(addrs, size):
-                    for combo in itertools.product(vals, repeat=size):
-                        heaps.append(Heap(tuple(zip(dom, combo))))
-            self._ranks = [rank(h) for h in heaps]
+                for dom in itertools.combinations(range(len(addrs)), size):
+                    # the cells, code and rank of every map on dom, in the
+                    # order of itertools.product over vals
+                    cells, code, top = [()], [0], [1]
+                    for i in dom:
+                        a, place = addrs[i], index.places[i]
+                        cells = [c + ((a, v),) for c in cells for v in vals]
+                        code = [c + d * place for c in code for d in mapped]
+                        top = [max(r, index.ranks[d])
+                               for r in top for d in mapped]
+                    heaps += map(Heap, cells)
+                    codes += code
+                    ranks += top
+            for h, code in zip(heaps[1:], codes):
+                index.by_code[code] = h
+                _UNIVERSE_INDEX[h._id] = (code, index)
+            self._ranks = ranks
             self._universe = heaps
         return self._universe
 
@@ -276,7 +360,12 @@ class Tester:
         row = self._member_cache.get(key)
         if row is None:
             row = self._member_cache[key] = {}
-        # contractiveness makes a genuine cycle impossible
+        # a hit is answered from this one probe; a miss, or an entry still
+        # in progress, goes through _memo, which computes it or raises
+        # CacheReentry (contractiveness makes a genuine cycle impossible)
+        hit = row.get(h._id)
+        if hit is not None and hit is not _IN_PROGRESS:
+            return hit
         return _memo(row, h._id, self._member, P, env, w, h)
 
     def _member(self, P, env, w, h) -> bool:

@@ -269,6 +269,21 @@ def test_ten_thousand_statement_chain_parses():
     assert done.returncode == 0, done.stderr[-2000:]
 
 
+def test_thousand_statement_chain_prints_from_the_command_line(tmp_path):
+    # a fresh process: the printer walks the left spine of `;` in a loop,
+    # and keeps the parenthesised left operands of the recursive printer
+    path = tmp_path / "chain.prog"
+    path.write_text(" ; ".join(["[1] := 1"] * 1000))
+    src = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                        os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "sepstore.cli", "parse",
+                           str(path)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "(" * 998 + "[1] := 1" \
+        + " ; [1] := 1)" * 998 + " ; [1] := 1\n"
+
+
 def test_long_sequence_parses_runs_and_prints():
     # strings, not trees, are compared: the generated == of two equal
     # 800-statement chains still overflows the stack

@@ -13,16 +13,18 @@ import pickle
 
 import pytest
 
-from sepstore import syntax
-from sepstore.config import default_config
+from sepstore import semantics, syntax
+from sepstore.config import default_config, load_config
 from sepstore.fuzz import fuzz_config
 from sepstore.interp import (
     EMPTY_ENV, INF, CodeVal, Env, Heap, IntVal, rank, tag_raises, truncate,
 )
 from sepstore.semantics import (
-    Tester, UniverseOverflow, mu_approximation, truncations,
+    Tester, UniverseOverflow, mu_approximation, splits, truncations,
 )
 from sepstore.syntax import FalseA, Mu, Skip, substitute, unfold
+from test_acceptance import C_IT
+from test_interp import _reference_splits
 from test_traversal_golden import _walk, terms
 
 
@@ -116,3 +118,85 @@ def test_raise_table_equals_tag_raises():
             above = tester.raises(h)
             assert above == tag_raises(h, top)
             assert tester.raises(h) is above
+
+
+ITERATOR_CONFIG = f"""\
+addrs = 1, 2, 3
+ints = 0, 1, 2
+code = skip ;; {C_IT}
+tag_max = 3
+k = 3
+"""
+
+
+def _fresh_answers(h):
+    """splits(h) and truncations(h) as lists, with their table entries
+    popped first, so that each is computed, not looked up."""
+    syntax.TABLES["splits"].pop(h._id, None)
+    syntax.TABLES["truncations"].pop(h._id, None)
+    return list(splits(h)), list(truncations(h, "a test"))
+
+
+def _references(h):
+    """The per-cell answers; Heap == Heap is identity, so lists equal to
+    them hold the same heaps in the same order."""
+    return _reference_splits(h), \
+        [truncate(n, h) for n in range(int(rank(h)) + 1)]
+
+
+def _no_heap_built(*args):
+    raise AssertionError("a universe heap took the per-cell path")
+
+
+def test_index_path_equals_the_per_cell_references(monkeypatch):
+    index = syntax.TABLES["universe_index"]
+    for cfg, size in ((default_config(), 2198), (fuzz_config(), 37),
+                      (load_config(ITERATOR_CONFIG), 1729)):
+        tester = Tester(cfg)
+        heaps = tester.universe()
+        assert len(heaps) == size
+        assert tester._ranks == [rank(h) for h in heaps]
+        assert heaps[0]._id not in index
+        assert all(h._id in index for h in heaps[1:])
+        with monkeypatch.context() as m:
+            # the per-cell path builds its heaps with these two; Bot has
+            # no code and keeps it
+            m.setattr(semantics, "Heap", _no_heap_built)
+            m.setattr(semantics, "truncate", _no_heap_built)
+            answers = [_fresh_answers(h) for h in heaps[1:]]
+        assert [_fresh_answers(heaps[0])] + answers \
+            == [_references(h) for h in heaps]
+
+
+def test_heaps_outside_the_universe_take_the_per_cell_path():
+    Tester(default_config()).universe()
+    skip = CodeVal(Skip(), EMPTY_ENV, 1)
+    outside = [
+        Heap(((1, IntVal(0)), (4, IntVal(1)))),               # address 4
+        Heap(((2, IntVal(7)), (3, skip))),                    # int 7
+        Heap(((1, CodeVal(Skip(), EMPTY_ENV, 4)), (2, skip))),  # tag 4
+        Heap(((1, CodeVal(Skip(), Env.of({"x": IntVal(1)}), 2)),
+              (3, IntVal(0)))),                               # captured
+    ]
+    for h in outside:
+        assert h._id not in syntax.TABLES["universe_index"]
+        assert _fresh_answers(h) == _references(h), h
+
+
+def test_shared_heap_gets_one_answer_whichever_universe_came_first():
+    index = syntax.TABLES["universe_index"]
+    fuzz_heaps = set(Tester(fuzz_config()).universe())
+    shared = [h for h in Tester(default_config()).universe()
+              if h in fuzz_heaps and not h.is_bot]
+    assert len(shared) == len(fuzz_heaps) - 1 == 36
+    answers, owners = [], []
+    for first, last in ((fuzz_config(), default_config()),
+                        (default_config(), fuzz_config())):
+        Tester(first).universe()
+        Tester(last).universe()
+        # the universe built last holds each shared heap's entry
+        owner, = {index[h._id][1] for h in shared}
+        owners.append(owner)
+        answers.append([_fresh_answers(h) for h in shared])
+    assert [len(o.by_code) for o in owners] == [13 ** 3, 6 ** 2]
+    assert answers[0] == answers[1] == [_references(h) for h in shared]
