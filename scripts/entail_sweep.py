@@ -8,8 +8,9 @@ shape, how many pairs were proved and how many of those the model refutes,
 split into the known cause ("bot-diamond": at the bottom heap with <> on
 the right, the _member_diamond defect) and any other ("refuted").
 
-Exit status 1 when the model refutes a proved pair for any other cause:
-a kernel soundness bug.
+Exit status 1 when the model refutes a proved pair for any other cause
+(a kernel soundness bug), or when a pair that the --against file proves
+is no longer proved here.
 
   PYTHONPATH=src python scripts/entail_sweep.py --seeds 1500
   PYTHONPATH=src python scripts/entail_sweep.py --seeds 1500 --save a.json
@@ -17,7 +18,8 @@ a kernel soundness bug.
       --against a.json
 
 --save writes the proved pairs as "seed:shape" names; --against reads such
-a file and counts the pairs proved here but not there, and the reverse.
+a file and counts the pairs proved here but not there, and the reverse,
+among the names of the seeds run here.
 """
 
 import argparse
@@ -36,14 +38,14 @@ from sepstore.logic import entail_basic  # noqa: E402
 from sepstore.semantics import Tester  # noqa: E402
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("--seeds", type=int, default=1500,
                     help="seeds 0..N-1, one pair per shape each")
     ap.add_argument("--save", help="write the proved pairs' names here")
     ap.add_argument("--against", help="compare with a --save file")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     t0 = time.time()
     tester = Tester(fuzz_config())
@@ -73,13 +75,18 @@ def main():
           f"{sum(causes[s, 'bot-diamond'] for s in SHAPES):11d} {total:7d}")
     if args.save:
         Path(args.save).write_text(json.dumps(names) + "\n")
+    lost = set()
     if args.against:
-        other = set(json.loads(Path(args.against).read_text()))
+        other = {name for name in json.loads(Path(args.against).read_text())
+                 if int(name.split(":")[0]) < args.seeds}
         mine = set(names)
+        lost = other - mine
+        for name in sorted(lost):
+            print(f"NO LONGER PROVED {name}")
         print(f"against {args.against}: {len(mine - other)} newly proved, "
-              f"{len(other - mine)} no longer proved")
+              f"{len(lost)} no longer proved")
     print(f"{time.time() - t0:.1f}s")
-    return 1 if total else 0
+    return 1 if total or lost else 0
 
 
 if __name__ == "__main__":

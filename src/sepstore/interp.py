@@ -320,12 +320,22 @@ def _exec(C, env, h: Heap, fuel: int):
             del cells[a]
             return Done(Heap(tuple(sorted(cells.items())))), fuel
         if t is Seq:
-            if fuel <= 0:
-                return OutOfFuel(), fuel
-            out, fuel = _exec(C.first, env, h, fuel - 1)
-            if not isinstance(out, Done):
-                return out, fuel
-            return _exec(C.second, env, out.heap, fuel)
+            # the left spine in a loop, not one frame per statement: the
+            # parser builds `a ; b ; c` as ((a ; b) ; c), and each `;` on
+            # the spine checks and spends its fuel before `a` runs
+            seconds = []
+            while type(C) is Seq:
+                if fuel <= 0:
+                    return OutOfFuel(), fuel
+                fuel -= 1
+                seconds.append(C.second)
+                C = C.first
+            out, fuel = _exec(C, env, h, fuel)
+            for second in reversed(seconds):
+                if not isinstance(out, Done):
+                    break
+                out, fuel = _exec(second, env, out.heap, fuel)
+            return out, fuel
         if t is If:
             a = eval_expr(C.lhs, env)
             b = eval_expr(C.rhs, env)

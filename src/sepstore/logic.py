@@ -179,19 +179,25 @@ def and_parts(P) -> list:
     return [P]
 
 
-def parts_remove(parts, target):
-    """Remove one part equal (mod AC) to target; None if absent."""
-    key = canon_key(target)
-    for i, p in enumerate(parts):
-        if canon_key(p) is key:
-            return parts[:i] + parts[i + 1:]
-    return None
+def _subtract(parts, to_remove):
+    """Multiset difference mod AC: (parts without one part equal to each
+    element of to_remove, the elements of to_remove that had none)."""
+    rest, unmatched = list(parts), []
+    for t in to_remove:
+        key = canon_key(t)
+        for i, p in enumerate(rest):
+            if canon_key(p) is key:
+                del rest[i]
+                break
+        else:
+            unmatched.append(t)
+    return rest, unmatched
 
 
 def _conj_remove(parts, phi):
     """Remove phi from a flattened conjunction, part by part when phi is
     itself a conjunction; None if absent."""
-    rest = parts_remove(parts, phi)
+    rest = parts_diff(parts, [phi])
     if rest is None and type(phi) is And:
         rest = parts_diff(parts, and_parts(phi))
     return rest
@@ -199,12 +205,8 @@ def _conj_remove(parts, phi):
 
 def parts_diff(parts, to_remove):
     """Multiset difference; None if some element of to_remove is absent."""
-    rest = list(parts)
-    for t in to_remove:
-        rest = parts_remove(rest, t)
-        if rest is None:
-            return None
-    return rest
+    rest, unmatched = _subtract(parts, to_remove)
+    return None if unmatched else rest
 
 
 def pt_wild(e):
@@ -509,13 +511,8 @@ def _groupings(lp) -> tuple:
 def _cancel(lp, lq):
     """The star parts lp and lq without emp units and without the parts
     they share (equal mod AC), each shared part removed once per side."""
-    lp = [p for p in lp if type(p) is not Emp]
-    lq = [q for q in lq if type(q) is not Emp]
-    for q in list(lq):
-        rest = parts_remove(lp, q)
-        if rest is not None:
-            lp = rest
-            lq = parts_remove(lq, q)
+    lp, lq = _subtract((p for p in lp if type(p) is not Emp),
+                       [q for q in lq if type(q) is not Emp])
     return tuple(lp), tuple(lq)
 
 
@@ -557,8 +554,10 @@ class _Entailer:
 
         # frame first: * is monotone, so dropping the parts both sides
         # share (up to AC) leaves an entailment that implies this one,
-        # tried before prenex pulls the frame's quantifiers out
-        if type(P) is Star and type(Q) is Star:
+        # tried before prenex pulls the frame's quantifiers out; the last
+        # step matches what is left
+        is_star = type(P) is Star or type(Q) is Star
+        if is_star:
             qs = star_parts(Q)
             lp, lq = _cancel(star_parts(P), qs)
             if len(lq) < len(qs) and self.ent(star(*lp), star(*lq), mu, d):
@@ -647,8 +646,8 @@ class _Entailer:
             except (TypeFault, UnboundVariable):
                 pass
 
-        if type(P) is Star or type(Q) is Star:
-            return self._ent_star(P, Q, mu, d)
+        if is_star:
+            return self._match_star(lp, lq, mu, d)
         return False
 
     def _instances(self, quant, other):
@@ -663,10 +662,6 @@ class _Entailer:
         for w in out[:self.MAX_WITNESSES]:
             if quant.var not in free_vars(w)[0]:
                 yield _open(quant.body, quant.var, w)
-
-    def _ent_star(self, P, Q, mu, d) -> bool:
-        lp, lq = _cancel(star_parts(P), star_parts(Q))
-        return self._match_star(lp, lq, mu, d)
 
     def _match_star(self, lp, lq, mu, d) -> bool:
         if not lq:
@@ -693,10 +688,11 @@ def entail_basic(P, Q) -> bool:
     Uses equality modulo the star laws, distribution of invariant
     extension, bounded unfolding of recursive assertions, ground
     arithmetic, and the intuitionistic lattice laws.  Shared frames are
-    cancelled before quantifiers are opened: when both sides are *, the
-    parts equal mod AC on both are dropped first, which is sound because
-    * is monotone (A => B gives A * F => B * F).  Never claims an invalid
-    entailment; may fail to prove a valid one.
+    cancelled once per problem, before quantifiers are opened: when either
+    side is *, the parts equal mod AC on both are dropped, which is sound
+    because * is monotone (A => B gives A * F => B * F), and the last step
+    matches the parts left.  Never claims an invalid entailment; may fail
+    to prove a valid one.
     """
     return _Entailer(3).run(P, Q)
 

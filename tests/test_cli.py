@@ -120,9 +120,10 @@ def test_cli_run_bad_heap_is_usage(runner, tmp_path):
 
 
 def test_cli_internal_error_exits_3(runner, tmp_path):
-    # running a 5,000-statement sequence overflows the recursion limit; a
-    # crash is reported as an internal error, never as the fault code 1
-    p = write(tmp_path, "long.prog", " ; ".join(["skip"] * 5000))
+    # parsing a 5,000-statement sequence nested to the right overflows the
+    # recursion limit; a crash is reported as an internal error, never as
+    # the fault code 1
+    p = write(tmp_path, "long.prog", "skip ; (" * 5000 + "skip" + ")" * 5000)
     r = invoke(runner, "run", p)
     assert r.exit_code == 3
     assert r.stderr.startswith("internal error: RecursionError")

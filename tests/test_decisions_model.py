@@ -14,11 +14,24 @@ refutation at bottom with <> on the right is named by that cause; any
 other refutation is a kernel soundness bug.
 """
 
+import importlib.util
+import json
+import random
 from collections import Counter
+from pathlib import Path
 
-from conftest import SHAPES, entail_pairs, model_refutes
+import pytest
+
+from conftest import SHAPES, entail_pairs, model_refutes, rand_asn
 from sepstore.grammar import pretty
-from sepstore.logic import entail_basic
+from sepstore.interp import EMPTY_HEAP
+from sepstore.logic import (
+    _strip_units, entail_basic, equiv_basic, normalize_otimes, prenex,
+)
+from sepstore.semantics import Fail
+from sepstore.syntax import free_vars
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SEEDS = 140
 
@@ -41,3 +54,106 @@ def test_every_proved_entailment_holds_in_the_model(lean_tester):
     # filtered out: seeds 32 and 36, both frame_unrelated
     assert causes["bot-diamond"] == 2
     assert causes[None] == sum(proved.values()) - 2
+
+
+# ---------------------------------------------------------------------------
+# the normal forms and equiv_basic against the model
+
+NORMAL_FORM_SEEDS = 1500
+EQUIV_SEEDS = 70
+BOT_DIAMOND_EQUIV = 10
+
+
+def test_normal_forms_have_the_denotation_of_their_input(lean_tester):
+    # rand_asn terms of depth 2, as in entail_pairs; a term that a normal
+    # form leaves as it is has nothing to check
+    causes = Counter()
+    for seed in range(NORMAL_FORM_SEEDS):
+        P = rand_asn(random.Random(seed), depth=2)
+        if free_vars(P)[1]:
+            continue
+        for normal_form in (normalize_otimes, prenex, _strip_units):
+            R = normal_form(P)
+            if R is not P:
+                causes[normal_form.__name__, model_refutes(lean_tester, R, P),
+                       model_refutes(lean_tester, P, R)] += 1
+    # no refutation of either kind, bot-diamond included, on these seeds
+    assert {cause for _, *pair in causes for cause in pair} == {None}
+    assert {name for name, *_ in causes} == {
+        "normalize_otimes", "prenex", "_strip_units"}
+
+
+@pytest.mark.parametrize("seed, normal_form", [
+    (1006, _strip_units),       # true * <> (emp * 1 = y)
+    (1013, normalize_otimes),   # <> (exists b1. x = 0 (*) 2 <= 3)
+])
+def test_normal_forms_meet_the_diamond_representative_defect(
+        lean_tester, seed, normal_form):
+    # depth 3: the normal form turns a <> body that is not pure into a
+    # pure one, and _member_diamond judges a pure body on a representative
+    # heap, so the model refutes R => P at the empty heap; the same cause
+    # refutes `<> 1 = 1 => <> (emp * 1 = 1)`, which breaks the unit law
+    # of *, so it is the model's fault, not the normal form's
+    P = rand_asn(random.Random(seed))
+    R = normal_form(P)
+    verdict = lean_tester.test_entailment(R, P)
+    assert isinstance(verdict, Fail) and verdict.witness.heap is EMPTY_HEAP
+    assert model_refutes(lean_tester, P, R) is None
+
+
+def test_every_equivalence_holds_both_ways_in_the_model(lean_tester):
+    causes, unknown = Counter(), []
+    for seed in range(EQUIV_SEEDS):
+        for shape, (P, Q) in entail_pairs(seed).items():
+            if not equiv_basic(P, Q):
+                continue
+            for A, B in ((P, Q), (Q, P)):
+                cause = model_refutes(lean_tester, A, B)
+                causes[cause] += 1
+                if cause not in (None, "bot-diamond"):
+                    unknown.append(f"seed {seed} {shape}: "
+                                   f"{pretty(A)} => {pretty(B)}")
+    assert not unknown, "\n".join(unknown)
+    # the known _member_diamond cause, counted rather than filtered out
+    assert causes["bot-diamond"] == BOT_DIAMOND_EQUIV
+
+
+# ---------------------------------------------------------------------------
+# the pairs that one cancellation step per problem newly proves: the
+# cancelled remainder is matched at the last step, so a shared part is
+# not cancelled greedily a second time
+
+NEWLY_PROVED = [(213, "frame_weaken"), (1142, "frame_weaken"),
+                (1385, "frame_weaken"), (1385, "frame_unrelated")]
+
+
+@pytest.mark.parametrize("seed, shape", NEWLY_PROVED)
+def test_single_cancellation_proves(lean_tester, seed, shape):
+    P, Q = entail_pairs(seed)[shape]
+    assert entail_basic(P, Q)
+    assert model_refutes(lean_tester, P, Q) is None
+
+
+# ---------------------------------------------------------------------------
+# scripts/entail_sweep.py --against as a gate
+
+
+def test_sweep_against_fails_on_a_lost_proof(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "entail_sweep", ROOT / "scripts" / "entail_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    seeds = ["--seeds", "20"]
+    save = tmp_path / "save.json"
+    assert sweep.main(seeds + ["--save", str(save)]) == 0
+    names = json.loads(save.read_text())
+    assert sweep.main(seeds + ["--against", str(save)]) == 0
+    # names of seeds that were not run are not compared
+    save.write_text(json.dumps(names + ["999:frame"]))
+    assert sweep.main(seeds + ["--against", str(save)]) == 0
+    unproved = next(f"{seed}:{shape}" for seed in range(20) for shape in SHAPES
+                    if f"{seed}:{shape}" not in names)
+    save.write_text(json.dumps(names + [unproved]))
+    capsys.readouterr()
+    assert sweep.main(seeds + ["--against", str(save)]) == 1
+    assert "0 newly proved, 1 no longer proved" in capsys.readouterr().out

@@ -4,15 +4,21 @@ interning of runtime values."""
 import copy
 import dataclasses
 import itertools
+import os
 import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepstore import syntax
+from conftest import Names, rand_cmd
+from sepstore import interp, syntax
 from sepstore.config import default_config
 from sepstore.fuzz import fuzz_config
-from sepstore.grammar import parse
+from sepstore.grammar import parse, pretty_cmd
 from sepstore.interp import (
     BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Done, Env, Fault, Heap,
     IntVal, OutOfFuel, exec_cmd, eval_expr, format_heap, format_value,
@@ -20,7 +26,9 @@ from sepstore.interp import (
     truncate, value_raises,
 )
 from sepstore.semantics import Tester, splits
-from sepstore.syntax import Quote, Skip
+from sepstore.syntax import Quote, Seq, Skip
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def prog(text):
@@ -276,6 +284,64 @@ def test_fuel_monotone():
                 settled = out
             if settled is not None:
                 assert out == settled
+
+
+def _recursive_exec(new_exec):
+    """The recursive `;` clause, one frame per statement, as the reference
+    for the loop over the left spine; every other command is new_exec's,
+    and its own recursive calls come back here."""
+    def ref(C, env, h, fuel):
+        if type(C) is not Seq or h.is_bot:
+            return new_exec(C, env, h, fuel)
+        if fuel <= 0:
+            return OutOfFuel(), fuel
+        out, fuel = ref(C.first, env, h, fuel - 1)
+        if not isinstance(out, Done):
+            return out, fuel
+        return ref(C.second, env, out.heap, fuel)
+    return ref
+
+
+def test_sequence_loop_keeps_the_recursive_outcome_and_fuel(monkeypatch):
+    rng = random.Random(0)
+    programs = [(rand_cmd(rng, Names(), 3), 8) for _ in range(60)]
+    # chains with a faulting statement at each place: the spine spends
+    # its fuel before the first statement runs, so a faulting first
+    # statement with too little fuel runs out of fuel instead
+    stmts = ["[1] := 1", "eval [1]", "let v = [1] in [2] := v", "skip"]
+    for n in range(1, 5):
+        for k in range(n):
+            chain = stmts[:k] + ["free(9)"] + stmts[k:n - 1]
+            programs.append((prog(" ; ".join(chain)), n + 1))
+    env = Env.of({"x": IntVal(1), "y": IntVal(2), "z": IntVal(0)})
+    heaps = Tester(fuzz_config()).universe()
+    new_exec = interp._exec
+    ref = _recursive_exec(new_exec)
+    for c, n in programs:
+        for fuel in range(n + 1):
+            got = [new_exec(c, env, h, fuel) for h in heaps]
+            monkeypatch.setattr(interp, "_exec", ref)
+            want = [ref(c, env, h, fuel) for h in heaps]
+            monkeypatch.setattr(interp, "_exec", new_exec)
+            assert got == want, (pretty_cmd(c), fuel)
+    assert isinstance(run("free(9) ; skip", "1 = 0", fuel=0), OutOfFuel)
+    assert isinstance(run("free(9) ; skip", "1 = 0", fuel=1), Fault)
+
+
+def test_thousand_statement_chain_runs_from_the_command_line(tmp_path):
+    # a fresh process: the interpreter walks the left spine of `;` in a
+    # loop, not one stack frame per statement
+    path = tmp_path / "chain.prog"
+    path.write_text(" ; ".join(["[1] := 1"] * 1000))
+    heap = tmp_path / "chain.heap"
+    heap.write_text("1 = 0")
+    src = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                        os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "sepstore.cli", "run",
+                           str(path), str(heap)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.endswith("\n1 = 1\n")
 
 
 # ---------------------------------------------------------------------------
