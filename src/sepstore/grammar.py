@@ -13,6 +13,12 @@ maximally to the right.  Inside assertions a top-level `*` always means
 separating conjunction, so integer multiplication there must be
 parenthesised, e.g. `(x * y) = z`.
 
+Sequencing `;` associates to the left, and a chain `c1 ; ... ; cn` is
+read in one loop into one Seq node; a parenthesised leading sequence is
+spliced into it (syntax.Seq), a parenthesised trailing one is not.  The
+printer prints a chain flat, parenthesising only a sequence inside it
+and a let or if that is not its last command.
+
 Sugar expanded at parse time:
   e |-> _          ==  exists x. e |-> x          (fresh x)
   e |-> {A}_{B}    ==  exists k. e |-> k /\\ {A}k{B}   (fresh k)
@@ -200,20 +206,11 @@ class Parser:
     # --- commands
 
     def parse_cmd(self):
-        # count the parentheses of printed left operands, `((a ; b) ; c)`
-        opened = 0
-        while self.at("("):
+        cmds = [self.parse_cmd_atom()]
+        while self.at(";"):
             self.advance()
-            opened += 1
-        left = self.parse_cmd_atom()
-        while self.at(";") or opened and self.at(")"):
-            if self.advance()[1] == ")":
-                opened -= 1
-            else:
-                left = Seq(left, self.parse_cmd_atom())
-        for _ in range(opened):
-            self.expect(")")
-        return left
+            cmds.append(self.parse_cmd_atom())
+        return Seq(tuple(cmds)) if len(cmds) > 1 else cmds[0]
 
     def parse_cmd_atom(self):
         tok = self.peek()
@@ -486,17 +483,9 @@ def pretty_cmd(c, atom=False, open_right=False) -> str:
         inits = ", ".join(pretty_expr(e) for e in c.inits)
         s = f"let {c.var} = new {inits} in {pretty_cmd(c.body)}"
     elif t is Seq:
-        # the left spine in a loop, not one frame per statement: the
-        # parser builds `a ; b ; c` as ((a ; b) ; c), and every inner
-        # sequence on the spine prints as a parenthesised atom
-        seconds = []
-        while type(c) is Seq:
-            seconds.append(c.second)
-            c = c.first
-        parts = ["(" * (len(seconds) - 1), pretty_cmd(c, True, True)]
-        for second in reversed(seconds):
-            parts += (" ; ", pretty_cmd(second, True), ")")
-        s = "".join(parts[:-1])
+        *init, last = c.cmds
+        s = " ; ".join([pretty_cmd(x, True, True) for x in init]
+                       + [pretty_cmd(last, True)])
     elif t is If:
         s = f"if ({pretty_expr(c.lhs)} = {pretty_expr(c.rhs)}) " \
             f"then {pretty_cmd(c.then, True, True)} " \

@@ -320,21 +320,17 @@ def _exec(C, env, h: Heap, fuel: int):
             del cells[a]
             return Done(Heap(tuple(sorted(cells.items())))), fuel
         if t is Seq:
-            # the left spine in a loop, not one frame per statement: the
-            # parser builds `a ; b ; c` as ((a ; b) ; c), and each `;` on
-            # the spine checks and spends its fuel before `a` runs
-            seconds = []
-            while type(C) is Seq:
-                if fuel <= 0:
-                    return OutOfFuel(), fuel
-                fuel -= 1
-                seconds.append(C.second)
-                C = C.first
-            out, fuel = _exec(C, env, h, fuel)
-            for second in reversed(seconds):
+            # each `;` of (c1 ; ... ; cn-1) ; cn checks and spends its fuel
+            # before c1 runs
+            n = len(C.cmds) - 1
+            if fuel < n:
+                return OutOfFuel(), min(fuel, 0)
+            fuel -= n
+            for c in C.cmds:
+                out, fuel = _exec(c, env, h, fuel)
                 if not isinstance(out, Done):
                     break
-                out, fuel = _exec(second, env, out.heap, fuel)
+                h = out.heap
             return out, fuel
         if t is If:
             a = eval_expr(C.lhs, env)

@@ -1261,7 +1261,7 @@ def _r_Seq(ps, p0, p1, stated):
     t1 = _code_triple(p1.goal, "Seq second premise")
     need(equal_mod_ac(t0.post, t1.pre),
          "Seq: intermediate assertion mismatch")
-    return _concl(Triple(t0.pre, Quote(Seq(t0.code.body, t1.code.body)),
+    return _concl(Triple(t0.pre, Quote(Seq((t0.code.body, t1.code.body))),
                          t1.post), p0, p1)
 
 

@@ -248,8 +248,19 @@ class Skip(Node):
 
 @interned
 class Seq(Node):
-    first: "Command"
-    second: "Command"
+    """A `;` chain c1 ; ... ; cn, n >= 2, as one node.  The first command
+    is never a sequence: a leading sequence is spliced, so `(a ; b) ; c`
+    and `a ; b ; c` are one node, while a trailing one stays a command of
+    its own, `a ; (b ; c)`.  So each node stands for exactly one binary
+    tree `(c1 ; ... ; cn-1) ; cn`, every traversal crosses a chain in
+    one frame, and a chain prints flat (grammar)."""
+
+    cmds: tuple
+
+    def __new__(cls, cmds):
+        if type(cmds[0]) is cls:
+            cmds = cmds[0].cmds + cmds[1:]
+        return intern((cls, cmds))
 
 
 @interned
@@ -404,7 +415,7 @@ SCHEMA = {
     BinOp: ("left", "right"), Quote: ("body",),
     Assign: ("target", "source"), LetDeref: ("addr", "^body"),
     EvalAt: ("addr",), LetNew: ("*inits", "^body"), Free: ("addr",),
-    Skip: (), Seq: ("first", "second"), If: ("lhs", "rhs", "then", "els"),
+    Skip: (), Seq: ("*cmds",), If: ("lhs", "rhs", "then", "els"),
     FalseA: (), TrueA: (), Emp: (),
     Or: ("left", "right"), And: ("left", "right"),
     Implies: ("left", "right"), Star: ("left", "right"),

@@ -74,8 +74,8 @@ def rand_cmd(rng, names, depth=2):
                       for _ in range(rng.randrange(1, 3)))
         return LetNew(v, inits, rand_cmd(rng, names, depth - 1))
     if roll < 0.9:
-        return Seq(rand_cmd(rng, names, depth - 1),
-                   rand_cmd(rng, names, depth - 1))
+        return Seq((rand_cmd(rng, names, depth - 1),
+                    rand_cmd(rng, names, depth - 1)))
     return If(rand_expr(rng, 1), rand_expr(rng, 1),
               rand_cmd(rng, names, depth - 1), rand_cmd(rng, names, depth - 1))
 

@@ -227,6 +227,18 @@ def test_cli_test_triple_pass(runner, tmp_path):
     assert line["verdict"] == "pass" and line["samples"] > 0
 
 
+def test_cli_test_thousand_statement_triple(runner, tmp_path):
+    # a quoted 1,000-statement chain is one node: the tester keys,
+    # substitutes into and runs it without a frame per statement
+    code = " ; ".join(["[1] := 1"] * 1000)
+    g = write(tmp_path, "g.asn", f"{{1 |-> _}} '{code}' {{1 |-> 1}}")
+    c = write(tmp_path, "cfg", FAST_CFG)
+    r = invoke(runner, "test", g, "--config", c, "--json")
+    assert r.exit_code == 0, r.output
+    line = json_lines(r.output)[0]
+    assert line["verdict"] == "pass" and line["samples"] > 0
+
+
 def test_cli_test_triple_fail_with_witness(runner, tmp_path):
     g = write(tmp_path, "g.asn", "{true} 'skip' {false}")
     c = write(tmp_path, "cfg", FAST_CFG)

@@ -4,7 +4,9 @@ proves must hold on the fuzz universe (Tester.test_entailment).
 The pairs come from conftest.entail_pairs, seven shapes per seed, among
 them the frame shapes A * F => F' * A and A * F => F' * (A \\/ B), where F'
 is F up to alpha.  scripts/entail_sweep.py runs the same check over more
-seeds.
+seeds.  The checker's other decisions meet the model the same way: a
+term and its normal form or dist_step rewrite, and two terms that
+equiv_basic or equal_mod_ac calls equal, must entail each other.
 
 One refutation has a known cause in the model, not in the entailer:
 _member_diamond evaluates <> of a pure body on a representative heap even
@@ -26,10 +28,11 @@ from conftest import SHAPES, entail_pairs, model_refutes, rand_asn
 from sepstore.grammar import pretty
 from sepstore.interp import EMPTY_HEAP
 from sepstore.logic import (
-    _strip_units, entail_basic, equiv_basic, normalize_otimes, prenex,
+    _strip_units, dist_step, entail_basic, equiv_basic, normalize_otimes,
+    prenex,
 )
 from sepstore.semantics import Fail
-from sepstore.syntax import free_vars
+from sepstore.syntax import Tensor, children, equal_mod_ac, free_vars
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,6 +119,54 @@ def test_every_equivalence_holds_both_ways_in_the_model(lean_tester):
     assert not unknown, "\n".join(unknown)
     # the known _member_diamond cause, counted rather than filtered out
     assert causes["bot-diamond"] == BOT_DIAMOND_EQUIV
+
+
+# ---------------------------------------------------------------------------
+# dist_step and equal_mod_ac against the model
+
+DIST_SEEDS = 600
+EQUAL_SEEDS = 30
+
+
+def _tensors(P):
+    stack = [P]
+    while stack:
+        p = stack.pop()
+        if type(p) is Tensor:
+            yield p
+        stack.extend(children(p))
+
+
+def test_dist_step_has_the_denotation_of_its_input(lean_tester):
+    # each L (*) R inside the depth-2 rand_asn terms against its one
+    # distribution step; a stuck step (None) has nothing to check
+    causes, stuck = Counter(), 0
+    for seed in range(DIST_SEEDS):
+        for T in _tensors(rand_asn(random.Random(seed), depth=2)):
+            if free_vars(T)[1]:
+                continue
+            R = dist_step(T.left, T.right)
+            if R is None:
+                stuck += 1
+                continue
+            causes[model_refutes(lean_tester, R, T),
+                   model_refutes(lean_tester, T, R)] += 1
+    # no refutation of either kind, bot-diamond included, on these seeds
+    assert causes == Counter({(None, None): 75}) and stuck == 6
+
+
+def test_terms_equal_mod_ac_have_one_denotation(lean_tester):
+    causes, shapes = Counter(), Counter()
+    for seed in range(EQUAL_SEEDS):
+        for shape, (P, Q) in entail_pairs(seed).items():
+            if P is Q or not equal_mod_ac(P, Q):
+                continue
+            shapes[shape] += 1
+            causes[model_refutes(lean_tester, P, Q),
+                   model_refutes(lean_tester, Q, P)] += 1
+    # the frame shape, A * F => F' * A, on every seed; no refutation
+    assert shapes == Counter({"frame": EQUAL_SEEDS})
+    assert causes == Counter({(None, None): EQUAL_SEEDS})
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,8 @@ def test_tensor_and_diamond():
 
 def test_triple_and_quote():
     a = parse("{emp} 'skip ; [1] := 2' {1 |-> 2}", "assertion")
-    assert a == Triple(Emp(), Quote(Seq(Skip(), Assign(IntLit(1),
-                                                       IntLit(2)))),
+    assert a == Triple(Emp(), Quote(Seq((Skip(), Assign(IntLit(1),
+                                                        IntLit(2))))),
                        PointsTo(IntLit(1), IntLit(2)))
 
 
@@ -85,7 +85,7 @@ def test_parse_mu_contractive_only():
 def test_parse_commands():
     c = parse("let x = new 1, 'skip' in (eval [x] ; free(x))", "program")
     assert c.var == "x" and len(c.inits) == 2
-    assert c.body == Seq(EvalAt(Var("x")), FreeCmd(Var("x")))
+    assert c.body == Seq((EvalAt(Var("x")), FreeCmd(Var("x"))))
 
 
 def test_parse_errors():
@@ -251,10 +251,9 @@ CHAIN = """
 from sepstore.grammar import parse
 from sepstore.syntax import Seq
 
-p, n = parse(" ; ".join(["[x] := 1"] * 10_000), "program"), 0
-while type(p) is Seq:
-    p, n = p.first, n + 1
-assert n == 9_999, n
+p = parse(" ; ".join(["[x] := 1"] * 10_000), "program")
+assert type(p) is Seq and len(p.cmds) == 10_000, p.cmds[:3]
+assert {type(c).__name__ for c in p.cmds} == {"Assign"}
 """
 
 
@@ -269,9 +268,54 @@ def test_ten_thousand_statement_chain_parses():
     assert done.returncode == 0, done.stderr[-2000:]
 
 
+EVERY_LAYER = """
+from sepstore.grammar import parse, pretty_cmd
+from sepstore.interp import (EMPTY_ENV, Done, exec_cmd, format_heap,
+                             parse_heap_text)
+from sepstore.syntax import (IntLit, canon_key, equal_mod_ac, free_vars,
+                             substitute)
+
+n = 10_000
+text = " ; ".join(["[x] := 1"] * n)
+p = parse(text, "program")
+assert pretty_cmd(p) == text
+assert free_vars(p) == ({"x"}, set())
+q = substitute(p, {"x": IntLit(1)})
+assert q is parse(text.replace("x", "1"), "program") and len(q.cmds) == n
+assert canon_key(p) is p
+out = exec_cmd(q, EMPTY_ENV, parse_heap_text("1 = 0"), n)
+assert isinstance(out, Done) and format_heap(out.heap) == "1 = 1"
+# each statement binds a name, so the canonical nodes are walked
+a, b = (parse(" ; ".join([f"(let {v} = [1] in [{v}] := 1)"] * n), "program")
+        for v in "vw")
+assert a is not b and equal_mod_ac(a, b) and canon_key(a) is not a
+"""
+
+
+def test_ten_thousand_statement_chain_through_every_layer():
+    # a fresh process: a chain is one node, so each traversal crosses it
+    # in one frame
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", EVERY_LAYER],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_leading_sequence_is_spliced():
+    a, b, c = (parse(t, "program") for t in ("skip", "[1] := 1", "eval [2]"))
+    left = parse("(skip ; [1] := 1) ; eval [2]", "program")
+    assert left is parse("skip ; [1] := 1 ; eval [2]", "program")
+    assert left is Seq((Seq((a, b)), c)) is Seq((a, b, c))
+    right = parse("skip ; ([1] := 1 ; eval [2])", "program")
+    assert right is Seq((a, Seq((b, c)))) and right is not left
+    assert pretty_cmd(left) == "skip ; [1] := 1 ; eval [2]"
+    assert pretty_cmd(right) == "skip ; ([1] := 1 ; eval [2])"
+
+
 def test_thousand_statement_chain_prints_from_the_command_line(tmp_path):
-    # a fresh process: the printer walks the left spine of `;` in a loop,
-    # and keeps the parenthesised left operands of the recursive printer
+    # a fresh process: a chain is one node, printed flat in one frame
     path = tmp_path / "chain.prog"
     path.write_text(" ; ".join(["[1] := 1"] * 1000))
     src = os.pathsep.join(filter(None, (str(ROOT / "src"),
@@ -280,19 +324,14 @@ def test_thousand_statement_chain_prints_from_the_command_line(tmp_path):
                            str(path)], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout == "(" * 998 + "[1] := 1" \
-        + " ; [1] := 1)" * 998 + " ; [1] := 1\n"
+    assert done.stdout == path.read_text() + "\n"
 
 
 def test_long_sequence_parses_runs_and_prints():
-    # strings, not trees, are compared: the generated == of two equal
-    # 800-statement chains still overflows the stack
     text = " ; ".join(["[1] := 1"] * 800)
     c = parse(text, "program")
-    s = pretty_cmd(c)
-    assert s.startswith("(" * 798) and s.replace("(", "").replace(")", "") \
-        == text
-    assert pretty_cmd(parse(s, "program")) == s
+    assert pretty_cmd(c) == text
+    assert parse(pretty_cmd(c), "program") is c
     out = exec_cmd(c, EMPTY_ENV, parse_heap_text("1 = 0"), 10_000)
     assert isinstance(out, Done) and format_heap(out.heap) == "1 = 1"
 

@@ -287,26 +287,29 @@ def test_fuel_monotone():
 
 
 def _recursive_exec(new_exec):
-    """The recursive `;` clause, one frame per statement, as the reference
-    for the loop over the left spine; every other command is new_exec's,
-    and its own recursive calls come back here."""
+    """The recursive binary `;` clause, one frame per statement, reading
+    c1 ; ... ; cn as (c1 ; ... ; cn-1) ; cn, as the reference for the loop
+    over a chain; every other command is new_exec's, and its own
+    recursive calls come back here."""
     def ref(C, env, h, fuel):
         if type(C) is not Seq or h.is_bot:
             return new_exec(C, env, h, fuel)
         if fuel <= 0:
             return OutOfFuel(), fuel
-        out, fuel = ref(C.first, env, h, fuel - 1)
+        *init, last = C.cmds
+        first = Seq(tuple(init)) if len(init) > 1 else init[0]
+        out, fuel = ref(first, env, h, fuel - 1)
         if not isinstance(out, Done):
             return out, fuel
-        return ref(C.second, env, out.heap, fuel)
+        return ref(last, env, out.heap, fuel)
     return ref
 
 
 def test_sequence_loop_keeps_the_recursive_outcome_and_fuel(monkeypatch):
     rng = random.Random(0)
     programs = [(rand_cmd(rng, Names(), 3), 8) for _ in range(60)]
-    # chains with a faulting statement at each place: the spine spends
-    # its fuel before the first statement runs, so a faulting first
+    # chains with a faulting statement at each place: the `;`s spend
+    # their fuel before the first statement runs, so a faulting first
     # statement with too little fuel runs out of fuel instead
     stmts = ["[1] := 1", "eval [1]", "let v = [1] in [2] := v", "skip"]
     for n in range(1, 5):
@@ -329,8 +332,8 @@ def test_sequence_loop_keeps_the_recursive_outcome_and_fuel(monkeypatch):
 
 
 def test_thousand_statement_chain_runs_from_the_command_line(tmp_path):
-    # a fresh process: the interpreter walks the left spine of `;` in a
-    # loop, not one stack frame per statement
+    # a fresh process: the interpreter runs a chain in a loop, not one
+    # stack frame per statement
     path = tmp_path / "chain.prog"
     path.write_text(" ; ".join(["[1] := 1"] * 1000))
     heap = tmp_path / "chain.heap"

@@ -275,6 +275,12 @@ SIDE_CONDITIONS = {
             (conclude "{x |-> 0} 'skip' {x |-> 0}")))
           (conclude "{emp} 'let x = new 0 in skip' {x |-> 0}"))""",
             "New: x occurs free where it must not"),
+    "Deref": ("""
+        (rule Deref (param x "x") (param e "1")
+          (premise (rule Skip (param P "1 |-> x")
+            (conclude "{1 |-> x} 'skip' {1 |-> x}")))
+          (conclude "{exists x. 1 |-> x} 'let x = [1] in skip' {1 |-> x}"))""",
+              "Deref: x occurs free in the address or the postcondition"),
 }
 
 

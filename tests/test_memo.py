@@ -564,4 +564,4 @@ def test_equal_long_sequences_are_one_object():
     assert parse(text, "program") is p
     assert parse(pretty_cmd(p), "program") is p
     assert p == parse(text, "program")
-    assert hash(p) == hash(("Seq", p.first, p.second))
+    assert hash(p) == hash(("Seq", p.cmds))
