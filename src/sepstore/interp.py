@@ -249,7 +249,8 @@ def eval_expr(e, env: Env) -> HeapValue:
         a = eval_expr(e.left, env)
         b = eval_expr(e.right, env)
         if not isinstance(a, IntVal) or not isinstance(b, IntVal):
-            raise TypeFault(f"arithmetic on code value in {e!r}")
+            raise TypeFault("arithmetic on code value in "
+                            + grammar.pretty_expr(e))
         if e.op == "+":
             return IntVal(a.n + b.n)
         if e.op == "-":

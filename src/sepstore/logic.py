@@ -11,8 +11,9 @@ implication premises, and a negative registry rejects known-unsound rule
 names with an explanation.
 
 Each pure function of terms on the entailer's path (normal forms,
-unfolding, witness candidates, binder openings, memo keys, `*`
-regroupings) is tabled in the registry syntax.TABLES.
+unfolding, witness candidates, binder openings) is tabled in the registry
+syntax.TABLES.  The entailer's memo key is the pair of canonical serials
+of the unit-stripped sides.
 """
 
 from __future__ import annotations
@@ -149,8 +150,6 @@ _ABSURD = TABLES["lhs_absurd"] = {}
 _UNFOLDED = TABLES["unfold_mu"] = {}
 _WITNESSES = TABLES["_witnesses"] = {}
 _OPENED = TABLES["_open"] = {}
-_ENT_KEYS = TABLES["_ent_key"] = {}
-_GROUPINGS = TABLES["_groupings"] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -480,42 +479,6 @@ def _open(P, x, e):
     return out
 
 
-def _ent_key(P):
-    """P without emp units, and the serial of its canonical node
-    (canon_key): one side of the entailer's memo key."""
-    out = _ENT_KEYS.get(P._id)
-    if out is not None:
-        return out
-    s = _strip_units(P)
-    out = (s, canon_key(s)._id)
-    _ENT_KEYS[P._id] = out
-    return out
-
-
-def _groupings(lp) -> tuple:
-    """(star of the parts of lp in mask, the parts not in mask) for each
-    mask over lp in increasing order; keyed by the parts' serials."""
-    key = tuple(p._id for p in lp)
-    out = _GROUPINGS.get(key)
-    if out is not None:
-        return out
-    n = len(lp)
-    out = tuple(
-        (star(*(lp[i] for i in range(n) if mask >> i & 1)),
-         tuple(lp[i] for i in range(n) if not mask >> i & 1))
-        for mask in range(1 << n))
-    _GROUPINGS[key] = out
-    return out
-
-
-def _cancel(lp, lq):
-    """The star parts lp and lq without emp units and without the parts
-    they share (equal mod AC), each shared part removed once per side."""
-    lp, lq = _subtract((p for p in lp if type(p) is not Emp),
-                       [q for q in lq if type(q) is not Emp])
-    return tuple(lp), tuple(lq)
-
-
 class _Entailer:
     MAX_DEPTH = 60
     MAX_WITNESSES = 24
@@ -531,9 +494,8 @@ class _Entailer:
     def ent(self, P, Q, mu, depth) -> bool:
         if depth > self.MAX_DEPTH:
             return False
-        P, kp = _ent_key(P)
-        Q, kq = _ent_key(Q)
-        key = (kp, kq, mu)
+        P, Q = _strip_units(P), _strip_units(Q)
+        key = (canon_key(P)._id, canon_key(Q)._id, mu)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -558,8 +520,9 @@ class _Entailer:
         # step matches what is left
         is_star = type(P) is Star or type(Q) is Star
         if is_star:
-            qs = star_parts(Q)
-            lp, lq = _cancel(star_parts(P), qs)
+            # a side that is emp alone is the unit: it has no parts
+            qs = () if type(Q) is Emp else star_parts(Q)
+            lp, lq = _subtract(() if type(P) is Emp else star_parts(P), qs)
             if len(lq) < len(qs) and self.ent(star(*lp), star(*lq), mu, d):
                 return True
 
@@ -675,9 +638,13 @@ class _Entailer:
         if len(lp) > 6:
             return False
         q, rest_q = lq[0], lq[1:]
-        for cand, other in _groupings(lp):
-            if self.ent(cand, q, mu, d) \
-                    and self._match_star(other, rest_q, mu, d):
+        n = len(lp)
+        for mask in range(1 << n):  # the parts of lp in mask, lp[0] lowest
+            if self.ent(star(*(lp[i] for i in range(n) if mask >> i & 1)),
+                        q, mu, d) \
+                    and self._match_star(
+                        [lp[i] for i in range(n) if not mask >> i & 1],
+                        rest_q, mu, d):
                 return True
         return False
 

@@ -146,6 +146,16 @@ def test_cli_run_json(runner, tmp_path):
     assert line["kind"] == "run" and line["verdict"] == "done"
 
 
+def test_cli_run_fault_reason_is_concrete_syntax(runner, tmp_path):
+    p = write(tmp_path, "p.prog", "[1] := 1 + 'skip'")
+    h = write(tmp_path, "h.heap", "1 = 0")
+    r = invoke(runner, "run", p, h, "--json")
+    assert r.exit_code == 1
+    line = json_lines(r.output)[0]
+    assert line["verdict"] == "fault"
+    assert line["reason"] == "arithmetic on code value in 1 + 'skip'"
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -254,6 +264,20 @@ def test_cli_test_entailment(runner, tmp_path):
     assert invoke(runner, "test", g, "--config", c).exit_code == 0
     g2 = write(tmp_path, "g2.asn", "true => false")
     assert invoke(runner, "test", g2, "--config", c).exit_code == 1
+
+
+def test_cli_test_triple_bad_code(runner, tmp_path):
+    text = "{emp} 1 + 'skip' {emp}"
+    g = write(tmp_path, "g.asn", text)
+    c = write(tmp_path, "cfg", FAST_CFG)
+    r = invoke(runner, "test", g, "--config", c, "--json")
+    assert r.exit_code == 1
+    witness = json_lines(r.output)[0]["witness"]
+    assert witness["outcome"] == "bad-code"
+    assert witness["reason"] == "arithmetic on code value in 1 + 'skip'"
+    status, detail, replayed = _refuted(text)(Tester(fuzz_config()))
+    assert (status, detail) == ("as-registered", "witness replays")
+    assert replayed["outcome"] == "bad-code"
 
 
 def test_cli_test_rejects_other_goals(runner, tmp_path):

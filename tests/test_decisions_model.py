@@ -20,12 +20,13 @@ import importlib.util
 import json
 import random
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from conftest import SHAPES, entail_pairs, model_refutes, rand_asn
-from sepstore.grammar import pretty
+from sepstore.grammar import parse, pretty
 from sepstore.interp import EMPTY_HEAP
 from sepstore.logic import (
     _strip_units, dist_step, entail_basic, equiv_basic, normalize_otimes,
@@ -67,12 +68,25 @@ EQUIV_SEEDS = 70
 BOT_DIAMOND_EQUIV = 10
 
 
+# terms where prenex renames a binder that would capture, with their prenex
+# forms: rand_asn draws globally unique binder names, so no seed has one
+PRENEX_RENAMES = [
+    ("(exists x. 1 |-> x) * (exists x. 2 |-> x)",
+     "exists x. exists x_1. 1 |-> x * 2 |-> x_1"),
+    ("(exists x. 1 |-> x) * 2 |-> x", "exists x_1. 1 |-> x_1 * 2 |-> x"),
+    ("(exists x. 1 |-> x) /\\ x = 1", "exists x_1. 1 |-> x_1 /\\ x = 1"),
+]
+
+
 def test_normal_forms_have_the_denotation_of_their_input(lean_tester):
-    # rand_asn terms of depth 2, as in entail_pairs; a term that a normal
-    # form leaves as it is has nothing to check
+    # rand_asn terms of depth 2, as in entail_pairs, and PRENEX_RENAMES; a
+    # term that a normal form leaves as it is has nothing to check
+    renames = [parse(text, "assertion") for text, _ in PRENEX_RENAMES]
+    assert [pretty(prenex(P)) for P in renames] == [
+        form for _, form in PRENEX_RENAMES]
     causes = Counter()
-    for seed in range(NORMAL_FORM_SEEDS):
-        P = rand_asn(random.Random(seed), depth=2)
+    for P in chain((rand_asn(random.Random(seed), depth=2)
+                    for seed in range(NORMAL_FORM_SEEDS)), renames):
         if free_vars(P)[1]:
             continue
         for normal_form in (normalize_otimes, prenex, _strip_units):
@@ -170,15 +184,21 @@ def test_terms_equal_mod_ac_have_one_denotation(lean_tester):
 
 
 # ---------------------------------------------------------------------------
-# the pairs that one cancellation step per problem newly proves: the
-# cancelled remainder is matched at the last step, so a shared part is
-# not cancelled greedily a second time
+# the sweep pairs that only the entailer's * steps prove: the first four
+# need one cancellation step per problem, its remainder matched at the
+# last step, so a shared part is not cancelled greedily a second time;
+# the last four need the last step's search over the groupings of the
+# left parts for each right part
 
-NEWLY_PROVED = [(213, "frame_weaken"), (1142, "frame_weaken"),
-                (1385, "frame_weaken"), (1385, "frame_unrelated")]
+PROVED_ONLY_BY_STAR_STEPS = [
+    (213, "frame_weaken"), (1142, "frame_weaken"), (1385, "frame_weaken"),
+    (1385, "frame_unrelated"),
+    (210, "unrelated"), (210, "frame_unrelated"), (400, "unrelated"),
+    (400, "frame_unrelated"),
+]
 
 
-@pytest.mark.parametrize("seed, shape", NEWLY_PROVED)
+@pytest.mark.parametrize("seed, shape", PROVED_ONLY_BY_STAR_STEPS)
 def test_single_cancellation_proves(lean_tester, seed, shape):
     P, Q = entail_pairs(seed)[shape]
     assert entail_basic(P, Q)

@@ -292,6 +292,35 @@ def test_side_condition_alone_rejects_an_unsound_instance(rule):
     assert isinstance(judge(Tester(fuzz_config()), root.conclusion), Fail)
 
 
+# One-node scripts whose rule reads what it omits from the stated
+# conclusion: Entail an equivalence with no P/Q, Invariance its psi from
+# the consequent's precondition; each with its failures ([] if accepted).
+STATED_CONCLUSIONS = [
+    (r'''(rule Entail (conclude
+          "(1 |-> 0 * emp => 1 |-> 0) /\\ (1 |-> 0 => 1 |-> 0 * emp)"))''',
+     []),
+    (r'''(rule Entail (conclude "(1 |-> 0 => 1 |-> 0 \\/ 2 |-> 0)
+          /\\ (1 |-> 0 \\/ 2 |-> 0 => 1 |-> 0)"))''',
+     [("0", "Entail: the equivalence is not derivable by the basic "
+            "entailment engine")]),
+    (r'''(rule Invariance (param P "{emp} 'skip' {emp}") (conclude
+          "{emp} 'skip' {emp} => {emp /\\ 1 = 1} 'skip' {emp /\\ 1 = 1}"))''',
+     []),
+    (r'''(rule Invariance (param P "{emp} 'skip' {emp}") (conclude
+          "{emp} 'skip' {emp}
+           => {emp /\\ 1 |-> 0} 'skip' {emp /\\ 1 |-> 0}"))''',
+     [("0", "Invariance: the invariant conjunct must be pure")]),
+]
+
+
+@pytest.mark.parametrize("text, failures", STATED_CONCLUSIONS, ids=[
+    "Entail-iff", "Entail-iff-rejected", "Invariance-psi",
+    "Invariance-psi-rejected"])
+def test_omitted_parameters_are_read_from_the_stated_conclusion(text,
+                                                                 failures):
+    assert check_proof(parse_script(text)).failures == failures
+
+
 def test_update_inv_ignores_emp_star_parts():
     check_node(make_node("UpdateInv", [], A(
         "{1 |-> _ * (2 |-> 0 /\\ 1 = 1) * emp} '[1] := 0' "
@@ -389,6 +418,17 @@ ENTAIL_BRANCHES = [
      "exists z. {1 |-> z * 2 |-> x} 'skip' {1 |-> z * 2 |-> x}", True),
     ("(exists x. {1 |-> x} 'skip' {1 |-> x}) (*) 2 |-> x",
      "exists z. {1 |-> z * 2 |-> z} 'skip' {1 |-> z * 2 |-> z}", False),
+    # a side that is emp alone has no * parts: each part of the other side
+    # is matched against emp
+    ("emp", "(emp \\/ 1 |-> 0) * (emp \\/ 2 |-> 0)", True),
+    ("emp", "(emp \\/ 1 |-> 0) * 2 |-> 0", False),
+    ("(emp /\\ 1 = 1) * (emp /\\ 2 = 2)", "emp", True),
+    ("(emp /\\ 1 = 1) * 2 |-> 0", "emp", False),
+    # prenex renames the second x apart, and each binder gets its witness
+    ("(exists x. 1 |-> x) * (exists x. 2 |-> x)",
+     "exists a. exists b. 1 |-> a * 2 |-> b", True),
+    ("(exists x. 1 |-> x) * (exists x. 2 |-> x)",
+     "exists a. 1 |-> a * 2 |-> a", False),
 ]
 
 

@@ -16,7 +16,6 @@ import copy
 import dataclasses
 import functools
 import importlib.util
-import itertools
 import os
 import pickle
 import subprocess
@@ -36,7 +35,7 @@ from sepstore.logic import (
 from sepstore.syntax import (
     And, Assign, Emp, Exists, Forall, IntLit, Mu, Or, PointsTo, RelVar,
     Star, ValueLit, Var, binders, canon_key, equal_mod_ac, free_vars,
-    map_children, star, star_parts, substitute,
+    map_children, substitute,
 )
 from test_traversal_golden import ROOT, _walk, terms
 
@@ -104,8 +103,7 @@ def swap_tables(m, make):
 
 def tabled_calls(t):
     """(name, function, arguments) of each tabled function applied to t;
-    but unfold_mu to each mu sub-term of t, _groupings to the parts of
-    each `*` sub-term of two to six parts, and _open to the body of each
+    but unfold_mu to each mu sub-term of t, and _open to the body of each
     quantifier sub-term at a variable and at a literal, and to t at each
     of its free variables.  The variable b1 is bound in many terms of the
     corpus, so opening at it also renames a binder apart."""
@@ -114,10 +112,6 @@ def tabled_calls(t):
         f = getattr(logic, name)
         if name == "unfold_mu":
             yield from ((name, f, (s,)) for s in subterms if type(s) is Mu)
-        elif name == "_groupings":
-            for s in subterms:
-                if type(s) is Star and 2 <= len(star_parts(s)) <= 6:
-                    yield name, f, (tuple(star_parts(s)),)
         elif name == "_open":
             for s in subterms:
                 if type(s) in (Exists, Forall):
@@ -129,23 +123,9 @@ def tabled_calls(t):
             yield name, f, (t,)
 
 
-def groupings_reference(lp):
-    """_groupings with no cache, written without the code under test:
-    the subsets of lp in binary counting order, lp[0] the lowest bit."""
-    out = []
-    for bits in itertools.product((False, True), repeat=len(lp)):
-        chosen = bits[::-1]
-        out.append((star(*(p for p, c in zip(lp, chosen) if c)),
-                    tuple(p for p, c in zip(lp, chosen) if not c)))
-    return tuple(out)
-
-
-# what _open, _ent_key and _groupings compute, written out with no table
+# what _open computes, written out with no table
 WRITTEN_OUT = {
     "_open": lambda P, x, e: substitute(P, {x: e}),
-    "_ent_key": lambda P: (strip_reference(P),
-                           canon_reference(strip_reference(P))._id),
-    "_groupings": groupings_reference,
 }
 
 
