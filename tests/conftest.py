@@ -159,7 +159,7 @@ def _sub_assertions(P):
 
 
 SHAPES = ("unrelated", "conjunct", "subterm", "instance", "frame",
-          "frame_weaken", "frame_unrelated")
+          "frame_weaken", "frame_unrelated", "emp_lhs", "emp_rhs")
 
 
 def entail_pairs(seed, depth=2):
@@ -174,6 +174,10 @@ def entail_pairs(seed, depth=2):
       frame            A * F => F' * A
       frame_weaken     A * F => F' * (A \\/ B)
       frame_unrelated  A * F => F' * B
+      emp_lhs          emp => (emp \\/ A) * (emp \\/ B)
+      emp_rhs          (emp /\\ A) * (emp /\\ B) => emp
+    The last two have a side that is emp alone; they are built from A and
+    B, so they move no draw of the shapes before them.
     """
     rng = random.Random(seed)
     names = Names()
@@ -195,6 +199,8 @@ def entail_pairs(seed, depth=2):
         (Star(A, F), Star(F2, A)),
         (Star(A, F), Star(F2, Or(A, B))),
         (Star(A, F), Star(F2, B)),
+        (Emp(), Star(Or(Emp(), A), Or(Emp(), B))),
+        (Star(And(Emp(), A), And(Emp(), B)), Emp()),
     )))
 
 

@@ -1,7 +1,7 @@
 """The entailer against the model: every entailment that logic.entail_basic
 proves must hold on the fuzz universe (Tester.test_entailment).
 
-The pairs come from conftest.entail_pairs, seven shapes per seed, among
+The pairs come from conftest.entail_pairs, nine shapes per seed, among
 them the frame shapes A * F => F' * A and A * F => F' * (A \\/ B), where F'
 is F up to alpha.  scripts/entail_sweep.py runs the same check over more
 seeds.  The checker's other decisions meet the model the same way: a
