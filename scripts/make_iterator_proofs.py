@@ -106,18 +106,18 @@ def build_body():
 
     skip = make_node("Skip", [], T("1 |-> 0 * " + F, "skip",
                                    "1 |-> 0 * " + F))
-    then_goal = Triple(And(pre_if, guard), Quote(parse("skip", "program")),
+    then_goal = Triple(And((pre_if, guard)), Quote(parse("skip", "program")),
                        post)
     then_n = conseq_then_impe(
-        make_node("Entail", [], Implies(And(pre_if, guard), post)),
+        make_node("Entail", [], Implies(And((pre_if, guard)), post)),
         entail("1 |-> 0 * " + F + " => 1 |-> 0 * " + F),
         skip, then_goal)
 
     neg = Implies(guard, FalseA())
-    else_goal = Triple(And(pre_if, neg),
+    else_goal = Triple(And((pre_if, neg)),
                        Quote(parse(C_ELSE, "program")), post)
     else_n = conseq_then_impe(
-        make_node("Entail", [], Implies(And(pre_if, neg), pre_if)),
+        make_node("Entail", [], Implies(And((pre_if, neg)), pre_if)),
         entail("1 |-> 0 * " + F + " => 1 |-> 0 * " + F),
         seq2, else_goal)
 
@@ -126,8 +126,8 @@ def build_body():
                        "if (n = 0) then skip else (" + C_ELSE + ")",
                        "1 |-> 0 * " + F))
     deref = make_node("Deref", [if_n],
-                      Triple(Exists("n", Star(PointsTo(IntLit(1), Var("n")),
-                                              A(F))),
+                      Triple(Exists("n", Star((PointsTo(IntLit(1), Var("n")),
+                                               A(F)))),
                              Quote(parse(C_IT, "program")), post))
     goal = T(PRE0, C_IT, POST0)
     pre_open = "exists n. 1 |-> n * " + F
@@ -158,9 +158,9 @@ def build_store_and_run():
     body_triple = T(PRE0, C_IT, POST0)
     hyp_pt = make_node("Hyp", [], pt, hyps=(pt,))
     and_n = make_node("AndI", [hyp_pt, build_body()],
-                      And(pt, body_triple), hyps=(pt,))
-    unfolded = Exists("k", And(PointsTo(IntLit(3), Var("k")),
-                               A("{" + PRE0 + "} k {" + POST0 + "}")))
+                      And((pt, body_triple)), hyps=(pt,))
+    unfolded = Exists("k", And((PointsTo(IntLit(3), Var("k")),
+                                A("{" + PRE0 + "} k {" + POST0 + "}"))))
     ex_n = make_node("ExistsI", [and_n], unfolded, hyps=(pt,),
                      witness=Quote(parse(C_IT, "program")))
     fold_ent = make_node("Entail", [], Implies(unfolded, A(R_IT)))
@@ -169,8 +169,8 @@ def build_store_and_run():
 
     mono = make_node("StarMono",
                      [fold_imp, entail(rest + " => " + rest)],
-                     Implies(Star(pt, A(rest)),
-                             Star(A(R_IT), A(rest))))
+                     Implies(Star((pt, A(rest))),
+                             Star((A(R_IT), A(rest)))))
     stored_goal = T("3 |-> _ * " + rest, "[3] := '" + C_IT + "'", PRE0)
     cons = make_node("Conseq",
                      [entail("3 |-> _ * " + rest + " => 3 |-> _ * " + rest),

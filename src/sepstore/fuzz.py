@@ -13,7 +13,7 @@ from .semantics import TestConfig, Tester, Fail, Pass
 from .syntax import (And, BinOp, Diamond, Emp, Eq, Exists, FalseA, Forall,
                      Implies, IntLit, Judgement, Leq, Mu, Or, PointsTo,
                      Quote, RelVar, Star, Tensor, Triple, TrueA, Var,
-                     conj, star, substitute)
+                     conj, join, star, substitute)
 from .syntax import Assign, EvalAt, Free as FreeCmd, Skip as SkipCmd
 from .logic import ProofError, apply_rule, iff, unfold_mu
 from .grammar import parse
@@ -68,11 +68,11 @@ def assertion(rng, depth=2):
     roll = rng.random()
     a = lambda: assertion(rng, depth - 1)
     if roll < 0.3:
-        return Star(a(), a())
+        return Star((a(), a()))
     if roll < 0.5:
-        return And(a(), a())
+        return And((a(), a()))
     if roll < 0.65:
-        return Or(a(), a())
+        return Or((a(), a()))
     if roll < 0.8:
         return Implies(a(), a())
     return Triple(a(), SKIP, a())
@@ -86,7 +86,7 @@ def pure_assertion(rng):
         return Leq(IntLit(rng.choice(INTS)), IntLit(rng.choice(INTS)))
     if roll < 0.85:
         return TrueA()
-    return And(pure_assertion_shallow(rng), pure_assertion_shallow(rng))
+    return And((pure_assertion_shallow(rng), pure_assertion_shallow(rng)))
 
 
 def pure_assertion_shallow(rng):
@@ -113,9 +113,9 @@ def valid_assertion(rng):
         P = assertion(rng, 1)
         return Triple(P, SKIP, P)
     if roll < 0.7:
-        return Implies(A, Or(A, assertion(rng, 1)))
+        return Implies(A, Or((A, assertion(rng, 1))))
     if roll < 0.85:
-        return Implies(And(A, assertion(rng, 1)), A)
+        return Implies(And((A, assertion(rng, 1))), A)
     return Implies(FalseA(), A)
 
 
@@ -133,8 +133,8 @@ def J(goal, hyps=()):
 
 
 def _spec_cell_emp(rng, e):
-    return Exists("z", And(PointsTo(e, Var("z")),
-                           Triple(Emp(), Var("z"), Emp())))
+    return Exists("z", And((PointsTo(e, Var("z")),
+                            Triple(Emp(), Var("z"), Emp()))))
 
 
 def gen_Skip(rng):
@@ -166,25 +166,25 @@ def gen_Seq(rng):
         t1 = J(Triple(P, SKIP, P))
     else:
         e, v = IntLit(1), value(rng)
-        mid = Star(Exists("z", PointsTo(e, Var("z"))), P)
+        mid = Star((Exists("z", PointsTo(e, Var("z"))), P))
         t0 = J(Triple(mid, SKIP, mid))
         t1 = J(Triple(mid, Quote(Assign(e, v)),
-                      Star(PointsTo(e, v), P)))
+                      Star((PointsTo(e, v), P))))
     return {}, [t0, t1]
 
 
 def gen_If(rng):
     P = assertion(rng, 1)
     cond = Eq(IntLit(rng.choice(INTS)), IntLit(rng.choice(INTS)))
-    t0 = J(Triple(And(P, cond), SKIP, P))
-    t1 = J(Triple(And(P, Implies(cond, FalseA())), SKIP, P))
+    t0 = J(Triple(And((P, cond)), SKIP, P))
+    t1 = J(Triple(And((P, Implies(cond, FalseA()))), SKIP, P))
     return {}, [t0, t1]
 
 
 def gen_Deref(rng):
     e = addr(rng)
     P = assertion(rng, 1)
-    pre = Star(P, PointsTo(e, Var("x")))
+    pre = Star((P, PointsTo(e, Var("x"))))
     return {"x": "x", "e": e}, [J(Triple(pre, SKIP, TrueA()))]
 
 
@@ -201,7 +201,7 @@ def gen_New(rng):
 def gen_Eval(rng):
     e = addr(rng)
     P = assertion(rng, 1)
-    pre = Star(P, _spec_cell_emp(rng, e))
+    pre = Star((P, _spec_cell_emp(rng, e)))
     rk = Triple(Emp(), Var("k"), Emp())
     prem = J(Implies(rk, Triple(pre, Var("k"), pre)))
     return {"e": e}, [prem]
@@ -210,8 +210,8 @@ def gen_Eval(rng):
 def gen_Conseq(rng):
     P, Q = assertion(rng, 1), assertion(rng, 1)
     Pw, Qw = assertion(rng, 1), assertion(rng, 1)
-    p0 = J(Implies(And(P, Pw), P))
-    p1 = J(Implies(Q, Or(Q, Qw)))
+    p0 = J(Implies(And((P, Pw)), P))
+    p1 = J(Implies(Q, Or((Q, Qw))))
     return {"e": SKIP}, [p0, p1]
 
 
@@ -221,7 +221,7 @@ def gen_Disj(rng):
 
 def gen_ExistAux(rng):
     t = Triple(PointsTo(addr(rng), Var("x")), SKIP,
-               Or(assertion(rng, 1), PointsTo(addr(rng), Var("x"))))
+               Or((assertion(rng, 1), PointsTo(addr(rng), Var("x")))))
     return {"P": t, "x": "x"}, []
 
 
@@ -256,22 +256,22 @@ def gen_StarOverlap(rng):
 def gen_StarMono(rng):
     A, B = assertion(rng, 1), assertion(rng, 1)
     C, D = assertion(rng, 1), assertion(rng, 1)
-    return {}, [J(Implies(And(A, B), A)), J(Implies(C, Or(C, D)))]
+    return {}, [J(Implies(And((A, B)), A)), J(Implies(C, Or((C, D))))]
 
 
 def gen_TensorMono(rng):
     A, B = assertion(rng, 1), assertion(rng, 1)
-    return {"R": assertion(rng, 1)}, [J(Implies(A, Or(A, B)))]
+    return {"R": assertion(rng, 1)}, [J(Implies(A, Or((A, B))))]
 
 
 def _contractive_mu(rng):
     if rng.random() < 0.5:
-        body = Triple(Star(assertion(rng, 1), RelVar("X")), SKIP,
+        body = Triple(Star((assertion(rng, 1), RelVar("X"))), SKIP,
                       assertion(rng, 1))
     else:
-        body = Exists("z", And(PointsTo(addr(rng), Var("z")),
-                               Triple(RelVar("X"), Var("z"),
-                                      assertion(rng, 1))))
+        body = Exists("z", And((PointsTo(addr(rng), Var("z")),
+                                Triple(RelVar("X"), Var("z"),
+                                       assertion(rng, 1)))))
     return Mu("X", (), body, ())
 
 
@@ -296,13 +296,13 @@ def gen_DistTensorTensor(rng):
 
 def gen_DistQuant(rng):
     quant = Exists if rng.random() < 0.5 else Forall
-    body = Or(PointsTo(addr(rng), Var("x")), assertion(rng, 1))
+    body = Or((PointsTo(addr(rng), Var("x")), assertion(rng, 1)))
     return {"P": quant("x", body), "R": assertion(rng, 1)}, []
 
 
 def gen_DistBinOp(rng):
     op = rng.choice((And, Or, Implies, Star))
-    return {"P": op(assertion(rng, 1), assertion(rng, 1)),
+    return {"P": join(op, assertion(rng, 1), assertion(rng, 1)),
             "R": assertion(rng, 1)}, []
 
 
@@ -313,7 +313,7 @@ def gen_DistAtom(rng):
 def gen_Out(rng):
     phi = pseudo_pure(rng)
     P = assertion(rng, 1)
-    return {"phi": phi}, [J(Triple(And(phi, P), SKIP, TrueA()))]
+    return {"phi": phi}, [J(Triple(And((phi, P)), SKIP, TrueA()))]
 
 
 def gen_DiamondOut(rng):
@@ -322,7 +322,7 @@ def gen_DiamondOut(rng):
     roll = rng.random()
     post = TrueA() if roll < 0.4 else (P if roll < 0.7
                                        else pure_assertion(rng))
-    return {"phi": phi}, [J(Triple(And(phi, P), SKIP, post))]
+    return {"phi": phi}, [J(Triple(And((phi, P)), SKIP, post))]
 
 
 gen_DiamondE = gen_Skip
@@ -350,13 +350,13 @@ def gen_Hyp(rng):
 
 def gen_ImpI(rng):
     A = assertion(rng, 1)
-    goal = A if rng.random() < 0.5 else Or(A, assertion(rng, 1))
+    goal = A if rng.random() < 0.5 else Or((A, assertion(rng, 1)))
     return {"A": A}, [J(goal, hyps=(A,))]
 
 
 def gen_ImpE(rng):
     V = valid_assertion(rng)
-    B = Or(V, assertion(rng, 1))
+    B = Or((V, assertion(rng, 1)))
     return {}, [J(Implies(V, B)), J(V)]
 
 
@@ -365,7 +365,7 @@ def gen_AndI(rng):
 
 
 def gen_AndE1(rng):
-    return {}, [J(And(valid_assertion(rng), valid_assertion(rng)))]
+    return {}, [J(And((valid_assertion(rng), valid_assertion(rng))))]
 
 
 gen_AndE2 = gen_AndE1
@@ -381,8 +381,8 @@ def gen_OrI2(rng):
 
 def gen_OrE(rng):
     A, B = valid_assertion(rng), assertion(rng, 1)
-    C = Or(A, B)
-    return {}, [J(Or(A, B)), J(C, hyps=(A,)), J(C, hyps=(B,))]
+    C = Or((A, B))
+    return {}, [J(Or((A, B))), J(C, hyps=(A,)), J(C, hyps=(B,))]
 
 
 def gen_ForallI(rng):
@@ -403,8 +403,8 @@ def gen_ForallE(rng):
 
 def gen_ExistsI(rng):
     w = value(rng)
-    A = And(TrueA(), Eq(Var("x"), w)) if type(w) is IntLit \
-        else Or(Eq(Var("x"), Var("x")), assertion(rng, 1))
+    A = And((TrueA(), Eq(Var("x"), w))) if type(w) is IntLit \
+        else Or((Eq(Var("x"), Var("x")), assertion(rng, 1)))
     return {"template": A, "x": "x", "witness": w}, \
         [J(substitute(A, {"x": w}))]
 
@@ -450,11 +450,11 @@ def gen_Entail(rng):
     if roll < 0.3:
         P, Q = A, TrueA()
     elif roll < 0.6:
-        P, Q = And(A, assertion(rng, 1)), A
+        P, Q = And((A, assertion(rng, 1))), A
     elif roll < 0.8:
-        P, Q = A, Or(A, assertion(rng, 1))
+        P, Q = A, Or((A, assertion(rng, 1)))
     else:
-        P, Q = Star(A, Emp()), A
+        P, Q = Star((A, Emp())), A
     return {"P": P, "Q": Q}, []
 
 

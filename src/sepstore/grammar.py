@@ -9,9 +9,10 @@ as an assertion turns out to be an expression.
 
 Precedence, loosest to tightest: `=>`, `\\/`, `/\\`, `*`, `(*)`, `<>`;
 binary connectives associate to the left; quantifiers and `mu` extend
-maximally to the right.  Inside assertions a top-level `*` always means
-separating conjunction, so integer multiplication there must be
-parenthesised, e.g. `(x * y) = z`.
+maximally to the right; a chain of `\\/`, `/\\` or `*` is read into one
+node (syntax.Chain), while `=>` and `(*)` stay binary.  Inside assertions
+a top-level `*` always means separating conjunction, so integer
+multiplication there must be parenthesised, e.g. `(x * y) = z`.
 
 Sequencing `;` associates to the left, and a chain `c1 ; ... ; cn` is
 read in one loop into one Seq node; a parenthesised leading sequence is
@@ -38,7 +39,7 @@ import functools
 import re
 
 from .syntax import (
-    And, ArityError, Assign, BinOp, ContractivenessError, Diamond, Emp,
+    And, ArityError, Assign, BinOp, Chain, ContractivenessError, Diamond, Emp,
     EvalAt, Exists, Eq, FalseA, Forall, Free, If, Implies, IntLit, LetDeref,
     LetNew, Leq, Mu, Or, PointsTo, Quote, RelVar, Seq, Skip, Star, Tensor,
     Triple, TrueA, ValueLit, Var, exposed_occurrence, replace,
@@ -273,14 +274,20 @@ class Parser:
     def parse_asn(self, prec=1):
         """The binary connectives of `_BIN_PREC` binding at level `prec`
         or tighter, each associating to the left: precedence climbing,
-        whose right operand binds one level tighter than its connective."""
+        whose right operand binds one level tighter than its connective;
+        a chain's operands are read in one loop and built once."""
         left = self.parse_prefix()
         while True:
-            p, cls = _BY_SYM.get(self.tokens[self.pos][1], (0, None))
+            sym = self.tokens[self.pos][1]
+            p, cls = _BY_SYM.get(sym, (0, None))
             if p < prec:
                 return left
-            self.pos += 1
-            left = cls(left, self.parse_asn(p + 1))
+            operands = [left]
+            while self.tokens[self.pos][1] == sym:
+                self.pos += 1
+                operands.append(self.parse_asn(p + 1))
+            left = cls(tuple(operands)) if issubclass(cls, Chain) \
+                else functools.reduce(cls, operands)
 
     def parse_prefix(self):
         if self.at("<>"):
@@ -415,8 +422,8 @@ class Parser:
             post = self.parse_asn()
             self.expect("}")
             k = self.fresh()
-            return Exists(k, And(PointsTo(addr, Var(k)),
-                                 Triple(pre, Var(k), post)))
+            return Exists(k, And((PointsTo(addr, Var(k)),
+                                  Triple(pre, Var(k), post))))
         return PointsTo(addr, self.parse_expr(allow_mul=False))
 
 
@@ -505,7 +512,9 @@ def pretty_asn(a, prec=0) -> str:
         return "emp"
     if t in _BIN_PREC:
         p, sym = _BIN_PREC[t]
-        s = f"{pretty_asn(a.left, p)} {sym} {pretty_asn(a.right, p + 1)}"
+        first, *rest = a.parts if isinstance(a, Chain) else (a.left, a.right)
+        s = f" {sym} ".join([pretty_asn(first, p),
+                             *map(pretty_asn, rest, [p + 1] * len(rest))])
         return f"({s})" if prec > p else s
     if t in (Forall, Exists):
         head = "forall" if t is Forall else "exists"

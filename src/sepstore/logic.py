@@ -31,8 +31,8 @@ from .syntax import (
     Forall, Free, If, Implies, IntLit, Judgement, LetDeref, LetNew, Leq, Mu,
     Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Seq, Skip, Star, TABLES,
     Tensor, Triple, TrueA, ValueLit, Var, canon_key, children, circ, classify,
-    conj, contractive_in, equal_mod_ac, free_vars, fresh_name, map_children,
-    replace, star, star_parts, substitute, unfold,
+    conj, contractive_in, equal_mod_ac, flatten, free_vars, fresh_name,
+    halves, join, map_children, replace, star, substitute, unfold,
 )
 
 
@@ -157,25 +157,20 @@ _OPENED = TABLES["_open"] = {}
 
 
 def iff(a, b):
-    return And(Implies(a, b), Implies(b, a))
+    return And((Implies(a, b), Implies(b, a)))
 
 
 def match_iff(goal):
-    """Decompose And(A=>B, B=>A) into (A, B); None if not that shape."""
+    """Decompose (A => B) /\\ (B => A) into (A, B); None if not that
+    shape."""
     if type(goal) is not And:
         return None
-    l, r = goal.left, goal.right
+    l, r = halves(goal)
     if type(l) is not Implies or type(r) is not Implies:
         return None
     if equal_mod_ac(l.left, r.right) and equal_mod_ac(l.right, r.left):
         return l.left, l.right
     return None
-
-
-def and_parts(P) -> list:
-    if type(P) is And:
-        return and_parts(P.left) + and_parts(P.right)
-    return [P]
 
 
 def _subtract(parts, to_remove):
@@ -198,7 +193,7 @@ def _conj_remove(parts, phi):
     itself a conjunction; None if absent."""
     rest = parts_diff(parts, [phi])
     if rest is None and type(phi) is And:
-        rest = parts_diff(parts, and_parts(phi))
+        rest = parts_diff(parts, flatten(phi, And))
     return rest
 
 
@@ -227,17 +222,10 @@ def is_pt_wild(part):
 def part_addr(part):
     """The serial of the canonical address of a part that pins down one
     heap cell."""
-    if type(part) is PointsTo:
-        return canon_key(part.addr)._id
-    if type(part) is Exists:
-        for a in and_parts(part.body):
-            if type(a) is PointsTo and part.var not in free_vars(a.addr)[0]:
-                return canon_key(a.addr)._id
-        return None
-    if type(part) is And:
-        for a in and_parts(part):
-            if type(a) is PointsTo:
-                return canon_key(a.addr)._id
+    bound = (part.var,) if type(part) is Exists else ()
+    for a in flatten(part.body if bound else part, And):
+        if type(a) is PointsTo and free_vars(a.addr)[0].isdisjoint(bound):
+            return canon_key(a.addr)._id
     return None
 
 
@@ -284,7 +272,8 @@ def dist_step(L, R):
             x = x2
         return t(x, Tensor(body, R))
     if t in _BIN_TYPES:
-        return t(Tensor(L.left, R), Tensor(L.right, R))
+        left, right = halves(L)
+        return join(t, Tensor(left, R), Tensor(right, R))
     if t in _ATOM_TYPES:
         return L
     return None  # Mu, RelVar, Diamond: stuck until unfolded
@@ -311,7 +300,7 @@ def normalize_otimes(P):
 
 def circ_n(P, R):
     """Invariant combination with the extension already distributed."""
-    return Star(normalize_otimes(Tensor(P, R)), R)
+    return Star((normalize_otimes(Tensor(P, R)), R))
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +327,17 @@ def ground_truth(A):
         if isinstance(a, IntVal) and isinstance(b, IntVal):
             return a.n <= b.n
         return None
-    # three-valued: a side that is undecided leaves the result open
-    # unless the other side decides it alone
-    l, r = ground_truth(A.left), ground_truth(A.right)
-    if t is Implies and l is not None:      # a => b is (not a) \/ b
-        l = not l
+    # three-valued: a part that is undecided leaves the result open unless
+    # another part decides it alone
+    if t is Implies:                        # a => b is (not a) \/ b
+        l, r = ground_truth(A.left), ground_truth(A.right)
+        values = (l if l is None else not l, r)
+    else:
+        values = list(map(ground_truth, A.parts))
     decisive = t is not And
-    if decisive in (l, r):
+    if decisive in values:
         return decisive
-    return l if l is r else None
+    return None if None in values else not decisive
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +356,7 @@ def prenex(P):
     if t is Exists:
         out = Exists(P.var, prenex(P.body))
     else:
-        left, right = prenex(P.left), prenex(P.right)
+        left, right = map(prenex, halves(P))
         binders = []
 
         def strip(side, other):
@@ -383,7 +374,7 @@ def prenex(P):
 
         left = strip(left, right)
         right = strip(right, left)
-        out = _quantify(Exists, binders, t(left, right))
+        out = _quantify(Exists, binders, join(t, left, right))
     _PRENEX[P._id] = out
     return out
 
@@ -423,9 +414,9 @@ def lhs_absurd(P) -> bool:
     if ground_truth(P) is False:
         out = True
     elif t is And:
-        out = any(lhs_absurd(p) for p in and_parts(P))
+        out = any(lhs_absurd(p) for p in flatten(P, And))
     elif t is Star:
-        parts = star_parts(P)
+        parts = flatten(P)
         addrs = [a for a in map(part_addr, parts) if a is not None]
         out = any(lhs_absurd(p) for p in parts) \
             or len(addrs) != len(set(addrs))
@@ -441,7 +432,7 @@ def _unfold_first_mu(P):
     if type(P) is Mu:
         return normalize_otimes(unfold_mu(P))
     if type(P) is Star:
-        parts = star_parts(P)
+        parts = flatten(P)
         for i, p in enumerate(parts):
             if type(p) is Mu:
                 opened = normalize_otimes(unfold_mu(p))
@@ -457,12 +448,11 @@ def _strip_units(a):
     out = _STRIPPED.get(a._id)
     if out is not None:
         return out
-    out = map_children(a, _strip_units)
-    if type(out) is Star:
-        if type(out.left) is Emp:
-            out = out.right
-        elif type(out.right) is Emp:
-            out = out.left
+    if type(a) is Star:   # each binary * drops an emp operand
+        parts = tuple(map(_strip_units, a.parts))
+        out = star(*[p for p in parts if type(p) is not Emp])
+    else:
+        out = map_children(a, _strip_units)
     _STRIPPED[a._id] = out
     return out
 
@@ -521,8 +511,8 @@ class _Entailer:
         is_star = type(P) is Star or type(Q) is Star
         if is_star:
             # a side that is emp alone is the unit: it has no parts
-            qs = () if type(Q) is Emp else star_parts(Q)
-            lp, lq = _subtract(() if type(P) is Emp else star_parts(P), qs)
+            qs = () if type(Q) is Emp else flatten(Q)
+            lp, lq = _subtract(() if type(P) is Emp else flatten(P), qs)
             if len(lq) < len(qs) and self.ent(star(*lp), star(*lq), mu, d):
                 return True
 
@@ -531,12 +521,14 @@ class _Entailer:
             return self.ent(P2, Q2, mu, d)
 
         if type(P) is Or:
-            return self.ent(P.left, Q, mu, d) and self.ent(P.right, Q, mu, d)
+            left, right = halves(P)
+            return self.ent(left, Q, mu, d) and self.ent(right, Q, mu, d)
         if type(Q) is And:
-            return self.ent(P, Q.left, mu, d) and self.ent(P, Q.right, mu, d)
+            left, right = halves(Q)
+            return self.ent(P, left, mu, d) and self.ent(P, right, mu, d)
 
         if type(P) is And:
-            parts = and_parts(P)
+            parts = flatten(P, And)
             if any(self.ent(p, Q, mu, d) for p in parts):
                 return True
             # propagate equalities on variables
@@ -552,10 +544,11 @@ class _Entailer:
                                 return True
 
         if type(Q) is Or:
-            if self.ent(P, Q.left, mu, d) or self.ent(P, Q.right, mu, d):
+            left, right = halves(Q)
+            if self.ent(P, left, mu, d) or self.ent(P, right, mu, d):
                 return True
         if type(Q) is Implies:
-            return self.ent(And(P, Q.left), Q.right, mu, d)
+            return self.ent(And((P, Q.left)), Q.right, mu, d)
 
         if type(Q) is Exists:
             if type(P) is Exists:
@@ -878,43 +871,42 @@ def _r_ImpE(ps, p0, p1, stated):
 def _r_AndI(ps, p0, p1, stated):
     if stated is not None:
         # the premises come in the order of the conjuncts they prove
-        g = _shape(stated.goal, And, "AndI conclusion")
-        need(equal_mod_ac(p0.goal, g.left)
-             and equal_mod_ac(p1.goal, g.right),
+        left, right = halves(_shape(stated.goal, And, "AndI conclusion"))
+        need(equal_mod_ac(p0.goal, left) and equal_mod_ac(p1.goal, right),
              "AndI: premises do not match the conjuncts")
-    return _concl(And(p0.goal, p1.goal), p0, p1)
+    return _concl(And((p0.goal, p1.goal)), p0, p1)
 
 
 def _and_elim(name, side):
     @_rule(name, 1)
     def check(ps, p, stated):
-        return _concl(getattr(_shape(p.goal, And, f"{name} premise"), side),
+        return _concl(halves(_shape(p.goal, And, f"{name} premise"))[side],
                       p)
 
 
-_and_elim("AndE1", "left")
-_and_elim("AndE2", "right")
+_and_elim("AndE1", 0)
+_and_elim("AndE2", 1)
 
 
 @_rule("OrI1", 1)
 def _r_OrI1(ps, p, stated):
-    B = ps.need("B", lambda g: _shape(g, Or, "OrI1 conclusion").right)
-    return _concl(Or(p.goal, B), p)
+    B = ps.need("B", lambda g: halves(_shape(g, Or, "OrI1 conclusion"))[1])
+    return _concl(Or((p.goal, B)), p)
 
 
 @_rule("OrI2", 1)
 def _r_OrI2(ps, p, stated):
-    A = ps.need("A", lambda g: _shape(g, Or, "OrI2 conclusion").left)
-    return _concl(Or(A, p.goal), p)
+    A = ps.need("A", lambda g: halves(_shape(g, Or, "OrI2 conclusion"))[0])
+    return _concl(Or((A, p.goal)), p)
 
 
 @_rule("OrE", 3)
 def _r_OrE(ps, p0, p1, p2, stated):
-    d = _shape(p0.goal, Or, "OrE first premise")
+    left, right = halves(_shape(p0.goal, Or, "OrE first premise"))
     need(equal_mod_ac(p1.goal, p2.goal),
          "OrE: branch premises must conclude the same goal")
-    return Judgement(hyps=p0.hyps + _without(p1.hyps, d.left)
-                     + _without(p2.hyps, d.right), goal=p1.goal)
+    return Judgement(hyps=p0.hyps + _without(p1.hyps, left)
+                     + _without(p2.hyps, right), goal=p1.goal)
 
 
 @_rule("ForallI", 1)
@@ -1024,9 +1016,9 @@ def _star_law(name, keys, sides):
 
 
 _star_law("StarAssoc", ("P", "Q", "R"), lambda P, Q, R: (
-    Star(P, Star(Q, R)), Star(Star(P, Q), R)))
-_star_law("StarComm", ("P", "Q"), lambda P, Q: (Star(P, Q), Star(Q, P)))
-_star_law("StarUnit", ("P",), lambda P: (Star(P, Emp()), P))
+    Star((P, Star((Q, R)))), Star((P, Q, R))))
+_star_law("StarComm", ("P", "Q"), lambda P, Q: (Star((P, Q)), Star((Q, P))))
+_star_law("StarUnit", ("P",), lambda P: (Star((P, Emp())), P))
 
 
 def _axiom(name, keys, lhs, rhs, msg):
@@ -1048,12 +1040,12 @@ def _axiom(name, keys, lhs, rhs, msg):
 
 
 def _zero_rhs(L):
-    zero = any(type(p) is FalseA for p in star_parts(L))
+    zero = any(type(p) is FalseA for p in flatten(L))
     return FalseA() if zero else None
 
 
 def _overlap_rhs(L):
-    addrs = [canon_key(p.addr)._id for p in star_parts(L)
+    addrs = [canon_key(p.addr)._id for p in flatten(L)
              if type(p) is PointsTo]
     return FalseA() if len(addrs) != len(set(addrs)) else None
 
@@ -1067,10 +1059,10 @@ def _unfold_rhs(L):
     return unfold_mu(L)
 
 
-_axiom("StarZero", ("P",), lambda P: Star(P, FalseA()), _zero_rhs,
+_axiom("StarZero", ("P",), lambda P: Star((P, FalseA())), _zero_rhs,
        "StarZero matches P * false <=> false")
 _axiom("StarOverlap", ("e", "e1", "e2"),
-       lambda e, e1, e2: Star(PointsTo(e, e1), PointsTo(e, e2)),
+       lambda e, e1, e2: Star((PointsTo(e, e1), PointsTo(e, e2))),
        _overlap_rhs, "StarOverlap matches (e |-> e1 * e |-> e2) <=> false")
 _axiom("MuUnfold", ("P",), lambda P: P, _unfold_rhs,
        "MuUnfold matches mu X. P <=> P[X := mu X. P]")
@@ -1096,7 +1088,7 @@ _dist_axiom("DistAtom", lambda L: type(L) in _ATOM_TYPES)
 def _r_StarMono(ps, p0, p1, stated):
     a = _shape(p0.goal, Implies, "StarMono first premise")
     b = _shape(p1.goal, Implies, "StarMono second premise")
-    return _concl(Implies(Star(a.left, b.left), Star(a.right, b.right)),
+    return _concl(Implies(Star((a.left, b.left)), Star((a.right, b.right))),
                   p0, p1)
 
 
@@ -1133,7 +1125,7 @@ def _frames(ps, e):
     if ps.stated is None:
         return [Emp()]
     pre = _shape(ps.stated.goal, Triple, f"{ps.rule} conclusion").pre
-    parts = star_parts(pre)
+    parts = flatten(pre)
     return [star(*parts[:i], *parts[i + 1:]) for i, p in enumerate(parts)
             if is_pt_wild(p) is not None and equal_mod_ac(is_pt_wild(p), e)]
 
@@ -1149,8 +1141,8 @@ def _r_Update(ps, stated):
     e = ps.need("e", lambda g: _command(g, Assign, "Update").target)
     e0 = ps.need("e0", lambda g: _command(g, Assign, "Update").source)
     return _pick("Update", stated, _frames(ps, e), lambda P: Judgement(
-        goal=Triple(Star(pt_wild(e), P), Quote(Assign(e, e0)),
-                    Star(PointsTo(e, e0), P))),
+        goal=Triple(Star((pt_wild(e), P)), Quote(Assign(e, e0)),
+                    Star((PointsTo(e, e0), P)))),
         "Update matches {e |-> _ * P}'[e] := e0'{e |-> e0 * P}")[0]
 
 
@@ -1166,18 +1158,18 @@ def _inv_cells(goal, e, e0):
     """(e1, conjuncts of phi) for each reading of the stated postcondition
     as (e |-> e0 /\\ phi) * (e1 |-> e0 /\\ phi)."""
     goal = _shape(goal, Triple, "UpdateInv conclusion")
-    pre, post = ([p for p in star_parts(a) if type(p) is not Emp]
+    pre, post = ([p for p in flatten(a) if type(p) is not Emp]
                  for a in (goal.pre, goal.post))
     need(len(pre) == 2 and len(post) == 2,
          "UpdateInv: pre and post each have exactly two star components")
     for upd, inv in (post, post[::-1]):
-        aps = and_parts(upd)
+        aps = flatten(upd, And)
         at = [i for i, a in enumerate(aps) if type(a) is PointsTo
               and equal_mod_ac(a.addr, e) and equal_mod_ac(a.value, e0)]
         if not at:
             continue
         phis = tuple(aps[:at[0]] + aps[at[0] + 1:])
-        for a in and_parts(inv):
+        for a in flatten(inv, And):
             if type(a) is PointsTo and equal_mod_ac(a.value, e0):
                 yield a.addr, phis
 
@@ -1194,9 +1186,10 @@ def _r_UpdateInv(ps, stated):
     def instance(cell):
         e1, phis = cell
         inv = conj(PointsTo(e1, e0), *phis)
-        return Judgement(goal=Triple(Star(pt_wild(e), inv),
+        return Judgement(goal=Triple(Star((pt_wild(e), inv)),
                                      Quote(Assign(e, e0)),
-                                     Star(conj(PointsTo(e, e0), *phis), inv)))
+                                     Star((conj(PointsTo(e, e0), *phis),
+                                           inv))))
 
     j, (_, phis) = _pick(
         "UpdateInv", stated, cells, instance,
@@ -1218,7 +1211,7 @@ def _r_UpdateInv(ps, stated):
 def _r_Free(ps, stated):
     e = ps.need("e", lambda g: _command(g, Free, "Free").addr)
     return _pick("Free", stated, _frames(ps, e), lambda P: Judgement(
-        goal=Triple(Star(pt_wild(e), P), Quote(Free(e)), P)),
+        goal=Triple(Star((pt_wild(e), P)), Quote(Free(e)), P)),
         "Free matches {e |-> _ * P}'free(e)'{P}")[0]
 
 
@@ -1241,12 +1234,12 @@ def _r_If(ps, p0, p1, stated):
         cmd = _command(stated.goal, If, "If")
         P, cond = stated.goal.pre, Eq(cmd.lhs, cmd.rhs)
     else:
-        need(type(t0.pre) is And and type(t0.pre.right) is Eq,
+        P, cond = halves(t0.pre) if type(t0.pre) is And else (None, None)
+        need(type(cond) is Eq,
              "If: then-premise precondition must add the guard")
-        P, cond = t0.pre.left, t0.pre.right
-    need(equal_mod_ac(t0.pre, And(P, cond)),
+    need(equal_mod_ac(t0.pre, And((P, cond))),
          "If: then-premise precondition must add the guard")
-    need(equal_mod_ac(t1.pre, And(P, Implies(cond, FalseA()))),
+    need(equal_mod_ac(t1.pre, And((P, Implies(cond, FalseA())))),
          "If: else-premise precondition must add the negated guard")
     need(equal_mod_ac(t0.post, t1.post), "If: postcondition mismatch")
     cmd = If(cond.left, cond.right, t0.code.body, t1.code.body)
@@ -1260,7 +1253,7 @@ def _r_Deref(ps, p, stated):
     e = ps.need("e", lambda g: _command(g, LetDeref, "Deref").addr)
     need(any(type(q) is PointsTo and equal_mod_ac(q.addr, e)
              and type(q.value) is Var and q.value.name == x
-             for q in star_parts(t.pre)),
+             for q in flatten(t.pre)),
          "Deref: premise precondition lacks the component e |-> x")
     _fresh(x, (e, t.post),
            f"Deref: {x} occurs free in the address or the postcondition")
@@ -1276,7 +1269,7 @@ def _r_New(ps, p, stated):
     need(inits, "rule New needs parameter 'init'")
     block = [PointsTo(Var(x) if i == 0 else BinOp("+", Var(x), IntLit(i)),
                       init) for i, init in enumerate(inits)]
-    rest = parts_diff(star_parts(t.pre), block)
+    rest = parts_diff(flatten(t.pre), block)
     need(rest is not None,
          "New: premise precondition lacks the freshly initialised block")
     pre = star(*rest)
@@ -1288,7 +1281,7 @@ def _r_New(ps, p, stated):
 def _find_stored_spec(pre, e, k):
     """Find the star component of `pre` of shape e |-> R[_] (possibly a
     recursive assertion that unfolds to it) and return R[k]."""
-    for part in star_parts(pre):
+    for part in flatten(pre):
         cands = [part]
         if type(part) is Mu:
             cands.append(normalize_otimes(unfold_mu(part)))
@@ -1296,7 +1289,7 @@ def _find_stored_spec(pre, e, k):
             if type(c) is not Exists:
                 continue
             k2 = c.var
-            aps = and_parts(c.body)
+            aps = flatten(c.body, And)
             for i, a in enumerate(aps):
                 if type(a) is PointsTo and equal_mod_ac(a.addr, e) \
                         and type(a.value) is Var and a.value.name == k2 \
@@ -1364,14 +1357,14 @@ def _r_Disj(ps, stated):
         return _shape(_shape(g, Implies, "Disj conclusion").left, And,
                       "Disj antecedent")
 
-    t1 = _shape(ps.need("P", lambda g: both(g).left), Triple,
+    t1 = _shape(ps.need("P", lambda g: halves(both(g))[0]), Triple,
                 "Disj first triple")
-    t2 = _shape(ps.need("Q", lambda g: both(g).right), Triple,
+    t2 = _shape(ps.need("Q", lambda g: halves(both(g))[1]), Triple,
                 "Disj second triple")
     need(equal_mod_ac(t1.code, t2.code),
          "Disj: all triples must run the same code")
-    return Judgement(goal=Implies(And(t1, t2), Triple(
-        Or(t1.pre, t2.pre), t1.code, Or(t1.post, t2.post))))
+    return Judgement(goal=Implies(And((t1, t2)), Triple(
+        Or((t1.pre, t2.pre)), t1.code, Or((t1.post, t2.post)))))
 
 
 @_rule("ExistAux", 0)
@@ -1396,9 +1389,9 @@ def _r_Invariance(ps, stated):
     else:
         t2 = _shape(_shape(stated.goal, Implies, "Invariance conclusion")
                     .right, Triple, "Invariance consequent")
-        psis = and_parts(t2.pre)
+        psis = flatten(t2.pre, And)
     j, psi = _pick("Invariance", stated, psis, lambda c: Judgement(
-        goal=Implies(t, Triple(And(t.pre, c), t.code, And(t.post, c)))),
+        goal=Implies(t, Triple(And((t.pre, c)), t.code, And((t.post, c))))),
         "Invariance matches {P}e{Q} => {P /\\ psi}e{Q /\\ psi}")
     need_side(classify(psi) == PURE,
               "Invariance: the invariant conjunct must be pure")
@@ -1419,15 +1412,15 @@ def _r_StarFrame(ps, stated):
     def frame(g):
         t2 = _shape(_shape(g, Implies, "StarFrame conclusion").right, Triple,
                     "StarFrame consequent")
-        rest = parts_diff(star_parts(t2.pre), star_parts(t.pre))
+        rest = parts_diff(flatten(t2.pre), flatten(t.pre))
         need(rest is not None, "StarFrame: consequent precondition must "
              "extend the antecedent's by a frame")
         return star(*rest)
 
     t = _antecedent(ps, "StarFrame")
     R = ps.need("R", frame)
-    return Judgement(goal=Implies(t, Triple(Star(t.pre, R), t.code,
-                                            Star(t.post, R))))
+    return Judgement(goal=Implies(t, Triple(Star((t.pre, R)), t.code,
+                                            Star((t.post, R)))))
 
 
 def _out_rule(name, wrap):
@@ -1438,7 +1431,7 @@ def _out_rule(name, wrap):
         t = _shape(p.goal, Triple, f"{name} premise")
         phi = ps.need("phi", lambda g: _shape(g, Implies,
                                               f"{name} conclusion").left)
-        rest = _conj_remove(and_parts(t.pre), phi)
+        rest = _conj_remove(flatten(t.pre, And), phi)
         need(rest, f"{name}: premise precondition must be phi /\\ P")
         need_side(classify(phi) in (PURE, PSEUDO_PURE),
                   f"{name}: the extracted hypothesis must be pseudo-pure")
@@ -1494,7 +1487,7 @@ def _m_TensorMono(ps, p, stated):
 
 def _spec_cell(e, k, spec):
     """The stored-specification component e |-> spec[_]."""
-    return Exists(k, And(PointsTo(e, Var(k)), spec))
+    return Exists(k, And((PointsTo(e, Var(k)), spec)))
 
 
 def _eval_params(ps, *extra):
@@ -1520,12 +1513,12 @@ def _eval_nonrec(name, update):
     def check(ps, stated):
         step = partial(_step, name)
         e, P, Q, ys, k = _eval_params(ps)
-        inner_pre = Star(P, pt_wild(e)) if update else P
+        inner_pre = Star((P, pt_wild(e))) if update else P
         Rk = _quantify(Forall, ys, Triple(inner_pre, Var(k), Q))
         spec = _spec_cell(e, k, Rk)
         if update:
             adapt = step("Conseq", [
-                step("Entail", [], P=Star(P, spec), Q=inner_pre),
+                step("Entail", [], P=Star((P, spec)), Q=inner_pre),
                 step("Entail", [], P=Q, Q=Q)], e=Var(k))
         else:
             adapt = step("StarFrame", [], P=Triple(P, Var(k), Q), R=spec)
@@ -1545,7 +1538,7 @@ def _m_EvalRec(ps, stated):
     X = fresh_name("X", free_vars(P)[1] | free_vars(Q)[1]
                    | free_vars(P0)[1])
     spec0 = _spec_cell(e, k, _quantify(Forall, ys, Triple(P, Var(k), Q)))
-    R = Mu(X, (), Tensor(Star(spec0, P0), RelVar(X)), ())
+    R = Mu(X, (), Tensor(Star((spec0, P0)), RelVar(X)), ())
     preR, postR = circ_n(P, R), circ_n(Q, R)
     Sk = _quantify(Forall, ys, Triple(preR, Var(k), postR))
     pre_eval = star(normalize_otimes(Tensor(P, R)), _spec_cell(e, k, Sk),
@@ -1575,7 +1568,7 @@ def _r_In(ps, p, stated):
     t = _shape(imp.right, Triple, "In premise consequent")
     need_side(classify(imp.left) in (PURE, PSEUDO_PURE),
               "In: the folded hypothesis must be pseudo-pure")
-    return _concl(Triple(And(imp.left, t.pre), t.code, t.post), p)
+    return _concl(Triple(And((imp.left, t.pre)), t.code, t.post), p)
 
 
 # ---------------------------------------------------------------------------

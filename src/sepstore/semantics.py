@@ -25,7 +25,7 @@ from .interp import (
 from .syntax import (
     And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, Leq, Mu, Or,
     PointsTo, PSEUDO_PURE, PURE, RelVar, Skip, Star, Tensor, Triple, TrueA,
-    TABLES, ValueLit, circ, classify, free_vars, substitute, unfold,
+    TABLES, ValueLit, circ, classify, free_vars, halves, substitute, unfold,
 )
 
 
@@ -401,11 +401,9 @@ class Tester:
             addr, cell = h.cells[0]
             return addr == a.n and value_leq(cell, v)
         if t is And:
-            return self.member(P.left, env, w, h) \
-                and self.member(P.right, env, w, h)
+            return all(self.member(p, env, w, h) for p in P.parts)
         if t is Or:
-            return self.member(P.left, env, w, h) \
-                or self.member(P.right, env, w, h)
+            return any(self.member(p, env, w, h) for p in P.parts)
         if t is Implies:
             for hn in truncations(h, "implication"):
                 if self.member(P.left, env, w, hn) \
@@ -422,8 +420,9 @@ class Tester:
                     return False
             return True
         if t is Star:
-            return any(self.member(P.left, env, w, h1)
-                       and self.member(P.right, env, w, h2)
+            left, right = halves(P)
+            return any(self.member(left, env, w, h1)
+                       and self.member(right, env, w, h2)
                        for h1, h2 in splits(h))
         if t is Triple:
             r = _finite_rank(h, "triple")
@@ -491,7 +490,7 @@ class Tester:
         return _memo(row, g._id, self._star3, P, w, frame, g)
 
     def _star3(self, P, w, frame, g: Heap) -> bool:
-        rest = Star(w, frame)
+        rest = Star((w, frame))
         return any(self.member(P, EMPTY_ENV, w, g1)
                    and self.member(rest, EMPTY_ENV, Emp(), g2)
                    for g1, g2 in splits(g))

@@ -3,6 +3,9 @@
 Expressions, commands and assertions are immutable interned classes, and
 judgements immutable dataclasses; SCHEMA lists the sub-terms and binder
 scopes of each node class for every traversal.
+A chain of `;` (Seq) or of \\/, /\\ or * (Chain) is one node holding a
+tuple, crossed in one frame; only this module knows the binary tree it
+stands for (halves, join).
 Operations on them (free variables, substitution, contractiveness, purity
 classification, equality modulo associativity/commutativity) live here;
 the concrete grammar lives in grammar.py.
@@ -59,7 +62,6 @@ Every memo has one of three homes:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import re
@@ -138,8 +140,8 @@ def interned(cls):
     """cls rebuilt with one slot per annotated field, in declaration order
     (its __match_args__), and a constructor that returns the interned
     object of its fields (module docstring); a field's class attribute is
-    its default.  A class that defines its own __new__, to normalise its
-    fields, calls intern."""
+    its default.  A class that defines or inherits its own __new__, to
+    normalise its fields, calls intern."""
     ns = dict(vars(cls))
     fields = tuple(ns.get("__annotations__", ()))
     defaults = {f"_{f}": ns.pop(f) for f in fields if f in ns}
@@ -149,7 +151,7 @@ def interned(cls):
     ns.pop("__weakref__", None)
     ns.update(__slots__=fields, __match_args__=fields,
               __qualname__=cls.__qualname__)
-    if "__new__" not in ns:
+    if cls.__new__ is object.__new__:
         params = ", ".join(f"{f}=_{f}" if f"_{f}" in defaults else f
                            for f in fields)
         scope = {"_NODES": _NODES, "_make": _make, **defaults}
@@ -288,16 +290,28 @@ class TrueA(Node):
     pass
 
 
-@interned
-class Or(Node):
-    left: "Assertion"
-    right: "Assertion"
+class Chain(Node):
+    """Or, And and Star: a chain p1 op ... op pn, n >= 2, of \\/, /\\ or *
+    as one node holding the tuple `parts`.  As in Seq, a leading chain of
+    the class is spliced and a trailing one is not, so each node stands
+    for one binary tree `(p1 op ... op pn-1) op pn` (halves, join)."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts):
+        if type(parts[0]) is cls:
+            parts = parts[0].parts + parts[1:]
+        return intern((cls, parts))
 
 
 @interned
-class And(Node):
-    left: "Assertion"
-    right: "Assertion"
+class Or(Chain):
+    parts: tuple
+
+
+@interned
+class And(Chain):
+    parts: tuple
 
 
 @interned
@@ -342,9 +356,8 @@ class Emp(Node):
 
 
 @interned
-class Star(Node):
-    left: "Assertion"
-    right: "Assertion"
+class Star(Chain):
+    parts: tuple
 
 
 @interned
@@ -417,9 +430,9 @@ SCHEMA = {
     EvalAt: ("addr",), LetNew: ("*inits", "^body"), Free: ("addr",),
     Skip: (), Seq: ("*cmds",), If: ("lhs", "rhs", "then", "els"),
     FalseA: (), TrueA: (), Emp: (),
-    Or: ("left", "right"), And: ("left", "right"),
-    Implies: ("left", "right"), Star: ("left", "right"),
-    Tensor: ("left", "right"), Forall: ("^body",), Exists: ("^body",),
+    Or: ("*parts",), And: ("*parts",), Star: ("*parts",),
+    Implies: ("left", "right"), Tensor: ("left", "right"),
+    Forall: ("^body",), Exists: ("^body",),
     Eq: ("left", "right"), Leq: ("left", "right"),
     PointsTo: ("addr", "value"), Triple: ("pre", "code", "post"),
     RelVar: ("*args",), Mu: ("^body", "*args"), Diamond: ("body",),
@@ -468,7 +481,8 @@ def map_children(node, f, *args, scoped=None):
         a = scoped if under and scoped is not None else args
         old = getattr(node, name)
         if many:
-            new = tuple([f(c, *a) for c in old])
+            # no comprehension: its frame would add one per nesting level
+            new = tuple(map(f, old, *map(itertools.repeat, a)))
             if all(map(operator.is_, new, old)):
                 continue
         else:
@@ -751,15 +765,13 @@ def _canon(ast, venv, renv):
     if t is Var:   # walked under venv only when venv binds it
         key = Var(f"#{venv[::-1].index(ast.name)}") if venv else ast
     elif t is Star or t is And or t is Or:
-        parts, stack = [], [ast]
-        while stack:
-            p = stack.pop()
-            if type(p) is t:
-                stack += p.right, p.left
-            elif t is not Star or type(p) is not Emp:
-                parts.append(_canon(p, venv, renv))
-        parts.sort(key=operator.attrgetter("_id"))
-        key = functools.reduce(t, parts) if parts else Emp()
+        parts = [p for p in flatten(ast, t)
+                 if t is not Star or type(p) is not Emp]
+        parts = sorted(map(_canon, parts, itertools.repeat(venv),
+                           itertools.repeat(renv)),
+                       key=operator.attrgetter("_id"))
+        key = t(tuple(parts)) if len(parts) > 1 else parts[0] if parts \
+            else Emp()
     elif t in _BINDERS:
         names, rnames = binders(ast)
         key = _rebind(map_children(ast, _canon, venv, renv,
@@ -779,25 +791,45 @@ def equal_mod_ac(P: Ast, Q: Ast) -> bool:
     return P is Q or canon_key(P) is canon_key(Q)
 
 
-# convenient n-ary builders
+# chains
 
 
 def star(*parts: Assertion) -> Assertion:
-    return functools.reduce(Star, parts) if parts else Emp()
+    return Star(parts) if len(parts) > 1 else parts[0] if parts else Emp()
 
 
 def conj(*parts: Assertion) -> Assertion:
-    return functools.reduce(And, parts) if parts else TrueA()
+    return And(parts) if len(parts) > 1 else parts[0] if parts else TrueA()
 
 
 def circ(P: Assertion, R: Assertion) -> Assertion:
     """Invariant combination (P (*) R) * R: the world generated by P
     extended by the invariant R and separately conjoined with it."""
-    return Star(Tensor(P, R), R)
+    return Star((Tensor(P, R), R))
 
 
-def star_parts(P: Assertion) -> list:
-    """Flatten nested Star into a list of non-Star components."""
-    if type(P) is not Star:
-        return [P]
-    return star_parts(P.left) + star_parts(P.right)
+def halves(P):
+    """(left, right) of a binary node; a chain's left is the node of all
+    its parts but the last."""
+    if isinstance(P, Chain):
+        init = P.parts[:-1]
+        return (init[0] if len(init) == 1 else type(P)(init)), P.parts[-1]
+    return P.left, P.right
+
+
+def join(cls, left, right):
+    """The binary node of cls over left and right; inverts halves."""
+    return cls((left, right)) if issubclass(cls, Chain) else cls(left, right)
+
+
+def flatten(P: Assertion, cls=Star) -> list:
+    """The parts of P as a chain of cls, nested chains of cls flattened:
+    `a * (b * c)` gives [a, b, c]."""
+    out, stack = [], [P]
+    while stack:
+        p = stack.pop()
+        if type(p) is cls:
+            stack.extend(reversed(p.parts))
+        else:
+            out.append(p)
+    return out

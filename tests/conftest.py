@@ -8,10 +8,10 @@ import pytest
 from sepstore.fuzz import INTS, fuzz_config
 from sepstore.semantics import Fail, Tester
 from sepstore.syntax import (
-    And, Assertion, Assign, BinOp, Diamond, Emp, Eq, EvalAt, Exists, FalseA,
-    Forall, Free, If, Implies, IntLit, LetDeref, LetNew, Leq, Mu, Or,
+    And, Assertion, Assign, BinOp, Chain, Diamond, Emp, Eq, EvalAt, Exists,
+    FalseA, Forall, Free, If, Implies, IntLit, LetDeref, LetNew, Leq, Mu, Or,
     PointsTo, Quote, RelVar, Seq, Skip, Star, Tensor, Triple, TrueA, Var,
-    children, free_vars, substitute,
+    children, free_vars, halves, substitute,
 )
 
 
@@ -98,11 +98,11 @@ def rand_asn(rng, names=None, depth=3):
         return Leq(rand_expr(rng, 1), rand_expr(rng, 1))
     sub = lambda: rand_asn(rng, names, depth - 1)
     if roll < 0.42:
-        return Star(sub(), sub())
+        return Star((sub(), sub()))
     if roll < 0.52:
-        return And(sub(), sub())
+        return And((sub(), sub()))
     if roll < 0.6:
-        return Or(sub(), sub())
+        return Or((sub(), sub()))
     if roll < 0.68:
         return Implies(sub(), sub())
     if roll < 0.74:
@@ -118,7 +118,7 @@ def rand_asn(rng, names=None, depth=3):
     # a recursive assertion; the body keeps X under a triple so the term
     # stays formally contractive
     x = f"X{names.fresh()}"
-    return Mu(x, (), Triple(Star(RelVar(x), sub()), rand_expr(rng, 1),
+    return Mu(x, (), Triple(Star((RelVar(x), sub())), rand_expr(rng, 1),
                             sub()), ())
 
 
@@ -146,7 +146,9 @@ _ASSERTIONS = frozenset(get_args(Assertion))
 
 def _sub_assertions(P):
     """The assertion sub-terms of P, P included, in pre-order, that mention
-    no variable or relation variable bound above them."""
+    no variable or relation variable bound above them.  A chain is walked
+    as its binary tree (syntax.halves), so the node of each of its
+    prefixes is a sub-term too."""
     out, stack = [], [P]
     while stack:
         t = stack.pop()
@@ -154,7 +156,8 @@ def _sub_assertions(P):
             fv, frv = free_vars(t)
             if fv <= set(FREE_NAMES) and not frv:
                 out.append(t)
-        stack.extend(reversed(list(children(t))))
+        stack.extend(reversed(halves(t) if isinstance(t, Chain)
+                              else list(children(t))))
     return out
 
 
@@ -193,14 +196,14 @@ def entail_pairs(seed, depth=2):
     v = names.fresh()
     return dict(zip(SHAPES, (
         (A, B),
-        (And(A, B), A),
+        (And((A, B)), A),
         (A, rng.choice(_sub_assertions(A))),
         (substitute(A, {"x": e}), Exists(v, substitute(A, {"x": Var(v)}))),
-        (Star(A, F), Star(F2, A)),
-        (Star(A, F), Star(F2, Or(A, B))),
-        (Star(A, F), Star(F2, B)),
-        (Emp(), Star(Or(Emp(), A), Or(Emp(), B))),
-        (Star(And(Emp(), A), And(Emp(), B)), Emp()),
+        (Star((A, F)), Star((F2, A))),
+        (Star((A, F)), Star((F2, Or((A, B))))),
+        (Star((A, F)), Star((F2, B))),
+        (Emp(), Star((Or((Emp(), A)), Or((Emp(), B))))),
+        (Star((And((Emp(), A)), And((Emp(), B)))), Emp()),
     )))
 
 

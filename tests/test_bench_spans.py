@@ -28,7 +28,7 @@ from sepstore.semantics import Tester
 res = fuzz_rule("Skip", Tester(fuzz_config()), random.Random(0), 1)
 from sepstore.syntax import Emp, IntLit, PointsTo, Star, equal_mod_ac
 cell = PointsTo(IntLit(1), IntLit(2))
-assert equal_mod_ac(Star(cell, Emp()), cell)
+assert equal_mod_ac(Star((cell, Emp())), cell)
 print(json.dumps({"samples": res.samples, "testers": len(testers),
                   "spans": tracer.snapshot()["spans"],
                   "counts": spans.tester_counts(testers)}))

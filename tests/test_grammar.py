@@ -31,14 +31,14 @@ def test_parse_precedence():
     a = parse("true => emp \\/ emp /\\ true * emp", "assertion")
     assert type(a) is Implies
     assert type(a.right) is Or
-    assert type(a.right.right) is And
-    assert type(a.right.right.right) is Star
+    assert type(a.right.parts[-1]) is And
+    assert type(a.right.parts[-1].parts[-1]) is Star
 
 
 def test_star_binds_tighter_than_and():
     a = parse("1 |-> 0 * 2 |-> 1 /\\ true", "assertion")
-    assert a == And(Star(PointsTo(IntLit(1), IntLit(0)),
-                         PointsTo(IntLit(2), IntLit(1))), TrueA())
+    assert a == And((Star((PointsTo(IntLit(1), IntLit(0)),
+                           PointsTo(IntLit(2), IntLit(1)))), TrueA()))
 
 
 def test_multiplication_needs_parens():
@@ -51,7 +51,7 @@ def test_multiplication_needs_parens():
 
 def test_tensor_and_diamond():
     a = parse("(emp (*) true) * <> emp", "assertion")
-    assert a == Star(Tensor(Emp(), TrueA()), Diamond(Emp()))
+    assert a == Star((Tensor(Emp(), TrueA()), Diamond(Emp())))
 
 
 def test_triple_and_quote():
@@ -71,8 +71,8 @@ def test_points_to_triple_sugar():
     a = parse("3 |-> {emp}_{true}", "assertion")
     assert type(a) is Exists
     assert type(a.body) is And
-    assert a.body.left == PointsTo(IntLit(3), Var(a.var))
-    assert a.body.right == Triple(Emp(), Var(a.var), TrueA())
+    assert a.body.parts == (PointsTo(IntLit(3), Var(a.var)),
+                            Triple(Emp(), Var(a.var), TrueA()))
 
 
 def test_parse_mu_contractive_only():
@@ -215,7 +215,7 @@ def _rand_mu_term(rng, depth):
         return text, RelVar(name, args)
     (a, p), (b, q) = (_rand_mu_term(rng, depth - 1) for _ in range(2))
     if roll < 0.45:
-        return f"({a} * {b})", Star(p, q)
+        return f"({a} * {b})", Star((p, q))
     if roll < 0.6:
         return f"{{{a}}} 'skip' {{{b}}}", Triple(p, Quote(Skip()), q)
     if roll < 0.7:
@@ -292,14 +292,56 @@ assert a is not b and equal_mod_ac(a, b) and canon_key(a) is not a
 """
 
 
+# the same for a chain of each of *, /\\ and \\/, named in argv[1]
+EVERY_LAYER_CHAIN = """
+import sys
+from sepstore.grammar import parse, pretty_asn
+from sepstore.logic import entail_basic, normalize_otimes
+from sepstore.syntax import (And, Exists, IntLit, Or, Star, Var, canon_key,
+                             flatten, free_vars, substitute)
+
+n = 10_000
+sym = sys.argv[1]
+cls = {"*": Star, "/\\\\": And, "\\\\/": Or}[sym]
+text = f" {sym} ".join(f"{i} |-> x" for i in range(n))
+P = parse(text, "assertion")
+assert type(P) is cls and len(P.parts) == n
+assert pretty_asn(P) == text and parse(pretty_asn(P), "assertion") is P
+assert len(flatten(P, cls)) == n
+assert free_vars(P) == ({"x"}, set())
+Q = substitute(P, {"x": IntLit(1)})
+assert Q is parse(text.replace("x", "1"), "assertion")
+# canon_key bare and under a binder: equal up to AC and alpha
+back = parse(f" {sym} ".join(f"{i} |-> x" for i in reversed(range(n))),
+             "assertion")
+assert canon_key(back) is canon_key(P) and len(canon_key(P).parts) == n
+bound = [Exists(v, substitute(P, {"x": Var(v)})) for v in "yz"]
+assert canon_key(bound[0]) is canon_key(bound[1])
+assert free_vars(bound[0]) == (set(), set())
+assert normalize_otimes(P) is P
+assert entail_basic(P, P)
+"""
+
+
+def _fresh_process(*args):
+    """Run python with args in a fresh process, whose stack holds none of
+    the test runner's frames, on this tree's sources."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_ten_thousand_statement_chain_through_every_layer():
     # a fresh process: a chain is one node, so each traversal crosses it
     # in one frame
-    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", EVERY_LAYER],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    done = _fresh_process("-c", EVERY_LAYER)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("sym", ["*", "/\\", "\\/"])
+def test_ten_thousand_part_chain_through_every_layer(sym):
+    done = _fresh_process("-c", EVERY_LAYER_CHAIN, sym)
     assert done.returncode == 0, done.stderr[-2000:]
 
 
@@ -312,6 +354,17 @@ def test_leading_sequence_is_spliced():
     assert right is Seq((a, Seq((b, c)))) and right is not left
     assert pretty_cmd(left) == "skip ; [1] := 1 ; eval [2]"
     assert pretty_cmd(right) == "skip ; ([1] := 1 ; eval [2])"
+    # the same for each chain connective, which prints as a binary one
+    # associating to the left
+    a, b, c = (parse(t, "assertion") for t in ("1 |-> 0", "x = 1", "emp"))
+    for cls, sym in ((Star, "*"), (And, "/\\"), (Or, "\\/")):
+        left = parse(f"(1 |-> 0 {sym} x = 1) {sym} emp", "assertion")
+        assert left is parse(f"1 |-> 0 {sym} x = 1 {sym} emp", "assertion")
+        assert left is cls((cls((a, b)), c)) is cls((a, b, c))
+        right = parse(f"1 |-> 0 {sym} (x = 1 {sym} emp)", "assertion")
+        assert right is cls((a, cls((b, c)))) and right is not left
+        assert pretty(left) == f"1 |-> 0 {sym} x = 1 {sym} emp"
+        assert pretty(right) == f"1 |-> 0 {sym} (x = 1 {sym} emp)"
 
 
 def test_thousand_statement_chain_prints_from_the_command_line(tmp_path):
@@ -325,6 +378,27 @@ def test_thousand_statement_chain_prints_from_the_command_line(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout == path.read_text() + "\n"
+
+
+THOUSAND_STARS = " * ".join(f"{i} |-> 0" for i in range(1000))
+
+
+def test_thousand_part_chain_parses_from_the_command_line(tmp_path):
+    # a fresh process: the chain is read into one node and printed flat
+    path = tmp_path / "chain.asn"
+    path.write_text(THOUSAND_STARS)
+    done = _fresh_process("-m", "sepstore.cli", "parse", "--kind",
+                          "assertion", str(path))
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == THOUSAND_STARS + "\n"
+
+
+def test_thousand_part_entailment_checks_from_the_command_line(tmp_path):
+    path = tmp_path / "chain.proof"
+    goal = f"{THOUSAND_STARS} => {THOUSAND_STARS}"
+    path.write_text(f'(rule Entail (conclude "{goal}"))\n')
+    done = _fresh_process("-m", "sepstore.cli", "check", str(path))
+    assert done.returncode == 0, done.stderr[-2000:] + done.stdout[-2000:]
 
 
 def test_long_sequence_parses_runs_and_prints():

@@ -75,7 +75,7 @@ def test_check_never_trusts_stated_conclusions():
     # outer node would accept it as a premise
     bad = make_node("Skip", [], Triple(A("emp"), SKIP, A("false")))
     outer = make_node("AndI", [bad, bad],
-                      And(bad.conclusion.goal, bad.conclusion.goal))
+                      And((bad.conclusion.goal, bad.conclusion.goal)))
     report = check_proof(outer)
     assert not report.ok
     assert all("0" in path for path, _ in report.failures)
@@ -112,7 +112,7 @@ def test_check_hypothesis_discipline():
     impi = make_node("ImpI", [hyp], Implies(h, h))
     assert check_proof(impi).ok
     # a premise with hypotheses the conclusion lacks is rejected
-    leak = make_node("AndE1", [make_node("AndI", [hyp, hyp], And(h, h),
+    leak = make_node("AndE1", [make_node("AndI", [hyp, hyp], And((h, h)),
                                          hyps=(h,))], h)
     assert not check_proof(leak).ok
 
@@ -352,8 +352,8 @@ def test_invariance_requires_pure_conjunct():
 
 
 def test_out_accepts_composite_conjunct():
-    phi = And(Eq(IntLit(1), IntLit(1)), Eq(IntLit(0), IntLit(0)))
-    pre = And(phi, A("1 |-> 0"))
+    phi = And((Eq(IntLit(1), IntLit(1)), Eq(IntLit(0), IntLit(0))))
+    pre = And((phi, A("1 |-> 0")))
     j = apply_rule("Out", {"phi": phi}, [J(Triple(pre, SKIP, TrueA()))])
     assert j.goal == Implies(phi, Triple(A("1 |-> 0"), SKIP, TrueA()))
 
@@ -365,12 +365,12 @@ def test_out_accepts_composite_conjunct():
 def test_entail_basic_positive():
     X = A("1 |-> 0")
     assert entail_basic(X, X)
-    assert entail_basic(And(X, TrueA()), X)
-    assert entail_basic(X, Or(X, FalseA()))
+    assert entail_basic(And((X, TrueA())), X)
+    assert entail_basic(X, Or((X, FalseA())))
     assert entail_basic(FalseA(), X)
-    assert entail_basic(Star(X, A("2 |-> 1")), Star(A("2 |-> 1"), X))
-    assert entail_basic(Star(Emp(), X), X)      # unit normalization
-    assert entail_basic(X, Star(X, Emp()))
+    assert entail_basic(Star((X, A("2 |-> 1"))), Star((A("2 |-> 1"), X)))
+    assert entail_basic(Star((Emp(), X)), X)      # unit normalization
+    assert entail_basic(X, Star((X, Emp())))
     assert entail_basic(A("1 |-> 0"), A("exists v. 1 |-> v"))
     assert entail_basic(A("1 |-> 0 * 2 |-> 1"), A("1 |-> _ * 2 |-> 1"))
 
@@ -387,7 +387,8 @@ def test_entail_basic_star_unit_under_binders():
     # memo table
     P = A("emp * (1 |-> 0 /\\ true)")
     assert entail_basic(P, A("1 |-> 0"))
-    assert entail_basic(Star(Emp(), Star(Emp(), A("1 |-> 0"))), A("1 |-> 0"))
+    assert entail_basic(Star((Emp(), Star((Emp(), A("1 |-> 0"))))),
+                        A("1 |-> 0"))
 
 
 # each branch of the engine by one derivable and one underivable pair
@@ -529,5 +530,5 @@ def test_script_errors():
 def test_iff_helpers():
     a, b = A("emp"), A("true")
     assert match_iff(iff(a, b)) == (a, b)
-    assert match_iff(And(Implies(a, b), Implies(a, b))) is None
+    assert match_iff(And((Implies(a, b), Implies(a, b)))) is None
     assert match_iff(a) is None

@@ -148,7 +148,7 @@ def canon_reference(t, venv=(), renv=()):
     """canon_key with no cache, written without the code under test:
     bound names as de Bruijn indices and binder names blanked; the parts
     of * /\\ \\/ flattened, emp dropped from *, sorted by serial and
-    nested to the left."""
+    nested to the left, one binary node at a time."""
     k = type(t)
     if k is Var and t.name in venv:
         return Var(f"#{venv[::-1].index(t.name)}")
@@ -156,7 +156,8 @@ def canon_reference(t, venv=(), renv=()):
         parts = [canon_reference(p, venv, renv) for p in flat(t, k)]
         if k is Star:
             parts = [p for p in parts if p is not Emp()]
-        return functools.reduce(k, by_serial(parts)) if parts else Emp()
+        return functools.reduce(lambda l, r: k((l, r)),
+                                by_serial(parts)) if parts else Emp()
     names, rnames = binders(t)
     u = map_children(t, canon_reference, venv, renv,
                      scoped=(venv + names, renv + rnames))
@@ -167,23 +168,34 @@ def canon_reference(t, venv=(), renv=()):
     return syntax.replace(u, var="") if names else u
 
 
+def binary(t):
+    """A chain of * /\\ \\/ as the binary node it stands for: the node of
+    all its parts but the last, and its last part."""
+    init = t.parts[:-1]
+    return (init[0] if len(init) == 1 else type(t)(init)), t.parts[-1]
+
+
 def flat(t, k):
     if type(t) is not k:
         return [t]
-    return flat(t.left, k) + flat(t.right, k)
+    left, right = binary(t)
+    return flat(left, k) + flat(right, k)
 
 
 def strip_reference(a):
     """_strip_units with no cache, written without the code under test:
-    emp units under * removed everywhere but inside atoms and triples."""
+    emp units under * removed everywhere but inside atoms and triples,
+    one binary * at a time."""
     if type(a) not in _CONNECTIVES:
         return a
-    b = map_children(a, strip_reference)
-    if type(b) is Star and type(b.left) is Emp:
-        return b.right
-    if type(b) is Star and type(b.right) is Emp:
-        return b.left
-    return b
+    if type(a) is not Star:
+        return map_children(a, strip_reference)
+    left, right = map(strip_reference, binary(a))
+    if type(left) is Emp:
+        return right
+    if type(right) is Emp:
+        return left
+    return Star((left, right))
 
 
 def corpus():
@@ -200,13 +212,13 @@ def corpus():
 
 def test_shared_node_inside_and_outside_its_binder():
     p = PointsTo(IntLit(1), Var("x"))
-    t = Star(p, Exists("x", p))
-    assert Star(PointsTo(IntLit(1), Var("x")),
-                Exists("x", PointsTo(IntLit(1), Var("x")))) is t
-    assert t.left is t.right.body
+    t = Star((p, Exists("x", p)))
+    assert Star((PointsTo(IntLit(1), Var("x")),
+                 Exists("x", PointsTo(IntLit(1), Var("x"))))) is t
+    assert t.parts[0] is t.parts[1].body
     clear(t)
     e = Exists("", PointsTo(IntLit(1), Var("#0")))
-    assert canon_key(t) is Star(*by_serial([e, p]))
+    assert canon_key(t) is Star(tuple(by_serial([e, p])))
     # p is its own closed form, cached now; under the binder it must not
     # leak
     assert p._key is p
@@ -299,8 +311,8 @@ def test_copies_pickles_and_replace_return_the_canonical_node():
     t = parse("exists y. 1 |-> y * emp", "assertion")
     assert syntax.replace(t, var="z") is parse("exists z. 1 |-> y * emp",
                                                "assertion")
-    assert syntax.replace(t.body, right=Emp()) is Star(
-        PointsTo(IntLit(1), Var("y")), Emp())
+    assert syntax.replace(t.body, parts=(t.body.parts[0], Emp())) is Star((
+        PointsTo(IntLit(1), Var("y")), Emp()))
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.var = "z"
 
@@ -444,7 +456,7 @@ def test_hash_is_computed_once():
             return 7
 
     v = Counted()
-    t = Star(PointsTo(IntLit(1), ValueLit(v)), Exists("x", Var("x")))
+    t = Star((PointsTo(IntLit(1), ValueLit(v)), Exists("x", Var("x"))))
     # made once: the payload is hashed while the ValueLit is looked up,
     # kept and given its own hash, and never again
     made = Counted.calls
@@ -454,14 +466,14 @@ def test_hash_is_computed_once():
     assert hash(t) == first and Counted.calls == made
     assert not filled(t)
     # the sub-terms' hashes were kept while hashing t
-    assert hash(t.left.value) and Counted.calls == made
+    assert hash(t.parts[0].value) and Counted.calls == made
     # making t again looks the ValueLit up by its payload; every other
     # node is looked up by the kept hashes of its fields
-    assert Star(PointsTo(IntLit(1), ValueLit(v)),
-                Exists("x", Var("x"))) is t
+    assert Star((PointsTo(IntLit(1), ValueLit(v)),
+                 Exists("x", Var("x")))) is t
     assert Counted.calls == made + 1 and hash(t) == first
     # the value is the hash of the class name and the field tuple
-    assert first == hash(("Star", t.left, t.right))
+    assert first == hash(("Star", t.parts))
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +514,9 @@ def test_star_form_ignores_which_part_was_made_first():
         if flip:
             a, b = b, a
         assert (a._id < b._id) is not flip
-        assert canon_key(Star(a, b)) is canon_key(Star(b, a))
-        assert canon_key(Star(Emp(), Star(b, a))) is canon_key(Star(a, b))
+        assert canon_key(Star((a, b))) is canon_key(Star((b, a)))
+        assert canon_key(Star((Emp(), Star((b, a))))) \
+            is canon_key(Star((a, b)))
 
 
 DEEP_CHAINS = """
@@ -513,7 +526,7 @@ from sepstore.syntax import IntLit, PointsTo, Star
 def chain(n, tag):
     t = PointsTo(IntLit(0), IntLit(tag))
     for i in range(1, n + 1):
-        t = Star(PointsTo(IntLit(i), IntLit(tag)), t)
+        t = Star((PointsTo(IntLit(i), IntLit(tag)), t))
     return t
 
 shallow, deep = chain(490, 1), chain(900, 2)

@@ -47,10 +47,10 @@ def test_star_is_commutative_associative_monotone_with_unit_emp():
 
         for P, Q, R in triples:
             where = (text, pretty(P), pretty(Q), pretty(R))
-            pq = den(Star(P, Q))
-            assert pq == den(Star(Q, P)), where
-            assert den(Star(Star(P, Q), R)) == den(Star(P, Star(Q, R))), \
+            pq = den(Star((P, Q)))
+            assert pq == den(Star((Q, P))), where
+            assert den(Star((Star((P, Q)), R))) \
+                == den(Star((P, Star((Q, R))))), where
+            assert den(Star((P, Emp()))) == den(P) == den(Star((Emp(), P))), \
                 where
-            assert den(Star(P, Emp())) == den(P) == den(Star(Emp(), P)), \
-                where
-            assert pq <= den(Star(Or(P, R), Or(Q, R))), where
+            assert pq <= den(Star((Or((P, R)), Or((Q, R))))), where

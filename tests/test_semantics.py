@@ -95,8 +95,8 @@ def test_member_star_splits(lean_tester):
     assert member(t, P, Heap(((1, IntVal(0)), (2, IntVal(1)))))
     assert not member(t, P, Heap(((1, IntVal(0)),)))
     assert member(t, A("1 |-> 0 * emp"), Heap(((1, IntVal(0)),)))
-    assert member(t, Star(FalseA(), TrueA()), BOT)
-    assert not member(t, Star(FalseA(), TrueA()), EMPTY_HEAP)
+    assert member(t, Star((FalseA(), TrueA())), BOT)
+    assert not member(t, Star((FalseA(), TrueA())), EMPTY_HEAP)
 
 
 def test_member_quantifiers(lean_tester):

@@ -61,10 +61,10 @@ def membership_terms():
     a = lambda depth=1: fuzz.assertion(rng, depth)
     terms = [a(2) for _ in range(70)]
     for _ in range(12):
-        terms.append(Exists("v", And(PointsTo(fuzz.addr(rng), Var("v")),
-                                     a())))
-        terms.append(Forall("v", Or(PointsTo(fuzz.addr(rng), Var("v")),
-                                    a())))
+        terms.append(Exists("v", And((PointsTo(fuzz.addr(rng), Var("v")),
+                                      a()))))
+        terms.append(Forall("v", Or((PointsTo(fuzz.addr(rng), Var("v")),
+                                     a()))))
     terms += [fuzz._contractive_mu(rng) for _ in range(14)]
     terms += [Tensor(a(), a()) for _ in range(12)]
     terms += [Diamond(a()) for _ in range(10)]

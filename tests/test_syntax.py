@@ -1,17 +1,18 @@
 """Unit and property tests for the AST layer."""
 
+import functools
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import Names, rand_asn
-from sepstore.grammar import parse
+from sepstore.grammar import parse, pretty
 from sepstore.syntax import (
-    And, BinOp, Emp, Eq, Exists, FalseA, Forall, GENERAL, Implies, IntLit,
-    LetNew, Leq, Mu, Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar, Skip,
-    Star, Tensor, Triple, TrueA, Var, canon_key, classify, conj,
-    contractive_in, equal_mod_ac, free_vars, fresh_name, map_children, star,
-    star_parts, substitute, unfold,
+    And, BinOp, Chain, Emp, Eq, Exists, FalseA, Forall, GENERAL, Implies,
+    IntLit, LetNew, Leq, Mu, Or, PointsTo, PSEUDO_PURE, PURE, Quote, RelVar,
+    Skip, Star, Tensor, Triple, TrueA, Var, canon_key, children, classify,
+    conj, contractive_in, equal_mod_ac, flatten, free_vars, fresh_name,
+    halves, join, map_children, star, substitute, unfold,
 )
 
 SKIP = Quote(Skip())
@@ -26,30 +27,30 @@ def test_classify_pure():
     assert classify(TrueA()) == PURE
     assert classify(Eq(Var("x"), IntLit(1))) == PURE
     assert classify(Leq(IntLit(0), Var("y"))) == PURE
-    assert classify(And(Eq(IntLit(1), IntLit(1)), FalseA())) == PURE
+    assert classify(And((Eq(IntLit(1), IntLit(1)), FalseA()))) == PURE
     assert classify(Forall("x", Implies(Eq(Var("x"), IntLit(0)),
                                         TrueA()))) == PURE
 
 
 def test_classify_pseudo_pure():
     assert classify(TRIP) == PSEUDO_PURE
-    assert classify(And(TRIP, Eq(IntLit(1), IntLit(1)))) == PSEUDO_PURE
-    assert classify(Or(TRIP, TRIP)) == PSEUDO_PURE
+    assert classify(And((TRIP, Eq(IntLit(1), IntLit(1))))) == PSEUDO_PURE
+    assert classify(Or((TRIP, TRIP))) == PSEUDO_PURE
     assert classify(Tensor(TRIP, PointsTo(IntLit(1), IntLit(0)))) \
         == PSEUDO_PURE
     # a recursion variable bound by an enclosing mu stays in the class
-    m = Mu("X", (), And(TRIP, RelVar("X")), ())
+    m = Mu("X", (), And((TRIP, RelVar("X"))), ())
     assert classify(m) == PSEUDO_PURE
 
 
 def test_classify_general():
     assert classify(Emp()) == GENERAL
     assert classify(PointsTo(IntLit(1), IntLit(0))) == GENERAL
-    assert classify(Star(TRIP, TRIP)) == GENERAL
+    assert classify(Star((TRIP, TRIP))) == GENERAL
     assert classify(Implies(TRIP, TRIP)) == GENERAL
     # an unbound relation variable could be instantiated with anything
     assert classify(RelVar("X")) == GENERAL
-    assert classify(And(TRIP, PointsTo(IntLit(1), IntLit(0)))) == GENERAL
+    assert classify(And((TRIP, PointsTo(IntLit(1), IntLit(0))))) == GENERAL
 
 
 # ---------------------------------------------------------------------------
@@ -59,18 +60,18 @@ def test_classify_general():
 def test_contractive_under_triple_and_tensor_right():
     assert contractive_in(Triple(RelVar("X"), SKIP, RelVar("X")), "X")
     assert contractive_in(Tensor(Emp(), RelVar("X")), "X")
-    assert contractive_in(Star(TRIP, Triple(RelVar("X"), SKIP, Emp())), "X")
+    assert contractive_in(Star((TRIP, Triple(RelVar("X"), SKIP, Emp()))), "X")
 
 
 def test_not_contractive_when_exposed():
     assert not contractive_in(RelVar("X"), "X")
-    assert not contractive_in(Star(RelVar("X"), Emp()), "X")
+    assert not contractive_in(Star((RelVar("X"), Emp())), "X")
     assert not contractive_in(Tensor(RelVar("X"), Emp()), "X")
-    assert not contractive_in(Exists("y", And(RelVar("X"), TrueA())), "X")
+    assert not contractive_in(Exists("y", And((RelVar("X"), TrueA()))), "X")
 
 
 def test_contractive_shadowed_by_inner_mu():
-    inner = Mu("X", (), Star(RelVar("X"), Emp()), ())
+    inner = Mu("X", (), Star((RelVar("X"), Emp())), ())
     assert contractive_in(inner, "X")
 
 
@@ -143,24 +144,24 @@ def test_unfold_keeps_an_enclosing_relation_variable_free():
 
 
 def test_substitute_relvar():
-    body = Star(RelVar("X", (IntLit(1),)), Emp())
+    body = Star((RelVar("X", (IntLit(1),)), Emp()))
     out = substitute(body, rel_map={"X": (("p",),
                                           PointsTo(Var("p"), IntLit(0)))})
-    assert out == Star(PointsTo(IntLit(1), IntLit(0)), Emp())
+    assert out == Star((PointsTo(IntLit(1), IntLit(0)), Emp()))
 
 
 def test_traversals_keep_unchanged_subterms():
     """map_children returns the node itself when no sub-term changed, so
     substitution shares every sub-term it leaves alone."""
     code = Quote(LetNew("b", (Var("y"), IntLit(0)), Skip()))
-    a = Star(Exists("b", PointsTo(Var("x"), Var("b"))),
-             Mu("X", ("p",), Triple(RelVar("X", (Var("p"),)), code, Emp()),
-                (Var("z"),)))
+    a = Star((Exists("b", PointsTo(Var("x"), Var("b"))),
+              Mu("X", ("p",), Triple(RelVar("X", (Var("p"),)), code, Emp()),
+                 (Var("z"),))))
     assert map_children(a, lambda c: c) is a
     assert substitute(a, {"w": IntLit(1)}) is a
     b = substitute(a, {"z": IntLit(1)})
-    assert b.left is a.left and b.right.body is a.right.body
-    assert b.right.args == (IntLit(1),)
+    assert b.parts[0] is a.parts[0] and b.parts[1].body is a.parts[1].body
+    assert b.parts[1].args == (IntLit(1),)
 
 
 @settings(max_examples=60)
@@ -191,9 +192,9 @@ def test_substitution_free_vars_shrink(seed):
 
 def test_equal_mod_ac_star():
     P, Q, R = PointsTo(IntLit(1), IntLit(0)), TrueA(), Emp()
-    assert equal_mod_ac(Star(P, Star(Q, R)), Star(Star(R, Q), P))
-    assert equal_mod_ac(Star(P, Emp()), P)
-    assert not equal_mod_ac(Star(P, Q), And(P, Q))
+    assert equal_mod_ac(Star((P, Star((Q, R)))), Star((Star((R, Q)), P)))
+    assert equal_mod_ac(Star((P, Emp())), P)
+    assert not equal_mod_ac(Star((P, Q)), And((P, Q)))
 
 
 def test_equal_mod_ac_alpha():
@@ -219,7 +220,81 @@ def test_builders():
     P, Q = TrueA(), Emp()
     assert star() == Emp()
     assert star(P) == P
-    assert star(P, Q, P) == Star(Star(P, Q), P)
+    assert star(P, Q, P) == Star((Star((P, Q)), P))
     assert conj() == TrueA()
-    assert conj(P, Q) == And(P, Q)
-    assert star_parts(Star(Star(P, Q), P)) == [P, Q, P]
+    assert conj(P, Q) == And((P, Q))
+    assert flatten(Star((Star((P, Q)), P))) == [P, Q, P]
+    assert flatten(Star((P, Star((Q, P))))) == [P, Q, P]
+    assert flatten(And((P, Q)), And) == [P, Q] and flatten(P) == [P]
+
+
+# ---------------------------------------------------------------------------
+# chains against the binary trees they stand for, written without the code
+# under test
+
+
+def binary(t):
+    """A chain as a binary node: the node of all its parts but the last,
+    and its last part."""
+    init = t.parts[:-1]
+    return (init[0] if len(init) == 1 else type(t)(init)), t.parts[-1]
+
+
+def rebuilt(t):
+    """t rebuilt bottom-up from its binary tree, each binary *, /\\ or \\/
+    made by a constructor call on two operands."""
+    if isinstance(t, Chain):
+        left, right = binary(t)
+        return type(t)((rebuilt(left), rebuilt(right)))
+    return map_children(t, rebuilt)
+
+
+def parts_reference(t, cls):
+    """The leaves of t's binary tree of cls, left to right."""
+    if type(t) is not cls:
+        return [t]
+    left, right = binary(t)
+    return parts_reference(left, cls) + parts_reference(right, cls)
+
+
+def test_chains_are_the_image_of_their_binary_trees():
+    rng = random.Random(5)
+    chains = 0
+    for _ in range(400):
+        t = rand_asn(rng, Names(), depth=4)
+        assert rebuilt(t) is t, repr(t)
+        for cls in (Star, And, Or):
+            assert flatten(t, cls) == parts_reference(t, cls), repr(t)
+        # the builders and the parser fold to the left, as the binary
+        # builders did
+        parts = [rand_asn(rng, Names(), depth=2)
+                 for _ in range(rng.randrange(1, 6))]
+        for build, cls in ((star, Star), (conj, And)):
+            folded = functools.reduce(lambda l, r: cls((l, r)), parts)
+            assert build(*parts) is folded
+        if len(parts) > 1:
+            text = " * ".join(f"({pretty(p)})" for p in parts)
+            assert parse(text, "assertion") is star(*parts)
+        chains += sum(isinstance(s, Chain) and len(s.parts) > 2
+                      for s in _nodes(t))
+    assert chains > 20
+
+
+def _nodes(t):
+    yield t
+    for c in children(t):
+        yield from _nodes(c)
+
+
+def test_halves_and_join_are_inverse():
+    P, Q, R = PointsTo(IntLit(1), IntLit(0)), TrueA(), Emp()
+    for cls in (Star, And, Or):
+        t = cls((P, Q, R))
+        assert halves(t) == (cls((P, Q)), R)
+        assert join(cls, *halves(t)) is t
+        assert halves(cls((P, Q))) == (P, Q)
+        right = cls((P, cls((Q, R))))
+        assert halves(right) == (P, cls((Q, R)))
+        assert join(cls, *halves(right)) is right
+    assert join(Implies, P, Q) is Implies(P, Q)
+    assert halves(Implies(P, Q)) == (P, Q)
