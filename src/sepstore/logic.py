@@ -448,11 +448,11 @@ def _strip_units(a):
     out = _STRIPPED.get(a._id)
     if out is not None:
         return out
-    if type(a) is Star:   # each binary * drops an emp operand
-        parts = tuple(map(_strip_units, a.parts))
-        out = star(*[p for p in parts if type(p) is not Emp])
-    else:
-        out = map_children(a, _strip_units)
+    out = map_children(a, _strip_units)
+    if type(out) is Star:   # each binary * drops an emp operand
+        parts = [p for p in out.parts if type(p) is not Emp]
+        if len(parts) < len(out.parts):
+            out = star(*parts)
     _STRIPPED[a._id] = out
     return out
 

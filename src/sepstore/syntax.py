@@ -301,7 +301,8 @@ class Chain(Node):
     def __new__(cls, parts):
         if type(parts[0]) is cls:
             parts = parts[0].parts + parts[1:]
-        return intern((cls, parts))
+        key = (cls, parts)
+        return _NODES.get(key) or _make(key)
 
 
 @interned
@@ -481,10 +482,13 @@ def map_children(node, f, *args, scoped=None):
         a = scoped if under and scoped is not None else args
         old = getattr(node, name)
         if many:
-            # no comprehension: its frame would add one per nesting level
-            new = tuple(map(f, old, *map(itertools.repeat, a)))
+            # a loop: a comprehension's frame would add one per nesting level
+            new = []
+            for c in old:
+                new.append(f(c, *a))
             if all(map(operator.is_, new, old)):
                 continue
+            new = tuple(new)
         else:
             new = f(old, *a)
             if new is old:
@@ -770,8 +774,7 @@ def _canon(ast, venv, renv):
         parts = sorted(map(_canon, parts, itertools.repeat(venv),
                            itertools.repeat(renv)),
                        key=operator.attrgetter("_id"))
-        key = t(tuple(parts)) if len(parts) > 1 else parts[0] if parts \
-            else Emp()
+        key = star(*parts) if t is Star else t(tuple(parts))
     elif t in _BINDERS:
         names, rnames = binders(ast)
         key = _rebind(map_children(ast, _canon, venv, renv,
@@ -811,10 +814,10 @@ def circ(P: Assertion, R: Assertion) -> Assertion:
 def halves(P):
     """(left, right) of a binary node; a chain's left is the node of all
     its parts but the last."""
-    if isinstance(P, Chain):
-        init = P.parts[:-1]
-        return (init[0] if len(init) == 1 else type(P)(init)), P.parts[-1]
-    return P.left, P.right
+    if not isinstance(P, Chain):
+        return P.left, P.right
+    parts = P.parts
+    return parts if len(parts) == 2 else (type(P)(parts[:-1]), parts[-1])
 
 
 def join(cls, left, right):
@@ -825,11 +828,12 @@ def join(cls, left, right):
 def flatten(P: Assertion, cls=Star) -> list:
     """The parts of P as a chain of cls, nested chains of cls flattened:
     `a * (b * c)` gives [a, b, c]."""
-    out, stack = [], [P]
-    while stack:
-        p = stack.pop()
+    if type(P) is not cls:
+        return [P]
+    out = []
+    for p in P.parts:
         if type(p) is cls:
-            stack.extend(reversed(p.parts))
+            out += flatten(p, cls)
         else:
             out.append(p)
     return out
