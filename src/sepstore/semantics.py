@@ -401,9 +401,15 @@ class Tester:
             addr, cell = h.cells[0]
             return addr == a.n and value_leq(cell, v)
         if t is And:
-            return all(self.member(p, env, w, h) for p in P.parts)
+            for p in P.parts:
+                if not self.member(p, env, w, h):
+                    return False
+            return True
         if t is Or:
-            return any(self.member(p, env, w, h) for p in P.parts)
+            for p in P.parts:
+                if self.member(p, env, w, h):
+                    return True
+            return False
         if t is Implies:
             for hn in truncations(h, "implication"):
                 if self.member(P.left, env, w, hn) \

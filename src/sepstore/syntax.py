@@ -482,13 +482,14 @@ def map_children(node, f, *args, scoped=None):
         a = scoped if under and scoped is not None else args
         old = getattr(node, name)
         if many:
-            # a loop: a comprehension's frame would add one per nesting level
+            # a loop: a comprehension's frame would add one per nesting
+            # level; `==` of tuples of interned nodes compares by identity
             new = []
             for c in old:
                 new.append(f(c, *a))
-            if all(map(operator.is_, new, old)):
-                continue
             new = tuple(new)
+            if new == old:
+                continue
         else:
             new = f(old, *a)
             if new is old:
