@@ -222,9 +222,10 @@ def is_pt_wild(part):
 def part_addr(part):
     """The serial of the canonical address of a part that pins down one
     heap cell."""
-    bound = (part.var,) if type(part) is Exists else ()
-    for a in flatten(part.body if bound else part, And):
-        if type(a) is PointsTo and free_vars(a.addr)[0].isdisjoint(bound):
+    bound = part.var if type(part) is Exists else None
+    for a in flatten(part if bound is None else part.body, And):
+        if type(a) is PointsTo and (bound is None
+                                    or bound not in free_vars(a.addr)[0]):
             return canon_key(a.addr)._id
     return None
 
