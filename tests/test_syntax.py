@@ -265,8 +265,8 @@ def test_chains_are_the_image_of_their_binary_trees():
         assert rebuilt(t) is t, repr(t)
         for cls in (Star, And, Or):
             assert flatten(t, cls) == parts_reference(t, cls), repr(t)
-        # the builders and the parser fold to the left, as the binary
-        # builders did
+        # the builders and the parser give the left fold of two-operand
+        # constructor calls
         parts = [rand_asn(rng, Names(), depth=2)
                  for _ in range(rng.randrange(1, 6))]
         for build, cls in ((star, Star), (conj, And)):
