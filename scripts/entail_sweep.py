@@ -51,10 +51,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     t0 = time.time()
-    tester = Tester(fuzz_config())
     proved, causes, names = Counter(), Counter(), []
     entail_cpu = 0.0
     for seed in range(args.seeds):
+        # a fresh Tester per seed, so that its member cache does not grow
+        # with the length of the sweep
+        tester = Tester(fuzz_config())
         for shape, (P, Q) in entail_pairs(seed).items():
             c0 = time.process_time()
             ok = entail_basic(P, Q)

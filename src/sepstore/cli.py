@@ -2,9 +2,14 @@
 
 Subcommands: parse, run, check, test, counterexamples, normalize.
 
+The checker knows only sound rules.  The unsoundness of a rejected rule is
+shown outside it, by the `counterexamples` registry: for the hypothesis-
+import rule In, the checker rejects a script at its In node alone, and the
+model refutes the triple that script concludes.
+
 Exit codes: 0 success / verified / all-as-registered; 1 fault / rejected /
-refuted / unsoundness demonstrated; 2 out of fuel / inconclusive above the
-threshold; 3 bad input (`error: ...`: a parse, script, config or file
+refuted / a registry entry not as registered; 2 out of fuel / inconclusive
+above the threshold; 3 bad input (`error: ...`: a parse, script, config or file
 error, or a usage error with click's message) and internal errors (an
 uncaught exception is reported as `internal error: ...`, never as a
 verdict).
@@ -22,7 +27,8 @@ from .config import ConfigError, default_config, load_config_file
 from .grammar import ParseError, parse, pretty, pretty_cmd
 from .interp import (EMPTY_ENV, Done, Fault, OutOfFuel, exec_cmd,
                      format_heap, parse_heap_text)
-from .logic import check_proof, normalize_otimes, parse_script, ScriptError
+from .logic import (REJECTED, check_proof, normalize_otimes, parse_script,
+                    ScriptError)
 from .semantics import Fail, Pass, TestConfig, Tester, UniverseTooLarge
 from .syntax import (ArityError, ContractivenessError, Implies, Triple,
                      free_vars)
@@ -145,14 +151,11 @@ def cmd_run(program_path, heap_path, fuel, json_mode):
 @main.command("check")
 @click.argument("script_path")
 @click.option("--json", "json_mode", is_flag=True)
-@click.option("--accept-unsound-in", is_flag=True,
-              help="Debug only: accept the rejected hypothesis-import rule.")
-def cmd_check(script_path, json_mode, accept_unsound_in):
+def cmd_check(script_path, json_mode):
     """Check a proof script."""
     t0 = time.monotonic()
     root = parse_script(_read(script_path))
-    allow = ("In",) if accept_unsound_in else ()
-    report = check_proof(root, allow_unsound=allow)
+    report = check_proof(root)
     _emit(json_mode, "check", pretty(root.conclusion.goal),
           "ok" if report.ok else "rejected", _millis(t0),
           extra={"failures": [{"path": p, "message": m}
@@ -208,25 +211,26 @@ def cmd_normalize(path):
 # (status, detail, witness)
 
 
-def _refuted(text):
+def _refute(tester, goal):
     """The goal has a Fail whose witness replays on a fresh Tester, which
     shares no cached answer with the one that found it."""
-    def check(tester):
-        goal = parse(text, "assertion")
-        kind, v = _test_goal(tester, goal)
-        if isinstance(v, Pass):
-            return ("inconclusive" if v.inconclusive else "unexpected",
-                    "no witness found", None)
-        fresh = Tester(tester.cfg)
-        if kind == "triple":
-            replays = fresh.replay(v.witness, kind, goal.pre,
-                                   (goal.code, goal.post))
-        else:
-            replays = fresh.replay(v.witness, kind, goal)
-        if not replays:
-            return "unexpected", "witness did not replay", None
-        return "as-registered", "witness replays", v.witness.to_json()
-    return check
+    kind, v = _test_goal(tester, goal)
+    if isinstance(v, Pass):
+        return ("inconclusive" if v.inconclusive else "unexpected",
+                "no witness found", None)
+    fresh = Tester(tester.cfg)
+    if kind == "triple":
+        replays = fresh.replay(v.witness, kind, goal.pre,
+                               (goal.code, goal.post))
+    else:
+        replays = fresh.replay(v.witness, kind, goal)
+    if not replays:
+        return "unexpected", "witness did not replay", None
+    return "as-registered", "witness replays", v.witness.to_json()
+
+
+def _refuted(text):
+    return lambda tester: _refute(tester, parse(text, "assertion"))
 
 
 def _valid(text):
@@ -251,6 +255,22 @@ def _rejected(script, rule):
     return check
 
 
+def _in_rule_script_rejected(tester):
+    """The checker rejects the In script at its In node and nowhere else,
+    and the model refutes the root goal the script states: In is the only
+    step between sound rules and a refuted triple."""
+    root = parse_script(_IN_RULE_SCRIPT)
+    report = check_proof(root)
+    if len(report.failures) != 1 or report.failures[0][0] != "0.1" \
+            or REJECTED["In"] not in report.failures[0][1]:
+        return "unexpected", "the rejection is not confined to the In " \
+            "node", None
+    status, detail, witness = _refute(tester, root.conclusion.goal)
+    if status != "as-registered":
+        return status, detail, None
+    return status, report.failures[0][1], witness
+
+
 def _laundering_program_faults(tester):
     prog = parse("let x = [2] in ([3] := x ; eval [3])", "program")
     heap = parse_heap_text("1 = 0\n2 = 'free(-1)'\n3 = 'skip'")
@@ -263,11 +283,11 @@ def _laundering_program_faults(tester):
     return "unexpected", "program terminated normally", None
 
 
-# R = mu X. {X}'skip'{false}.  The script derives {R}'skip'{false} with the
-# rejected hypothesis-import rule; since emp => R holds in the model,
+# R = mu X. {X}'skip'{false}.  The script derives {R}'skip'{false} from
+# sound steps and one application of the rejected hypothesis-import rule
+# In; the model refutes that triple, and since emp => R holds in the model,
 # {emp}'skip'{false} would follow.
 _R = "(mu X. {X} 'skip' {false})"
-_IN_RULE_GOAL = "{$R} 'skip' {false}".replace("$R", _R)
 _IN_RULE_SCRIPT = r"""(rule ImpE
   (premise (rule Conseq
     (premise (rule Entail (conclude "$R => $R /\\ $R")))
@@ -291,7 +311,7 @@ REGISTRY = (
     # so importing the hypothesis R is unsound
     ("in-rule/emp-implies-R", _valid(f"emp => {_R}")),
     ("in-rule/emp-skip-false-refuted", _refuted("{emp} 'skip' {false}")),
-    ("in-rule/script-rejected", _rejected(_IN_RULE_SCRIPT, "In")),
+    ("in-rule/script-rejected", _in_rule_script_rejected),
     # (d) restricted invariance: copying a pseudo-pure conjunct onto a
     # second cell is refuted by a tag mismatch between the two cells
     ("invariance/entailment-refuted", _refuted(
@@ -308,37 +328,21 @@ REGISTRY = (
 )
 
 
-def _in_rule_unsound(tester):
-    """The checker accepts the import script and the model refutes its
-    conclusion."""
-    report = check_proof(parse_script(_IN_RULE_SCRIPT), allow_unsound=("In",))
-    status, _, witness = _refuted(_IN_RULE_GOAL)(tester)
-    if report.ok and status == "as-registered":
-        return "unsound", "the accepted derivation concludes a triple the " \
-            "model refutes", witness
-    return "unexpected", "demonstration did not go through", None
-
-
 @main.command("counterexamples")
 @click.option("--config", "config_path", default=None)
 @click.option("--fuel", type=_FUEL, default=None)
 @click.option("--json", "json_mode", is_flag=True)
-@click.option("--accept-unsound-in", is_flag=True,
-              help="Debug only: demonstrate the unsoundness of the "
-                   "hypothesis-import rule end to end.")
-def cmd_counterexamples(config_path, fuel, json_mode, accept_unsound_in):
+def cmd_counterexamples(config_path, fuel, json_mode):
     """Run the built-in soundness-regression registry."""
     tester = Tester(_load_cfg(config_path, fuel))
     statuses = set()
     for name, check in REGISTRY:
-        if accept_unsound_in and name == "in-rule/script-rejected":
-            name, check = "in-rule/unsoundness-demonstrated", _in_rule_unsound
         t0 = time.monotonic()
         status, detail, witness = check(tester)
         statuses.add(status)
         _emit(json_mode, "counterexample", name, status, _millis(t0),
               witness=witness, extra={"detail": detail})
-    sys.exit(1 if statuses & {"unexpected", "unsound"}
+    sys.exit(1 if "unexpected" in statuses
              else 2 if "inconclusive" in statuses else 0)
 
 

@@ -731,7 +731,6 @@ class _Params:
 
 RULES = {}      # kernel rules
 _MACROS = {}    # derived rules, built from kernel rule applications
-_UNSOUND = {}   # debug-only rules, checked only when explicitly allowed
 
 
 def _rule(name, arity, table=RULES):
@@ -1560,29 +1559,15 @@ def _m_EvalRec(ps, stated):
 
 
 # ---------------------------------------------------------------------------
-# debug-only unsound rule (used by the counterexample demonstration)
-
-
-@_rule("In", 1, _UNSOUND)
-def _r_In(ps, p, stated):
-    imp = _shape(p.goal, Implies, "In premise (phi => {P}e{Q})")
-    t = _shape(imp.right, Triple, "In premise consequent")
-    need_side(classify(imp.left) in (PURE, PSEUDO_PURE),
-              "In: the folded hypothesis must be pseudo-pure")
-    return _concl(Triple(And((imp.left, t.pre)), t.code, t.post), p)
-
-
-# ---------------------------------------------------------------------------
 # checking and building
 
 RULE_IDS = tuple(sorted(RULES)) + tuple(sorted(_MACROS))
 
 
-def _conclude(rule, params, premises, stated=None, allow=()):
+def _conclude(rule, params, premises, stated=None):
     """The judgement `rule` concludes from its parameters and premise
     judgements; with a stated judgement, the rule must license it."""
-    fn = RULES.get(rule) or _MACROS.get(rule) \
-        or (_UNSOUND.get(rule) if rule in allow else None)
+    fn = RULES.get(rule) or _MACROS.get(rule)
     if fn is None:
         raise UnknownRule(rule, REJECTED.get(rule))
     ps = _Params(rule, params, stated)
@@ -1594,29 +1579,29 @@ def _conclude(rule, params, premises, stated=None, allow=()):
     return built
 
 
-def check_node(node: ProofNode, allow_unsound=()) -> Judgement:
+def check_node(node: ProofNode) -> Judgement:
     """Check one node against its rule, taking the stated conclusions of
     its premises as proven; raises ProofError when the node is wrong."""
     return _conclude(node.rule, node.params,
                      tuple(p.conclusion for p in node.premises),
-                     node.conclusion, allow_unsound)
+                     node.conclusion)
 
 
-def _check_tree(node, allow, path, failures, stats):
+def _check_tree(node, path, failures, stats):
     stats[node.rule] += 1
     try:
-        check_node(node, allow)
+        check_node(node)
     except ProofError as exc:
         failures.append((path, str(exc)))
     for i, p in enumerate(node.premises):
-        _check_tree(p, allow, f"{path}.{i}", failures, stats)
+        _check_tree(p, f"{path}.{i}", failures, stats)
 
 
-def check_proof(root: ProofNode, allow_unsound=()) -> CheckReport:
+def check_proof(root: ProofNode) -> CheckReport:
     """Validate a proof tree; every node is checked, nothing is trusted."""
     failures: list = []
     stats: Counter = Counter()
-    _check_tree(root, allow_unsound, "0", failures, stats)
+    _check_tree(root, "0", failures, stats)
     return CheckReport(ok=not failures, failures=failures, stats=stats)
 
 

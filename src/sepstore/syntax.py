@@ -770,11 +770,17 @@ def _canon(ast, venv, renv):
     if t is Var:   # walked under venv only when venv binds it
         key = Var(f"#{venv[::-1].index(ast.name)}") if venv else ast
     elif t is Star or t is And or t is Or:
-        parts = [p for p in flatten(ast, t)
-                 if t is not Star or type(p) is not Emp]
-        parts = sorted(map(_canon, parts, itertools.repeat(venv),
-                           itertools.repeat(renv)),
-                       key=operator.attrgetter("_id"))
+        # a part whose canonical node is a chain of t, as that of
+        # (a op b) * emp is, is spliced: p * emp = p and associativity
+        parts = []
+        for p in flatten(ast, t):
+            if t is not Star or type(p) is not Emp:
+                p = _canon(p, venv, renv)
+                if type(p) is t:
+                    parts += p.parts
+                else:
+                    parts.append(p)
+        parts.sort(key=operator.attrgetter("_id"))
         key = star(*parts) if t is Star else t(tuple(parts))
     elif t in _BINDERS:
         names, rnames = binders(ast)

@@ -6,11 +6,13 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from sepstore.cli import _refuted, main
+from sepstore.cli import _IN_RULE_SCRIPT, _refuted, main
+from sepstore.config import load_config
 from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse
 from sepstore.interp import EMPTY_ENV
-from sepstore.logic import make_node, serialize_script
+from sepstore.logic import (REJECTED, check_proof, make_node, parse_script,
+                            serialize_script)
 from sepstore.semantics import Tester
 from sepstore.syntax import Skip, Triple
 
@@ -205,6 +207,16 @@ def test_cli_check_rejects_unread_parameter(runner, tmp_path):
     assert "parameter 'Q'" in r.output
 
 
+def test_cli_check_hyp_mod_a_unit_inside_a_chain(runner, tmp_path):
+    # the parameter is the hypothesis up to P * emp = P and associativity
+    path = write(tmp_path, "hyp.proof",
+                 r'(rule Hyp (param A "3 = 3 \\/ (1 = 1 \\/ 2 = 2) * emp") '
+                 r'(hyp "3 = 3 \\/ 1 = 1 \\/ 2 = 2") '
+                 r'(conclude "3 = 3 \\/ 1 = 1 \\/ 2 = 2"))')
+    r = invoke(runner, "check", path)
+    assert r.exit_code == 0, r.output
+
+
 def test_cli_check_script_error(runner, tmp_path):
     path = write(tmp_path, "broken.proof", "(rule Skip")
     r = invoke(runner, "check", path)
@@ -345,6 +357,10 @@ def test_cli_rejects_negative_config_values(runner, tmp_path, line, goal,
     assert f"error: config: line 6: {message}" in r.output
 
 
+# the debug switch that once let the checker accept the unsound rule In
+REMOVED_FLAG = "--accept-unsound-in"
+
+
 # Each probe names files that exist, so that without the check it would
 # run, not fail on a missing file.
 @pytest.mark.parametrize("args, message", [
@@ -358,6 +374,11 @@ def test_cli_rejects_negative_config_values(runner, tmp_path, line, goal,
                  "-1 is not in the range x>=0", id="test-fuel-neg"),
     pytest.param(("counterexamples", "--config", "cfg", "--fuel", "-1"),
                  "-1 is not in the range x>=0", id="counterexamples-fuel-neg"),
+    # the checker has no switch for unsound rules, nor the registry
+    pytest.param(("check", "p.proof", REMOVED_FLAG), "No such option",
+                 id="check-unsound"),
+    pytest.param(("counterexamples", "--config", "cfg", REMOVED_FLAG),
+                 "No such option", id="counterexamples-unsound"),
 ])
 def test_cli_usage_error_exits_3(runner, tmp_path, monkeypatch, args,
                                  message):
@@ -367,6 +388,7 @@ def test_cli_usage_error_exits_3(runner, tmp_path, monkeypatch, args,
     write(tmp_path, "p.prog", "skip")
     write(tmp_path, "g.asn", "true => true")
     write(tmp_path, "cfg", FAST_CFG)
+    write(tmp_path, "p.proof", '(rule TrueI (conclude "true"))')
     r = invoke(runner, *args)
     assert r.exit_code == 3
     assert message in r.stderr
@@ -411,12 +433,27 @@ def test_registry_replays_witnesses_on_a_fresh_tester():
     assert (status, detail) == ("unexpected", "witness did not replay")
 
 
-def test_cli_counterexamples_unsound_demo(runner, tmp_path):
+def test_cli_counterexamples_in_rule_witness_replays(runner, tmp_path):
+    # the checker rejects In, and the model refutes the triple that the In
+    # script concludes, with a witness that a fresh Tester finds and replays
     c = write(tmp_path, "cfg", FAST_CFG)
-    r = invoke(runner, "counterexamples", "--config", c, "--json",
-               "--accept-unsound-in")
-    # demonstrating the unsoundness end to end is itself exit 1
-    assert r.exit_code == 1
-    lines = json_lines(r.output)
-    assert any(l["goal"] == "in-rule/unsoundness-demonstrated"
-               and l["verdict"] == "unsound" for l in lines)
+    r = invoke(runner, "counterexamples", "--config", c, "--json")
+    assert r.exit_code == 0, r.output
+    [line] = [l for l in json_lines(r.output)
+              if l["goal"] == "in-rule/script-rejected"]
+    assert line["verdict"] == "as-registered"
+    assert REJECTED["In"] in line["detail"]
+    goal = parse_script(_IN_RULE_SCRIPT).conclusion.goal
+    v = Tester(load_config(FAST_CFG)).test_triple(goal.pre, goal.code,
+                                                  goal.post)
+    assert v.witness.to_json() == line["witness"]
+    assert Tester(load_config(FAST_CFG)).replay(
+        v.witness, "triple", goal.pre, (goal.code, goal.post))
+
+
+def test_in_rule_script_fails_only_at_the_in_node():
+    report = check_proof(parse_script(_IN_RULE_SCRIPT))
+    assert [p for p, _ in report.failures] == ["0.1"]
+    assert REJECTED["In"] in report.failures[0][1]
+    assert dict(report.stats) == {"ImpE": 1, "Conseq": 1, "Entail": 3,
+                                  "In": 1}

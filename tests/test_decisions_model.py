@@ -18,7 +18,10 @@ other refutation is a kernel soundness bug.
 
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -228,3 +231,19 @@ def test_sweep_against_fails_on_a_lost_proof(tmp_path, capsys):
     capsys.readouterr()
     assert sweep.main(seeds + ["--against", str(save)]) == 1
     assert "0 newly proved, 1 no longer proved" in capsys.readouterr().out
+
+
+def test_sweep_script_runs_from_the_command_line():
+    # a release gate runs the sweep as a script, in its own process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "entail_sweep.py"),
+         "--seeds", "5"], capture_output=True, text=True, env=env,
+        timeout=120)
+    assert r.returncode == 0, r.stdout + r.stderr
+    [row] = [line.split() for line in r.stdout.splitlines()
+             if line.startswith("all ")]
+    pairs, proved, _, refuted = map(int, row[1:])
+    assert pairs == 5 * len(SHAPES) and 0 < proved <= pairs
+    assert refuted == 0

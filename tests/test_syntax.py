@@ -195,6 +195,13 @@ def test_equal_mod_ac_star():
     assert equal_mod_ac(Star((P, Star((Q, R)))), Star((Star((R, Q)), P)))
     assert equal_mod_ac(Star((P, Emp())), P)
     assert not equal_mod_ac(Star((P, Q)), And((P, Q)))
+    # (a op b) * emp is a op b, so it is spliced into an op-chain around
+    # it, wherever it sorts
+    asn = functools.partial(parse, kind="assertion")
+    for op in ("\\/", "/\\"):
+        flat = asn(f"3 = 3 {op} 1 = 1 {op} 2 = 2")
+        assert equal_mod_ac(asn(f"3 = 3 {op} (1 = 1 {op} 2 = 2) * emp"), flat)
+        assert equal_mod_ac(asn(f"(1 = 1 {op} 2 = 2) * emp {op} 3 = 3"), flat)
 
 
 def test_equal_mod_ac_alpha():
