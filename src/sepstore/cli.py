@@ -92,8 +92,10 @@ class _Main(click.Group):
             raise
         except (ConfigError, UniverseTooLarge) as exc:
             click.echo(f"error: config: {exc}", err=True)
-        except (ParseError, ScriptError, ContractivenessError, ArityError,
-                OSError) as exc:
+        except (ContractivenessError, ArityError) as exc:
+            at = "" if exc.position is None else f"at offset {exc.position}: "
+            click.echo(f"error: {at}{exc}", err=True)
+        except (ParseError, ScriptError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
         except Exception as exc:
             click.echo(f"internal error: {type(exc).__name__}: {exc}",

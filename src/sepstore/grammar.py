@@ -110,9 +110,10 @@ class Parser:
         self._fresh_counter = 0
         # the arity of each relation variable bound by an enclosing mu
         self.arity = {}
-        # (offset, error) of each mu or relation variable read so far that
-        # fails its check; parse raises the first one once the whole input
-        # has parsed, so a syntax error anywhere comes first
+        # the error of each mu or relation variable read so far that fails
+        # its check, with its offset as `position`; parse raises the first
+        # one once the whole input has parsed, so a syntax error anywhere
+        # comes first
         self.faults = []
 
     # --- token plumbing
@@ -329,8 +330,8 @@ class Parser:
                 self.arity = outer
             occurrence = exposed_occurrence(body, relvar)
             if occurrence is not None:
-                self.faults.append((tok[2], ContractivenessError(
-                    relvar, pretty(occurrence), pretty(body))))
+                self.faults.append(ContractivenessError(
+                    relvar, pretty(occurrence), pretty(body), tok[2]))
             return Mu(relvar, params, body, tuple(Var(p) for p in params))
         if tok[1] == "{":
             self.advance()
@@ -394,7 +395,7 @@ class Parser:
         for the innermost mu that binds name is a fault."""
         if len(args) != self.arity.get(name, len(args)):
             self.faults.append(
-                (offset, ArityError(name, len(args), self.arity[name])))
+                ArityError(name, len(args), self.arity[name], offset))
         return RelVar(name, args)
 
     def backtrack(self, saved):
@@ -443,7 +444,7 @@ def parse(text: str, kind: str):
         raise ParseError(tok[2], "end of input", tok[1])
     if p.faults:
         # the first in the text is the first in pre-order of the term
-        raise min(p.faults, key=lambda f: f[0])[1]
+        raise min(p.faults, key=lambda f: f.position)
     return ast
 
 

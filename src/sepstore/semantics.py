@@ -5,7 +5,9 @@ denotation of its invariant, and worlds compose by invariant combination
 (`syntax.circ`), the syntactic image of its defining equation.  The
 membership evaluator follows the assertion semantics clause by clause over
 a bounded universe of heaps, values, worlds and frames described by a
-TestConfig.  On top of it sit a bounded semantic-triple tester and an
+TestConfig, one heap at a time; for a triple-free assertion without `<>`,
+`mu` or `(*)` the same clauses are also computed a set at a time, over the
+whole universe (Tester.denotation).  On top of it sit a bounded semantic-triple tester and an
 entailment tester: a Fail verdict is a genuine refutation within the
 model, a Pass means no counterexample exists in the configured universe.
 """
@@ -157,18 +159,27 @@ _UNIVERSE_INDEX = TABLES["universe_index"] = {}
 
 class _UniverseIndex:
     """The mixed-radix numbering of one heap universe.  A non-Bot heap's
-    code has one digit per address of the sorted pool, the first address
-    least significant: 0 where the heap is unmapped, else 1 + the index of
-    its value in values().  by_code[code] is the interned heap; levels[n]
-    maps a digit to the digit of its value truncated at level n >= 1, and
-    ranks[d] is the rank of a heap whose highest-ranked digit is d."""
+    code has one digit per address of the sorted pool `addrs`, the first
+    address least significant: 0 where the heap is unmapped, else 1 + the
+    index of its value in `vals`.  by_code[code] is the interned heap;
+    levels[n] maps a digit to the digit of its value truncated at level
+    n >= 1, and ranks[d] is the rank of a heap whose highest-ranked digit
+    is d.
 
-    __slots__ = ("by_code", "radix", "places", "ranks", "levels")
+    A set of universe heaps is an int: bit 0 stands for Bot and bit
+    code + 1 for the heap of that code; `full` is the whole universe.
+    The masks behind star and downward are built on first use."""
 
-    def __init__(self, vals, addresses):
+    __slots__ = ("addrs", "vals", "by_code", "radix", "places", "ranks",
+                 "levels", "full", "_digit_sets", "_domains", "_zeros",
+                 "_pulls")
+
+    def __init__(self, vals, addrs):
+        self.addrs, self.vals = addrs, vals
         self.radix = 1 + len(vals)
-        self.places = tuple(self.radix ** i for i in range(addresses))
-        self.by_code = [None] * self.radix ** addresses
+        self.places = tuple(self.radix ** i for i in range(len(addrs)))
+        self.by_code = [None] * self.radix ** len(addrs)
+        self.full = (2 << len(self.by_code)) - 1
         self.ranks = (1,) + tuple(1 + v.tag if isinstance(v, CodeVal)
                                   else 1 for v in vals)
         first = {}
@@ -180,6 +191,8 @@ class _UniverseIndex:
                          if isinstance(v, CodeVal) and v.tag > n - 1 else d
                          for d, v in enumerate(vals, 1))
             for n in range(1, max(self.ranks) + 1)]
+        self._digit_sets = self._domains = self._pulls = None
+        self._zeros = {}
 
     def digits(self, code) -> list:
         out = []
@@ -205,6 +218,81 @@ class _UniverseIndex:
             self.by_code[sum(level[d] * place
                              for d, place in zip(digits, self.places))]
             for level in self.levels[1:top + 1])
+
+    # --- sets of universe heaps
+
+    def with_digit(self, i, d) -> int:
+        """The set of the heaps whose digit i is d: a run of places[i]
+        codes, repeated every radix * places[i] codes."""
+        if self._digit_sets is None:
+            count = len(self.by_code)
+            table = []
+            for place in self.places:
+                period = self.radix * place
+                repeat = ((1 << count) - 1) // ((1 << period) - 1)
+                table.append([(((1 << place) - 1) << e * place + 1) * repeat
+                              for e in range(self.radix)])
+            self._digit_sets = table
+        return self._digit_sets[i][d]
+
+    def star(self, a, b) -> int:
+        """{h1 * h2 : h1 in a, h2 in b}: the code of a disjoint union is
+        the sum of the codes, so each member c of the smaller set adds
+        the members of the other that are unmapped where c is mapped,
+        shifted by c.  Bot is in it when it is in both."""
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        if self._domains is None:
+            doms = [0]
+            for i in range(len(self.places)):
+                doms = [dom | bool(d) << i for d in range(self.radix)
+                        for dom in doms]
+            self._domains = doms
+        out = a & b & 1
+        members = bin(a >> 1)[:1:-1]    # members[c] == "1": code c in a
+        c = members.find("1")
+        while c >= 0:
+            dom = self._domains[c]
+            zero = self._zeros.get(dom)
+            if zero is None:
+                zero = self.full - 1
+                for i in range(len(self.places)):
+                    if dom >> i & 1:
+                        zero &= self.with_digit(i, 0)
+                self._zeros[dom] = zero
+            out |= (b & zero) << c
+            c = members.find("1", c + 1)
+        return out
+
+    def downward(self, bad) -> int:
+        """The heaps none of whose truncations lies in bad.  Bot is a
+        truncation of every heap; truncation at level n maps each digit
+        through levels[n], so the heaps whose level-n truncation lies in
+        bad are, address by address, the codes whose digit is kept plus
+        those of each lowered digit, shifted back up."""
+        if bad & 1:
+            return 0
+        if self._pulls is None:
+            self._pulls = []
+            for level in self.levels[1:]:
+                moved = [(d, e) for d, e in enumerate(level) if d != e]
+                if moved:
+                    self._pulls.append([
+                        (self.full - 1 - sum(self.with_digit(i, d)
+                                             for d, _ in moved),
+                         [(self.with_digit(i, e), (d - e) * place)
+                          for d, e in moved])
+                        for i, place in enumerate(self.places)])
+        hit = bad   # the top level truncates nothing
+        for level in self._pulls:
+            pulled = bad
+            for kept, lowered in level:
+                out = pulled & kept
+                for mask, shift in lowered:
+                    out |= (pulled & mask) << shift
+                pulled = out
+            hit |= pulled
+        return self.full & ~hit
 
 
 def splits(h: Heap) -> tuple:
@@ -257,20 +345,33 @@ class Tester:
     """Bounded membership evaluator and triple/entailment tester.
 
     It holds the tables whose answers depend on its configuration:
-    membership, the _member3 rows, triples, the heaps up to a rank, tag
-    raises and quantifier bindings (syntax docstring, home 3).  Each goes
-    through _memo and is keyed by serials (`_id`), never by the objects
-    themselves: an int key hashes in C, where a term or value would hash
-    through a Python `__hash__`.  The member cache has one row per
-    (P, env, w), a dict from heap serial to answer, filled on demand; so
-    has the _member3 table, per (P, w, frame).  `member` answers a hit
-    from one probe of its row, and only a miss goes through _memo.
+    membership, denotations, the _member3 rows, triples, the heaps up to
+    a rank, tag raises and quantifier bindings (syntax docstring, home
+    3).  Each goes through _memo and is keyed by serials (`_id`), never
+    by the objects themselves: an int key hashes in C, where a term or
+    value would hash through a Python `__hash__`.  The member cache has
+    one row per (P, env, w), a dict from heap serial to answer, filled on
+    demand.  `member` answers a hit from one probe of its row, and only a
+    miss goes through _memo.
 
     universe() enumerates the heaps in a fixed order and numbers them as
     it goes: each non-Bot heap's mixed-radix code goes into the registry's
     universe index (syntax docstring, home 2), from which splits and
     truncations answer universe heaps, and its rank is read off the same
-    digits."""
+    digits.  The Tester keeps its own index and each heap's bit in it,
+    since the registry's entry of a heap names the last universe built.
+
+    A static assertion (`static`) has a denotation, the set of universe
+    heaps in it, computed once per (P, env) with one set operation per
+    connective.  Two questions read sets: test_entailment of a static
+    goal scans the goal's set in universe order, and _member3 of a static
+    P, w and frame reads the set of P * (w * frame), which
+    _sem_triple_at also uses to visit only the heaps in it.  Its
+    _member3 entry holds that set (or None) and the row of the heaps
+    answered by _star3, one per heap: every heap when a term is not
+    static, and a heap outside this universe (a run's result with a fresh
+    address or a raised tag) when all are.  Nested `member` calls stay
+    per heap."""
 
     def __init__(self, cfg: TestConfig):
         self.cfg = cfg
@@ -279,7 +380,11 @@ class Tester:
         self._raises: dict = {}         # h -> tag_raises(h, ...)
         self._bindings: dict = {}       # (env, x) -> env.bind(x, d) per value
         self._triple_cache: dict = {}
+        self._sets: dict = {}           # (P, env) -> denotation(P, env)
         self._universe: Optional[list] = None
+        self._index: Optional[_UniverseIndex] = None
+        self._order: list = []          # bit of each universe heap
+        self._bit: dict = {}            # universe heap -> its bit
         self._ranks: list = []          # rank of each universe heap
         self._by_rank: dict = {}
         self._vals = tuple(IntVal(n) for n in sorted(cfg.int_pool)) \
@@ -305,7 +410,7 @@ class Tester:
                     f"the heap universe has {count:,} heaps, more than "
                     f"{MAX_UNIVERSE_HEAPS:,}; use fewer addresses or values")
             addrs = sorted(self.cfg.addr_pool)
-            index = _UniverseIndex(vals, len(addrs))
+            index = _UniverseIndex(vals, tuple(addrs))
             mapped = range(1, index.radix)
             heaps, codes, ranks = [BOT, EMPTY_HEAP], [0], [0, 1]
             for size in range(1, len(addrs) + 1):
@@ -325,6 +430,10 @@ class Tester:
             for h, code in zip(heaps[1:], codes):
                 index.by_code[code] = h
                 _UNIVERSE_INDEX[h._id] = (code, index)
+            # a heap's bit in a set of this universe (_UniverseIndex)
+            self._order = [0] + [code + 1 for code in codes]
+            self._bit = {h._id: b for h, b in zip(heaps, self._order)}
+            self._index = index
             self._ranks = ranks
             self._universe = heaps
         return self._universe
@@ -377,29 +486,15 @@ class Tester:
         if t is Emp:
             return h.is_bot or h.cells == ()
         if t is Eq or t is Leq:
-            if h.is_bot:
-                return True
-            try:
-                a = eval_expr(P.left, env)
-                b = eval_expr(P.right, env)
-            except (TypeFault, UnboundVariable):
-                return False
-            if t is Eq:
-                return a == b
-            return isinstance(a, IntVal) and isinstance(b, IntVal) \
-                and a.n <= b.n
+            return h.is_bot or _compare(P, env)
         if t is PointsTo:
             if h.is_bot:
                 return True
-            try:
-                a = eval_expr(P.addr, env)
-                v = eval_expr(P.value, env)
-            except (TypeFault, UnboundVariable):
+            cell = _cell_spec(P, env)
+            if cell is None or len(h.cells) != 1:
                 return False
-            if not isinstance(a, IntVal) or a.n < 1 or len(h.cells) != 1:
-                return False
-            addr, cell = h.cells[0]
-            return addr == a.n and value_leq(cell, v)
+            addr, v = h.cells[0]
+            return addr == cell[0] and value_leq(v, cell[1])
         if t is And:
             for p in P.parts:
                 if not self.member(p, env, w, h):
@@ -485,15 +580,89 @@ class Tester:
                     return True
         return False
 
+    # --- denotations: the set of universe heaps of a static assertion
+
+    def denotation(self, P, env: Env) -> int:
+        """The universe heaps in [[P]]env, as a set of _UniverseIndex, for
+        a static P (`static`), whose answer is the same in every
+        world."""
+        return _memo(self._sets, (P._id, env._id), self._denote, P, env)
+
+    def _denote(self, P, env) -> int:
+        self.universe()
+        index = self._index
+        t = type(P)
+        if t is FalseA:
+            return 1
+        if t is TrueA:
+            return index.full
+        if t is Emp:
+            return 0b11
+        if t is Eq or t is Leq:
+            return index.full if _compare(P, env) else 1
+        if t is PointsTo:
+            cell = _cell_spec(P, env)
+            if cell is None or cell[0] not in index.addrs:
+                return 1
+            place = index.places[index.addrs.index(cell[0])]
+            return 1 | sum(1 << d * place + 1
+                           for d, v in enumerate(index.vals, 1)
+                           if value_leq(v, cell[1]))
+        if t is And:
+            out = index.full
+            for p in P.parts:
+                out &= self.denotation(p, env)
+            return out
+        if t is Or:
+            out = 0
+            for p in P.parts:
+                out |= self.denotation(p, env)
+            return out
+        if t is Implies:
+            return index.downward(self.denotation(P.left, env)
+                                  & ~self.denotation(P.right, env))
+        if t is Forall:
+            out = index.full
+            for e in self.bindings(env, P.var):
+                out &= self.denotation(P.body, e)
+            return out
+        if t is Exists:
+            out = 0
+            for e in self.bindings(env, P.var):
+                out |= self.denotation(P.body, e)
+            return index.downward(index.full ^ out)
+        if t is Star:
+            parts = P.parts
+            out = self.denotation(parts[0], env)
+            for p in parts[1:]:
+                out = index.star(out, self.denotation(p, env))
+            return out
+        raise TypeError(f"not a static assertion: {P!r}")
+
     # --- semantic triples
 
     def _member3(self, P, w, frame, g: Heap) -> bool:
         """g in  [[P]]w * (world invariant at the unit world * frame)."""
-        key = (P._id, w._id, frame._id)
-        row = self._member3_table.get(key)
-        if row is None:
-            row = self._member3_table[key] = {}
+        bits, row = self._member3_entry(P, w, frame)
+        if bits is not None:
+            bit = self._bit.get(g._id)
+            if bit is not None:
+                return bits >> bit & 1 == 1
         return _memo(row, g._id, self._star3, P, w, frame, g)
+
+    def _member3_entry(self, P, w, frame) -> tuple:
+        """(the set of P * (w * frame), or None when one of them is not
+        static; the row of the heaps _star3 answered)."""
+        key = (P._id, w._id, frame._id)
+        entry = self._member3_table.get(key)
+        if entry is None:
+            bits = None
+            if static(P) and static(w) and static(frame):
+                pre = self.denotation(P, EMPTY_ENV)
+                rest = self.denotation(Star((w, frame)), EMPTY_ENV)
+                bits = self._index.star(pre, rest)
+            entry = self._member3_table[key] = (bits, {})
+        return entry
 
     def _star3(self, P, w, frame, g: Heap) -> bool:
         rest = Star((w, frame))
@@ -522,8 +691,12 @@ class Tester:
         samples = 0
         inconclusive = 0
         for frame in self.cfg.frame_pool:
+            bits = self._member3_entry(pre_c, w, frame)[0]
             for n in range(k + 1):
-                for g in self.universe_up_to_rank(n):
+                heaps = self.universe_up_to_rank(n)
+                if bits is not None:
+                    heaps = [g for g in heaps if bits >> self._bit[g._id] & 1]
+                for g in heaps:
                     outcome = self._sample(code, g, n, w, frame, pre_c, post_c)
                     if outcome is None:
                         continue
@@ -590,13 +763,20 @@ class Tester:
     def test_entailment(self, P, Q) -> Verdict:
         goal = Implies(P, Q)
         fvs = free_vars(goal)[0]
+        heaps = self.universe()
+        denoted = static(goal)
         samples = 0
         base_inconclusive = self.inconclusive
         for env in self._env_samples(fvs):
             for w in self.cfg.world_pool:
-                for h in self.universe():
+                if denoted:
+                    bits = self.denotation(goal, env)
+                    answers = (bits >> b & 1 for b in self._order)
+                else:
+                    answers = (self.member(goal, env, w, h) for h in heaps)
+                for h, inside in zip(heaps, answers):
                     samples += 1
-                    if not self.member(goal, env, w, h):
+                    if not inside:
                         return Fail(Witness(
                             "entailment", w, None, h, "implication-violation",
                             "heap satisfies the left side but not the right",
@@ -621,6 +801,56 @@ class Tester:
                                witness.world, witness.frame, pre_c, post_c)
         return outcome is not None \
             and outcome[0] in ("fault", "post-violation")
+
+
+_STATIC_ATOMS = (FalseA, TrueA, Emp, Eq, Leq, PointsTo)
+
+
+def static(P) -> bool:
+    """P is built from atoms and `/\\`, `\\/`, `=>`, `forall`, `exists` and
+    `*` alone: no triple (which counts samples), `<>` (which leaves the
+    universe), `mu` (which reads the rank) or `(*)` (which changes the
+    world).  Its denotation is then a set of universe heaps, the same in
+    every world (Tester.denotation)."""
+    todo = [P]
+    while todo:
+        p = todo.pop()
+        t = type(p)
+        if t is And or t is Or or t is Star:
+            todo += p.parts
+        elif t is Implies:
+            todo += (p.left, p.right)
+        elif t is Forall or t is Exists:
+            todo.append(p.body)
+        elif t not in _STATIC_ATOMS:
+            return False
+    return True
+
+
+def _compare(P, env) -> bool:
+    """The truth of the comparison P (= or <=) in env; false when an
+    operand does not evaluate."""
+    try:
+        a = eval_expr(P.left, env)
+        b = eval_expr(P.right, env)
+    except (TypeFault, UnboundVariable):
+        return False
+    if type(P) is Eq:
+        return a == b
+    return isinstance(a, IntVal) and isinstance(b, IntVal) and a.n <= b.n
+
+
+def _cell_spec(P, env):
+    """(address, value) of the points-to P in env, or None when either
+    does not evaluate or the address is not a positive int."""
+    try:
+        a = eval_expr(P.addr, env)
+        v = eval_expr(P.value, env)
+    except (TypeFault, UnboundVariable):
+        return None
+    if not isinstance(a, IntVal) or a.n < 1:
+        return None
+    return a.n, v
 
 
 def mu_approximation(mu: Mu, depth: int):

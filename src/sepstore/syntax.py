@@ -58,6 +58,12 @@ Every memo has one of three homes:
    which universe holds an entry decides nothing.
 3. An answer that depends on a configuration lives in the semantic
    Tester built for it, behind its re-entry guard (semantics._memo).
+   One of them is a set table: the denotation of a static assertion
+   (semantics.static: no triple, <>, mu or (*)) under an environment,
+   as a set of the Tester's own universe heaps.  test_entailment of a
+   static goal and the triple sampler's [[pre]]w * (w * frame) of a
+   static pre, world and frame read it; a nested member call, any other
+   term and any heap outside that universe are answered heap by heap.
 """
 
 from __future__ import annotations
@@ -410,7 +416,11 @@ class Judgement:
 
 
 class ArityError(Exception):
-    def __init__(self, relvar, got, expected):
+    """A relation variable applied to the wrong number of arguments;
+    `position` is its input offset when the parser found it."""
+
+    def __init__(self, relvar, got, expected, position=None):
+        self.position = position
         super().__init__(f"relation variable {relvar} applied to {got} "
                          f"arguments, expected {expected}")
 
@@ -682,10 +692,11 @@ def exposed_occurrence(P: Assertion, X: str):
 
 class ContractivenessError(Exception):
     """A mu body that is not contractive in its relation variable; the
-    occurrence and the body come in concrete syntax."""
+    occurrence and the body come in concrete syntax, and `position` is
+    the input offset of the mu when the parser found it."""
 
-    def __init__(self, relvar, occurrence: str, body: str):
-        self.relvar = relvar
+    def __init__(self, relvar, occurrence: str, body: str, position=None):
+        self.relvar, self.position = relvar, position
         super().__init__(
             f"recursive assertion body is not formally contractive in "
             f"{relvar}: offending occurrence {occurrence} in {body}")

@@ -3,8 +3,8 @@
 bench/spans.py wraps functions and methods of sepstore by name and reads
 Tester counters; a rename or deletion of any of them leaves the traced
 benchmark with nothing measured.  This runs the tracer the way the bench
-worker does, in a fresh interpreter, on one fuzz instance and one
-equality modulo AC.
+worker does, in a fresh interpreter, on one fuzz instance, one entailment
+with a triple in it, and one equality modulo AC.
 """
 
 import json
@@ -25,8 +25,12 @@ tracer = spans.install(testers)
 from sepstore.fuzz import fuzz_config, fuzz_rule
 from sepstore.semantics import Tester
 
-res = fuzz_rule("Skip", Tester(fuzz_config()), random.Random(0), 1)
-from sepstore.syntax import Emp, IntLit, PointsTo, Star, equal_mod_ac
+tester = Tester(fuzz_config())
+res = fuzz_rule("Skip", tester, random.Random(0), 1)
+from sepstore.syntax import (Emp, IntLit, PointsTo, Quote, Skip, Star,
+                             Triple, TrueA, equal_mod_ac)
+# a goal with a triple in it is judged heap by heap, through member
+tester.test_entailment(TrueA(), Triple(Emp(), Quote(Skip()), Emp()))
 cell = PointsTo(IntLit(1), IntLit(2))
 assert equal_mod_ac(Star((cell, Emp())), cell)
 print(json.dumps({"samples": res.samples, "testers": len(testers),

@@ -13,7 +13,7 @@ from sepstore.grammar import parse
 from sepstore.interp import EMPTY_ENV
 from sepstore.logic import (REJECTED, check_proof, make_node, parse_script,
                             serialize_script)
-from sepstore.semantics import Tester
+from sepstore.semantics import Tester, static
 from sepstore.syntax import Skip, Triple
 
 
@@ -86,6 +86,23 @@ def test_cli_bad_recursive_assertion_is_input_error(runner, tmp_path,
     assert r.exit_code == 3
     assert r.stderr.startswith("error: ") and message in r.stderr
     assert "Traceback" not in r.stderr and "RelVar(" not in r.stderr
+
+
+@pytest.mark.parametrize("text, stderr", [
+    # the offset of the offending application
+    ("mu X(p). {X(p, p)} 'skip' {emp}",
+     "error: at offset 10: relation variable X applied to 2 arguments, "
+     "expected 1\n"),
+    # the offset of the mu whose body is not contractive
+    ("emp * mu X. X /\\ emp",
+     "error: at offset 6: recursive assertion body is not formally "
+     "contractive in X: offending occurrence X in X /\\ emp\n"),
+])
+def test_cli_mu_fault_gives_its_offset(runner, tmp_path, text, stderr):
+    # as a syntax error does
+    p = write(tmp_path, "bad.asn", text)
+    r = invoke(runner, "parse", p, "--kind", "assertion")
+    assert r.exit_code == 3 and r.stderr == stderr
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +440,22 @@ def test_cli_counterexamples(runner, tmp_path):
 
 def test_registry_replays_witnesses_on_a_fresh_tester():
     """A refutation that only the finding Tester's cache believes is not
-    reported as one: the witness is replayed without that cache."""
-    text = "1 |-> 0 => exists v. 1 |-> v"
-    tester = Tester(fuzz_config())
-    world, heap = tester.cfg.world_pool[0], tester.universe()[0]
-    row = (parse(text, "assertion")._id, EMPTY_ENV._id, world._id)
-    tester._member_cache[row] = {heap._id: False}
-    status, detail, _ = _refuted(text)(tester)
-    assert (status, detail) == ("unexpected", "witness did not replay")
+    reported as one: the witness is replayed without that cache.  A
+    static goal is judged from its set, one with a triple heap by heap
+    through the member cache; each cache is poisoned at the first heap."""
+    for text in ("1 |-> 0 => exists v. 1 |-> v",
+                 "1 |-> 0 => (exists v. 1 |-> v) /\\ {emp} 'skip' {emp}"):
+        goal = parse(text, "assertion")
+        tester = Tester(fuzz_config())
+        world, heap = tester.cfg.world_pool[0], tester.universe()[0]
+        if static(goal):
+            tester._sets[(goal._id, EMPTY_ENV._id)] = \
+                tester._index.full ^ 1 << tester._bit[heap._id]
+        else:
+            row = (goal._id, EMPTY_ENV._id, world._id)
+            tester._member_cache[row] = {heap._id: False}
+        status, detail, _ = _refuted(text)(tester)
+        assert (status, detail) == ("unexpected", "witness did not replay")
 
 
 def test_cli_counterexamples_in_rule_witness_replays(runner, tmp_path):

@@ -289,8 +289,8 @@ def test_universe_size_is_checked_before_enumerating():
 
 def test_cache_reentry_raises():
     """A computation that asks for its own cached result is an error, for
-    membership, three-way membership and triples alike; the aborted entry
-    is not cached."""
+    membership, three-way membership, denotations and triples alike; the
+    aborted entry is not cached."""
     t = Tester(fuzz_config())
     args = (TrueA(), EMPTY_ENV, Emp(), EMPTY_HEAP)
     t._member = lambda *a: t.member(*a)
@@ -301,14 +301,25 @@ def test_cache_reentry_raises():
     del t._member
     assert t.member(*args) is True
 
-    args3 = (TrueA(), Emp(), TrueA(), EMPTY_HEAP)
+    # a static assertion's _member3 is read from its set, so this one
+    # holds a (*), which keeps it on the per-heap path through _star3
+    P = Tensor(TrueA(), Emp())
+    args3 = (P, Emp(), TrueA(), EMPTY_HEAP)
     t._star3 = lambda *a: t._member3(*a)
     with pytest.raises(CacheReentry):
         t._member3(*args3)
-    row = t._member3_table[(TrueA()._id, Emp()._id, TrueA()._id)]
-    assert EMPTY_HEAP._id not in row
+    bits, row = t._member3_table[(P._id, Emp()._id, TrueA()._id)]
+    assert bits is None and EMPTY_HEAP._id not in row
     del t._star3
     assert t._member3(*args3) is True
+
+    static = A("1 |-> 0 * true")
+    t._denote = lambda P, env: t.denotation(P, env)
+    with pytest.raises(CacheReentry):
+        t.denotation(static, EMPTY_ENV)
+    assert t._sets == {}
+    del t._denote
+    assert t.denotation(static, EMPTY_ENV) & 1
 
     code = CodeVal(Skip(), EMPTY_ENV, INF)
     triple = (1, Emp(), A("emp"), code, A("emp"))
