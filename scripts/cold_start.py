@@ -20,7 +20,9 @@ every module is compiled from source.  The layers:
                          default universe, Tester(default_config())
                          .universe(); the iterator triple of acceptance
                          criterion 6 on its universe; one StarComm
-                         entailment on the default config
+                         entailment and one Seq triple with a frame,
+                         the slowest goal of the benchmark's goal_test,
+                         on the default config
 
 Each figure is the median over N runs, in milliseconds of wall-clock time.
 The sepstore package is the one PYTHONPATH finds, so pointing it at
@@ -96,6 +98,11 @@ TEST_LAYERS = {
         "P = parse(\"1 |-> 0 * 2 |-> 'skip' => 2 |-> 'skip' * 1 |-> 0\", "
         "'assertion')",
         "Tester(cfg).test_entailment(P.left, P.right)"),
+    "framed Seq triple": (
+        "cfg = default_config()\n"
+        "P = parse(\"{1 |-> _ * 2 |-> _} '[1] := 0 ; [2] := 1' "
+        "{1 |-> 0 * 2 |-> 1}\", 'assertion')",
+        "Tester(cfg).test_triple(P.pre, P.code, P.post)"),
 }
 # one run of one test layer; prints the seconds of its timed statement
 TEST_LAYER = """

@@ -167,11 +167,11 @@ class _UniverseIndex:
     is d.
 
     A set of universe heaps is an int: bit 0 stands for Bot and bit
-    code + 1 for the heap of that code; `full` is the whole universe.
-    The masks behind star and downward are built on first use."""
+    code + 1 for the heap of that code; `full` is the whole universe, and
+    with_digit[i][d] the heaps whose digit i is d."""
 
     __slots__ = ("addrs", "vals", "by_code", "radix", "places", "ranks",
-                 "levels", "full", "_digit_sets", "_domains", "_zeros",
+                 "levels", "full", "with_digit", "_domains", "_zeros",
                  "_pulls")
 
     def __init__(self, vals, addrs):
@@ -179,7 +179,6 @@ class _UniverseIndex:
         self.radix = 1 + len(vals)
         self.places = tuple(self.radix ** i for i in range(len(addrs)))
         self.by_code = [None] * self.radix ** len(addrs)
-        self.full = (2 << len(self.by_code)) - 1
         self.ranks = (1,) + tuple(1 + v.tag if isinstance(v, CodeVal)
                                   else 1 for v in vals)
         first = {}
@@ -191,8 +190,34 @@ class _UniverseIndex:
                          if isinstance(v, CodeVal) and v.tag > n - 1 else d
                          for d, v in enumerate(vals, 1))
             for n in range(1, max(self.ranks) + 1)]
-        self._digit_sets = self._domains = self._pulls = None
-        self._zeros = {}
+        count = len(self.by_code)
+        self.full = (2 << count) - 1
+        # digit i is d on a run of places[i] codes, repeated every
+        # radix * places[i] codes
+        self.with_digit = []
+        for place in self.places:
+            period = self.radix * place
+            repeat = ((1 << count) - 1) // ((1 << period) - 1)
+            self.with_digit.append([
+                (((1 << place) - 1) << d * place + 1) * repeat
+                for d in range(self.radix)])
+        # the mapped addresses of each code, one bit per address
+        self._domains = [0]
+        for i in range(len(addrs)):
+            self._domains = [dom | bool(d) << i for d in range(self.radix)
+                             for dom in self._domains]
+        self._zeros = {}    # domain -> the heaps unmapped on all of it
+        # per level that truncates something, per address: the heaps whose
+        # digit it keeps, and (heaps with digit e, shift up to digit d)
+        # for each digit d it lowers to e
+        self._pulls = []
+        for level in self.levels[1:]:
+            moved = [(d, e) for d, e in enumerate(level) if d != e]
+            if moved:
+                self._pulls.append([
+                    (self.full - 1 - sum(digit[d] for d, _ in moved),
+                     [(digit[e], (d - e) * place) for d, e in moved])
+                    for digit, place in zip(self.with_digit, self.places)])
 
     def digits(self, code) -> list:
         out = []
@@ -221,20 +246,6 @@ class _UniverseIndex:
 
     # --- sets of universe heaps
 
-    def with_digit(self, i, d) -> int:
-        """The set of the heaps whose digit i is d: a run of places[i]
-        codes, repeated every radix * places[i] codes."""
-        if self._digit_sets is None:
-            count = len(self.by_code)
-            table = []
-            for place in self.places:
-                period = self.radix * place
-                repeat = ((1 << count) - 1) // ((1 << period) - 1)
-                table.append([(((1 << place) - 1) << e * place + 1) * repeat
-                              for e in range(self.radix)])
-            self._digit_sets = table
-        return self._digit_sets[i][d]
-
     def star(self, a, b) -> int:
         """{h1 * h2 : h1 in a, h2 in b}: the code of a disjoint union is
         the sum of the codes, so each member c of the smaller set adds
@@ -242,12 +253,6 @@ class _UniverseIndex:
         shifted by c.  Bot is in it when it is in both."""
         if a.bit_count() > b.bit_count():
             a, b = b, a
-        if self._domains is None:
-            doms = [0]
-            for i in range(len(self.places)):
-                doms = [dom | bool(d) << i for d in range(self.radix)
-                        for dom in doms]
-            self._domains = doms
         out = a & b & 1
         members = bin(a >> 1)[:1:-1]    # members[c] == "1": code c in a
         c = members.find("1")
@@ -256,33 +261,22 @@ class _UniverseIndex:
             zero = self._zeros.get(dom)
             if zero is None:
                 zero = self.full - 1
-                for i in range(len(self.places)):
+                for i, digit in enumerate(self.with_digit):
                     if dom >> i & 1:
-                        zero &= self.with_digit(i, 0)
+                        zero &= digit[0]
                 self._zeros[dom] = zero
             out |= (b & zero) << c
             c = members.find("1", c + 1)
         return out
 
     def downward(self, bad) -> int:
-        """The heaps none of whose truncations lies in bad.  Bot is a
-        truncation of every heap; truncation at level n maps each digit
-        through levels[n], so the heaps whose level-n truncation lies in
-        bad are, address by address, the codes whose digit is kept plus
-        those of each lowered digit, shifted back up."""
-        if bad & 1:
-            return 0
-        if self._pulls is None:
-            self._pulls = []
-            for level in self.levels[1:]:
-                moved = [(d, e) for d, e in enumerate(level) if d != e]
-                if moved:
-                    self._pulls.append([
-                        (self.full - 1 - sum(self.with_digit(i, d)
-                                             for d, _ in moved),
-                         [(self.with_digit(i, e), (d - e) * place)
-                          for d, e in moved])
-                        for i, place in enumerate(self.places)])
+        """The heaps none of whose truncations lies in bad.  Truncation at
+        level n maps each digit through levels[n], so the heaps whose
+        level-n truncation lies in bad are, address by address, the codes
+        whose digit is kept plus those of each lowered digit, shifted back
+        up.  Bot, the truncation at level 0 of every heap, is never in
+        bad: every atom holds at Bot and every connective keeps it, so
+        every denotation holds Bot."""
         hit = bad   # the top level truncates nothing
         for level in self._pulls:
             pulled = bad
@@ -762,12 +756,12 @@ class Tester:
 
     def test_entailment(self, P, Q) -> Verdict:
         goal = Implies(P, Q)
-        fvs = free_vars(goal)[0]
+        envs = self._env_samples(free_vars(goal)[0])
         heaps = self.universe()
         denoted = static(goal)
         samples = 0
         base_inconclusive = self.inconclusive
-        for env in self._env_samples(fvs):
+        for env in envs:
             for w in self.cfg.world_pool:
                 if denoted:
                     bits = self.denotation(goal, env)

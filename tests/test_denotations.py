@@ -9,7 +9,8 @@ universe, and on every 7th heap of the default and the iterator universes,
 whose radix and truncation levels differ.  The terms are the static
 membership terms of the golden semantic corpus, seeded `rand_asn` and
 `fuzz.assertion` draws filtered to static terms, and a few hand-written
-forms: n-ary chains, and quantifiers over tagged code values.
+forms: n-ary chains, quantifiers over tagged code values, and terms that
+tell each truncation level apart, under every binding of their variable.
 """
 
 import json
@@ -55,6 +56,16 @@ HAND_WRITTEN = (
 )
 
 
+# terms whose set depends on each truncation level: each is checked under
+# every binding of x, the tagged closures among them
+EVERY_BINDING = (
+    "1 |-> x => false",
+    "(2 |-> x => false) * true",
+    "exists v. 1 |-> v /\\ (1 |-> v => 1 |-> x)",
+    "(1 |-> x => false) * (3 |-> x => 3 |-> 'skip')",
+)
+
+
 def static_terms():
     terms = [parse(line["term"], "assertion")
              for line in map(json.loads, CORPUS.read_text().splitlines())
@@ -75,9 +86,11 @@ def bound(tester, P, rng):
 
 def assert_agrees(tester, terms, step):
     rng = random.Random(7)
+    envs = [(P, bound(tester, P, rng)) for P in terms]
+    envs += [(parse(text, "assertion"), EMPTY_ENV.bind("x", v))
+             for text in EVERY_BINDING for v in tester.values()]
     heaps = tester.universe()[::step]
-    for P in terms:
-        env = bound(tester, P, rng)
+    for P, env in envs:
         bits = tester.denotation(P, env)
         for h in heaps:
             got = bits >> tester._bit[h._id] & 1 == 1
