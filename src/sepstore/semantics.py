@@ -7,9 +7,10 @@ membership evaluator follows the assertion semantics clause by clause over
 a bounded universe of heaps, values, worlds and frames described by a
 TestConfig, one heap at a time; for a triple-free assertion without `<>`,
 `mu` or `(*)` the same clauses are also computed a set at a time, over the
-whole universe (Tester.denotation).  On top of it sit a bounded semantic-triple tester and an
-entailment tester: a Fail verdict is a genuine refutation within the
-model, a Pass means no counterexample exists in the configured universe.
+whole universe (Tester.denotation).  On top of it sit a bounded
+semantic-triple tester and an entailment tester: a Fail verdict is a
+genuine refutation within the model, a Pass means no counterexample exists
+in the configured universe.
 """
 
 from __future__ import annotations
@@ -377,7 +378,6 @@ class Tester:
         self._sets: dict = {}           # (P, env) -> denotation(P, env)
         self._universe: Optional[list] = None
         self._index: Optional[_UniverseIndex] = None
-        self._order: list = []          # bit of each universe heap
         self._bit: dict = {}            # universe heap -> its bit
         self._ranks: list = []          # rank of each universe heap
         self._by_rank: dict = {}
@@ -425,8 +425,8 @@ class Tester:
                 index.by_code[code] = h
                 _UNIVERSE_INDEX[h._id] = (code, index)
             # a heap's bit in a set of this universe (_UniverseIndex)
-            self._order = [0] + [code + 1 for code in codes]
-            self._bit = {h._id: b for h, b in zip(heaps, self._order)}
+            self._bit = {h._id: code + 1 for h, code in zip(heaps[1:], codes)}
+            self._bit[BOT._id] = 0
             self._index = index
             self._ranks = ranks
             self._universe = heaps
@@ -765,7 +765,8 @@ class Tester:
             for w in self.cfg.world_pool:
                 if denoted:
                     bits = self.denotation(goal, env)
-                    answers = (bits >> b & 1 for b in self._order)
+                    bit = self._bit
+                    answers = (bits >> bit[h._id] & 1 for h in heaps)
                 else:
                     answers = (self.member(goal, env, w, h) for h in heaps)
                 for h, inside in zip(heaps, answers):
