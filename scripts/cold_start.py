@@ -18,7 +18,10 @@ every module is compiled from source.  The layers:
                          each in its own interpreter after the imports
                          and the parse of its config and goal: the
                          default universe, Tester(default_config())
-                         .universe(); the iterator triple of acceptance
+                         .universe(), which builds all 2,198 heaps; its
+                         universe index, the numbering, order and ranks
+                         that a static goal reads, with no heap built;
+                         the iterator triple of acceptance
                          criterion 6 on its universe; one StarComm
                          entailment and one Seq triple with a frame,
                          the slowest goal of the benchmark's goal_test,
@@ -87,6 +90,8 @@ k = 3
 TEST_LAYERS = {
     "default universe": ("cfg = default_config()",
                          "Tester(cfg).universe()"),
+    "universe index": ("cfg = default_config()",
+                       "Tester(cfg)._universe_index()"),
     "iterator triple": (
         "cfg = load_config(%r)\nP = parse(%r, 'assertion')"
         % (ITERATOR_CONFIG,

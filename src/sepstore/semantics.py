@@ -41,10 +41,11 @@ class UniverseTooLarge(Exception):
     or a goal's environments number more than the config's env_cap."""
 
 
-# The most heaps Tester.universe() enumerates.  The default CLI universe
+# The most heaps a Tester's universe may hold.  The default CLI universe
 # has 2,198 heaps and the fuzz universe 37; six addresses over the default
 # values give ~4.8M, on which `sepstore test` ran for over a minute without
-# a verdict, so a config that large is refused before any work is done.
+# a verdict, so a config that large is refused before its universe is
+# numbered.
 MAX_UNIVERSE_HEAPS = 100_000
 
 
@@ -162,32 +163,40 @@ class _UniverseIndex:
     """The mixed-radix numbering of one heap universe.  A non-Bot heap's
     code has one digit per address of the sorted pool `addrs`, the first
     address least significant: 0 where the heap is unmapped, else 1 + the
-    index of its value in `vals`.  by_code[code] is the interned heap;
-    levels[n] maps a digit to the digit of its value truncated at level
-    n >= 1, and ranks[d] is the rank of a heap whose highest-ranked digit
-    is d.
+    index of its value in `vals`.  levels[n] maps a digit to the digit of
+    its value truncated at level n >= 1, and ranks[d] is the rank of a
+    heap whose highest-ranked digit is d.
+
+    Heaps are built on demand: heap(code) interns the heap of a code on
+    its first request, stores it in by_code (None before) and gives it
+    its bit in `bits` and its entry in the registry's universe index, so
+    the last index to build a heap holds that entry.  A universe heap
+    interned elsewhere first, a run's result say, gets its bit from its
+    cells (bit) and is registered the same way.
 
     A set of universe heaps is an int: bit 0 stands for Bot and bit
     code + 1 for the heap of that code; `full` is the whole universe, and
     with_digit[i][d] the heaps whose digit i is d."""
 
-    __slots__ = ("addrs", "vals", "by_code", "radix", "places", "ranks",
-                 "levels", "full", "with_digit", "_domains", "_zeros",
-                 "_pulls")
+    __slots__ = ("addrs", "vals", "by_code", "bits", "radix", "places",
+                 "ranks", "levels", "full", "with_digit", "_domains",
+                 "_zeros", "_pulls", "_place_of", "_digit_of")
 
     def __init__(self, vals, addrs):
         self.addrs, self.vals = addrs, vals
         self.radix = 1 + len(vals)
         self.places = tuple(self.radix ** i for i in range(len(addrs)))
         self.by_code = [None] * self.radix ** len(addrs)
+        self.bits = {BOT._id: 0}    # heap serial -> bit, for heaps built
         self.ranks = (1,) + tuple(1 + v.tag if isinstance(v, CodeVal)
                                   else 1 for v in vals)
-        first = {}
+        self._place_of = dict(zip(addrs, self.places))
+        self._digit_of = {}         # value serial -> its first digit
         for d, v in enumerate(vals, 1):
-            first.setdefault(v, d)
+            self._digit_of.setdefault(v._id, d)
         # level n caps a stored closure's tag at n - 1 (interp.truncate)
         self.levels = [None] + [
-            (0,) + tuple(first[CodeVal(v.body, v.captured, n - 1)]
+            (0,) + tuple(self._digit_of[CodeVal(v.body, v.captured, n - 1)._id]
                          if isinstance(v, CodeVal) and v.tag > n - 1 else d
                          for d, v in enumerate(vals, 1))
             for n in range(1, max(self.ranks) + 1)]
@@ -227,6 +236,50 @@ class _UniverseIndex:
             out.append(d)
         return out
 
+    def heap(self, code) -> Heap:
+        """The heap of a code, built and registered on first request."""
+        h = self.by_code[code]
+        if h is None:
+            h = self._register(code, Heap(tuple(
+                (a, self.vals[d - 1])
+                for a, d in zip(self.addrs, self.digits(code)) if d)))
+        return h
+
+    def build_all(self) -> None:
+        """Build every heap not built yet, with the cells of all codes
+        made in code order: digit i of a code counts its runs of
+        places[i] codes."""
+        cells = [()]
+        for a in self.addrs:
+            cells = [c + cell for cell in [()] + [((a, v),) for v in self.vals]
+                     for c in cells]
+        for code, h in enumerate(self.by_code):
+            if h is None:
+                self._register(code, Heap(cells[code]))
+
+    def _register(self, code, h: Heap) -> Heap:
+        self.by_code[code] = h
+        self.bits[h._id] = code + 1
+        _UNIVERSE_INDEX[h._id] = (code, self)
+        return h
+
+    def bit(self, h: Heap) -> Optional[int]:
+        """h's bit, or None when h is outside this universe (an address
+        outside the pool, a value outside vals)."""
+        bit = self.bits.get(h._id)
+        if bit is None:
+            code, last = 0, 0
+            for a, v in h.cells:
+                place = self._place_of.get(a)
+                d = self._digit_of.get(v._id)
+                if place is None or d is None or place <= last:
+                    return None
+                code += d * place
+                last = place
+            self._register(code, h)
+            bit = code + 1
+        return bit
+
     def splits(self, code) -> list:
         """The sub-heap of each mask over the mapped addresses, in mask
         order: subset sums of the nonzero digits, doubled up bit by bit."""
@@ -235,14 +288,14 @@ class _UniverseIndex:
             if d:
                 term = d * place
                 sums += [s + term for s in sums]
-        return [self.by_code[s] for s in sums]
+        return [self.heap(s) for s in sums]
 
     def truncations(self, code) -> tuple:
         digits = self.digits(code)
         top = max((self.ranks[d] for d in digits), default=1)
         return (BOT,) + tuple(
-            self.by_code[sum(level[d] * place
-                             for d, place in zip(digits, self.places))]
+            self.heap(sum(level[d] * place
+                          for d, place in zip(digits, self.places)))
             for level in self.levels[1:top + 1])
 
     # --- sets of universe heaps
@@ -349,19 +402,22 @@ class Tester:
     demand.  `member` answers a hit from one probe of its row, and only a
     miss goes through _memo.
 
-    universe() enumerates the heaps in a fixed order and numbers them as
-    it goes: each non-Bot heap's mixed-radix code goes into the registry's
-    universe index (syntax docstring, home 2), from which splits and
-    truncations answer universe heaps, and its rank is read off the same
-    digits.  The Tester keeps its own index and each heap's bit in it,
-    since the registry's entry of a heap names the last universe built.
+    The universe is numbered before any of its heaps exists: the Tester's
+    own index (_UniverseIndex), the universe order as a list of bits and
+    the rank of each entry are ints, read off the mixed-radix digits.  A
+    heap is built when a question reads it, and universe() builds them
+    all.  A built heap's bit is in _bit, the index's own dict, and its
+    entry in the registry's universe index (syntax docstring, home 2),
+    from which splits and truncations answer universe heaps, names the
+    last index to build it; so sets are read through the Tester's index.
 
     A static assertion (`static`) has a denotation, the set of universe
     heaps in it, computed once per (P, env) with one set operation per
     connective.  Two questions read sets: test_entailment of a static
-    goal scans the goal's set in universe order, and _member3 of a static
-    P, w and frame reads the set of P * (w * frame), which
-    _sem_triple_at also uses to visit only the heaps in it.  Its
+    goal scans the order of bits for one outside the goal's set, and
+    builds only that witness heap; _member3 of a static P, w and frame
+    reads the set of P * (w * frame), which _sem_triple_at also uses to
+    build and visit only the heaps in it.  Its
     _member3 entry holds that set (or None) and the row of the heaps
     answered by _star3, one per heap: every heap when a term is not
     static, and a heap outside this universe (a run's result with a fresh
@@ -378,8 +434,9 @@ class Tester:
         self._sets: dict = {}           # (P, env) -> denotation(P, env)
         self._universe: Optional[list] = None
         self._index: Optional[_UniverseIndex] = None
-        self._bit: dict = {}            # universe heap -> its bit
-        self._ranks: list = []          # rank of each universe heap
+        self._bit: dict = {}            # built universe heap -> its bit
+        self._order: list = []          # the bit of each universe heap
+        self._ranks: list = []          # the rank of each universe heap
         self._by_rank: dict = {}
         self._vals = tuple(IntVal(n) for n in sorted(cfg.int_pool)) \
             + tuple(CodeVal(c, EMPTY_ENV, t) for c in cfg.code_pool
@@ -394,8 +451,10 @@ class Tester:
 
     # --- heap universe
 
-    def universe(self) -> list:
-        if self._universe is None:
+    def _universe_index(self) -> _UniverseIndex:
+        """The index, the universe order and the ranks, built without a
+        heap; a universe above MAX_UNIVERSE_HEAPS is refused first."""
+        if self._index is None:
             vals = self.values()
             # BOT, then every partial map from addr_pool into vals
             count = 1 + (1 + len(vals)) ** len(self.cfg.addr_pool)
@@ -403,43 +462,55 @@ class Tester:
                 raise UniverseTooLarge(
                     f"the heap universe has {count:,} heaps, more than "
                     f"{MAX_UNIVERSE_HEAPS:,}; use fewer addresses or values")
-            addrs = sorted(self.cfg.addr_pool)
-            index = _UniverseIndex(vals, tuple(addrs))
+            n = len(self.cfg.addr_pool)
+            index = _UniverseIndex(vals, tuple(sorted(self.cfg.addr_pool)))
             mapped = range(1, index.radix)
-            heaps, codes, ranks = [BOT, EMPTY_HEAP], [0], [0, 1]
-            for size in range(1, len(addrs) + 1):
-                for dom in itertools.combinations(range(len(addrs)), size):
-                    # the cells, code and rank of every map on dom, in the
-                    # order of itertools.product over vals
-                    cells, code, top = [()], [0], [1]
+            order, ranks = [0, 1], [0, 1]
+            for size in range(1, n + 1):
+                for dom in itertools.combinations(range(n), size):
+                    # the bit and rank of every map on dom, in the order
+                    # of itertools.product over vals
+                    bits, top = [1], [1]
                     for i in dom:
-                        a, place = addrs[i], index.places[i]
-                        cells = [c + ((a, v),) for c in cells for v in vals]
-                        code = [c + d * place for c in code for d in mapped]
+                        place = index.places[i]
+                        bits = [b + d * place for b in bits for d in mapped]
                         top = [max(r, index.ranks[d])
                                for r in top for d in mapped]
-                    heaps += map(Heap, cells)
-                    codes += code
+                    order += bits
                     ranks += top
-            for h, code in zip(heaps[1:], codes):
-                index.by_code[code] = h
-                _UNIVERSE_INDEX[h._id] = (code, index)
-            # a heap's bit in a set of this universe (_UniverseIndex)
-            self._bit = {h._id: code + 1 for h, code in zip(heaps[1:], codes)}
-            self._bit[BOT._id] = 0
+            self._bit = index.bits
+            self._order, self._ranks = order, ranks
             self._index = index
-            self._ranks = ranks
-            self._universe = heaps
+        return self._index
+
+    def _heaps(self, bits):
+        """The heap of each bit, built when the iteration reaches it."""
+        heap = self._universe_index().heap
+        for b in bits:
+            yield heap(b - 1) if b else BOT
+
+    def universe(self) -> list:
+        """Every heap of the universe, in a fixed order."""
+        if self._universe is None:
+            index = self._universe_index()
+            index.build_all()
+            self._universe = [BOT] + [index.by_code[b - 1]
+                                      for b in self._order[1:]]
         return self._universe
 
     def universe_up_to_rank(self, n) -> list:
         return _memo(self._by_rank, n, self._up_to_rank, n)
 
     def _up_to_rank(self, n) -> list:
-        """The heaps of rank at most n, in universe order, by the ranks
-        taken once when the universe was built."""
-        heaps = self.universe()
-        return [h for h, r in zip(heaps, self._ranks) if r <= n]
+        return list(self._ranked(n))
+
+    def _ranked(self, n, within=-1):
+        """The heaps of rank at most n in universe order, only those in
+        the set `within` (by default every heap), each built when the
+        iteration reaches it."""
+        self._universe_index()
+        return self._heaps(b for b, r in zip(self._order, self._ranks)
+                           if r <= n and within >> b & 1)
 
     def raises(self, h: Heap) -> list:
         """tag_raises(h) up to the larger of tag_max and level_k, computed
@@ -583,8 +654,7 @@ class Tester:
         return _memo(self._sets, (P._id, env._id), self._denote, P, env)
 
     def _denote(self, P, env) -> int:
-        self.universe()
-        index = self._index
+        index = self._universe_index()
         t = type(P)
         if t is FalseA:
             return 1
@@ -640,6 +710,8 @@ class Tester:
         bits, row = self._member3_entry(P, w, frame)
         if bits is not None:
             bit = self._bit.get(g._id)
+            if bit is None:
+                bit = self._index.bit(g)
             if bit is not None:
                 return bits >> bit & 1 == 1
         return _memo(row, g._id, self._star3, P, w, frame, g)
@@ -687,9 +759,10 @@ class Tester:
         for frame in self.cfg.frame_pool:
             bits = self._member3_entry(pre_c, w, frame)[0]
             for n in range(k + 1):
-                heaps = self.universe_up_to_rank(n)
-                if bits is not None:
-                    heaps = [g for g in heaps if bits >> self._bit[g._id] & 1]
+                if bits is None:
+                    heaps = self.universe_up_to_rank(n)
+                else:
+                    heaps = self._ranked(n, bits)
                 for g in heaps:
                     outcome = self._sample(code, g, n, w, frame, pre_c, post_c)
                     if outcome is None:
@@ -757,25 +830,29 @@ class Tester:
     def test_entailment(self, P, Q) -> Verdict:
         goal = Implies(P, Q)
         envs = self._env_samples(free_vars(goal)[0])
-        heaps = self.universe()
         denoted = static(goal)
+        index = self._universe_index()
+        if not denoted:
+            heaps = self.universe()
         samples = 0
         base_inconclusive = self.inconclusive
         for env in envs:
             for w in self.cfg.world_pool:
                 if denoted:
-                    bits = self.denotation(goal, env)
-                    bit = self._bit
-                    answers = (bits >> bit[h._id] & 1 for h in heaps)
+                    # the first heap in universe order outside the set
+                    outside = index.full & ~self.denotation(goal, env)
+                    bad = next(self._heaps(b for b in self._order
+                                           if outside >> b & 1), None) \
+                        if outside else None
                 else:
-                    answers = (self.member(goal, env, w, h) for h in heaps)
-                for h, inside in zip(heaps, answers):
-                    samples += 1
-                    if not inside:
-                        return Fail(Witness(
-                            "entailment", w, None, h, "implication-violation",
-                            "heap satisfies the left side but not the right",
-                            env))
+                    bad = next((h for h in heaps
+                                if not self.member(goal, env, w, h)), None)
+                if bad is not None:
+                    return Fail(Witness(
+                        "entailment", w, None, bad, "implication-violation",
+                        "heap satisfies the left side but not the right",
+                        env))
+                samples += len(self._order)
         return Pass(samples, self.inconclusive - base_inconclusive)
 
     def replay(self, witness: Witness, goal_kind: str, P, extra=None) -> bool:

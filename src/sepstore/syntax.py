@@ -47,9 +47,10 @@ Every memo has one of three homes:
    decorator would double the stack frames per level of the recursive
    ones.  No table is ever emptied; a serial is never reused.
    One entry is an index, not a function's answers: "universe_index"
-   maps each non-Bot heap of a universe a semantic Tester has built to
-   its mixed-radix code and that universe's index (semantics), the last
-   universe built holding a heap's entry.  On a table miss, splits and
+   maps each non-Bot heap that a semantic Tester's universe index has
+   built to its mixed-radix code and that index (semantics).  An index
+   builds a heap only when a question reads it, so the last index to
+   build a heap holds its entry.  On a table miss, splits and
    truncations answer a heap with an entry by index arithmetic, building
    no Heap, and every other heap cell by cell: a run's result with a
    fresh address, an int outside the pool or a closure with a captured

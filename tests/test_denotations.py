@@ -13,6 +13,7 @@ forms: n-ary chains, quantifiers over tagged code values, and terms that
 tell each truncation level apart, under every binding of their variable.
 """
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -24,11 +25,13 @@ from sepstore import fuzz
 from sepstore.config import default_config, load_config
 from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse
-from sepstore.interp import BOT, EMPTY_ENV, Env, Heap
-from sepstore.semantics import Tester, static
+from sepstore import semantics
+from sepstore.interp import BOT, EMPTY_ENV, CodeVal, Env, Heap, IntVal, rank
+from sepstore.semantics import Fail, Pass, Tester, static
 from sepstore.syntax import (
-    Emp, Exists, Forall, Implies, Star, TrueA, free_vars,
+    Emp, Exists, Forall, Implies, Skip, Star, TrueA, free_vars,
 )
+from test_tables import _fresh_answers, _references
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "data" / "golden_semantics.jsonl"
@@ -169,3 +172,89 @@ def test_each_tester_reads_its_own_index():
             assert (bits >> t._bit[h._id] & 1 == 1) \
                 == t.member(P, EMPTY_ENV, Emp(), h)
 
+
+
+# --- heaps built on demand
+
+
+def built(tester) -> list:
+    """The heaps the Tester's index has built or registered so far."""
+    return [h for h in tester._index.by_code if h is not None]
+
+
+def reference_universe(tester) -> list:
+    """Bot, then every partial map from the address pool into values(),
+    by domain size, domain and itertools.product over the values."""
+    addrs, vals = sorted(tester.cfg.addr_pool), tester.values()
+    out = [BOT]
+    for size in range(len(addrs) + 1):
+        for dom in itertools.combinations(addrs, size):
+            out += [Heap(tuple(zip(dom, vs)))
+                    for vs in itertools.product(vals, repeat=size)]
+    return out
+
+
+def test_a_static_goal_builds_only_the_heaps_it_reads(monkeypatch):
+    run_on = []
+    run = semantics.run_codeval
+
+    def recorded(code, g, fuel):
+        run_on.append(g)
+        return run(code, g, fuel)
+
+    monkeypatch.setattr(semantics, "run_codeval", recorded)
+    # a Pass of a static entailment builds no heap
+    t = Tester(default_config())
+    P = parse("1 |-> 0 * 2 |-> 'skip' => 2 |-> 'skip' * 1 |-> 0",
+              "assertion")
+    assert isinstance(t.test_entailment(P.left, P.right), Pass)
+    assert built(t) == []
+    # an early Fail builds the heaps it ran the code on, and no other
+    t = Tester(default_config())
+    P = parse("{emp} 'skip' {false}", "assertion")
+    verdict = t.test_triple(P.pre, P.code, P.post)
+    assert isinstance(verdict, Fail)
+    assert set(built(t)) == set(run_on) - {BOT} == {verdict.witness.heap}
+    # a Pass of a static triple builds heaps of its precondition's set
+    t = Tester(default_config())
+    P = parse("{1 |-> _ * 3 |-> 'skip'} '[1] := 1' {1 |-> 1 * 3 |-> 'skip'}",
+              "assertion")
+    assert isinstance(t.test_triple(P.pre, P.code, P.post), Pass)
+    pre = 0
+    for w in t.cfg.world_pool:
+        for frame in t.cfg.frame_pool:
+            pre |= t._member3_entry(P.pre, w, frame)[0]
+    assert 0 < len(built(t)) < len(t._index.by_code)
+    assert all(pre >> t._bit[h._id] & 1 for h in built(t))
+    # the heaps not built yet are built in the universe's order
+    reference = reference_universe(t)
+    assert t.universe() == reference
+    assert len(built(t)) == len(reference) - 1
+    for n in range(5):
+        assert t.universe_up_to_rank(n) \
+            == [h for h in reference if rank(h) <= n]
+
+
+def test_a_heap_interned_first_elsewhere_reads_its_bit_from_its_cells():
+    skip = CodeVal(Skip(), EMPTY_ENV, 2)
+    heaps = [Heap(((1, IntVal(0)),)), Heap(((1, IntVal(-1)), (3, skip))),
+             Heap(((2, skip), (3, IntVal(2))))]
+    t = Tester(default_config())
+    terms = [parse(text, "assertion") for text in
+             ("1 |-> 0 * true", "exists v. 1 |-> v", "emp", "3 |-> _ * true")]
+    for P in terms:
+        for h in heaps:
+            for frame in t.cfg.frame_pool:
+                got = t._member3(P, Emp(), frame, h)
+                bits, row = t._member3_table[(P._id, Emp()._id, frame._id)]
+                # the set path answered: the per-heap row stays empty
+                assert bits is not None and row == {}
+                assert got == t._star3(P, Emp(), frame, h), (P, h, frame)
+    # each was registered under its own code, as the index builds it
+    for h in heaps:
+        code = t._bit[h._id] - 1
+        assert t._index.by_code[code] is h
+        assert t._index.heap(code) is h
+        assert semantics._UNIVERSE_INDEX[h._id] == (code, t._index)
+        assert _fresh_answers(h) == _references(h)
+    assert t.universe() == reference_universe(t)

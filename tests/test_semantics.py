@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -285,6 +286,19 @@ def test_universe_size_is_checked_before_enumerating():
     with pytest.raises(UniverseTooLarge, match="4,826,810 heaps"):
         big.universe()
     assert big._universe is None
+
+
+def test_the_set_paths_refuse_an_oversized_universe_before_building_it():
+    # a static goal never calls universe(): the code-only build refuses
+    big = Tester(replace(default_config(), addr_pool=tuple(range(1, 7))))
+    goal = A("1 |-> 0 * true => true")
+    for ask in (lambda: big.test_entailment(goal.left, goal.right),
+                lambda: big.denotation(goal, EMPTY_ENV)):
+        t0 = time.monotonic()
+        with pytest.raises(UniverseTooLarge, match="4,826,810 heaps"):
+            ask()
+        assert time.monotonic() - t0 < 1.0
+    assert big._index is None and big._sets == {}
 
 
 def test_cache_reentry_raises():
