@@ -483,12 +483,6 @@ class Tester:
             self._index = index
         return self._index
 
-    def _heaps(self, bits):
-        """The heap of each bit, built when the iteration reaches it."""
-        heap = self._universe_index().heap
-        for b in bits:
-            yield heap(b - 1) if b else BOT
-
     def universe(self) -> list:
         """Every heap of the universe, in a fixed order."""
         if self._universe is None:
@@ -508,9 +502,11 @@ class Tester:
         """The heaps of rank at most n in universe order, only those in
         the set `within` (by default every heap), each built when the
         iteration reaches it."""
-        self._universe_index()
-        return self._heaps(b for b, r in zip(self._order, self._ranks)
-                           if r <= n and within >> b & 1)
+        index = self._universe_index()
+        by_code, heap = index.by_code, index.heap
+        for b, r in zip(self._order, self._ranks):
+            if r <= n and within >> b & 1:
+                yield (by_code[b - 1] or heap(b - 1)) if b else BOT
 
     def raises(self, h: Heap) -> list:
         """tag_raises(h) up to the larger of tag_max and level_k, computed
@@ -841,8 +837,7 @@ class Tester:
                 if denoted:
                     # the first heap in universe order outside the set
                     outside = index.full & ~self.denotation(goal, env)
-                    bad = next(self._heaps(b for b in self._order
-                                           if outside >> b & 1), None) \
+                    bad = next(self._ranked(INF, outside), None) \
                         if outside else None
                 else:
                     bad = next((h for h in heaps
