@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .grammar import pretty
 from .interp import (
-    BOT, EMPTY_ENV, EMPTY_HEAP, INF, CodeVal, Env, Fault, Heap, HeapValue,
+    BOT, EMPTY_ENV, INF, CodeVal, Env, Fault, Heap, HeapValue,
     IntVal, OutOfFuel, TypeFault, UnboundVariable, eval_expr, format_heap,
     format_value, rank, run_codeval, tag_raises, truncate, value_leq,
 )

@@ -21,11 +21,10 @@ from pathlib import Path
 import pytest
 
 from conftest import rand_asn
-from sepstore import fuzz
+from sepstore import fuzz, semantics
 from sepstore.config import default_config, load_config
 from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse
-from sepstore import semantics
 from sepstore.interp import BOT, EMPTY_ENV, CodeVal, Env, Heap, IntVal, rank
 from sepstore.semantics import Fail, Pass, Tester, static
 from sepstore.syntax import (
