@@ -47,6 +47,16 @@ def _ints(text, key):
                           f"list, got {text!r}") from exc
 
 
+def _addrs(text):
+    addrs = _ints(text, "addrs")
+    for a in addrs:
+        if a < 1:
+            # a heap's addresses are positive (interp.Heap.of), so a
+            # witness at this address could not be replayed from a heap file
+            raise ValueError(f"addrs: expected positive addresses, got {a}")
+    return addrs
+
+
 def _nat(text, key, positive=False):
     n = int(text)
     if n < 0:
@@ -74,7 +84,7 @@ def _parsed_list(text, kind, key):
 def load_config(text: str) -> TestConfig:
     fields = {}
     handlers = {
-        "addrs": lambda v: ("addr_pool", _ints(v, "addrs")),
+        "addrs": lambda v: ("addr_pool", _addrs(v)),
         "ints": lambda v: ("int_pool", _ints(v, "ints")),
         "code": lambda v: ("code_pool", _parsed_list(v, "program", "code")),
         "tag_max": lambda v: ("tag_max", _nat(v, "tag_max")),

@@ -382,13 +382,28 @@ def parse_value_text(text: str) -> HeapValue:
 
 
 def parse_heap_text(text: str) -> Heap:
+    """The heap of `addr = value` lines; a malformed line raises
+    ValueError naming its line number."""
     cells = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        addr_part, value_part = line.split("=", 1)
-        cells[int(addr_part.strip())] = parse_value_text(value_part)
+        addr_part, eq, value_part = line.partition("=")
+        if not eq:
+            raise ValueError(f"line {lineno}: expected addr = value")
+        try:
+            addr = int(addr_part)
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected an integer address, "
+                             f"got {addr_part.strip()!r}") from None
+        if addr < 1:
+            raise ValueError(f"line {lineno}: address {addr} is not positive")
+        try:
+            cells[addr] = parse_value_text(value_part)
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected an integer or a quoted "
+                             f"command, got {value_part.strip()!r}") from None
     return Heap.of(cells)
 
 

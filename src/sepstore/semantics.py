@@ -89,14 +89,18 @@ class TestConfig:
     env_cap: int = 256
 
     def __post_init__(self):
-        if Emp() not in self.world_pool:
-            object.__setattr__(self, "world_pool",
-                               (Emp(),) + tuple(self.world_pool))
-        frames = tuple(self.frame_pool)
+        # a repeated entry would list the same heap, value, world or frame
+        # twice and count its samples twice; the first one is kept
+        pools = {f: tuple(dict.fromkeys(getattr(self, f)))
+                 for f in ("addr_pool", "int_pool", "code_pool",
+                           "world_pool", "frame_pool")}
+        if Emp() not in pools["world_pool"]:
+            pools["world_pool"] = (Emp(),) + pools["world_pool"]
         for needed in (Emp(), TrueA()):
-            if needed not in frames:
-                frames += (needed,)
-        object.__setattr__(self, "frame_pool", frames)
+            if needed not in pools["frame_pool"]:
+                pools["frame_pool"] += (needed,)
+        for field, pool in pools.items():
+            object.__setattr__(self, field, pool)
 
 
 @dataclass(frozen=True)
@@ -154,9 +158,6 @@ def close_assertion(P, env: Env):
 _SPLITS = TABLES["splits"] = {}
 _TRUNCATIONS = TABLES["truncations"] = {}
 _MU_APPROXIMATIONS = TABLES["mu_approximation"] = {}
-# heap serial -> (code, _UniverseIndex), for each non-Bot heap of every
-# universe a Tester has built; the last universe built holds the entry
-_UNIVERSE_INDEX = TABLES["universe_index"] = {}
 
 
 class _UniverseIndex:
@@ -169,10 +170,10 @@ class _UniverseIndex:
 
     Heaps are built on demand: heap(code) interns the heap of a code on
     its first request, stores it in by_code (None before) and gives it
-    its bit in `bits` and its entry in the registry's universe index, so
-    the last index to build a heap holds that entry.  A universe heap
-    interned elsewhere first, a run's result say, gets its bit from its
-    cells (bit) and is registered the same way.
+    its bit in `bits`.  A universe heap interned elsewhere first, a run's
+    result say, gets its bit from its cells (bit).  The module's splits
+    and truncations answer a heap in `bits` by this index's arithmetic
+    when the asking Tester passes it.
 
     A set of universe heaps is an int: bit 0 stands for Bot and bit
     code + 1 for the heap of that code; `full` is the whole universe, and
@@ -260,7 +261,6 @@ class _UniverseIndex:
     def _register(self, code, h: Heap) -> Heap:
         self.by_code[code] = h
         self.bits[h._id] = code + 1
-        _UNIVERSE_INDEX[h._id] = (code, self)
         return h
 
     def bit(self, h: Heap) -> Optional[int]:
@@ -343,17 +343,17 @@ class _UniverseIndex:
         return self.full & ~hit
 
 
-def splits(h: Heap) -> tuple:
+def splits(h: Heap, index: Optional[_UniverseIndex] = None) -> tuple:
     """Every pair (h1, h2) with h = h1 * h2, h1 holding the cells picked by
     the bits of a mask counted up from 0; Bot splits only into Bot and
-    Bot.  A universe heap's sub-heaps come from its index entry, any
-    other heap's are built cell by cell."""
+    Bot.  A heap the asking index has built takes its sub-heaps from the
+    index, any other heap's are built cell by cell."""
     out = _SPLITS.get(h._id)
     if out is not None:
         return out
-    entry = _UNIVERSE_INDEX.get(h._id)
-    if entry is not None:
-        sub = entry[1].splits(entry[0])
+    bit = index.bits.get(h._id) if index is not None else None
+    if bit:
+        sub = index.splits(bit - 1)
     elif h.is_bot:
         sub = [h]
     else:
@@ -373,15 +373,17 @@ def _finite_rank(h: Heap, what: str) -> int:
     return int(r)
 
 
-def truncations(h: Heap, what: str) -> tuple:
-    """truncate(n, h) for n = 0 .. rank(h); a heap of infinite rank raises
-    UniverseOverflow about `what`."""
+def truncations(h: Heap, what: str,
+                index: Optional[_UniverseIndex] = None) -> tuple:
+    """truncate(n, h) for n = 0 .. rank(h), from the asking index as
+    splits reads it; a heap of infinite rank raises UniverseOverflow about
+    `what`."""
     out = _TRUNCATIONS.get(h._id)
     if out is not None:
         return out
-    entry = _UNIVERSE_INDEX.get(h._id)
-    if entry is not None:
-        out = entry[1].truncations(entry[0])
+    bit = index.bits.get(h._id) if index is not None else None
+    if bit:
+        out = index.truncations(bit - 1)
     else:
         out = tuple(truncate(n, h)
                     for n in range(_finite_rank(h, what) + 1))
@@ -406,10 +408,10 @@ class Tester:
     own index (_UniverseIndex), the universe order as a list of bits and
     the rank of each entry are ints, read off the mixed-radix digits.  A
     heap is built when a question reads it, and universe() builds them
-    all.  A built heap's bit is in _bit, the index's own dict, and its
-    entry in the registry's universe index (syntax docstring, home 2),
-    from which splits and truncations answer universe heaps, names the
-    last index to build it; so sets are read through the Tester's index.
+    all.  A built heap's bit is in _bit, the index's own dict.  The
+    numbering depends on the configuration, so it is the Tester's alone:
+    splits and truncations read the asking Tester's index, and sets are
+    read through it.
 
     A static assertion (`static`) has a denotation, the set of universe
     heaps in it, computed once per (P, env) with one set operation per
@@ -567,7 +569,7 @@ class Tester:
                     return True
             return False
         if t is Implies:
-            for hn in truncations(h, "implication"):
+            for hn in truncations(h, "implication", self._index):
                 if self.member(P.left, env, w, hn) \
                         and not self.member(P.right, env, w, hn):
                     return False
@@ -577,7 +579,7 @@ class Tester:
                        for e in self.bindings(env, P.var))
         if t is Exists:
             envs = self.bindings(env, P.var)
-            for hn in reversed(truncations(h, "existential")):
+            for hn in reversed(truncations(h, "existential", self._index)):
                 if not any(self.member(P.body, e, w, hn) for e in envs):
                     return False
             return True
@@ -585,7 +587,7 @@ class Tester:
             left, right = halves(P)
             return any(self.member(left, env, w, h1)
                        and self.member(right, env, w, h2)
-                       for h1, h2 in splits(h))
+                       for h1, h2 in splits(h, self._index))
         if t is Triple:
             r = _finite_rank(h, "triple")
             if r == 0:
@@ -730,7 +732,7 @@ class Tester:
         rest = Star((w, frame))
         return any(self.member(P, EMPTY_ENV, w, g1)
                    and self.member(rest, EMPTY_ENV, Emp(), g2)
-                   for g1, g2 in splits(g))
+                   for g1, g2 in splits(g, self._index))
 
     def _dcl_member3(self, P, w, frame, h: Heap) -> bool:
         """Downward-closure membership: some tag-raised candidate above h

@@ -46,17 +46,10 @@ Every memo has one of three homes:
    function answers None), and stores its answer last; a wrapping
    decorator would double the stack frames per level of the recursive
    ones.  No table is ever emptied; a serial is never reused.
-   One entry is an index, not a function's answers: "universe_index"
-   maps each non-Bot heap that a semantic Tester's universe index has
-   built to its mixed-radix code and that index (semantics).  An index
-   builds a heap only when a question reads it, so the last index to
-   build a heap holds its entry.  On a table miss, splits and
-   truncations answer a heap with an entry by index arithmetic, building
-   no Heap, and every other heap cell by cell: a run's result with a
-   fresh address, an int outside the pool or a closure with a captured
-   environment, or a heap whose tag a raise or <> has lifted above
-   tag_max.  Both give the same interned heaps in the same order, so
-   which universe holds an entry decides nothing.
+   splits and truncations may compute a miss through the asking
+   Tester's universe numbering (home 3); it gives the same interned
+   heaps in the same order as the per-cell path, so one table serves
+   every Tester.
 3. An answer that depends on a configuration lives in the semantic
    Tester built for it, behind its re-entry guard (semantics._memo).
    One of them is a set table: the denotation of a static assertion

@@ -138,6 +138,25 @@ def test_cli_run_bad_heap_is_usage(runner, tmp_path):
         assert r.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("text, message", [
+    # these used to print Python's unpack and int() messages
+    pytest.param("1 = 0\n2 0", "line 2: expected addr = value",
+                 id="no-equals"),
+    pytest.param("x = 1", "line 1: expected an integer address, got 'x'",
+                 id="bad-address"),
+    pytest.param("1 = 0\n# note\n3 = abc", "line 3: expected an integer "
+                 "or a quoted command, got 'abc'", id="bad-value"),
+    pytest.param("0 = 1", "line 1: address 0 is not positive",
+                 id="address-0"),
+])
+def test_cli_run_bad_heap_names_the_line(runner, tmp_path, text, message):
+    p = write(tmp_path, "p.prog", "skip")
+    h = write(tmp_path, "h.heap", text)
+    r = invoke(runner, "run", p, h)
+    assert r.exit_code == 3
+    assert r.stderr == f"error: {message}\n"
+
+
 def test_cli_internal_error_exits_3(runner, tmp_path):
     # parsing a 5,000-statement sequence nested to the right overflows the
     # recursion limit; a crash is reported as an internal error, never as
@@ -372,6 +391,17 @@ def test_cli_rejects_negative_config_values(runner, tmp_path, line, goal,
     r = invoke(runner, "test", g, "--config", c)
     assert r.exit_code == 3
     assert f"error: config: line 6: {message}" in r.output
+
+
+def test_cli_rejects_an_address_below_1(runner, tmp_path):
+    # addrs = 0, 1 refuted true => emp with the heap 0 = 0, which
+    # `sepstore run` cannot read back from a heap file
+    c = write(tmp_path, "cfg", "ints = 0\naddrs = 0, 1\n")
+    g = write(tmp_path, "g.asn", "true => emp")
+    r = invoke(runner, "test", g, "--config", c)
+    assert r.exit_code == 3
+    assert r.output == "error: config: line 2: addrs: expected positive " \
+        "addresses, got 0\n"
 
 
 # the debug switch that once let the checker accept the unsound rule In

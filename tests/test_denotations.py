@@ -254,6 +254,5 @@ def test_a_heap_interned_first_elsewhere_reads_its_bit_from_its_cells():
         code = t._bit[h._id] - 1
         assert t._index.by_code[code] is h
         assert t._index.heap(code) is h
-        assert semantics._UNIVERSE_INDEX[h._id] == (code, t._index)
-        assert _fresh_answers(h) == _references(h)
+        assert _fresh_answers(h, t._index) == _references(h)
     assert t.universe() == reference_universe(t)

@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from sepstore import semantics, syntax
+from sepstore import logic, semantics, syntax
 from sepstore.config import default_config, load_config
 from sepstore.fuzz import fuzz_config
 from sepstore.interp import (
@@ -129,12 +129,13 @@ k = 3
 """
 
 
-def _fresh_answers(h):
-    """splits(h) and truncations(h) as lists, with their table entries
-    popped first, so that each is computed, not looked up."""
+def _fresh_answers(h, index=None):
+    """splits(h) and truncations(h) through `index` as lists, with their
+    table entries popped first, so that each is computed, not looked
+    up."""
     syntax.TABLES["splits"].pop(h._id, None)
     syntax.TABLES["truncations"].pop(h._id, None)
-    return list(splits(h)), list(truncations(h, "a test"))
+    return list(splits(h, index)), list(truncations(h, "a test", index))
 
 
 def _references(h):
@@ -148,28 +149,35 @@ def _no_heap_built(*args):
     raise AssertionError("a universe heap took the per-cell path")
 
 
+def test_every_table_tables_a_function():
+    # home 2 of the syntax docstring holds pure functions' answers only
+    for name in syntax.TABLES:
+        assert any(callable(getattr(m, name, None))
+                   for m in (logic, semantics)), name
+
+
 def test_index_path_equals_the_per_cell_references(monkeypatch):
-    index = syntax.TABLES["universe_index"]
     for cfg, size in ((default_config(), 2198), (fuzz_config(), 37),
                       (load_config(ITERATOR_CONFIG), 1729)):
         tester = Tester(cfg)
         heaps = tester.universe()
+        index = tester._index
         assert len(heaps) == size
         assert tester._ranks == [rank(h) for h in heaps]
-        assert heaps[0]._id not in index
-        assert all(h._id in index for h in heaps[1:])
+        assert [index.bits[h._id] for h in heaps] == tester._order
         with monkeypatch.context() as m:
             # the per-cell path builds its heaps with these two; Bot has
             # no code and keeps it
             m.setattr(semantics, "Heap", _no_heap_built)
             m.setattr(semantics, "truncate", _no_heap_built)
-            answers = [_fresh_answers(h) for h in heaps[1:]]
-        assert [_fresh_answers(heaps[0])] + answers \
+            answers = [_fresh_answers(h, index) for h in heaps[1:]]
+        assert [_fresh_answers(heaps[0], index)] + answers \
             == [_references(h) for h in heaps]
 
 
 def test_heaps_outside_the_universe_take_the_per_cell_path():
-    Tester(default_config()).universe()
+    tester = Tester(default_config())
+    tester.universe()
     skip = CodeVal(Skip(), EMPTY_ENV, 1)
     outside = [
         Heap(((1, IntVal(0)), (4, IntVal(1)))),               # address 4
@@ -179,24 +187,20 @@ def test_heaps_outside_the_universe_take_the_per_cell_path():
               (3, IntVal(0)))),                               # captured
     ]
     for h in outside:
-        assert h._id not in syntax.TABLES["universe_index"]
-        assert _fresh_answers(h) == _references(h), h
+        assert tester._index.bit(h) is None
+        assert h._id not in tester._index.bits
+        assert _fresh_answers(h, tester._index) == _references(h), h
 
 
 def test_shared_heap_gets_one_answer_whichever_universe_came_first():
-    index = syntax.TABLES["universe_index"]
-    fuzz_heaps = set(Tester(fuzz_config()).universe())
-    shared = [h for h in Tester(default_config()).universe()
+    fuzz, default = Tester(fuzz_config()), Tester(default_config())
+    fuzz_heaps = set(fuzz.universe())
+    shared = [h for h in default.universe()
               if h in fuzz_heaps and not h.is_bot]
     assert len(shared) == len(fuzz_heaps) - 1 == 36
-    answers, owners = [], []
-    for first, last in ((fuzz_config(), default_config()),
-                        (default_config(), fuzz_config())):
-        Tester(first).universe()
-        Tester(last).universe()
-        # the universe built last holds each shared heap's entry
-        owner, = {index[h._id][1] for h in shared}
-        owners.append(owner)
-        answers.append([_fresh_answers(h) for h in shared])
-    assert [len(o.by_code) for o in owners] == [13 ** 3, 6 ** 2]
+    indexes = (fuzz._index, default._index)
+    assert [len(i.by_code) for i in indexes] == [6 ** 2, 13 ** 3]
+    # each index numbers the shared heaps by its own codes
+    assert all(h._id in i.bits for i in indexes for h in shared)
+    answers = [[_fresh_answers(h, i) for h in shared] for i in indexes]
     assert answers[0] == answers[1] == [_references(h) for h in shared]
