@@ -6,7 +6,10 @@ config (2,198 heaps) and the iterator case study's (1,729 heaps).  The
 goals are one instance of each `goal_test` template of the benchmark
 (StarComm, StarAssoc, Update/Free/Seq with a frame, and the three
 refutation patterns), plus its goals whose pre- and postconditions hold
-no triple, `<>`, `mu` or `(*)`.  For each, on a fresh Tester, the verdict
+no triple, `<>`, `mu` or `(*)`, and two static triples that the set
+judgement of a triple leaves to the per-heap path: one on a config whose
+k exceeds its tag_max, and one whose results leave the universe.  For
+each, on a fresh Tester, the verdict
 kind, the witness of a Fail (`Witness.to_json()`), the samples and
 inconclusive count of a Pass, and the number of triples the Tester
 computed are pinned.
@@ -38,6 +41,8 @@ worlds = emp
 frames = emp ;; true
 """
 FALSE_SPEC = "{emp} 'skip' {false}"
+# level 4 raises tags past tag_max, out of the universe
+K_ABOVE_TAG_MAX = "k = 4\ntag_max = 3\n"
 
 # (name, config text or None for the default config, goal)
 GOALS = (
@@ -63,6 +68,9 @@ GOALS = (
     ("iterator", ITERATOR_CONFIG,
      f"{{1 |-> _ * 2 |-> 'skip' * 3 |-> '{C_IT}'}} 'eval [3]' "
      f"{{1 |-> 0 * 2 |-> 'skip' * 3 |-> '{C_IT}'}}"),
+    ("k-above-tag-max", K_ABOVE_TAG_MAX,
+     "{1 |-> 'skip'} 'skip' {1 |-> 'skip'}"),
+    ("leaves-universe", None, "{1 |-> _} '[1] := 7' {1 |-> 7}"),
 )
 
 def _fail(triples, heap, outcome, reason, **where):
@@ -101,6 +109,8 @@ RECORDED = {
     "emp-skip-false": _fail(1, "<empty>", "post-violation",
                             _outside("<empty>"), frame="emp", level=1),
     "iterator": _pass(1, 236, 212),
+    "k-above-tag-max": _pass(1, 1285, 0),
+    "leaves-universe": _pass(1, 2212, 0),
 }
 
 
