@@ -40,11 +40,12 @@ def default_config() -> TestConfig:
 
 
 def _ints(text, key):
+    # a ValueError, so that load_config names the line
     try:
         return tuple(int(p.strip()) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a comma-separated integer "
-                          f"list, got {text!r}") from exc
+    except ValueError:
+        raise ValueError(f"{key}: expected a comma-separated integer "
+                         f"list, got {text!r}") from None
 
 
 def _addrs(text):

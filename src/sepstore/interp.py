@@ -383,8 +383,10 @@ def parse_value_text(text: str) -> HeapValue:
 
 def parse_heap_text(text: str) -> Heap:
     """The heap of `addr = value` lines; a malformed line raises
-    ValueError naming its line number."""
+    ValueError naming its line number, and an address given twice names
+    both lines."""
     cells = {}
+    given = {}      # address -> the line that gave it
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -399,6 +401,10 @@ def parse_heap_text(text: str) -> Heap:
                              f"got {addr_part.strip()!r}") from None
         if addr < 1:
             raise ValueError(f"line {lineno}: address {addr} is not positive")
+        if addr in given:
+            raise ValueError(f"line {lineno}: address {addr} is already "
+                             f"given on line {given[addr]}")
+        given[addr] = lineno
         try:
             cells[addr] = parse_value_text(value_part)
         except ValueError:

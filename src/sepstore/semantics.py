@@ -10,7 +10,9 @@ TestConfig, one heap at a time; for a triple-free assertion without `<>`,
 whole universe (Tester.denotation).  On top of it sit a bounded
 semantic-triple tester and an entailment tester: a Fail verdict is a
 genuine refutation within the model, a Pass means no counterexample exists
-in the configured universe.
+in the configured universe.  A triple whose pre, post, world and frame are
+all static is judged from sets too, when k <= tag_max: each code runs once
+per universe heap, and the postcondition check is one bit of a set.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional, Union
 
 from .grammar import pretty
 from .interp import (
-    BOT, EMPTY_ENV, INF, CodeVal, Env, Fault, Heap, HeapValue,
+    BOT, EMPTY_ENV, INF, CodeVal, Done, Env, Fault, Heap, HeapValue,
     IntVal, OutOfFuel, TypeFault, UnboundVariable, eval_expr, format_heap,
     format_value, rank, run_codeval, tag_raises, truncate, value_leq,
 )
@@ -54,6 +56,7 @@ class CacheReentry(Exception):
 
 
 _IN_PROGRESS = object()
+_OK = ("ok", None)
 
 
 def _memo(cache, key, compute, *args):
@@ -181,7 +184,8 @@ class _UniverseIndex:
 
     __slots__ = ("addrs", "vals", "by_code", "bits", "radix", "places",
                  "ranks", "levels", "full", "with_digit", "_domains",
-                 "_zeros", "_pulls", "_place_of", "_digit_of")
+                 "_zeros", "_pulls", "_raise_pairs", "_place_of",
+                 "_digit_of")
 
     def __init__(self, vals, addrs):
         self.addrs, self.vals = addrs, vals
@@ -218,17 +222,22 @@ class _UniverseIndex:
             self._domains = [dom | bool(d) << i for d in range(self.radix)
                              for dom in self._domains]
         self._zeros = {}    # domain -> the heaps unmapped on all of it
-        # per level that truncates something, per address: the heaps whose
-        # digit it keeps, and (heaps with digit e, shift up to digit d)
-        # for each digit d it lowers to e
-        self._pulls = []
+        # per level n, None when it truncates nothing, else per address:
+        # the heaps whose digit it keeps, and (heaps with digit e, shift up
+        # to digit d) for each digit d it lowers to e
+        self._pulls = [None]
         for level in self.levels[1:]:
             moved = [(d, e) for d, e in enumerate(level) if d != e]
-            if moved:
-                self._pulls.append([
-                    (self.full - 1 - sum(digit[d] for d, _ in moved),
-                     [(digit[e], (d - e) * place) for d, e in moved])
-                    for digit, place in zip(self.with_digit, self.places)])
+            self._pulls.append([
+                (self.full - 1 - sum(digit[d] for d, _ in moved),
+                 [(digit[e], (d - e) * place) for d, e in moved])
+                for digit, place in zip(self.with_digit, self.places)]
+                if moved else None)
+        # (d, e): the value of digit e is a tag raise of that of digit d;
+        # a command's tags count up through vals, so e > d
+        self._raise_pairs = [(d, e) for d, v in enumerate(vals, 1)
+                             for e, u in enumerate(vals, 1)
+                             if e != d and value_leq(v, u)]
 
     def digits(self, code) -> list:
         out = []
@@ -332,15 +341,38 @@ class _UniverseIndex:
         bad: every atom holds at Bot and every connective keeps it, so
         every denotation holds Bot."""
         hit = bad   # the top level truncates nothing
-        for level in self._pulls:
-            pulled = bad
-            for kept, lowered in level:
-                out = pulled & kept
-                for mask, shift in lowered:
-                    out |= (pulled & mask) << shift
-                pulled = out
-            hit |= pulled
+        for pull in self._pulls:
+            if pull:
+                hit |= self._pull(bad, pull)
         return self.full & ~hit
+
+    def raised(self, s) -> list:
+        """Per level n, the heaps whose truncation at n has a tag raise
+        within vals in s.  Address by address, the mirror of downward: s
+        plus the heaps of each raised digit shifted down to its own; then
+        pulled back through each level.  The last entry stands for every
+        level from the top one up."""
+        for digit, place in zip(self.with_digit, self.places):
+            out = s
+            for d, e in self._raise_pairs:
+                out |= (s & digit[e]) >> (e - d) * place
+            s = out
+        bot = s & 1
+        return [self.full if bot else 0] + [
+            bot | self._pull(s, pull) if pull else s
+            for pull in self._pulls[1:]]
+
+    @staticmethod
+    def _pull(s, pull) -> int:
+        """The non-Bot heaps whose truncation by one level's `pull` lies
+        in s: address by address, the codes whose digit is kept plus those
+        of each lowered digit, shifted back up."""
+        for kept, lowered in pull:
+            out = s & kept
+            for mask, shift in lowered:
+                out |= (s & mask) << shift
+            s = out
+        return s
 
 
 def splits(h: Heap, index: Optional[_UniverseIndex] = None) -> tuple:
@@ -396,10 +428,14 @@ class Tester:
 
     It holds the tables whose answers depend on its configuration:
     membership, denotations, the _member3 rows, triples, the heaps up to
-    a rank, tag raises and quantifier bindings (syntax docstring, home
-    3).  Each goes through _memo and is keyed by serials (`_id`), never
-    by the objects themselves: an int key hashes in C, where a term or
-    value would hash through a Python `__hash__`.  The member cache has
+    a rank, tag raises, quantifier bindings, the runs of each code on
+    universe heaps and the raised sets of postconditions (syntax
+    docstring, home 3).  Each is keyed by ints, serials (`_id`) or, for
+    the raised sets, a set, never by the terms or values themselves: an
+    int key hashes in C, where a term or value would hash through a
+    Python `__hash__`.  Each goes through _memo but the run table:
+    run_codeval never calls back into the Tester, so none of its entries
+    can be re-entered.  The member cache has
     one row per (P, env, w), a dict from heap serial to answer, filled on
     demand.  `member` answers a hit from one probe of its row, and only a
     miss goes through _memo.
@@ -415,16 +451,24 @@ class Tester:
 
     A static assertion (`static`) has a denotation, the set of universe
     heaps in it, computed once per (P, env) with one set operation per
-    connective.  Two questions read sets: test_entailment of a static
-    goal scans the order of bits for one outside the goal's set, and
-    builds only that witness heap; _member3 of a static P, w and frame
-    reads the set of P * (w * frame), which _sem_triple_at also uses to
-    build and visit only the heaps in it.  Its
-    _member3 entry holds that set (or None) and the row of the heaps
-    answered by _star3, one per heap: every heap when a term is not
-    static, and a heap outside this universe (a run's result with a fresh
-    address or a raised tag) when all are.  Nested `member` calls stay
-    per heap."""
+    connective.  Three questions read sets:
+    - test_entailment of a static goal scans the order of bits for one
+      outside the goal's set, and builds only that witness heap;
+    - _member3 of a static P, w and frame reads the set of P * (w *
+      frame), which _sem_triple_at also uses to visit only the heaps in
+      it;
+    - _sem_triple_at, when the post is static too and level_k <= tag_max,
+      judges a sample by two reads: the run table gives the bit of the
+      code's result, and the raised set of the post's set at the level
+      holds it iff _dcl_member3 accepts it.  Tag raises go up to
+      max(tag_max, level_k) (raises), so only with level_k <= tag_max
+      is every raise of a universe heap one.
+    A result outside the universe (a fresh address, a value outside the
+    pools), a non-static term and level_k > tag_max are judged per heap
+    by _sample, which replay also uses.  The _member3 entry holds the set
+    (or None) and the row of the heaps answered by _star3, one per heap:
+    every heap when a term is not static, and a heap outside this
+    universe when all are.  Nested `member` calls stay per heap."""
 
     def __init__(self, cfg: TestConfig):
         self.cfg = cfg
@@ -434,6 +478,8 @@ class Tester:
         self._bindings: dict = {}       # (env, x) -> env.bind(x, d) per value
         self._triple_cache: dict = {}
         self._sets: dict = {}           # (P, env) -> denotation(P, env)
+        self._runs: dict = {}           # code -> {bit: its run (_ran)}
+        self._raised_sets: dict = {}    # set -> _UniverseIndex.raised(set)
         self._universe: Optional[list] = None
         self._index: Optional[_UniverseIndex] = None
         self._bit: dict = {}            # built universe heap -> its bit
@@ -495,20 +541,22 @@ class Tester:
         return self._universe
 
     def universe_up_to_rank(self, n) -> list:
+        return [self._heap(b) for b in self._bits_up_to(n)]
+
+    def _bits_up_to(self, n) -> list:
+        """The bits of the heaps of rank at most n, in universe order."""
         return _memo(self._by_rank, n, self._up_to_rank, n)
 
     def _up_to_rank(self, n) -> list:
-        return list(self._ranked(n))
+        self._universe_index()
+        return [b for b, r in zip(self._order, self._ranks) if r <= n]
 
-    def _ranked(self, n, within=-1):
-        """The heaps of rank at most n in universe order, only those in
-        the set `within` (by default every heap), each built when the
-        iteration reaches it."""
-        index = self._universe_index()
-        by_code, heap = index.by_code, index.heap
-        for b, r in zip(self._order, self._ranks):
-            if r <= n and within >> b & 1:
-                yield (by_code[b - 1] or heap(b - 1)) if b else BOT
+    def _heap(self, bit) -> Heap:
+        """The universe heap of a bit, built on first request."""
+        if not bit:
+            return BOT
+        index = self._index
+        return index.by_code[bit - 1] or index.heap(bit - 1)
 
     def raises(self, h: Heap) -> list:
         """tag_raises(h) up to the larger of tag_max and level_k, computed
@@ -752,46 +800,95 @@ class Tester:
                                 env, k))
         pre_c = close_assertion(pre, env)
         post_c = close_assertion(post, env)
+        # a raised set is exact when every tag raise of a universe heap
+        # is in the universe (Tester docstring)
+        by_sets = self.cfg.level_k <= self.cfg.tag_max
         samples = 0
         inconclusive = 0
         for frame in self.cfg.frame_pool:
             bits = self._member3_entry(pre_c, w, frame)[0]
+            raised = None
+            if by_sets and bits is not None:
+                post_bits = self._member3_entry(post_c, w, frame)[0]
+                if post_bits is not None:
+                    raised = _memo(self._raised_sets, post_bits,
+                                   self._index.raised, post_bits)
+            # the heaps visited: those in bits, read as one character per
+            # bit, or every heap
+            within = None if bits is None else \
+                f"{bits:0{self._index.full.bit_length()}b}"[::-1]
             for n in range(k + 1):
-                if bits is None:
-                    heaps = self.universe_up_to_rank(n)
-                else:
-                    heaps = self._ranked(n, bits)
-                for g in heaps:
-                    outcome = self._sample(code, g, n, w, frame, pre_c, post_c)
-                    if outcome is None:
+                if raised is not None:
+                    ok = raised[min(n, len(raised) - 1)]
+                for b in self._bits_up_to(n):
+                    if within is not None and within[b] == "0":
                         continue
+                    if raised is None:
+                        outcome = self._sample(code, self._heap(b), n, w,
+                                               frame, pre_c, post_c)
+                        if outcome is None:
+                            continue
+                    else:
+                        # b is in the precondition's set; a result in the
+                        # universe is its bit, in the post if in ok
+                        out = self._ran(code, b)
+                        if type(out) is not int:
+                            outcome = self._judge(out, n, w, frame, post_c)
+                        elif ok >> out & 1:
+                            outcome = _OK
+                        else:
+                            outcome = _violation(truncate(n, self._heap(out)))
                     samples += 1
                     self.samples += 1
                     if outcome[0] == "out-of-fuel":
                         inconclusive += 1
                         self.inconclusive += 1
                     elif outcome[0] != "ok":
-                        return Fail(Witness("triple", w, frame, g, *outcome,
-                                            env, n))
+                        return Fail(Witness("triple", w, frame, self._heap(b),
+                                            *outcome, env, n))
         return Pass(samples, inconclusive)
+
+    def _ran(self, code: CodeVal, bit: int):
+        """The run of code on the universe heap of bit, from the run table:
+        the result's bit when it is in the universe, else the Fault,
+        OutOfFuel or Done."""
+        row = self._runs.get(code._id)
+        if row is None:
+            row = self._runs[code._id] = {}
+        out = row.get(bit)
+        if out is None:
+            out = run_codeval(code, self._heap(bit), self.cfg.fuel)
+            if type(out) is Done:
+                result = self._index.bit(out.heap)
+                if result is not None:
+                    out = result
+            row[bit] = out
+        return out
 
     def _sample(self, code: CodeVal, g: Heap, n: int, w, frame,
                 pre_c, post_c):
         """Run the code on one sample heap g at level n.  None when g lies
-        outside the precondition; otherwise (outcome, reason), the outcome
-        being "fault", "out-of-fuel", "post-violation" or "ok"."""
+        outside the precondition; otherwise (outcome, reason) (_judge)."""
         if not self._member3(pre_c, w, frame, g):
             return None
-        out = run_codeval(code, g, self.cfg.fuel)
+        bit = self._universe_index().bit(g)
+        if bit is None:
+            return self._judge(run_codeval(code, g, self.cfg.fuel), n, w,
+                               frame, post_c)
+        return self._judge(self._ran(code, bit), n, w, frame, post_c)
+
+    def _judge(self, out, n: int, w, frame, post_c):
+        """(outcome, reason) of a run's outcome at level n, the outcome
+        being "fault", "out-of-fuel", "post-violation" or "ok": the result
+        truncated at n must lie in the downward closure of the post."""
         if isinstance(out, Fault):
             return "fault", out.reason
         if isinstance(out, OutOfFuel):
             return "out-of-fuel", None
-        h2 = truncate(n, out.heap)
+        h2 = truncate(n, self._heap(out) if type(out) is int else out.heap)
         if self._dcl_member3(post_c, w, frame, h2):
-            return "ok", None
-        return "post-violation", \
-            f"result heap [{format_heap(h2)}] is outside the postcondition"
+            return _OK
+        return _violation(h2)
 
     # --- entry points
 
@@ -839,7 +936,8 @@ class Tester:
                 if denoted:
                     # the first heap in universe order outside the set
                     outside = index.full & ~self.denotation(goal, env)
-                    bad = next(self._ranked(INF, outside), None) \
+                    bad = next((self._heap(b) for b in self._order
+                                if outside >> b & 1), None) \
                         if outside else None
                 else:
                     bad = next((h for h in heaps
@@ -870,6 +968,11 @@ class Tester:
                                witness.world, witness.frame, pre_c, post_c)
         return outcome is not None \
             and outcome[0] in ("fault", "post-violation")
+
+
+def _violation(h2: Heap) -> tuple:
+    return "post-violation", \
+        f"result heap [{format_heap(h2)}] is outside the postcondition"
 
 
 _STATIC_ATOMS = (FalseA, TrueA, Emp, Eq, Leq, PointsTo)

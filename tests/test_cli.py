@@ -148,6 +148,9 @@ def test_cli_run_bad_heap_is_usage(runner, tmp_path):
                  "or a quoted command, got 'abc'", id="bad-value"),
     pytest.param("0 = 1", "line 1: address 0 is not positive",
                  id="address-0"),
+    # this one used to run silently on the heap 1 = 2
+    pytest.param("1 = 0\n1 = 2", "line 2: address 1 is already given on "
+                 "line 1", id="repeated-address"),
 ])
 def test_cli_run_bad_heap_names_the_line(runner, tmp_path, text, message):
     p = write(tmp_path, "p.prog", "skip")

@@ -1,8 +1,9 @@
-"""Config files: a repeated pool entry counts once."""
+"""Config files: a repeated pool entry counts once, and an error names
+its line."""
 
 import pytest
 
-from sepstore.config import load_config
+from sepstore.config import ConfigError, load_config
 from sepstore.grammar import parse
 from sepstore.semantics import Pass, Tester
 from sepstore.syntax import Triple
@@ -36,3 +37,16 @@ def _samples(config, goal):
 def test_a_repeated_pool_entry_counts_once(repeated, once, goal):
     assert load_config(repeated) == load_config(once)
     assert _samples(repeated, goal) == _samples(once, goal)
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("k = 2\naddrs = 1, a", "line 2: addrs: expected a "
+                 "comma-separated integer list, got '1, a'", id="addrs"),
+    pytest.param("ints = 0, 1.5", "line 1: ints: expected a "
+                 "comma-separated integer list, got '0, 1.5'", id="ints"),
+])
+def test_a_malformed_integer_list_names_its_line(text, message):
+    # the message used to come without its line number
+    with pytest.raises(ConfigError) as info:
+        load_config(text)
+    assert str(info.value) == message

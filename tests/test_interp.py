@@ -365,6 +365,13 @@ def test_heap_text_roundtrip():
         parse_heap_text("0 = 1")  # addresses are positive
 
 
+def test_heap_text_refuses_a_repeated_address():
+    # the second line used to overwrite the first without a word
+    with pytest.raises(ValueError, match="^line 3: address 1 is already "
+                       "given on line 1$"):
+        parse_heap_text("1 = 0\n2 = 1\n1 = 2")
+
+
 def test_default_universe_is_finite_and_ranked():
     tester = Tester(default_config())
     uni = tester.universe()
