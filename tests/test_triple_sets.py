@@ -4,12 +4,15 @@ For a static pre, post, world and frame, and level_k <= tag_max,
 `Tester._sem_triple_at` judges a sample from the run table and the raised
 set of the post; `Tester._sample` stays the per-heap definition.  For the
 triples of `test_sampler_pin.py`, and for codes whose results leave the
-universe, that fault or that run out of fuel, a fresh Tester's `_sem_triple_at` must give the
+universe, that fault, that run out of fuel or whose result lies in the
+post only once truncated, a fresh Tester's `_sem_triple_at` must give the
 verdict, samples, inconclusive count, witness and counter deltas of a loop
 that judges every sample with `_sample`, on every heap of the fuzz
 universe and on every 7th heap (in universe order) of the default one.
 The heaps visited are narrowed by seeding the Tester's table of the heaps
 up to each rank, which both loops read, so the real sampler loop runs.
+The raised sets themselves are checked against `tag_raises` and
+`truncate`, heap by heap, on the same heaps.
 """
 
 import random
@@ -23,9 +26,7 @@ from sepstore.grammar import parse
 from sepstore.interp import (
     EMPTY_ENV, Done, Fault, OutOfFuel, eval_expr, tag_raises, truncate,
 )
-from sepstore.semantics import (
-    Fail, Pass, Tester, Witness, close_assertion,
-)
+from sepstore.semantics import Fail, Pass, Tester, Witness, close_assertion
 from sepstore.syntax import free_vars
 from test_sampler_pin import GOALS, K_ABOVE_TAG_MAX
 
@@ -41,6 +42,10 @@ INCONCLUSIVE = "{2 |-> 'skip'} 'eval [2]' {2 |-> 'skip'}"
 TRUNCATED = "{1 |-> x} '[1] := y' {1 |-> x}"
 EXTRA = tuple(parse(text, "assertion")
               for text in LEAVING + (FAULTING, INCONCLUSIVE, TRUNCATED))
+# (config, step): every heap of the fuzz universe, every 7th of the default
+UNIVERSES = pytest.mark.parametrize(
+    "cfg, step", [(fuzz_config(), 1), (default_config(), 7)],
+    ids=["fuzz-every-heap", "default-every-7th"])
 
 
 def seeded_tester(cfg, step):
@@ -115,9 +120,7 @@ def outcomes(t):
     return [out for row in t._runs.values() for out in row.values()]
 
 
-@pytest.mark.parametrize("cfg, step", [(fuzz_config(), 1),
-                                       (default_config(), 7)],
-                         ids=["fuzz-every-heap", "default-every-7th"])
+@UNIVERSES
 def test_set_judgement_equals_the_per_heap_sampler(cfg, step):
     start = time.perf_counter()
     t = compare(cfg, step, tuple(P for P, _ in PINNED) + EXTRA)
@@ -135,9 +138,7 @@ def test_k_above_tag_max_is_judged_per_heap():
     assert t._runs and not t._raised_sets
 
 
-@pytest.mark.parametrize("cfg, step", [(fuzz_config(), 1),
-                                       (default_config(), 7)],
-                         ids=["fuzz-every-heap", "default-every-7th"])
+@UNIVERSES
 def test_raised_sets_hold_the_heaps_with_a_raise_in_the_set(cfg, step):
     """Per level, on sparse random sets (denotations are closed under
     lowering tags, so every raise of theirs adds nothing)."""
