@@ -8,8 +8,10 @@ goals are one instance of each `goal_test` template of the benchmark
 refutation patterns), plus its goals whose pre- and postconditions hold
 no triple, `<>`, `mu` or `(*)`, and two static triples that the set
 judgement of a triple leaves to the per-heap path: one on a config whose
-k exceeds its tag_max, and one whose results leave the universe.  For
-each, on a fresh Tester, the verdict
+k exceeds its tag_max, and one whose results leave the universe.  Three
+straight-line commands pin a `;` chain through a `free`, an update
+outside the address pool and an update of a freed cell.  For each, on a
+fresh Tester, the verdict
 kind, the witness of a Fail (`Witness.to_json()`), the samples and
 inconclusive count of a Pass, and the number of triples the Tester
 computed are pinned.
@@ -71,6 +73,10 @@ GOALS = (
     ("k-above-tag-max", K_ABOVE_TAG_MAX,
      "{1 |-> 'skip'} 'skip' {1 |-> 'skip'}"),
     ("leaves-universe", None, "{1 |-> _} '[1] := 7' {1 |-> 7}"),
+    ("seq-free", None,
+     "{1 |-> _ * 2 |-> _} '[1] := 2 ; free(2) ; [1] := -1' {1 |-> -1}"),
+    ("update-outside-pool", None, "{true} '[7] := 1' {true}"),
+    ("update-after-free", None, "{1 |-> _} 'free(1) ; [1] := 0' {emp}"),
 )
 
 def _fail(triples, heap, outcome, reason, **where):
@@ -111,6 +117,13 @@ RECORDED = {
     "iterator": _pass(1, 236, 212),
     "k-above-tag-max": _pass(1, 1285, 0),
     "leaves-universe": _pass(1, 2212, 0),
+    "seq-free": _pass(1, 2340, 0),
+    "update-outside-pool": _fail(1, "<empty>", "fault",
+                                 "update of non-address 7",
+                                 frame="emp", level=1),
+    "update-after-free": _fail(1, "1 = -1", "fault",
+                               "update of non-address 1",
+                               frame="emp", level=1),
 }
 
 
