@@ -380,6 +380,10 @@ def prenex(P):
     return out
 
 
+# the witness offered when no sub-expression fits (_Entailer._instances)
+_ZERO = IntLit(0)
+
+
 def _witnesses(ast) -> tuple:
     """The sub-expressions of ast usable as quantifier witnesses (integers,
     variables, arithmetic and quoted code), one per canonical form, in
@@ -609,14 +613,20 @@ class _Entailer:
 
     def _instances(self, quant, other):
         """The body of `quant` at each candidate witness: sub-expressions
-        of `other` and of the body."""
+        of `other` and of the body, then the closed value 0, for a body
+        that does not pin its variable down (`emp => exists b. emp`).
+        The search still has to prove each instance it opens, so an extra
+        candidate cannot make it unsound."""
         out, seen = [], set()
         for w in _witnesses(other) + _witnesses(quant.body):
             k = canon_key(w)._id
             if k not in seen:
                 seen.add(k)
                 out.append(w)
-        for w in out[:self.MAX_WITNESSES]:
+        out = out[:self.MAX_WITNESSES]
+        if _ZERO not in out:
+            out.append(_ZERO)
+        for w in out:
             if quant.var not in free_vars(w)[0]:
                 yield _open(quant.body, quant.var, w)
 

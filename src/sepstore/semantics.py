@@ -12,7 +12,9 @@ semantic-triple tester and an entailment tester: a Fail verdict is a
 genuine refutation within the model, a Pass means no counterexample exists
 in the configured universe.  A triple whose pre, post, world and frame are
 all static is judged from sets too, when k <= tag_max: each code runs once
-per universe heap, and the postcondition check is one bit of a set.
+per universe heap, and the postcondition check is one bit of a set.  A
+straight-line code (updates and `free`s) is read as one digit map per
+address instead, so such a triple is judged from sets without a run.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from .interp import (
     format_value, rank, run_codeval, tag_raises, truncate, value_leq,
 )
 from .syntax import (
-    And, Diamond, Emp, Eq, Exists, FalseA, Forall, Implies, Leq, Mu, Or,
-    PointsTo, PSEUDO_PURE, PURE, RelVar, Skip, Star, Tensor, Triple, TrueA,
-    TABLES, ValueLit, circ, classify, free_vars, halves, substitute, unfold,
+    And, Assign, Diamond, Emp, Eq, Exists, FalseA, Forall, Free, Implies,
+    Leq, Mu, Or, PointsTo, PSEUDO_PURE, PURE, RelVar, Seq, Skip, Star,
+    Tensor, Triple, TrueA, TABLES, ValueLit, circ, classify, free_vars,
+    halves, substitute, unfold,
 )
 
 
@@ -374,6 +377,26 @@ class _UniverseIndex:
             s = out
         return s
 
+    def preimage(self, s, maps) -> int:
+        """The heaps whose image under a command's digit maps (maps, from
+        Tester._digit_maps) lies in s, Bot mapping to Bot.  Address by
+        address, as _pull: the codes whose digit d maps to e are those of
+        s with digit e, shifted from e to d; a digit that faults maps to
+        nothing, and an address outside the pool faults on every non-Bot
+        heap."""
+        out = s
+        for i, f in maps:
+            if i is None:
+                return s & 1
+            digit, place = self.with_digit[i], self.places[i]
+            out, before = 0, out
+            for d, e in enumerate(f):
+                if e is not None:
+                    hit = before & digit[e]
+                    out |= hit << (d - e) * place if d >= e \
+                        else hit >> (e - d) * place
+        return out | s & 1
+
 
 def splits(h: Heap, index: Optional[_UniverseIndex] = None) -> tuple:
     """Every pair (h1, h2) with h = h1 * h2, h1 holding the cells picked by
@@ -428,17 +451,18 @@ class Tester:
 
     It holds the tables whose answers depend on its configuration:
     membership, denotations, the _member3 rows, triples, the heaps up to
-    a rank, tag raises, quantifier bindings, the runs of each code on
-    universe heaps and the raised sets of postconditions (syntax
-    docstring, home 3).  Each is keyed by ints, serials (`_id`) or, for
-    the raised sets, a set, never by the terms or values themselves: an
-    int key hashes in C, where a term or value would hash through a
-    Python `__hash__`.  Each goes through _memo but the run table:
-    run_codeval never calls back into the Tester, so none of its entries
-    can be re-entered.  The member cache has
-    one row per (P, env, w), a dict from heap serial to answer, filled on
-    demand.  `member` answers a hit from one probe of its row, and only a
-    miss goes through _memo.
+    a rank and their set, tag raises, quantifier bindings, the runs of
+    each code on universe heaps, the digit maps of each code and the
+    raised sets of postconditions (syntax docstring, home 3).  Each is
+    keyed by ints, serials (`_id`) or, for the raised sets, a set, never
+    by the terms or values themselves: an int key hashes in C, where a
+    term or value would hash through a Python `__hash__`.  Each goes
+    through _memo but the run table and the digit maps: neither
+    run_codeval nor _digit_maps calls back into the Tester, so none of
+    their entries can be re-entered.  The member cache has one row per
+    (P, env, w), a dict from heap serial to answer, filled on demand.
+    `member` answers a hit from one probe of its row, and only a miss
+    goes through _memo.
 
     The universe is numbered before any of its heaps exists: the Tester's
     own index (_UniverseIndex), the universe order as a list of bits and
@@ -451,7 +475,7 @@ class Tester:
 
     A static assertion (`static`) has a denotation, the set of universe
     heaps in it, computed once per (P, env) with one set operation per
-    connective.  Three questions read sets:
+    connective.  Four questions read sets:
     - test_entailment of a static goal scans the order of bits for one
       outside the goal's set, and builds only that witness heap;
     - _member3 of a static P, w and frame reads the set of P * (w *
@@ -462,7 +486,18 @@ class Tester:
       code's result, and the raised set of the post's set at the level
       holds it iff _dcl_member3 accepts it.  Tag raises go up to
       max(tag_max, level_k) (raises), so only with level_k <= tag_max
-      is every raise of a universe heap one.
+      is every raise of a universe heap one;
+    - there, a straight-line code (_digit_maps: `skip`, updates and
+      `free`s of tag INF, whose operands evaluate and whose stored values
+      are in values()) changes one digit per address it touches, so its
+      results stay in the universe, and the pre heaps whose run faults or
+      misses the raised set at a level are one set: the pre heaps of rank
+      up to the level minus the preimage of the raised set
+      (_UniverseIndex.preimage).  Bot maps to Bot, as every run on Bot
+      ends in Bot.  With no heap in it, the level's samples are a
+      popcount; otherwise the scan stops at the first heap in it, in
+      universe order, and only that heap is built and run, so the
+      interpreter writes the witness's fault reason or result.
     A result outside the universe (a fresh address, a value outside the
     pools), a non-static term and level_k > tag_max are judged per heap
     by _sample, which replay also uses.  The _member3 entry holds the set
@@ -479,6 +514,8 @@ class Tester:
         self._triple_cache: dict = {}
         self._sets: dict = {}           # (P, env) -> denotation(P, env)
         self._runs: dict = {}           # code -> {bit: its run (_ran)}
+        self._maps: dict = {}           # code -> its _digit_maps
+        self._rank_sets: dict = {}      # n -> the set of _bits_up_to(n)
         self._raised_sets: dict = {}    # set -> _UniverseIndex.raised(set)
         self._universe: Optional[list] = None
         self._index: Optional[_UniverseIndex] = None
@@ -550,6 +587,17 @@ class Tester:
     def _up_to_rank(self, n) -> list:
         self._universe_index()
         return [b for b, r in zip(self._order, self._ranks) if r <= n]
+
+    def _rank_set(self, n) -> int:
+        """The heaps of _bits_up_to(n), as a set."""
+        return _memo(self._rank_sets, n, self._set_of_rank, n)
+
+    def _set_of_rank(self, n) -> int:
+        # one character per bit, most significant first
+        chars = bytearray(b"0") * self._index.full.bit_length()
+        for b in self._bits_up_to(n):
+            chars[b] = 49   # "1"
+        return int(chars[::-1], 2)
 
     def _heap(self, bit) -> Heap:
         """The universe heap of a bit, built on first request."""
@@ -807,12 +855,15 @@ class Tester:
         inconclusive = 0
         for frame in self.cfg.frame_pool:
             bits = self._member3_entry(pre_c, w, frame)[0]
-            raised = None
+            raised = maps = None
             if by_sets and bits is not None:
                 post_bits = self._member3_entry(post_c, w, frame)[0]
                 if post_bits is not None:
                     raised = _memo(self._raised_sets, post_bits,
                                    self._index.raised, post_bits)
+                    if code._id not in self._maps:
+                        self._maps[code._id] = self._digit_maps(code)
+                    maps = self._maps[code._id]
             # the heaps visited: those in bits, read as one character per
             # bit, or every heap
             within = None if bits is None else \
@@ -820,6 +871,15 @@ class Tester:
             for n in range(k + 1):
                 if raised is not None:
                     ok = raised[min(n, len(raised) - 1)]
+                    if maps is not None:
+                        # the samples at n whose run faults or misses ok
+                        at_n = bits & self._rank_set(n)
+                        bad = at_n & ~self._index.preimage(ok, maps)
+                        if not bad:
+                            count = at_n.bit_count()
+                            samples += count
+                            self.samples += count
+                            continue
                 for b in self._bits_up_to(n):
                     if within is not None and within[b] == "0":
                         continue
@@ -828,6 +888,8 @@ class Tester:
                                                frame, pre_c, post_c)
                         if outcome is None:
                             continue
+                    elif maps is not None and not bad >> b & 1:
+                        outcome = _OK
                     else:
                         # b is in the precondition's set; a result in the
                         # universe is its bit, in the post if in ok
@@ -847,6 +909,42 @@ class Tester:
                         return Fail(Witness("triple", w, frame, self._heap(b),
                                             *outcome, env, n))
         return Pass(samples, inconclusive)
+
+    def _digit_maps(self, code: CodeVal):
+        """A straight-line code as digit maps: a tuple of (i, f) for each
+        address index i it updates or frees (None for an address outside
+        the pool), f[d] being digit i after the run on a heap whose digit
+        i is d, or None where the run faults.  Such a code is `skip`,
+        `[e] := e'` and `free(e)` in `;` chains of at most `fuel` `;`s, of
+        tag INF, each operand evaluating and each stored value in
+        values(); for any other code, None.  An update sends a mapped
+        digit to its value's, `free` sends it to 0, both fault on 0."""
+        if code.tag != INF:
+            return None
+        index, env = self._index, code.captured
+        maps, todo, seqs = {}, [code.body], 0
+        while todo:
+            c = todo.pop()
+            t = type(c)
+            if t is Seq:
+                seqs += len(c.cmds) - 1
+                todo += reversed(c.cmds)
+            elif t is Assign or t is Free:
+                try:
+                    a = eval_expr(c.target if t is Assign else c.addr, env)
+                    e = 0 if t is Free else \
+                        index._digit_of.get(eval_expr(c.source, env)._id)
+                except (TypeFault, UnboundVariable):
+                    return None
+                if e is None:
+                    return None
+                i = index.addrs.index(a.n) if type(a) is IntVal \
+                    and a.n in index.addrs else None
+                maps[i] = tuple(e if d else None
+                                for d in maps.get(i, range(index.radix)))
+            elif t is not Skip:
+                return None
+        return tuple(maps.items()) if seqs <= self.cfg.fuel else None
 
     def _ran(self, code: CodeVal, bit: int):
         """The run of code on the universe heap of bit, from the run table:

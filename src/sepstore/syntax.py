@@ -52,14 +52,17 @@ Every memo has one of three homes:
    every Tester.
 3. An answer that depends on a configuration lives in the semantic
    Tester built for it, behind its re-entry guard (semantics._memo),
-   save the run table of a code on its universe heaps, a leaf that never
-   calls back into the Tester.  Two of them are set tables: the
+   save the run table of a code on its universe heaps and the digit
+   maps of a straight-line code, leaves that never call back into the
+   Tester.  Three of them are set tables: the
    denotation of a static assertion (semantics.static: no triple, <>,
    mu or (*)) under an environment, as a set of the Tester's own
-   universe heaps, and the raised sets of such a set, per level.
+   universe heaps, the raised sets of such a set, per level, and the
+   set of the heaps up to each rank.
    test_entailment of a static goal and the triple sampler's [[pre]]w *
    (w * frame) of a static pre, world and frame read the first, and the
-   sampler judges a static post from the second; a nested member call,
+   sampler judges a static post from the second, for a straight-line
+   code through the preimage of its digit maps; a nested member call,
    any other term and any heap outside that universe are answered heap
    by heap.
 """

@@ -214,10 +214,19 @@ def test_a_static_goal_builds_only_the_heaps_it_reads(monkeypatch):
     verdict = t.test_triple(P.pre, P.code, P.post)
     assert isinstance(verdict, Fail)
     assert set(built(t)) == set(run_on) - {BOT} == {verdict.witness.heap}
-    # a Pass of a static triple builds heaps of its precondition's set
+    # a Pass of a static straight-line triple builds no heap and runs no
+    # code: its runs are digit maps
+    run_on.clear()
     t = Tester(default_config())
     P = parse("{1 |-> _ * 3 |-> 'skip'} '[1] := 1' {1 |-> 1 * 3 |-> 'skip'}",
               "assertion")
+    assert isinstance(t.test_triple(P.pre, P.code, P.post), Pass)
+    assert built(t) == [] and run_on == []
+    # a Pass of any other static triple builds heaps of its precondition's
+    # set
+    t = Tester(default_config())
+    P = parse("{1 |-> _ * 3 |-> 'skip'} 'let x = [1] in [1] := x' "
+              "{1 |-> _ * 3 |-> 'skip'}", "assertion")
     assert isinstance(t.test_triple(P.pre, P.code, P.post), Pass)
     pre = 0
     for w in t.cfg.world_pool:

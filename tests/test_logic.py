@@ -375,6 +375,16 @@ def test_entail_basic_positive():
     assert entail_basic(A("1 |-> 0 * 2 |-> 1"), A("1 |-> _ * 2 |-> 1"))
 
 
+@pytest.mark.parametrize("goal", ["emp => exists b. emp",
+                                  "true => exists b. true",
+                                  "emp => exists b. b = b"])
+def test_an_unpinned_existential_is_introduced(goal):
+    """A body that does not pin its variable down still gets a witness,
+    so the one-node Entail script of the goal checks."""
+    script = f'(rule Entail (conclude "{goal}"))'
+    assert check_proof(parse_script(script)).ok
+
+
 def test_entail_basic_negative():
     assert not entail_basic(TrueA(), FalseA())
     assert not entail_basic(A("1 |-> 0"), A("2 |-> 0"))

@@ -13,21 +13,33 @@ The heaps visited are narrowed by seeding the Tester's table of the heaps
 up to each rank, which both loops read, so the real sampler loop runs.
 The raised sets themselves are checked against `tag_raises` and
 `truncate`, heap by heap, on the same heaps.
+
+A straight-line code is judged without a run where its digit maps
+(`Tester._digit_maps`) exist: every command of up to three `skip`,
+update and `free` statements over the fuzz addresses and one outside
+both pools, storing a pool integer, 7 or a quoted `skip`, goes through
+the same comparison, and each preimage of a raised set under the maps
+is checked against `run_codeval`, heap by heap.
 """
 
+import dataclasses
+import itertools
 import random
 import time
 
 import pytest
 
 from sepstore.config import default_config, load_config
-from sepstore.fuzz import fuzz_config
-from sepstore.grammar import parse
+from sepstore.fuzz import ADDRS, INTS, fuzz_config
+from sepstore.grammar import parse, pretty_cmd
 from sepstore.interp import (
-    EMPTY_ENV, Done, Fault, OutOfFuel, eval_expr, tag_raises, truncate,
+    EMPTY_ENV, Done, Fault, OutOfFuel, eval_expr, run_codeval, tag_raises,
+    truncate,
 )
 from sepstore.semantics import Fail, Pass, Tester, Witness, close_assertion
-from sepstore.syntax import free_vars
+from sepstore.syntax import (
+    Assign, Free, IntLit, Quote, Seq, Skip, Triple, free_vars,
+)
 from test_sampler_pin import GOALS, K_ABOVE_TAG_MAX
 
 PINNED = tuple((parse(text, "assertion"), config) for _, config, text in GOALS
@@ -155,3 +167,86 @@ def test_raised_sets_hold_the_heaps_with_a_raise_in_the_set(cfg, step):
                 want = any(s >> index.bit(g) & 1 for g in
                            tag_raises(truncate(n, h), cfg.tag_max))
                 assert (got >> index.bit(h) & 1 == 1) == want, (n, h)
+
+
+# the fuzz addresses and one outside both pools; the fuzz integers, an
+# integer outside both pools and a quoted skip, which is outside values()
+OUTSIDE = (IntLit(7), Quote(Skip()))
+STATEMENTS = (Skip(),) + tuple(
+    Assign(IntLit(a), v) for a in ADDRS + (4,)
+    for v in tuple(map(IntLit, INTS)) + OUTSIDE) \
+    + tuple(Free(IntLit(a)) for a in ADDRS + (4,))
+# per first statement, every code of up to three statements
+CHAINS = {first: tuple(Quote(Seq((first,) + rest) if rest else first)
+                       for size in (0, 1, 2)
+                       for rest in itertools.product(STATEMENTS, repeat=size))
+          for first in STATEMENTS}
+STRAIGHT_LINE = tuple(e for codes in CHAINS.values() for e in codes)
+UP_TO_TWO = tuple(e for e in STRAIGHT_LINE
+                  if type(e.body) is not Seq or len(e.body.cmds) == 2)
+STRAIGHT_PRE = parse("1 |-> _ * 2 |-> _", "assertion")
+STRAIGHT_POST = parse("1 |-> 0 * 2 |-> _", "assertion")
+
+
+@UNIVERSES
+@pytest.mark.parametrize("first", STATEMENTS, ids=pretty_cmd)
+def test_straight_line_codes_judge_as_the_per_heap_sampler(cfg, step,
+                                                           first):
+    start = time.perf_counter()
+    codes = CHAINS[first]
+    t = compare(cfg, step, [Triple(STRAIGHT_PRE, e, STRAIGHT_POST)
+                            for e in codes])
+    # a code that stores no 7 and no quote has digit maps, and ran on its
+    # witness heap alone
+    for e in codes:
+        code = eval_expr(e, EMPTY_ENV)
+        stores = {getattr(c, "source", None)
+                  for c in (e.body.cmds if type(e.body) is Seq else [e.body])}
+        assert (t._maps[code._id] is None) == bool(stores & set(OUTSIDE))
+        if t._maps[code._id] is not None:
+            assert len(t._runs.get(code._id, ())) <= 1
+    assert time.perf_counter() - start < 2
+
+
+def test_a_chain_of_more_semicolons_than_fuel_is_run():
+    """With fuel 1, each three-statement code runs out of fuel on every
+    non-Bot heap, so it has no digit maps."""
+    cfg = dataclasses.replace(fuzz_config(), fuel=1)
+    codes = STRAIGHT_LINE[::7]
+    t = compare(cfg, 1, [Triple(STRAIGHT_PRE, e, STRAIGHT_POST)
+                         for e in codes])
+    assert OutOfFuel in {type(out) for out in outcomes(t)}
+    for e in codes:
+        if type(e.body) is Seq and len(e.body.cmds) == 3:
+            assert t._maps[eval_expr(e, EMPTY_ENV)._id] is None
+
+
+@UNIVERSES
+def test_preimages_are_the_heaps_the_code_runs_into_a_set(cfg, step):
+    """For every straight-line code of up to two statements, at each
+    level's raised set of a few posts and random sets."""
+    t = seeded_tester(cfg, step)
+    index = t._universe_index()
+    checked = t._order[::step]
+    rng = random.Random(0)
+    sets = [t.denotation(parse(text, "assertion"), EMPTY_ENV)
+            for text in ("1 |-> 0 * 2 |-> _", "emp", "true", "false")]
+    sets += [sum(1 << b for b in range(index.full.bit_length())
+                 if rng.random() < 0.3) for _ in range(3)]
+    targets = [r for s in sets for r in index.raised(s)]
+    for e in UP_TO_TWO:
+        code = eval_expr(e, EMPTY_ENV)
+        maps = t._digit_maps(code)
+        if maps is None:
+            continue
+        images = {}
+        for b in checked:
+            out = run_codeval(code, t._heap(b), cfg.fuel)
+            images[b] = index.bit(out.heap) if type(out) is Done else None
+            assert type(out) is Done or type(out) is Fault
+            assert type(out) is Fault or images[b] is not None
+        for r in targets:
+            got = index.preimage(r, maps)
+            for b in checked:
+                want = images[b] is not None and r >> images[b] & 1
+                assert (got >> b & 1) == want, (e, b)
