@@ -593,7 +593,7 @@ class Tester:
         return _memo(self._rank_sets, n, self._set_of_rank, n)
 
     def _set_of_rank(self, n) -> int:
-        # one character per bit, most significant first
+        # one character per bit, bit 0 first; int() reads it reversed
         chars = bytearray(b"0") * self._index.full.bit_length()
         for b in self._bits_up_to(n):
             chars[b] = 49   # "1"
