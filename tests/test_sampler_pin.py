@@ -10,7 +10,10 @@ no triple, `<>`, `mu` or `(*)`, and two static triples that the set
 judgement of a triple leaves to the per-heap path: one on a config whose
 k exceeds its tag_max, and one whose results leave the universe.  Three
 straight-line commands pin a `;` chain through a `free`, an update
-outside the address pool and an update of a freed cell.  For each, on a
+outside the address pool and an update of a freed cell.  Three
+entailments with a triple or `mu` in them pin the heap-by-heap scan: a
+`Pass` with a `mu`, a `Pass` whose tag-0 closures run out of fuel, and a
+`Fail` of a static left side whose witness is not Bot.  For each, on a
 fresh Tester, the verdict
 kind, the witness of a Fail (`Witness.to_json()`), the samples and
 inconclusive count of a Pass, and the number of triples the Tester
@@ -77,6 +80,9 @@ GOALS = (
      "{1 |-> _ * 2 |-> _} '[1] := 2 ; free(2) ; [1] := -1' {1 |-> -1}"),
     ("update-outside-pool", None, "{true} '[7] := 1' {true}"),
     ("update-after-free", None, "{1 |-> _} 'free(1) ; [1] := 0' {emp}"),
+    ("emp-mu", None, "emp => mu X. {X} 'skip' {false}"),
+    ("true-eval", None, "true => {1 |-> 'skip'} 'eval [1]' {true}"),
+    ("static-left-fail", None, "1 |-> 'skip' => {emp} 'skip' {false}"),
 )
 
 def _fail(triples, heap, outcome, reason, **where):
@@ -124,6 +130,11 @@ RECORDED = {
     "update-after-free": _fail(1, "1 = -1", "fault",
                                "update of non-address 1",
                                frame="emp", level=1),
+    "emp-mu": _pass(1, 2198, 0),
+    "true-eval": _pass(4, 2198, 442),
+    "static-left-fail": _fail(2, "1 = 'skip'@1", "implication-violation",
+                              "heap satisfies the left side but not the "
+                              "right"),
 }
 
 
