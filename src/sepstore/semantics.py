@@ -7,14 +7,18 @@ membership evaluator follows the assertion semantics clause by clause over
 a bounded universe of heaps, values, worlds and frames described by a
 TestConfig, one heap at a time; for a triple-free assertion without `<>`,
 `mu` or `(*)` the same clauses are also computed a set at a time, over the
-whole universe (Tester.denotation).  On top of it sit a bounded
-semantic-triple tester and an entailment tester: a Fail verdict is a
-genuine refutation within the model, a Pass means no counterexample exists
-in the configured universe.  A triple whose pre, post, world and frame are
-all static is judged from sets too, when k <= tag_max: each code runs once
-per universe heap, and the postcondition check is one bit of a set.  A
-straight-line code (updates and `free`s) is read as one digit map per
-address instead, so such a triple is judged from sets without a run.
+whole universe (Tester.denotation), and such a term's membership, at any
+depth of a goal, is one bit of its set on a universe heap.  On top of it
+sit a bounded semantic-triple tester and an entailment tester: a Fail
+verdict is a genuine refutation within the model, a Pass means no
+counterexample exists in the configured universe.  An entailment reads
+only the heaps of its left side's set when that side is static, and
+builds only the heaps it reads.  A triple whose pre, post, world and
+frame are all static is judged from sets too, when k <= tag_max: each
+code runs once per universe heap, and the postcondition check is one bit
+of a set.  A straight-line code (updates and `free`s) is read as one
+digit map per address instead, so such a triple is judged from sets
+without a run.
 """
 
 from __future__ import annotations
@@ -475,9 +479,18 @@ class Tester:
 
     A static assertion (`static`) has a denotation, the set of universe
     heaps in it, computed once per (P, env) with one set operation per
-    connective.  Four questions read sets:
-    - test_entailment of a static goal scans the order of bits for one
-      outside the goal's set, and builds only that witness heap;
+    connective.  Five questions read sets:
+    - member of a static P: its entry, made once per (P, env, w), holds
+      P's set, and a universe heap is answered by one bit; a heap outside
+      the universe keeps the per-heap clause, in the entry's row;
+    - test_entailment scans the order of bits up to the first heap
+      outside the goal, building only the heaps it reads: for a static
+      goal, the bits outside its set; for a static left side P, the bits
+      of P's set, each tested in the right side Q; otherwise every bit,
+      tested in the goal.  A heap's truncations come no later in that
+      order than itself, so the first heap of P outside Q is the first
+      outside the goal, and Q is read on the heaps the goal's clause
+      would read it on;
     - _member3 of a static P, w and frame reads the set of P * (w *
       frame), which _sem_triple_at also uses to visit only the heaps in
       it;
@@ -503,7 +516,8 @@ class Tester:
     by _sample, which replay also uses.  The _member3 entry holds the set
     (or None) and the row of the heaps answered by _star3, one per heap:
     every heap when a term is not static, and a heap outside this
-    universe when all are.  Nested `member` calls stay per heap."""
+    universe when all are.  A term with a triple, `<>`, `mu` or `(*)`
+    stays per heap, as do its connectives above its static sub-terms."""
 
     def __init__(self, cfg: TestConfig):
         self.cfg = cfg
@@ -549,7 +563,7 @@ class Tester:
                     f"{MAX_UNIVERSE_HEAPS:,}; use fewer addresses or values")
             n = len(self.cfg.addr_pool)
             index = _UniverseIndex(vals, tuple(sorted(self.cfg.addr_pool)))
-            mapped = range(1, index.radix)
+            mapped, mapped_ranks = range(1, index.radix), index.ranks[1:]
             order, ranks = [0, 1], [0, 1]
             for size in range(1, n + 1):
                 for dom in itertools.combinations(range(n), size):
@@ -559,8 +573,8 @@ class Tester:
                     for i in dom:
                         place = index.places[i]
                         bits = [b + d * place for b in bits for d in mapped]
-                        top = [max(r, index.ranks[d])
-                               for r in top for d in mapped]
+                        top = [r if r >= q else q
+                               for r in top for q in mapped_ranks]
                     order += bits
                     ranks += top
             self._bit = index.bits
@@ -569,7 +583,8 @@ class Tester:
         return self._index
 
     def universe(self) -> list:
-        """Every heap of the universe, in a fixed order."""
+        """Every heap of the universe, in a fixed order.  No question of
+        the Tester builds them all; tests and the bench counter do."""
         if self._universe is None:
             index = self._universe_index()
             index.build_all()
@@ -625,9 +640,18 @@ class Tester:
         """h in [[P]]env at the world generated by the closed assertion
         w."""
         key = (P._id, env._id, w._id)
-        row = self._member_cache.get(key)
-        if row is None:
-            row = self._member_cache[key] = {}
+        entry = self._member_cache.get(key)
+        if entry is None:
+            entry = self._member_cache[key] = (
+                self.denotation(P, env) if static(P) else None, {})
+        bits, row = entry
+        if bits is not None:
+            # a universe heap of a static P is one bit of its set
+            bit = self._bit.get(h._id)
+            if bit is None:
+                bit = self._index.bit(h)
+            if bit is not None:
+                return bits >> bit & 1 == 1
         # a hit is answered from this one probe; a miss, or an entry still
         # in progress, goes through _memo, which computes it or raises
         # CacheReentry (contractiveness makes a genuine cycle impossible)
@@ -1023,29 +1047,36 @@ class Tester:
     def test_entailment(self, P, Q) -> Verdict:
         goal = Implies(P, Q)
         envs = self._env_samples(free_vars(goal)[0])
-        denoted = static(goal)
+        denoted, left_static = static(goal), static(P)
         index = self._universe_index()
-        if not denoted:
-            heaps = self.universe()
+        order = self._order
         samples = 0
         base_inconclusive = self.inconclusive
         for env in envs:
             for w in self.cfg.world_pool:
+                # the heaps to read in universe order, and the term each
+                # must satisfy (Tester docstring)
                 if denoted:
-                    # the first heap in universe order outside the set
-                    outside = index.full & ~self.denotation(goal, env)
-                    bad = next((self._heap(b) for b in self._order
-                                if outside >> b & 1), None) \
-                        if outside else None
+                    read = index.full & ~self.denotation(goal, env)
+                    right = goal
+                elif left_static:
+                    read, right = self.denotation(P, env), Q
                 else:
-                    bad = next((h for h in heaps
-                                if not self.member(goal, env, w, h)), None)
+                    read, right = index.full, goal
+                bad = None
+                if read:
+                    # one character per bit, bit 0 first
+                    chars = f"{read:0{index.full.bit_length()}b}"[::-1]
+                    bad = next((b for b in order if chars[b] == "1" and not
+                                self.member(right, env, w, self._heap(b))),
+                               None)
                 if bad is not None:
                     return Fail(Witness(
-                        "entailment", w, None, bad, "implication-violation",
+                        "entailment", w, None, self._heap(bad),
+                        "implication-violation",
                         "heap satisfies the left side but not the right",
                         env))
-                samples += len(self._order)
+                samples += len(order)
         return Pass(samples, self.inconclusive - base_inconclusive)
 
     def replay(self, witness: Witness, goal_kind: str, P, extra=None) -> bool:

@@ -59,12 +59,12 @@ Every memo has one of three homes:
    mu or (*)) under an environment, as a set of the Tester's own
    universe heaps, the raised sets of such a set, per level, and the
    set of the heaps up to each rank.
-   test_entailment of a static goal and the triple sampler's [[pre]]w *
-   (w * frame) of a static pre, world and frame read the first, and the
-   sampler judges a static post from the second, for a straight-line
-   code through the preimage of its digit maps; a nested member call,
-   any other term and any heap outside that universe are answered heap
-   by heap.
+   member of a static term, test_entailment of a static goal or left
+   side and the triple sampler's [[pre]]w * (w * frame) of a static
+   pre, world and frame read the first, and the sampler judges a static
+   post from the second, for a straight-line code through the preimage
+   of its digit maps; any other term and any heap outside that universe
+   are answered heap by heap.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ bench/spans.py wraps functions and methods of sepstore by name and reads
 Tester counters; a rename or deletion of any of them leaves the traced
 benchmark with nothing measured.  This runs the tracer the way the bench
 worker does, in a fresh interpreter, on one fuzz instance, one entailment
-with a triple in it, and one equality modulo AC.
+with a triple in it, one built universe, and one equality modulo AC.
 """
 
 import json
@@ -31,6 +31,8 @@ from sepstore.syntax import (Emp, IntLit, PointsTo, Quote, Skip, Star,
                              Triple, TrueA, equal_mod_ac)
 # a goal with a triple in it is judged heap by heap, through member
 tester.test_entailment(TrueA(), Triple(Emp(), Quote(Skip()), Emp()))
+# no goal builds the whole universe; the counter reads a built one
+tester.universe()
 cell = PointsTo(IntLit(1), IntLit(2))
 assert equal_mod_ac(Star((cell, Emp())), cell)
 print(json.dumps({"samples": res.samples, "testers": len(testers),

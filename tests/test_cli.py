@@ -10,7 +10,7 @@ from sepstore.cli import _IN_RULE_SCRIPT, _refuted, main
 from sepstore.config import load_config
 from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse
-from sepstore.interp import EMPTY_ENV
+from sepstore.interp import BOT, EMPTY_ENV
 from sepstore.logic import (REJECTED, check_proof, make_node, parse_script,
                             serialize_script)
 from sepstore.semantics import Tester, static
@@ -474,19 +474,20 @@ def test_cli_counterexamples(runner, tmp_path):
 def test_registry_replays_witnesses_on_a_fresh_tester():
     """A refutation that only the finding Tester's cache believes is not
     reported as one: the witness is replayed without that cache.  A
-    static goal is judged from its set, one with a triple heap by heap
-    through the member cache; each cache is poisoned at the first heap."""
+    static goal is judged from its set; one with a triple and a static
+    left side reads the right side's member row at each heap of the left
+    side's set.  Each cache is poisoned at the first heap, Bot."""
     for text in ("1 |-> 0 => exists v. 1 |-> v",
                  "1 |-> 0 => (exists v. 1 |-> v) /\\ {emp} 'skip' {emp}"):
         goal = parse(text, "assertion")
         tester = Tester(fuzz_config())
-        world, heap = tester.cfg.world_pool[0], tester.universe()[0]
+        world = tester.cfg.world_pool[0]
         if static(goal):
             tester._sets[(goal._id, EMPTY_ENV._id)] = \
-                tester._index.full ^ 1 << tester._bit[heap._id]
+                tester._universe_index().full ^ 1
         else:
-            row = (goal._id, EMPTY_ENV._id, world._id)
-            tester._member_cache[row] = {heap._id: False}
+            row = (goal.right._id, EMPTY_ENV._id, world._id)
+            tester._member_cache[row] = (None, {BOT._id: False})
         status, detail, _ = _refuted(text)(tester)
         assert (status, detail) == ("unexpected", "witness did not replay")
 

@@ -1,8 +1,10 @@
 """Set-at-a-time denotations against per-heap membership.
 
 `Tester.denotation` computes the set of universe heaps of a static
-assertion (`semantics.static`) in one pass; `Tester.member` stays the
-per-heap reference.  For every static term below, under an environment
+assertion (`semantics.static`) in one pass.  `Tester.member` reads a
+static term's set too, so the reference here is `member` with `static`
+off, which answers through the per-heap clauses all the way down
+(`per_heap`).  For every static term below, under an environment
 that binds its free variables to values of the Tester's universe, the
 term's bit of each heap must equal `member`: on every heap of the fuzz
 universe, and on every 7th heap of the default and the iterator universes,
@@ -13,6 +15,7 @@ forms: n-ary chains, quantifiers over tagged code values, and terms that
 tell each truncation level apart, under every binding of their variable.
 """
 
+import contextlib
 import itertools
 import json
 import random
@@ -25,7 +28,9 @@ from sepstore import fuzz, semantics
 from sepstore.config import default_config, load_config
 from sepstore.fuzz import fuzz_config
 from sepstore.grammar import parse
-from sepstore.interp import BOT, EMPTY_ENV, CodeVal, Env, Heap, IntVal, rank
+from sepstore.interp import (
+    BOT, EMPTY_ENV, CodeVal, Env, Heap, IntVal, rank, truncate,
+)
 from sepstore.semantics import Fail, Pass, Tester, static
 from sepstore.syntax import (
     Emp, Exists, Forall, Implies, Skip, Star, TrueA, free_vars,
@@ -86,6 +91,15 @@ def bound(tester, P, rng):
                      for x in sorted(free_vars(P)[0])))
 
 
+@contextlib.contextmanager
+def per_heap():
+    """A context in which each member row made is per heap: no term is
+    static, so membership of a static term is not read from its set."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "static", lambda P: False)
+        yield
+
+
 def assert_agrees(tester, terms, step):
     rng = random.Random(7)
     envs = [(P, bound(tester, P, rng)) for P in terms]
@@ -94,9 +108,12 @@ def assert_agrees(tester, terms, step):
     heaps = tester.universe()[::step]
     for P, env in envs:
         bits = tester.denotation(P, env)
-        for h in heaps:
-            got = bits >> tester._bit[h._id] & 1 == 1
-            assert got == tester.member(P, env, Emp(), h), (P, env, h)
+        with per_heap():
+            for h in heaps:
+                got = bits >> tester._bit[h._id] & 1 == 1
+                assert got == tester.member(P, env, Emp(), h), (P, env, h)
+    # every row, down to the atoms, answered per heap
+    assert all(bits is None for bits, _ in tester._member_cache.values())
 
 
 def connectives(P) -> set:
@@ -167,9 +184,10 @@ def test_each_tester_reads_its_own_index():
     P = parse("exists v. 1 |-> v * 2 |-> 0", "assertion")
     for t in (small, large):
         bits = t.denotation(P, EMPTY_ENV)
-        for h in t.universe():
-            assert (bits >> t._bit[h._id] & 1 == 1) \
-                == t.member(P, EMPTY_ENV, Emp(), h)
+        with per_heap():
+            for h in t.universe():
+                assert (bits >> t._bit[h._id] & 1 == 1) \
+                    == t.member(P, EMPTY_ENV, Emp(), h)
 
 
 
@@ -265,3 +283,39 @@ def test_a_heap_interned_first_elsewhere_reads_its_bit_from_its_cells():
         assert t._index.heap(code) is h
         assert _fresh_answers(h, t._index) == _references(h)
     assert t.universe() == reference_universe(t)
+
+
+@pytest.mark.parametrize("config", ["fuzz", None, ITERATOR_CONFIG],
+                         ids=["fuzz", "default", "iterator"])
+def test_truncations_come_no_later_in_universe_order(config):
+    # what makes the heap-by-heap entailment scan exact: the first heap
+    # outside a goal is the first one of its left side outside its right
+    cfg = fuzz_config() if config == "fuzz" else \
+        load_config(config) if config else default_config()
+    heaps = Tester(cfg).universe()
+    position = {h._id: i for i, h in enumerate(heaps)}
+    for i, h in enumerate(heaps):
+        for n in range(rank(h) + 1):
+            assert position[truncate(n, h)._id] <= i, (h, n)
+
+
+SPEC = "{emp} 'skip' {false}"
+
+
+def test_a_goal_with_a_triple_builds_only_the_heaps_it_reads():
+    # a Pass whose left side is emp reads Bot and the empty heap only
+    t = Tester(default_config())
+    P = parse("emp => mu X. {X} 'skip' {false}", "assertion")
+    assert isinstance(t.test_entailment(P.left, P.right), Pass)
+    assert len(built(t)) <= 2
+    # a Fail builds no heap after its witness in universe order
+    t = Tester(default_config())
+    P = parse(f"1 |-> 'skip' * (2 |-> 'skip' /\\ {SPEC}) => "
+              f"(1 |-> 'skip' /\\ {SPEC}) * (2 |-> 'skip' /\\ {SPEC})",
+              "assertion")
+    verdict = t.test_entailment(P.left, P.right)
+    assert isinstance(verdict, Fail)
+    witness = t._bit[verdict.witness.heap._id]
+    last = t._order.index(witness)
+    assert 0 < len(built(t)) <= last
+    assert set(t._bit[h._id] for h in built(t)) <= set(t._order[:last + 1])

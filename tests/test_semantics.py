@@ -306,18 +306,18 @@ def test_cache_reentry_raises():
     membership, three-way membership, denotations and triples alike; the
     aborted entry is not cached."""
     t = Tester(fuzz_config())
-    args = (TrueA(), EMPTY_ENV, Emp(), EMPTY_HEAP)
+    # a static assertion's member and _member3 are read from its set, so
+    # this one holds a (*), which keeps it on the per-heap path
+    P = Tensor(TrueA(), Emp())
+    args = (P, EMPTY_ENV, Emp(), EMPTY_HEAP)
     t._member = lambda *a: t.member(*a)
     with pytest.raises(CacheReentry):
         t.member(*args)
-    row = t._member_cache[(TrueA()._id, EMPTY_ENV._id, Emp()._id)]
-    assert EMPTY_HEAP._id not in row
+    bits, row = t._member_cache[(P._id, EMPTY_ENV._id, Emp()._id)]
+    assert bits is None and EMPTY_HEAP._id not in row
     del t._member
     assert t.member(*args) is True
 
-    # a static assertion's _member3 is read from its set, so this one
-    # holds a (*), which keeps it on the per-heap path through _star3
-    P = Tensor(TrueA(), Emp())
     args3 = (P, Emp(), TrueA(), EMPTY_HEAP)
     t._star3 = lambda *a: t._member3(*a)
     with pytest.raises(CacheReentry):
@@ -327,6 +327,8 @@ def test_cache_reentry_raises():
     del t._star3
     assert t._member3(*args3) is True
 
+    # the member calls above filled sets of their static sub-terms
+    t = Tester(fuzz_config())
     static = A("1 |-> 0 * true")
     t._denote = lambda P, env: t.denotation(P, env)
     with pytest.raises(CacheReentry):
