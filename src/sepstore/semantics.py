@@ -463,10 +463,10 @@ class Tester:
     term or value would hash through a Python `__hash__`.  Each goes
     through _memo but the run table and the digit maps: neither
     run_codeval nor _digit_maps calls back into the Tester, so none of
-    their entries can be re-entered.  The member cache has one row per
-    (P, env, w), a dict from heap serial to answer, filled on demand.
-    `member` answers a hit from one probe of its row, and only a miss
-    goes through _memo.
+    their entries can be re-entered.  The member cache has one entry per
+    (P, env, w): P's set when P is static (else None), and a row, a dict
+    from heap serial to answer, filled on demand.  `member` answers a hit
+    from one probe of its row, and only a miss goes through _memo.
 
     The universe is numbered before any of its heaps exists: the Tester's
     own index (_UniverseIndex), the universe order as a list of bits and
@@ -521,7 +521,7 @@ class Tester:
 
     def __init__(self, cfg: TestConfig):
         self.cfg = cfg
-        self._member_cache: dict = {}   # (P, env, w) -> {h: member(..., h)}
+        self._member_cache: dict = {}   # (P, env, w) -> (set, {h: answer})
         self._member3_table: dict = {}  # (P, w, frame) -> {g: _member3(...)}
         self._raises: dict = {}         # h -> tag_raises(h, ...)
         self._bindings: dict = {}       # (env, x) -> env.bind(x, d) per value

@@ -275,7 +275,9 @@ def test_a_heap_interned_first_elsewhere_reads_its_bit_from_its_cells():
                 bits, row = t._member3_table[(P._id, Emp()._id, frame._id)]
                 # the set path answered: the per-heap row stays empty
                 assert bits is not None and row == {}
-                assert got == t._star3(P, Emp(), frame, h), (P, h, frame)
+                with per_heap():
+                    assert got == t._star3(P, Emp(), frame, h), \
+                        (P, h, frame)
     # each was registered under its own code, as the index builds it
     for h in heaps:
         code = t._bit[h._id] - 1
