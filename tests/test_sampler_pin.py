@@ -10,14 +10,14 @@ no triple, `<>`, `mu` or `(*)`, and two static triples that the set
 judgement of a triple leaves to the per-heap path: one on a config whose
 k exceeds its tag_max, and one whose results leave the universe.  Three
 straight-line commands pin a `;` chain through a `free`, an update
-outside the address pool and an update of a freed cell.  Three
+outside the address pool and an update of a freed cell.  Five
 entailments with a triple or `mu` in them pin the heap-by-heap scan: a
-`Pass` with a `mu`, a `Pass` whose tag-0 closures run out of fuel, and a
-`Fail` of a static left side whose witness is not Bot.  For each, on a
-fresh Tester, the verdict
-kind, the witness of a Fail (`Witness.to_json()`), the samples and
-inconclusive count of a Pass, and the number of triples the Tester
-computed are pinned.
+`Pass` with a `mu`, a `Pass` whose tag-0 closures run out of fuel, a
+`Fail` of a static left side whose witness is not Bot, and a triple on
+the left of a static right side, once as a `Pass` and once as a `Fail`.
+For each, on a fresh Tester, the verdict kind, the witness of a Fail
+(`Witness.to_json()`), the samples and inconclusive count of a Pass, and
+the number of triples the Tester computed are pinned.
 
 Print the results to record (only when a change of them is intended):
 
@@ -83,6 +83,10 @@ GOALS = (
     ("emp-mu", None, "emp => mu X. {X} 'skip' {false}"),
     ("true-eval", None, "true => {1 |-> 'skip'} 'eval [1]' {true}"),
     ("static-left-fail", None, "1 |-> 'skip' => {emp} 'skip' {false}"),
+    # a goal written with a leading brace is read as a triple by
+    # test_triple_sets.py, so these entailments parenthesise theirs
+    ("eval-left-true", None, "({1 |-> 'skip'} 'eval [1]' {true}) => true"),
+    ("eval-left-emp", None, "({1 |-> 'skip'} 'eval [1]' {true}) => emp"),
 )
 
 def _fail(triples, heap, outcome, reason, **where):
@@ -135,6 +139,9 @@ RECORDED = {
     "static-left-fail": _fail(2, "1 = 'skip'@1", "implication-violation",
                               "heap satisfies the left side but not the "
                               "right"),
+    "eval-left-true": _pass(4, 2198, 442),
+    "eval-left-emp": _fail(1, "1 = -1", "implication-violation",
+                           "heap satisfies the left side but not the right"),
 }
 
 
