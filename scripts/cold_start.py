@@ -19,8 +19,8 @@ every module is compiled from source.  The layers:
                          and the parse of its config and goal: the
                          default universe, Tester(default_config())
                          .universe(), which builds all 2,198 heaps; its
-                         universe index, the numbering, order and ranks
-                         that a static goal reads, with no heap built;
+                         universe index, the numbering and order that a
+                         static goal reads, with no heap built;
                          the iterator triple of acceptance
                          criterion 6 on its universe; one StarComm
                          entailment and one Seq triple with a frame,

@@ -11,14 +11,15 @@ whole universe (Tester.denotation), and such a term's membership, at any
 depth of a goal, is one bit of its set on a universe heap.  On top of it
 sit a bounded semantic-triple tester and an entailment tester: a Fail
 verdict is a genuine refutation within the model, a Pass means no
-counterexample exists in the configured universe.  An entailment reads
-only the heaps of its left side's set when that side is static, and
-builds only the heaps it reads.  A triple whose pre, post, world and
-frame are all static is judged from sets too, when k <= tag_max: each
-code runs once per universe heap, and the postcondition check is one bit
-of a set.  A straight-line code (updates and `free`s) is read as one
-digit map per address instead, so such a triple is judged from sets
-without a run.
+counterexample exists in the configured universe.  An entailment scans
+the universe for the first heap in its left side and not in its right:
+over the left side's set when that side is static, minus the right
+side's when both are, building only the heaps it reads.  A triple whose
+pre, post, world and frame are all static is judged from sets too, when
+k <= tag_max: each code runs once per universe heap, and the
+postcondition check is one bit of a set.  A straight-line code (updates
+and `free`s) is read as one digit map per address instead, so such a
+triple is judged from sets without a run.
 """
 
 from __future__ import annotations
@@ -262,18 +263,6 @@ class _UniverseIndex:
                 for a, d in zip(self.addrs, self.digits(code)) if d)))
         return h
 
-    def build_all(self) -> None:
-        """Build every heap not built yet, with the cells of all codes
-        made in code order: digit i of a code counts its runs of
-        places[i] codes."""
-        cells = [()]
-        for a in self.addrs:
-            cells = [c + cell for cell in [()] + [((a, v),) for v in self.vals]
-                     for c in cells]
-        for code, h in enumerate(self.by_code):
-            if h is None:
-                self._register(code, Heap(cells[code]))
-
     def _register(self, code, h: Heap) -> Heap:
         self.by_code[code] = h
         self.bits[h._id] = code + 1
@@ -315,6 +304,14 @@ class _UniverseIndex:
             for level in self.levels[1:top + 1])
 
     # --- sets of universe heaps
+
+    def up_to_rank(self, n) -> int:
+        """The heaps of rank at most n: Bot, and for n >= 1 the heaps each
+        of whose digits has rank at most n."""
+        out = self.full - 1 if n >= 1 else 0
+        for digit in self.with_digit:
+            out &= sum(digit[d] for d, r in enumerate(self.ranks) if r <= n)
+        return out | 1
 
     def star(self, a, b) -> int:
         """{h1 * h2 : h1 in a, h2 in b}: the code of a disjoint union is
@@ -454,8 +451,8 @@ class Tester:
     """Bounded membership evaluator and triple/entailment tester.
 
     It holds the tables whose answers depend on its configuration:
-    membership, denotations, the _member3 rows, triples, the heaps up to
-    a rank and their set, tag raises, quantifier bindings, the runs of
+    membership, denotations, the _member3 rows, triples, the set of the
+    heaps up to each rank, tag raises, quantifier bindings, the runs of
     each code on universe heaps, the digit maps of each code and the
     raised sets of postconditions (syntax docstring, home 3).  Each is
     keyed by ints, serials (`_id`) or, for the raised sets, a set, never
@@ -469,8 +466,11 @@ class Tester:
     from one probe of its row, and only a miss goes through _memo.
 
     The universe is numbered before any of its heaps exists: the Tester's
-    own index (_UniverseIndex), the universe order as a list of bits and
-    the rank of each entry are ints, read off the mixed-radix digits.  A
+    own index (_UniverseIndex) and the universe order, a list of bits,
+    are read off the mixed-radix digits.  A group of heaps is a set: the
+    heaps up to rank n are one (_rank_set), and _in_order lists a set's
+    bits in universe order, the one walk of the universe that universe(),
+    universe_up_to_rank, the triple sampler and test_entailment share.  A
     heap is built when a question reads it, and universe() builds them
     all.  A built heap's bit is in _bit, the index's own dict.  The
     numbering depends on the configuration, so it is the Tester's alone:
@@ -483,14 +483,15 @@ class Tester:
     - member of a static P: its entry, made once per (P, env, w), holds
       P's set, and a universe heap is answered by one bit; a heap outside
       the universe keeps the per-heap clause, in the entry's row;
-    - test_entailment scans the order of bits up to the first heap
-      outside the goal, building only the heaps it reads: for a static
-      goal, the bits outside its set; for a static left side P, the bits
-      of P's set, each tested in the right side Q; otherwise every bit,
-      tested in the goal.  A heap's truncations come no later in that
-      order than itself, so the first heap of P outside Q is the first
-      outside the goal, and Q is read on the heaps the goal's clause
-      would read it on;
+    - test_entailment scans for the first heap in the left side P and
+      not in the right side Q, building only the heaps it reads.  A
+      static P narrows the scan to P's set, and when Q is static too, to
+      P's set minus Q's, so a Pass builds no heap.  Q's set narrows it
+      only then: skipping Q's heaps would skip the triples nested in a
+      non-static P on them, and their samples.  A heap's truncations
+      come no later in universe order than itself, so the first heap of
+      P outside Q is the first outside the goal, and P and Q are read on
+      the heaps the goal's clause would read them on;
     - _member3 of a static P, w and frame reads the set of P * (w *
       frame), which _sem_triple_at also uses to visit only the heaps in
       it;
@@ -529,14 +530,12 @@ class Tester:
         self._sets: dict = {}           # (P, env) -> denotation(P, env)
         self._runs: dict = {}           # code -> {bit: its run (_ran)}
         self._maps: dict = {}           # code -> its _digit_maps
-        self._rank_sets: dict = {}      # n -> the set of _bits_up_to(n)
+        self._rank_sets: dict = {}      # n -> the heaps of rank <= n
         self._raised_sets: dict = {}    # set -> _UniverseIndex.raised(set)
         self._universe: Optional[list] = None
         self._index: Optional[_UniverseIndex] = None
         self._bit: dict = {}            # built universe heap -> its bit
         self._order: list = []          # the bit of each universe heap
-        self._ranks: list = []          # the rank of each universe heap
-        self._by_rank: dict = {}
         self._vals = tuple(IntVal(n) for n in sorted(cfg.int_pool)) \
             + tuple(CodeVal(c, EMPTY_ENV, t) for c in cfg.code_pool
                     for t in range(cfg.tag_max + 1))
@@ -551,8 +550,8 @@ class Tester:
     # --- heap universe
 
     def _universe_index(self) -> _UniverseIndex:
-        """The index, the universe order and the ranks, built without a
-        heap; a universe above MAX_UNIVERSE_HEAPS is refused first."""
+        """The index and the universe order, built without a heap; a
+        universe above MAX_UNIVERSE_HEAPS is refused first."""
         if self._index is None:
             vals = self.values()
             # BOT, then every partial map from addr_pool into vals
@@ -563,22 +562,19 @@ class Tester:
                     f"{MAX_UNIVERSE_HEAPS:,}; use fewer addresses or values")
             n = len(self.cfg.addr_pool)
             index = _UniverseIndex(vals, tuple(sorted(self.cfg.addr_pool)))
-            mapped, mapped_ranks = range(1, index.radix), index.ranks[1:]
-            order, ranks = [0, 1], [0, 1]
+            order = [0, 1]
             for size in range(1, n + 1):
                 for dom in itertools.combinations(range(n), size):
-                    # the bit and rank of every map on dom, in the order
-                    # of itertools.product over vals
-                    bits, top = [1], [1]
+                    # the bit of every map on dom, in the order of
+                    # itertools.product over vals
+                    bits = [1]
                     for i in dom:
                         place = index.places[i]
-                        bits = [b + d * place for b in bits for d in mapped]
-                        top = [r if r >= q else q
-                               for r in top for q in mapped_ranks]
+                        bits = [b + d * place for b in bits
+                                for d in range(1, index.radix)]
                     order += bits
-                    ranks += top
             self._bit = index.bits
-            self._order, self._ranks = order, ranks
+            self._order = order
             self._index = index
         return self._index
 
@@ -586,33 +582,22 @@ class Tester:
         """Every heap of the universe, in a fixed order.  No question of
         the Tester builds them all; tests and the bench counter do."""
         if self._universe is None:
-            index = self._universe_index()
-            index.build_all()
-            self._universe = [BOT] + [index.by_code[b - 1]
-                                      for b in self._order[1:]]
+            full = self._universe_index().full
+            self._universe = [self._heap(b) for b in self._in_order(full)]
         return self._universe
 
     def universe_up_to_rank(self, n) -> list:
-        return [self._heap(b) for b in self._bits_up_to(n)]
-
-    def _bits_up_to(self, n) -> list:
-        """The bits of the heaps of rank at most n, in universe order."""
-        return _memo(self._by_rank, n, self._up_to_rank, n)
-
-    def _up_to_rank(self, n) -> list:
-        self._universe_index()
-        return [b for b, r in zip(self._order, self._ranks) if r <= n]
+        return [self._heap(b) for b in self._in_order(self._rank_set(n))]
 
     def _rank_set(self, n) -> int:
-        """The heaps of _bits_up_to(n), as a set."""
-        return _memo(self._rank_sets, n, self._set_of_rank, n)
+        """The heaps of rank at most n, as a set."""
+        return _memo(self._rank_sets, n, self._universe_index().up_to_rank, n)
 
-    def _set_of_rank(self, n) -> int:
-        # one character per bit, bit 0 first; int() reads it reversed
-        chars = bytearray(b"0") * self._index.full.bit_length()
-        for b in self._bits_up_to(n):
-            chars[b] = 49   # "1"
-        return int(chars[::-1], 2)
+    def _in_order(self, s) -> list:
+        """The bits of the set s, in universe order."""
+        # one character per bit, bit 0 first
+        chars = f"{s:0{self._index.full.bit_length()}b}"[::-1]
+        return [b for b in self._order if chars[b] == "1"]
 
     def _heap(self, bit) -> Heap:
         """The universe heap of a bit, built on first request."""
@@ -888,25 +873,22 @@ class Tester:
                     if code._id not in self._maps:
                         self._maps[code._id] = self._digit_maps(code)
                     maps = self._maps[code._id]
-            # the heaps visited: those in bits, read as one character per
-            # bit, or every heap
-            within = None if bits is None else \
-                f"{bits:0{self._index.full.bit_length()}b}"[::-1]
             for n in range(k + 1):
+                # the heaps visited: those of rank <= n, in bits if a set
+                at_n = self._rank_set(n)
+                if bits is not None:
+                    at_n &= bits
                 if raised is not None:
                     ok = raised[min(n, len(raised) - 1)]
                     if maps is not None:
                         # the samples at n whose run faults or misses ok
-                        at_n = bits & self._rank_set(n)
                         bad = at_n & ~self._index.preimage(ok, maps)
                         if not bad:
                             count = at_n.bit_count()
                             samples += count
                             self.samples += count
                             continue
-                for b in self._bits_up_to(n):
-                    if within is not None and within[b] == "0":
-                        continue
+                for b in self._in_order(at_n):
                     if raised is None:
                         outcome = self._sample(code, self._heap(b), n, w,
                                                frame, pre_c, post_c)
@@ -1045,38 +1027,31 @@ class Tester:
         return total
 
     def test_entailment(self, P, Q) -> Verdict:
-        goal = Implies(P, Q)
-        envs = self._env_samples(free_vars(goal)[0])
-        denoted, left_static = static(goal), static(P)
+        envs = self._env_samples(free_vars(Implies(P, Q))[0])
+        left_static = static(P)
+        narrow = left_static and static(Q)
         index = self._universe_index()
-        order = self._order
         samples = 0
         base_inconclusive = self.inconclusive
         for env in envs:
             for w in self.cfg.world_pool:
-                # the heaps to read in universe order, and the term each
-                # must satisfy (Tester docstring)
-                if denoted:
-                    read = index.full & ~self.denotation(goal, env)
-                    right = goal
-                elif left_static:
-                    read, right = self.denotation(P, env), Q
-                else:
-                    read, right = index.full, goal
-                bad = None
-                if read:
-                    # one character per bit, bit 0 first
-                    chars = f"{read:0{index.full.bit_length()}b}"[::-1]
-                    bad = next((b for b in order if chars[b] == "1" and not
-                                self.member(right, env, w, self._heap(b))),
-                               None)
+                # the first heap in P and not in Q, in universe order: in
+                # P's set when P is static, minus Q's when both are
+                # (Tester docstring)
+                read = self.denotation(P, env) if left_static else index.full
+                if narrow:
+                    read &= ~self.denotation(Q, env)
+                bad = next((b for b in self._in_order(read)
+                            if self.member(P, env, w, self._heap(b))
+                            and not self.member(Q, env, w, self._heap(b))),
+                           None)
                 if bad is not None:
                     return Fail(Witness(
                         "entailment", w, None, self._heap(bad),
                         "implication-violation",
                         "heap satisfies the left side but not the right",
                         env))
-                samples += len(order)
+                samples += len(self._order)
         return Pass(samples, self.inconclusive - base_inconclusive)
 
     def replay(self, witness: Witness, goal_kind: str, P, extra=None) -> bool:

@@ -474,17 +474,17 @@ def test_cli_counterexamples(runner, tmp_path):
 def test_registry_replays_witnesses_on_a_fresh_tester():
     """A refutation that only the finding Tester's cache believes is not
     reported as one: the witness is replayed without that cache.  A
-    static goal is judged from its set; one with a triple and a static
-    left side reads the right side's member row at each heap of the left
-    side's set.  Each cache is poisoned at the first heap, Bot."""
+    static goal is judged from its sides' sets; one with a triple and a
+    static left side reads the right side's member row at each heap of
+    the left side's set.  The right side's set is poisoned to hold Bot
+    alone, and its member row at the first heap, Bot."""
     for text in ("1 |-> 0 => exists v. 1 |-> v",
                  "1 |-> 0 => (exists v. 1 |-> v) /\\ {emp} 'skip' {emp}"):
         goal = parse(text, "assertion")
         tester = Tester(fuzz_config())
         world = tester.cfg.world_pool[0]
         if static(goal):
-            tester._sets[(goal._id, EMPTY_ENV._id)] = \
-                tester._universe_index().full ^ 1
+            tester._sets[(goal.right._id, EMPTY_ENV._id)] = 1
         else:
             row = (goal.right._id, EMPTY_ENV._id, world._id)
             tester._member_cache[row] = (None, {BOT._id: False})

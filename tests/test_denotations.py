@@ -13,6 +13,13 @@ membership terms of the golden semantic corpus, seeded `rand_asn` and
 `fuzz.assertion` draws filtered to static terms, and a few hand-written
 forms: n-ary chains, quantifiers over tagged code values, and terms that
 tell each truncation level apart, under every binding of their variable.
+
+`Tester.test_entailment` scans for the first heap in its left side and
+not in its right, narrowed by the sides' sets where they are static.  On
+seeded `fuzz.assertion` pairs of each static/non-static combination, it
+must give the verdict, witness, samples, inconclusive count and triple
+count of the goal's own clause read per heap on every heap of the fuzz
+universe, in universe order.
 """
 
 import contextlib
@@ -31,7 +38,7 @@ from sepstore.grammar import parse
 from sepstore.interp import (
     BOT, EMPTY_ENV, CodeVal, Env, Heap, IntVal, rank, truncate,
 )
-from sepstore.semantics import Fail, Pass, Tester, static
+from sepstore.semantics import Fail, Pass, Tester, Witness, static
 from sepstore.syntax import (
     Emp, Exists, Forall, Implies, Skip, Star, TrueA, free_vars,
 )
@@ -321,3 +328,67 @@ def test_a_goal_with_a_triple_builds_only_the_heaps_it_reads():
     last = t._order.index(witness)
     assert 0 < len(built(t)) <= last
     assert set(t._bit[h._id] for h in built(t)) <= set(t._order[:last + 1])
+
+
+# --- one entailment rule
+
+PAIRS_PER_KIND = 12
+FAILURE = "heap satisfies the left side but not the right"
+
+
+def entailment_pairs() -> list:
+    """Seeded pairs (P, Q) of fuzz.assertion draws, PAIRS_PER_KIND of each
+    static/non-static combination of P and Q."""
+    rng = random.Random(34)
+    kinds = {(p, q): [] for p in (True, False) for q in (True, False)}
+    while any(len(pairs) < PAIRS_PER_KIND for pairs in kinds.values()):
+        P, Q = fuzz.assertion(rng, 3), fuzz.assertion(rng, 3)
+        pairs = kinds[static(P), static(Q)]
+        if len(pairs) < PAIRS_PER_KIND:
+            pairs.append((P, Q))
+    return [pair for pairs in kinds.values() for pair in pairs]
+
+
+def first_heap_outside(t, P, Q):
+    """The verdict of P => Q read per heap: the first heap of universe(),
+    in order, outside the goal's clause."""
+    goal = Implies(P, Q)
+    samples = 0
+    with per_heap():
+        heaps = t.universe()
+        for env in t._env_samples(free_vars(goal)[0]):
+            for w in t.cfg.world_pool:
+                bad = next((h for h in heaps
+                            if not t.member(goal, env, w, h)), None)
+                if bad is not None:
+                    return Fail(Witness("entailment", w, None, bad,
+                                        "implication-violation", FAILURE,
+                                        env))
+                samples += len(heaps)
+    return Pass(samples, t.inconclusive)
+
+
+def outcome(t, verdict, P, Q) -> tuple:
+    """The verdict, the number of triples computed, and the heaps each
+    non-static side was read on, per environment and world."""
+    sides = {X._id for X in (P, Q) if not static(X)}
+    read = {(key, h) for key, (_, row) in t._member_cache.items()
+            if key[0] in sides for h in row}
+    triples = len(t._triple_cache)
+    if isinstance(verdict, Fail):
+        return "fail", verdict.witness.to_json(), triples, read
+    return "pass", verdict.samples, verdict.inconclusive, triples, read
+
+
+def test_entailment_finds_the_first_heap_outside_the_goal():
+    pairs = entailment_pairs()
+    assert len({(static(P), static(Q)) for P, Q in pairs}) == 4
+    verdicts = set()
+    for P, Q in pairs:
+        t, reference = Tester(fuzz_config()), Tester(fuzz_config())
+        got = outcome(t, t.test_entailment(P, Q), P, Q)
+        want = first_heap_outside(reference, P, Q)
+        assert got == outcome(reference, want, P, Q), (P, Q)
+        verdicts.add((static(P), static(Q), got[0]))
+    # each combination both passes and fails
+    assert len(verdicts) == 8

@@ -163,8 +163,10 @@ def test_index_path_equals_the_per_cell_references(monkeypatch):
         heaps = tester.universe()
         index = tester._index
         assert len(heaps) == size
-        assert tester._ranks == [rank(h) for h in heaps]
         assert [index.bits[h._id] for h in heaps] == tester._order
+        for n in range(max(map(rank, heaps)) + 1):
+            assert tester._in_order(tester._rank_set(n)) \
+                == [index.bits[h._id] for h in heaps if rank(h) <= n]
         with monkeypatch.context() as m:
             # the per-cell path builds its heaps with these two; Bot has
             # no code and keeps it

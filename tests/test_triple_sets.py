@@ -9,7 +9,7 @@ post only once truncated, a fresh Tester's `_sem_triple_at` must give the
 verdict, samples, inconclusive count, witness and counter deltas of a loop
 that judges every sample with `_sample`, on every heap of the fuzz
 universe and on every 7th heap (in universe order) of the default one.
-The heaps visited are narrowed by seeding the Tester's table of the heaps
+The heaps visited are narrowed by seeding the Tester's sets of the heaps
 up to each rank, which both loops read, so the real sampler loop runs.
 The raised sets themselves are checked against `tag_raises` and
 `truncate`, heap by heap, on the same heaps.
@@ -65,9 +65,9 @@ def seeded_tester(cfg, step):
     of its universe order (Bot first)."""
     t = Tester(cfg)
     t._universe_index()
+    kept = sum(1 << b for b in t._order[::step])
     for n in range(t.cfg.level_k + 1):
-        t._by_rank[n] = [b for b, r in
-                         zip(t._order[::step], t._ranks[::step]) if r <= n]
+        t._rank_sets[n] = t._index.up_to_rank(n) & kept
     return t
 
 
@@ -84,7 +84,7 @@ def per_heap(t, w, pre, code, post, env):
     samples = inconclusive = 0
     for frame in t.cfg.frame_pool:
         for n in range(t.cfg.level_k + 1):
-            for b in t._bits_up_to(n):
+            for b in t._in_order(t._rank_set(n)):
                 g = t._heap(b)
                 outcome = t._sample(code, g, n, w, frame, pre_c, post_c)
                 if outcome is None:
